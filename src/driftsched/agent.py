@@ -127,6 +127,24 @@ def _solve_warm(mdp: TabularMdp, q_init: np.ndarray | None, tol: float) -> np.nd
     return solve_soft_q(mdp, tol)  # pragma: no cover - contraction converges
 
 
+def _solved_tables(mdps, tol: float):
+    """Yield (M_t, Q*_t), solving once per flat segment, warm-started.
+
+    A step repeats the previous MDP when it is the same object (as
+    generate_sequence gives for a repeated drift weight) or, for
+    user-supplied lists, when its rewards and transitions are equal.
+    """
+    prev, q_star = None, None
+    for mdp_t in mdps:
+        repeat = prev is not None and (mdp_t is prev or (
+            np.array_equal(mdp_t.rewards, prev.rewards)
+            and np.array_equal(mdp_t.transitions, prev.transitions)))
+        if not repeat:
+            q_star = _solve_warm(mdp_t, q_star, tol)
+        prev = mdp_t
+        yield mdp_t, q_star
+
+
 def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
                 tol: float = 1e-9, collect_oco: bool = False) -> RunTrace:
     """Drive planner_step across a sequence of MDPs (spec or list)."""
@@ -147,17 +165,7 @@ def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
     oco_gap_rows = [] if collect_oco else None
     alpha_rows = [] if collect_oco else None
     prev_pi_star = None
-    prev_mdp = None
-    q_star = None
-    for t, mdp_t in enumerate(mdps, start=1):
-        # piecewise-constant sequences share solves across flat segments
-        if prev_mdp is not None and np.array_equal(
-                mdp_t.rewards, prev_mdp.rewards) and np.array_equal(
-                mdp_t.transitions, prev_mdp.transitions):
-            pass
-        else:
-            q_star = _solve_warm(mdp_t, q_star, tol)
-        prev_mdp = mdp_t
+    for t, (mdp_t, q_star) in enumerate(_solved_tables(mdps, tol), start=1):
         policies.append(state.policy.copy())
         state, rec = planner_step(state, mdp_t, q_star, cfg, eps)
         cols["t"].append(t)
@@ -311,14 +319,7 @@ def rl_dynamic_regret(trace: RunTrace, seq, tol: float = 1e-9) -> float:
     if trace.policies is None or len(trace.policies) != len(mdps):
         raise AlignmentError("trace does not carry one policy per sequence step")
     total = 0.0
-    prev_mdp = None
-    q_star = None
-    for mdp_t, pi_t in zip(mdps, trace.policies):
-        if prev_mdp is None or not (
-                np.array_equal(mdp_t.rewards, prev_mdp.rewards)
-                and np.array_equal(mdp_t.transitions, prev_mdp.transitions)):
-            q_star = _solve_warm(mdp_t, q_star, tol)
-        prev_mdp = mdp_t
+    for (mdp_t, q_star), pi_t in zip(_solved_tables(mdps, tol), trace.policies):
         j_star = float(mdp_t.rho @ soft_values(q_star, mdp_t.mu))
         total += j_star - soft_return(mdp_t, pi_t)
     return total

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp as _scipy_logsumexp
-from scipy.special import softmax as _scipy_softmax
 
 from .errors import InvalidEpsilon, NonPositiveTemperature, SupportMismatch
 
@@ -114,18 +112,52 @@ def bregman_neg_entropy(x, y) -> float:
     return neg_entropy(p) - neg_entropy(q) - inner
 
 
+def _row_lse(a: np.ndarray):
+    """log sum exp over the last axis of a float array.
+
+    Follows Blanchard, Higham & Higham, "Accurately computing the
+    log-sum-exp and softmax functions" (IMA J. Numer. Anal. 41(4), 2021)
+    the way scipy.special.logsumexp(a, axis=-1) does for real input, one
+    operation for each of its operations, so the two agree bit for bit:
+    the entries tied at the row maximum are taken out of the shifted sum
+    and enter as log(m), and rows whose result is not finite (+-inf or
+    NaN entries, overflow) fall back to log(sum(exp(a))).
+    """
+    if a.size == 0:
+        return np.full(a.shape[:-1], -np.inf)[()]
+    if a.ndim == 0:
+        a = a[None]
+    a_max = a.max(axis=-1, keepdims=True)
+    tied = a == a_max
+    m = tied.sum(axis=-1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
+    return out[..., 0] if out.ndim > 1 else out[0]
+
+
+def _row_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, exp(x - max) / sum, as scipy computes it."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def log_sum_exp(q, mu: float) -> float:
     """mu * log sum_a exp(q_a / mu), computed via the max-shift trick."""
     if mu <= 0.0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
-    return float(mu * _scipy_logsumexp(np.asarray(q, dtype=float) / mu))
+    return float(mu * _row_lse(np.asarray(q, dtype=float).ravel() / mu))
 
 
 def softmax(q, mu: float) -> SimplexVec:
     """Temperature softmax exp(q_i/mu) / sum_j exp(q_j/mu), max-shifted."""
     if mu <= 0.0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
-    p = _scipy_softmax(np.asarray(q, dtype=float) / mu)
+    p = _row_softmax(np.asarray(q, dtype=float) / mu)
     return SimplexVec(p / p.sum(), 0.0)
 
 

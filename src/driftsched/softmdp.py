@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp as _scipy_logsumexp
-from scipy.special import softmax as _scipy_softmax
 
 from .errors import (
     InvalidSpec,
@@ -24,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     SingularSystem,
 )
-from .simplex import as_probs
+from .simplex import _row_lse, _row_softmax, as_probs
 
 PATTERNS = ("steady", "abrupt", "linear", "periodic", "mixed")
 
@@ -94,7 +92,7 @@ def soft_values(q: np.ndarray, mu: float) -> np.ndarray:
     """Rowwise temperature log-sum-exp: V(s) = mu log sum_a exp(Q(s,a)/mu)."""
     if mu <= 0.0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
-    return mu * _scipy_logsumexp(np.asarray(q, dtype=float) / mu, axis=-1)
+    return mu * _row_lse(np.asarray(q, dtype=float) / mu)
 
 
 def soft_bellman_apply(mdp: TabularMdp, q: np.ndarray) -> np.ndarray:
@@ -136,7 +134,7 @@ def soft_policy(q: np.ndarray, mu: float) -> np.ndarray:
     """Rowwise softmax of Q at temperature mu; returns an S x A policy."""
     if mu <= 0.0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
-    pi = _scipy_softmax(np.asarray(q, dtype=float) / mu, axis=-1)
+    pi = _row_softmax(np.asarray(q, dtype=float) / mu)
     return pi / pi.sum(axis=-1, keepdims=True)
 
 
@@ -205,39 +203,18 @@ def soft_return(mdp: TabularMdp, pi: np.ndarray) -> float:
     return float(d @ per_state) / (1.0 - mdp.gamma)
 
 
-def statewise_loss(q_row: np.ndarray, pi_row, mu: float) -> float:
-    """Per-state surrogate -<q_row, pi> + mu * sum pi log pi.
-
-    Minimized exactly by the temperature softmax of q_row; the gap to
-    the minimizer equals mu * KL(pi || softmax(q_row/mu)).
-    """
-    p = as_probs(pi_row)
-    return float(-(np.asarray(q_row, dtype=float) @ p) + mu * _policy_entropy_terms(p))
-
-
 def surrogate_gap(q_star: np.ndarray, pi: np.ndarray, mu: float) -> np.ndarray:
-    """Statewise loss gap Delta(s) = f_s(pi(.|s)) - f_s(pi*(.|s)) >= 0."""
+    """Statewise loss gap Delta(s) = f_s(pi(.|s)) - f_s(pi*(.|s)) >= 0.
+
+    f_s(p) = -<q_star(s,.), p> + mu * sum p log p is minimized by the
+    temperature softmax pi* of q_star(s,.).
+    """
     q_star = np.asarray(q_star, dtype=float)
     pi = np.asarray(pi, dtype=float)
     pi_star = soft_policy(q_star, mu)
     f = -(q_star * pi).sum(axis=1) + mu * _policy_entropy_terms(pi)
     f_star = -(q_star * pi_star).sum(axis=1) + mu * _policy_entropy_terms(pi_star)
     return f - f_star
-
-
-def q_substitution_bias_bound(mdp: TabularMdp, q_star: np.ndarray,
-                              pi: np.ndarray, tol: float = 1e-9) -> float:
-    """Diagnostic bound ||Q^pi - Q*||_inf / (1-gamma) on the Q-substitution bias."""
-    q_pi, _ = policy_eval(mdp, pi, tol)
-    return float(np.abs(q_pi - np.asarray(q_star)).max()) / (1.0 - mdp.gamma)
-
-
-def occupancy_mismatch_bound(mdp: TabularMdp, d_star: np.ndarray,
-                             d_tilde: np.ndarray) -> float:
-    """Diagnostic bound (2 Q_max + mu log A) / (1-gamma) * ||d* - d~||_1."""
-    gap_range = 2.0 * mdp.q_bound() + mdp.mu * math.log(mdp.n_actions)
-    l1 = float(np.abs(np.asarray(d_star) - np.asarray(d_tilde)).sum())
-    return gap_range * l1 / (1.0 - mdp.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +323,26 @@ def _alternate_endpoints(spec: SoftMdpSequence):
 
 
 def generate_sequence(spec: SoftMdpSequence) -> list:
-    """Materialize the per-step MDPs M_1..M_T described by the spec."""
+    """Materialize the per-step MDPs M_1..M_T described by the spec.
+
+    M_t depends on t only through the mixing weight w_t, so each distinct
+    weight is mixed and validated once and its MDP object repeats at
+    every step with that weight.
+    """
     base = spec.base
     w = _weight_path(spec)
     r_alt, p_alt = _alternate_endpoints(spec)
-    seq = []
+    by_weight = {}
     for wt in w:
-        r_t = base.rewards
-        p_t = base.transitions
-        if spec.drift.reward_drift:
-            r_t = (1.0 - wt) * base.rewards + wt * r_alt
-        if spec.drift.transition_drift:
-            p_t = (1.0 - wt) * base.transitions + wt * p_alt
-        seq.append(replace(base, rewards=r_t, transitions=p_t))
-    return seq
+        if wt not in by_weight:
+            r_t = base.rewards
+            p_t = base.transitions
+            if spec.drift.reward_drift:
+                r_t = (1.0 - wt) * base.rewards + wt * r_alt
+            if spec.drift.transition_drift:
+                p_t = (1.0 - wt) * base.transitions + wt * p_alt
+            by_weight[wt] = replace(base, rewards=r_t, transitions=p_t)
+    return [by_weight[wt] for wt in w]
 
 
 def variation_budget(seq) -> tuple:

@@ -259,6 +259,28 @@ class TestGenerateSequence:
             assert np.array_equal(ma.rewards, mb.rewards)
             assert np.array_equal(ma.transitions, mb.transitions)
 
+    def test_one_mdp_object_per_distinct_weight(self):
+        assert len({id(m) for m in generate_sequence(self.base_spec("steady"))}) == 1
+        seq = generate_sequence(self.base_spec("abrupt", change_times=(7,)))
+        assert len(seq) == 20
+        assert len({id(m) for m in seq}) == 2
+
+    def test_each_step_is_the_mixture_at_its_weight(self):
+        base = random_mdp(4, 3, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(9)
+        r_alt = rng.uniform(-1.0, 1.0, size=(4, 3))
+        p_alt = rng.dirichlet(np.ones(4), size=(4, 3))
+        spec = SoftMdpSequence(
+            base=base, pattern="abrupt", horizon=20, seed=5,
+            drift=DriftSpec(change_times=(7,), magnitude=0.7, transition_drift=True,
+                            reward_alt=r_alt, transition_alt=p_alt),
+        )
+        for t, m in enumerate(generate_sequence(spec), start=1):
+            w = 0.7 if t >= 7 else 0.0
+            assert np.array_equal(m.rewards, (1.0 - w) * base.rewards + w * r_alt)
+            assert np.array_equal(m.transitions,
+                                  (1.0 - w) * base.transitions + w * p_alt)
+
     def test_transition_drift_rows_stochastic(self):
         spec = self.base_spec("linear", horizon=15, transition_drift=True)
         for m in generate_sequence(spec):
