@@ -9,7 +9,6 @@ import numpy as np
 
 from driftsched import (
     ExplicitConstants,
-    LinearLoss,
     ScheduleConfig,
     bound_rhs,
     build_schedule,
@@ -19,7 +18,7 @@ from driftsched import (
 
 rng = np.random.default_rng(7)
 K, T = 8, 600
-losses = [LinearLoss(rng.uniform(-1, 1, K)) for _ in range(T)]
+grads = rng.uniform(-1, 1, (T, K))  # one loss gradient per round
 u = rng.dirichlet(np.ones(K))
 comparators = []
 for t in range(T):
@@ -41,7 +40,7 @@ configs = {
 print(f"{'schedule':<12} {'regret':>8} {'tradeoff bound':>15} {'online bound':>13}")
 for name, cfg in configs.items():
     schedule = build_schedule(cfg, total_drift=total_drift, horizon=T)
-    trace = run_dynamic(losses, comparators, schedule, eps=1e-6)
+    trace = run_dynamic(grads, comparators, schedule, eps=1e-6)
     consts = ExplicitConstants.derive_from_trace(trace)
     measured = trace.column("regret_cum")[-1]
     rhs = bound_rhs(trace, consts)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
-from .omd import OmdState, md_step, regularized_grad
+from .errors import AlignmentError, BoundaryIterate, NonFiniteGradient
+from .omd import _check_floor, _check_iterates, _mirror_step
 from .scheduler import (
     ProxyState,
     ScheduleConfig,
@@ -24,7 +24,6 @@ from .scheduler import (
     td_quantile_proxy,
     update_proxy,
 )
-from .simplex import SimplexVec
 from .softmdp import (
     SoftMdpSequence,
     TabularMdp,
@@ -71,6 +70,11 @@ def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
     regularizer folded in. Returns the new state and a per-round record
     including the return gap of the policy that was played.
     """
+    played = state.policy
+    _check_floor(eps, played.shape[1])
+    _check_iterates(played, eps)
+    if (played <= 0.0).any():
+        raise BoundaryIterate("entropy gradient needs all coordinates > 0")
     mu = mdp_t.mu
     pi_star = soft_policy(q_star_t, mu)
     if state.prev_q is None:
@@ -83,17 +87,15 @@ def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
     lam, proxy = _planner_lambda(state, cfg, raw, alpha_true)
     eta = eta_from_lambda(lam, state.eta_prev, cfg)
 
-    played = state.policy
     j_star = float(mdp_t.rho @ soft_values(q_star_t, mu))
     j_played = soft_return(mdp_t, played)
     oco_gaps = surrogate_gap(q_star_t, played, mu)
 
-    new_policy = np.empty_like(played)
-    for s in range(mdp_t.n_states):
-        row = SimplexVec(played[s], eps)
-        g_f = -q_star_t[s] + mu * (1.0 + np.log(row.probs))
-        g = regularized_grad(g_f, row, lam)
-        new_policy[s] = md_step(OmdState(x=row), g, eta, eps).x.probs
+    logp = np.log(played)
+    g = -q_star_t + mu * (1.0 + logp) + lam * (1.0 + logp)
+    if not np.isfinite(g).all():
+        raise NonFiniteGradient("gradient contains NaN or infinity")
+    new_policy = _mirror_step(logp, g, eta, eps)
 
     record = {
         "lambda": lam,
@@ -147,7 +149,10 @@ def _solved_tables(mdps, tol: float):
 
 def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
                 tol: float = 1e-9, collect_oco: bool = False) -> RunTrace:
-    """Drive planner_step across a sequence of MDPs (spec or list)."""
+    """Drive planner_step across a sequence of MDPs (spec or list).
+
+    eps, the floor of every policy row, must lie in [0, 1/A].
+    """
     if isinstance(seq, SoftMdpSequence):
         mdps = generate_sequence(seq)
         pattern, seed = seq.pattern, seq.seed
@@ -155,47 +160,31 @@ def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
         mdps = list(seq)
         pattern, seed = "custom", 0
     n_states, n_actions = mdps[0].rewards.shape
+    _check_floor(eps, n_actions)
     policy0 = np.full((n_states, n_actions), 1.0 / n_actions)
     state = PlannerState(policy=policy0, proxy=ProxyState())
 
-    cols = {name: [] for name in
-            ("t", "lambda", "eta", "alpha", "proxy", "regret_inc",
-             "regret_rl_inc", "eval_return")}
-    policies = []
-    oco_gap_rows = [] if collect_oco else None
-    alpha_rows = [] if collect_oco else None
+    policies, records, alpha_rows = [], [], []
     prev_pi_star = None
-    for t, (mdp_t, q_star) in enumerate(_solved_tables(mdps, tol), start=1):
-        policies.append(state.policy.copy())
+    for mdp_t, q_star in _solved_tables(mdps, tol):
+        policies.append(state.policy)
         state, rec = planner_step(state, mdp_t, q_star, cfg, eps)
-        cols["t"].append(t)
-        cols["lambda"].append(rec["lambda"])
-        cols["eta"].append(rec["eta"])
-        cols["alpha"].append(rec["alpha"])
-        cols["proxy"].append(rec["proxy"])
-        cols["regret_inc"].append(float(rec["oco_gaps"].sum()))
-        cols["regret_rl_inc"].append(rec["regret_rl_inc"])
-        cols["eval_return"].append(rec["eval_return"])
+        records.append(rec)
         if collect_oco:
-            oco_gap_rows.append(rec["oco_gaps"])
             pi_star = soft_policy(q_star, mdp_t.mu)
-            if prev_pi_star is None:
-                alpha_rows.append(np.zeros(n_states))
-            else:
-                alpha_rows.append(np.abs(pi_star - prev_pi_star).sum(axis=1))
+            alpha_rows.append(np.zeros(n_states) if prev_pi_star is None
+                              else np.abs(pi_star - prev_pi_star).sum(axis=1))
             prev_pi_star = pi_star
 
-    inc = np.asarray(cols["regret_inc"])
+    def col(name):
+        return np.asarray([rec[name] for rec in records])
+
+    inc = np.asarray([float(rec["oco_gaps"].sum()) for rec in records])
     columns = {
-        "t": np.asarray(cols["t"]),
-        "lambda": np.asarray(cols["lambda"]),
-        "eta": np.asarray(cols["eta"]),
-        "alpha": np.asarray(cols["alpha"]),
-        "proxy": np.asarray(cols["proxy"]),
-        "regret_inc": inc,
-        "regret_cum": np.cumsum(inc),
-        "regret_rl_inc": np.asarray(cols["regret_rl_inc"]),
-        "eval_return": np.asarray(cols["eval_return"]),
+        "t": np.arange(1, len(records) + 1), "lambda": col("lambda"),
+        "eta": col("eta"), "alpha": col("alpha"), "proxy": col("proxy"),
+        "regret_inc": inc, "regret_cum": np.cumsum(inc),
+        "regret_rl_inc": col("regret_rl_inc"), "eval_return": col("eval_return"),
     }
     meta = {
         "agent": "planner", "pattern": pattern, "seed": seed,
@@ -204,7 +193,7 @@ def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
     }
     trace = RunTrace(columns=columns, meta=meta, policies=policies)
     if collect_oco:
-        trace.oco_gaps = np.vstack(oco_gap_rows)
+        trace.oco_gaps = np.vstack([rec["oco_gaps"] for rec in records])
         trace.state_alphas = np.vstack(alpha_rows)
     return trace
 

@@ -27,6 +27,7 @@ from .agent import planner_run, td_train
 from .errors import ConfigError, InvalidSpec, UnknownKey
 from .metrics import EvalCurve, auc, recovery_time
 from .scheduler import MODES, ScheduleConfig
+from .simplex import SUM_TOL
 from .softmdp import PATTERNS, DriftSpec, SoftMdpSequence, goal_chain_mdp, random_mdp
 from .trace import RunTrace
 from .verify import run_suite
@@ -107,6 +108,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"task.kind must be 'random' or 'goal_chain', got {kind!r}")
     n_states = _require(task, "n_states", int, "task.")
     n_actions = _require(task, "n_actions", int, "task.")
+    if n_states < 1 or n_actions < 1:
+        raise ConfigError("task.n_states and task.n_actions must be >= 1")
     if kind == "goal_chain" and n_actions != 3:
         raise ConfigError("task.n_actions must be 3 for goal_chain")
     patterns = task.get("patterns", ["steady"])
@@ -146,6 +149,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"task.drift.change_times entry {tc} outside [2, horizon={horizon}]"
             )
+    eps = doc.get("eps", 1e-6)
+    if any(m[1] == "planner" for m in methods) and not (
+            type(eps) in (int, float) and 0.0 <= eps <= 1.0 / n_actions + SUM_TOL):
+        raise ConfigError(f"eps={eps!r} must lie in [0, 1/n_actions] for planners")
     return ExperimentConfig(
         task_kind=kind, n_states=n_states, n_actions=n_actions,
         gamma=task.get("gamma", 0.9), mu=task.get("mu", 0.2),
@@ -155,7 +162,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         eval_every=doc.get("eval_every", 50),
         episode_len=doc.get("episode_len", 20),
         learn_rate=doc.get("learn_rate", 0.1),
-        eps=doc.get("eps", 1e-6), solver_tol=doc.get("solver_tol", 1e-9),
+        eps=eps, solver_tol=doc.get("solver_tol", 1e-9),
         output_dir=doc.get("output_dir", "out"),
     )
 

@@ -16,13 +16,15 @@ import numpy as np
 
 from .errors import (
     BoundaryIterate,
+    InvalidEpsilon,
     LengthMismatch,
     MissingScheduleMetadata,
     NonFiniteGradient,
+    ShapeMismatch,
     SupportMismatch,
 )
 from .scheduler import ScheduleConfig, eta_from_lambda
-from .simplex import SimplexVec, as_probs, kl_div, truncate
+from .simplex import SUM_TOL, SimplexVec, as_probs, kl_div, truncate
 from .trace import RunTrace
 
 
@@ -49,6 +51,40 @@ class OmdState:
     t: int = 0
 
 
+def _mirror_step(logp: np.ndarray, g: np.ndarray, eta: float,
+                 eps: float) -> np.ndarray:
+    """Row-wise multiplicative-weights step on (..., K) arrays.
+
+    logits = logp - eta * g, minus the row max, exp, divided by the row
+    sum (traces and reports depend on this order bit for bit); with
+    eps > 0 only rows below the floor go through truncate. g includes
+    the regularizer.
+    """
+    logits = logp - eta * g
+    logits -= logits.max(axis=-1, keepdims=True)
+    w = np.exp(logits)
+    x = w / w.sum(axis=-1, keepdims=True)
+    if eps > 0.0 and (x < eps).any():
+        rows = x.reshape(-1, x.shape[-1])  # a view: writes land in x
+        for i in np.flatnonzero((rows < eps).any(axis=1)):
+            rows[i] = truncate(rows[i], eps).probs
+    return x
+
+
+def _check_floor(eps: float, k: int) -> None:
+    """The simplex floor must lie in [0, 1/K]."""
+    if not 0.0 <= eps <= 1.0 / k + SUM_TOL:
+        raise InvalidEpsilon(f"floor {eps} outside [0, 1/{k}]")
+
+
+def _check_iterates(x: np.ndarray, eps: float) -> None:
+    """Every row of x sums to 1 within SUM_TOL and sits at or above the floor."""
+    if (np.abs(x.sum(axis=-1) - 1.0) > SUM_TOL).any():
+        raise ValueError("an iterate's probabilities do not sum to 1")
+    if (x < eps - SUM_TOL).any():
+        raise ValueError(f"an iterate has a coordinate below floor {eps}")
+
+
 def md_step(state: OmdState, g, eta: float, eps: float) -> OmdState:
     """One multiplicative-weights step, then truncation to the eps-floor.
 
@@ -62,14 +98,8 @@ def md_step(state: OmdState, g, eta: float, eps: float) -> OmdState:
         raise ValueError("step size must be nonnegative")
     p = state.x.probs
     with np.errstate(divide="ignore"):
-        logits = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-    logits = logits - eta * g
-    logits -= logits.max()
-    w = np.exp(logits)
-    if eps > 0.0:
-        x_new = truncate(w / w.sum(), eps)
-    else:
-        x_new = SimplexVec(w / w.sum(), 0.0)
+        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+    x_new = SimplexVec(_mirror_step(logp, g, eta, eps), max(eps, 0.0))
     return OmdState(x=x_new, eta_prev=max(state.eta_prev, eta), t=state.t + 1)
 
 
@@ -129,58 +159,70 @@ def run_dynamic(stream, comparators, schedule, eps: float,
                 x0: SimplexVec | None = None) -> RunTrace:
     """Run mirror descent against a drifting comparator sequence.
 
-    Per round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero at t=1) is fed
-    to the schedule as the proxy, the step size follows the monotone
-    envelope, the regret increment f_t(x_t) - f_t(u_t) is recorded, and
-    the iterate is updated on the regularized gradient.
+    stream is a (T, K) array of loss gradients or a list of T
+    LinearLoss; comparators holds T points of the K-simplex. Per round:
+    drift alpha_t = ||u_t - u_{t-1}||_1 (zero at t=1) is fed to the
+    schedule as the proxy, the step size follows the monotone envelope,
+    the regret increment f_t(x_t) - f_t(u_t) is recorded, and the
+    iterate is updated on the regularized gradient.
 
     The default start is uniform, which keeps the initial Bregman
     distance to any comparator at most log K.
     """
-    stream = list(stream)
-    comparators = [as_probs(u) for u in comparators]
-    if len(stream) != len(comparators) or not stream:
-        raise LengthMismatch(
-            f"{len(stream)} losses vs {len(comparators)} comparators"
-        )
-    k = stream[0].grad.size
+    losses = stream if isinstance(stream, np.ndarray) else list(stream)
+    if len(losses) and isinstance(losses[0], LinearLoss):
+        grads = np.array([loss.grad for loss in losses])
+        offsets = [float(loss.offset) for loss in losses]
+    else:
+        grads, offsets = np.ascontiguousarray(losses, dtype=float), [0.0] * len(losses)
+    us = np.array([as_probs(u) for u in comparators], dtype=float)
+    horizon = len(grads)
+    if horizon != len(us) or not horizon:
+        raise LengthMismatch(f"{horizon} losses vs {len(us)} comparators")
+    if grads.ndim != 2 or us.shape != grads.shape:
+        raise ShapeMismatch(f"gradients {grads.shape}, comparators {us.shape}")
+    if not np.isfinite(grads).all():
+        raise NonFiniteGradient("gradient contains NaN or infinity")
+    k = grads.shape[1]
+    _check_floor(eps, k)
     cfg = schedule.cfg
     if x0 is None:
         x0 = SimplexVec.uniform(k)
-    state = OmdState(x=truncate(x0, eps) if eps > 0.0 else x0)
+    x = truncate(x0, eps).probs if eps > 0.0 else as_probs(x0)
     try:
-        d_psi_start = kl_div(comparators[0], state.x)
+        d_psi_start = kl_div(us[0], x)
     except SupportMismatch:
         d_psi_start = math.inf
-    iterates = []
 
-    t_col, lam_col, eta_col, alpha_col = [], [], [], []
-    proxy_col, inc_col = [], []
-    u_prev = comparators[0]
-    g_bound = 0.0
-    for t, (loss, u) in enumerate(zip(stream, comparators), start=1):
-        alpha = float(np.abs(u - u_prev).sum())
+    # the schedule sees only the comparator drift, so it runs first
+    alpha_col = [0.0] + np.abs(np.diff(us, axis=0)).sum(axis=1).tolist()
+    lam_col, eta_col, proxy_col = [], [], []
+    eta = 0.0
+    for alpha in alpha_col:
         lam = schedule.step(alpha)
-        eta = eta_from_lambda(lam, state.eta_prev, cfg)
-        inc = loss.value(state.x) - loss.value(u)
-        iterates.append(state.x.probs)
-        g = regularized_grad(loss.grad, state.x, lam)
-        state = md_step(state, g, eta, eps)
-        g_bound = max(g_bound, float(np.abs(loss.grad).max()))
-        t_col.append(t)
+        eta = eta_from_lambda(lam, eta, cfg)
         lam_col.append(lam)
         eta_col.append(eta)
-        alpha_col.append(alpha)
         # what the schedule actually accumulated (smoothed for online mode)
         proxy_col.append(
             schedule.state.ema_value if hasattr(schedule, "state") else alpha
         )
-        inc_col.append(inc)
-        u_prev = u
 
-    inc = np.asarray(inc_col)
+    xs = np.empty((horizon + 1, k))
+    xs[0] = x
+    inc = np.empty(horizon)
+    for t in range(horizon):
+        g, off, x = grads[t], offsets[t], xs[t]
+        inc[t] = (float(g @ x) + off) - (float(g @ us[t]) + off)
+        if eps == 0.0 and not (x > 0.0).all():
+            raise BoundaryIterate("entropy gradient needs all coordinates > 0")
+        logp = np.log(x)
+        xs[t + 1] = _mirror_step(logp, g + lam_col[t] * (1.0 + logp),
+                                 eta_col[t], eps)
+    _check_iterates(xs, eps)
+
     columns = {
-        "t": np.asarray(t_col),
+        "t": np.arange(1, horizon + 1),
         "lambda": np.asarray(lam_col),
         "eta": np.asarray(eta_col),
         "alpha": np.asarray(alpha_col),
@@ -191,7 +233,7 @@ def run_dynamic(stream, comparators, schedule, eps: float,
     meta = {
         "k": k,
         "eps": eps,
-        "g_bound": g_bound,
+        "g_bound": float(np.abs(grads).max()),
         "c": cfg.c,
         "lambda_min": cfg.lambda_min,
         "lambda_max": cfg.lambda_max,
@@ -201,7 +243,7 @@ def run_dynamic(stream, comparators, schedule, eps: float,
         "d_psi_start": d_psi_start,  # divergence from x_1 to the first comparator
     }
     trace = RunTrace(columns=columns, meta=meta)
-    trace.iterates = iterates
+    trace.iterates = xs[:horizon]
     return trace
 
 

@@ -60,13 +60,14 @@ class TabularMdp:
             raise ShapeMismatch("rho must have one entry per state")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.mu <= 0.0:
+        # each check is written so that NaN fails it
+        if not self.mu > 0.0:
             raise NonPositiveTemperature("mu must be positive")
-        if (np.abs(r) > self.r_max + ROW_TOL).any():
+        if not (np.abs(r) <= self.r_max + ROW_TOL).all():
             raise ValueError(f"|rewards| exceed r_max={self.r_max}")
-        if (p < -ROW_TOL).any():
+        if not (p >= -ROW_TOL).all():
             raise ValueError("transition probabilities must be nonnegative")
-        if (np.abs(p.sum(axis=2) - 1.0) > ROW_TOL).any():
+        if not (np.abs(p.sum(axis=2) - 1.0) <= ROW_TOL).all():
             raise ValueError("each transition row must sum to 1")
 
     @property

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import SamplerFailure
-from .omd import ExplicitConstants, LinearLoss, bound_rhs, proxy_bound_rhs, run_dynamic
+from .omd import ExplicitConstants, bound_rhs, proxy_bound_rhs, run_dynamic
 from .scheduler import ScheduleConfig, build_schedule, offline_lambda
 from .simplex import (
     bregman_neg_entropy,
@@ -111,6 +111,13 @@ def check_inequality(name, lhs_fn, rhs_fn, sampler, n: int, tol: float,
     """max (lhs - rhs) over n seeded samples; passes when <= tol."""
     return _scan(name, lhs_fn, rhs_fn, sampler, n, tol, _rng(seed, name),
                  lambda a, b: a - b)
+
+
+def _check_samples(name, samples, tol: float) -> CheckReport:
+    """check_inequality over precomputed (lhs, rhs, ...) tuples."""
+    it = iter(samples)
+    return check_inequality(name, lambda s: s[0], lambda s: s[1],
+                            lambda rng_: next(it), n=len(samples), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +430,7 @@ def _check_fixed_point_sensitivity(seed, n=1000, solver_tol=1e-10):
         rhs = (delta_r + gamma * v_sup * delta_p) / (1.0 - gamma)
         samples.append((lhs, rhs, delta_r, delta_p))
 
-    it = iter(samples)
-    return check_inequality(
-        "fixed_point_sensitivity",
-        lambda s: s[0], lambda s: s[1],
-        lambda rng_: next(it), n=n, tol=4 * solver_tol, seed=seed,
-    )
+    return _check_samples("fixed_point_sensitivity", samples, tol=4 * solver_tol)
 
 
 def _check_q_value_bounds(seed, n=1000, solver_tol=1e-9):
@@ -480,15 +482,8 @@ def _check_squared_drift_conversion(seed, n_sequences=100, steps=12,
                         float(2.0 * q_max * drifts.sum())))
         total_pairs += steps - 1
 
-    it = iter(samples)
-    report = check_inequality(
-        "squared_drift_conversion",
-        lambda s: s[0], lambda s: s[1],
-        lambda rng_: next(it), n=len(samples), tol=1e-6, seed=seed,
-    )
-    return CheckReport(name=report.name, samples=total_pairs,
-                       max_violation=report.max_violation,
-                       tolerance=report.tolerance, worst_case=report.worst_case)
+    report = _check_samples("squared_drift_conversion", samples, tol=1e-6)
+    return replace(report, samples=total_pairs)
 
 
 def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):
@@ -533,12 +528,7 @@ def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):
         l1 = float(np.abs(d_star - d_tilde).sum())
         samples.append((abs(occ_err), gap_cap * l1 / (1.0 - gamma)))
 
-    it = iter(samples)
-    return check_inequality(
-        "occupancy_mismatch_bound",
-        lambda s: s[0], lambda s: s[1],
-        lambda rng_: next(it), n=n, tol=1e-8, seed=seed,
-    )
+    return _check_samples("occupancy_mismatch_bound", samples, tol=1e-8)
 
 
 def _check_occupancy_policy_sensitivity(seed):
@@ -621,20 +611,17 @@ def _check_performance_difference(seed, n=200, solver_tol=1e-11):
 
 def _piecewise_stream(rng, k, horizon, g_bound=1.0, min_switches=1,
                       max_switches=5):
-    losses = [LinearLoss(rng.uniform(-g_bound, g_bound, k))
-              for _ in range(horizon)]
+    """(T, K) gradients and comparators that switch a few times.
+
+    The one (T, K) draw gives the same numbers, and leaves rng in the
+    same state, as T draws of K.
+    """
+    grads = rng.uniform(-g_bound, g_bound, (horizon, k))
     n_switch = int(rng.integers(min_switches, max_switches + 1))
     times = np.sort(rng.choice(np.arange(2, horizon + 1), size=n_switch,
                                replace=False))
-    comparators = []
-    u = rng.dirichlet(np.ones(k))
-    switch_iter = list(times)
-    for t in range(1, horizon + 1):
-        if switch_iter and t == switch_iter[0]:
-            u = rng.dirichlet(np.ones(k))
-            switch_iter.pop(0)
-        comparators.append(u)
-    return losses, comparators
+    points = np.array([rng.dirichlet(np.ones(k)) for _ in range(n_switch + 1)])
+    return grads, points[np.searchsorted(times, np.arange(1, horizon + 1), side="right")]
 
 
 def _tight_tradeoff_instance(horizon=1000):
@@ -645,29 +632,31 @@ def _tight_tradeoff_instance(horizon=1000):
     the trade-off bound sensitive to its constants.
     """
     g = 4.0
-    losses = []
-    for t in range(horizon):
-        sign = 1.0 if t % 2 == 0 else -1.0
-        losses.append(LinearLoss(np.array([sign * g, -sign * g])))
-    comparators = [np.array([0.5, 0.5])] * horizon
+    sign = np.where(np.arange(horizon) % 2 == 0, 1.0, -1.0)[:, None]
+    grads = sign * np.array([g, -g])
+    comparators = np.full((horizon, 2), 0.5)
     cfg = ScheduleConfig(mode="fixed", fixed_value=0.1, c=0.5,
                          lambda_min=0.1, lambda_max=0.1)
-    return losses, comparators, cfg, 0.25
+    return grads, comparators, cfg, 0.25
 
 
 def _check_tradeoff_bounds(seed, n_streams=100, horizon=1000, c2_factor=1.0):
     """Run online-schedule streams; check the per-round trade-off bound and
     the online-proxy bound on every one, plus the designed tight stream."""
     rng = _rng(seed, "tradeoff_streams")
-    eps = 1e-6
+    online_cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
+                                lambda_max=1.0, ema_beta=0.0, mode="online")
+
+    def runs():  # (k, grads, comparators, cfg, eps), drawn one at a time
+        for _ in range(n_streams):
+            k = int(rng.integers(2, 17))
+            yield (k, *_piecewise_stream(rng, k, horizon), online_cfg, 1e-6)
+        yield (2, *_tight_tradeoff_instance(horizon))
+
     tradeoff_samples = []
     online_samples = []
-    for _ in range(n_streams):
-        k = int(rng.integers(2, 17))
-        losses, comparators = _piecewise_stream(rng, k, horizon)
-        cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
-                             lambda_max=1.0, ema_beta=0.0, mode="online")
-        trace = run_dynamic(losses, comparators, build_schedule(cfg), eps)
+    for k, grads, comparators, cfg, eps in runs():
+        trace = run_dynamic(grads, comparators, build_schedule(cfg), eps)
         consts = ExplicitConstants.derive_from_trace(trace)
         scaled = ExplicitConstants(
             c0=math.log(k) / (cfg.c * cfg.lambda_min)
@@ -676,62 +665,34 @@ def _check_tradeoff_bounds(seed, n_streams=100, horizon=1000, c2_factor=1.0):
         )
         measured = float(trace.column("regret_cum")[-1])
         tradeoff_samples.append((measured, bound_rhs(trace, scaled), k))
-        online_samples.append((measured, proxy_bound_rhs(trace, consts, k), k))
+        if cfg is online_cfg:
+            online_samples.append((measured, proxy_bound_rhs(trace, consts, k), k))
 
-    losses, comparators, cfg, eps_t = _tight_tradeoff_instance(horizon)
-    trace = run_dynamic(losses, comparators, build_schedule(cfg), eps_t)
-    consts = ExplicitConstants.derive_from_trace(trace)
-    scaled = ExplicitConstants(
-        c0=math.log(2) / (cfg.c * cfg.lambda_min)
-        + c2_factor * consts.c2 * trace.meta["lambda1"],
-        c1=consts.c1, c2=c2_factor * consts.c2,
-    )
-    measured = float(trace.column("regret_cum")[-1])
-    tradeoff_samples.append((measured, bound_rhs(trace, scaled), 2))
-
-    it1 = iter(tradeoff_samples)
-    tradeoff = check_inequality(
-        "coupled_tradeoff_regret_bound",
-        lambda s: s[0], lambda s: s[1],
-        lambda rng_: next(it1), n=len(tradeoff_samples), tol=1e-8, seed=seed,
-    )
-    it2 = iter(online_samples)
-    online = check_inequality(
-        "online_schedule_regret_bound",
-        lambda s: s[0], lambda s: s[1],
-        lambda rng_: next(it2), n=len(online_samples), tol=1e-8, seed=seed,
-    )
+    tradeoff = _check_samples("coupled_tradeoff_regret_bound", tradeoff_samples, tol=1e-8)
+    online = _check_samples("online_schedule_regret_bound", online_samples, tol=1e-8)
     return tradeoff, online
 
 
 def _check_oracle_schedule_bound(seed, n_streams=50, horizon=500):
     rng = _rng(seed, "oracle_streams")
     eps = 1e-6
+    cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
+                         lambda_max=1.0, mode="oracle")
     samples = []
     for _ in range(n_streams):
         k = int(rng.integers(2, 17))
-        losses, comparators = _piecewise_stream(rng, k, horizon)
-        cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
-                             lambda_max=1.0, mode="oracle")
-        g_bound = max(float(np.abs(l.grad).max()) for l in losses)
+        grads, comparators = _piecewise_stream(rng, k, horizon)
+        g_bound = float(np.abs(grads).max())
         consts = ExplicitConstants.derive(cfg, g_bound, k, eps, lambda1=0.0)
-        oracle_cfg = ScheduleConfig(
-            c1=consts.c1, c2=consts.c2, c=cfg.c, lambda_min=cfg.lambda_min,
-            lambda_max=cfg.lambda_max, mode="oracle",
-        )
-        trace = run_dynamic(losses, comparators, build_schedule(oracle_cfg), eps)
+        oracle_cfg = replace(cfg, c1=consts.c1, c2=consts.c2)
+        trace = run_dynamic(grads, comparators, build_schedule(oracle_cfg), eps)
         alphas = trace.column("alpha")
         rhs = consts.c0 + 2.0 * math.sqrt(consts.c1 * consts.c2) * float(
             np.sqrt(alphas[1:]).sum()
         )
         samples.append((float(trace.column("regret_cum")[-1]), rhs, k))
 
-    it = iter(samples)
-    return check_inequality(
-        "oracle_schedule_bound",
-        lambda s: s[0], lambda s: s[1],
-        lambda rng_: next(it), n=len(samples), tol=1e-8, seed=seed,
-    )
+    return _check_samples("oracle_schedule_bound", samples, tol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -236,3 +236,108 @@ class TestTdTrain:
             pre.append(proxy[tc - 200:tc].mean())
             post.append(proxy[tc:tc + 200].mean())
         assert np.median(post) > np.median(pre)
+
+
+def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
+    """planner_step with one SimplexVec and md_step per state row."""
+    from driftsched import OmdState, SimplexVec, md_step, regularized_grad
+    from driftsched.agent import PlannerState, _planner_lambda
+    from driftsched.scheduler import eta_from_lambda
+    from driftsched.softmdp import soft_return, soft_values, surrogate_gap
+
+    mu = mdp_t.mu
+    pi_star = soft_policy(q_star_t, mu)
+    if state.prev_q is None:
+        raw = alpha_true = 0.0
+    else:
+        raw = float(np.abs(q_star_t - state.prev_q).max()) / mu
+        pi_star_prev = soft_policy(state.prev_q, mu)
+        alpha_true = float(np.abs(pi_star - pi_star_prev).sum(axis=1).max())
+    lam, proxy = _planner_lambda(state, cfg, raw, alpha_true)
+    eta = eta_from_lambda(lam, state.eta_prev, cfg)
+    played = state.policy
+    j_star = float(mdp_t.rho @ soft_values(q_star_t, mu))
+    j_played = soft_return(mdp_t, played)
+    oco_gaps = surrogate_gap(q_star_t, played, mu)
+    new_policy = np.empty_like(played)
+    for s in range(mdp_t.n_states):
+        row = SimplexVec(played[s], eps)
+        g_f = -q_star_t[s] + mu * (1.0 + np.log(row.probs))
+        g = regularized_grad(g_f, row, lam)
+        new_policy[s] = md_step(OmdState(x=row), g, eta, eps).x.probs
+    record = {"lambda": lam, "eta": eta, "alpha": alpha_true,
+              "proxy": proxy.ema_value, "regret_inc": float(oco_gaps.sum()),
+              "regret_rl_inc": j_star - j_played, "eval_return": j_played}
+    return PlannerState(policy=new_policy, proxy=proxy, prev_q=np.array(q_star_t),
+                        eta_prev=eta), record
+
+
+def drifting_random_spec(pattern, horizon=60, seed=2):
+    base = random_mdp(30, 4, gamma=0.9, mu=0.2,
+                      rng=np.random.default_rng([seed, 1017]))
+    drift = DriftSpec(change_times=(horizon // 2,), magnitude=1.0, period=20,
+                      amplitude=0.5, transition_drift=True)
+    return SoftMdpSequence(base=base, pattern=pattern, horizon=horizon,
+                           drift=drift, seed=seed)
+
+
+class TestPlannerMatchesPerStateLoop:
+    """planner_run's one S x A mirror step equals the per-state loop bit for bit."""
+
+    @pytest.mark.parametrize("pattern", ["periodic", "abrupt"])
+    @pytest.mark.parametrize("mode,eps", [("online", 1e-6), ("oracle", 1e-6),
+                                          ("fixed", 0.0), ("online", 0.05)])
+    def test_columns_and_policies(self, pattern, mode, eps):
+        from driftsched.agent import PlannerState, _solved_tables
+        from driftsched.softmdp import generate_sequence
+
+        spec = drifting_random_spec(pattern)
+        cfg = ScheduleConfig(mode=mode, fixed_value=0.3)
+        tr = planner_run(spec, cfg, eps=eps)
+
+        state = PlannerState(policy=np.full((30, 4), 0.25), proxy=ProxyState())
+        policies, records = [], []
+        for mdp, q in _solved_tables(generate_sequence(spec), 1e-9):
+            policies.append(state.policy)
+            state, rec = reference_planner_step(state, mdp, q, cfg, eps)
+            records.append(rec)
+        assert len(tr) == len(records) == len(tr.policies)
+        assert np.array_equal(tr.column("t"), np.arange(1, len(records) + 1))
+        for name in ("lambda", "eta", "alpha", "proxy", "regret_inc",
+                     "regret_rl_inc", "eval_return"):
+            want = np.asarray([rec[name] for rec in records])
+            assert tr.column(name).dtype == want.dtype, name
+            assert np.array_equal(tr.column(name), want), name
+        assert np.array_equal(tr.column("regret_cum"),
+                              np.cumsum(tr.column("regret_inc")))
+        for got, want in zip(tr.policies, policies):
+            assert np.array_equal(got, want)
+        if eps == 0.05:
+            # the floor is active on some row, so truncation was exercised
+            assert any((np.abs(p - eps) < 1e-15).any() for p in policies)
+
+    @pytest.mark.parametrize("eps", [0.5, -1e-3, math.nan, math.inf])
+    def test_eps_outside_range_rejected_before_round_one(self, eps, monkeypatch):
+        from driftsched import InvalidEpsilon, agent
+
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("planner_step ran")
+
+        monkeypatch.setattr(agent, "planner_step", no_rounds)
+        with pytest.raises(InvalidEpsilon):
+            planner_run(drifting_random_spec("abrupt", horizon=5), ScheduleConfig(), eps=eps)
+
+    def test_step_rejects_policy_off_the_simplex(self):
+        from driftsched import BoundaryIterate
+        from driftsched.agent import PlannerState
+
+        mdp = goal_chain_mdp()
+        q = solve_soft_q(mdp, 1e-9)
+        bad = np.full((5, 3), 0.4)
+        with pytest.raises(ValueError, match="sum to 1"):
+            planner_step(PlannerState(policy=bad, proxy=ProxyState()), mdp, q,
+                         ScheduleConfig(), 1e-6)
+        edge = np.tile([1.0, 0.0, 0.0], (5, 1))
+        with pytest.raises(BoundaryIterate):
+            planner_step(PlannerState(policy=edge, proxy=ProxyState()), mdp, q,
+                         ScheduleConfig(), 0.0)

@@ -76,6 +76,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="period"):
             parse_config(doc)
 
+    def planner_config(self, tmp_path, eps):
+        doc = base_config(tmp_path)
+        doc["task"] = {"kind": "random", "n_states": 6, "n_actions": 4,
+                       "patterns": ["steady"]}
+        doc["methods"] = [{"name": "planner", "agent": "planner"}]
+        doc["eps"] = eps
+        return doc
+
+    @pytest.mark.parametrize("eps", [0.5, -1e-6, math.nan, math.inf, "x", True])
+    def test_planner_eps_outside_floor_range(self, tmp_path, eps):
+        with pytest.raises(ConfigError, match="eps"):
+            parse_config(self.planner_config(tmp_path, eps))
+
+    @pytest.mark.parametrize("eps", [0, 0.0, 1e-6, 0.25])
+    def test_planner_eps_in_range(self, tmp_path, eps):
+        assert parse_config(self.planner_config(tmp_path, eps)).eps == eps
+
+    def test_td_only_config_ignores_eps(self, tmp_path):
+        doc = base_config(tmp_path)
+        doc["eps"] = 0.5
+        assert parse_config(doc).eps == 0.5
+
+    def test_empty_task_dimensions(self, tmp_path):
+        doc = self.planner_config(tmp_path, 1e-6)
+        doc["task"]["n_actions"] = 0
+        with pytest.raises(ConfigError, match="n_actions"):
+            parse_config(doc)
+
     def test_change_time_must_fit_horizon(self, tmp_path):
         doc = base_config(tmp_path)
         doc["task"]["drift"]["change_times"] = [10 ** 6]
@@ -101,6 +129,17 @@ class TestRunCommand:
         assert code == 0
         traces = list(out.glob("trace_*.csv"))
         assert len(traces) == 2 * 2 * 3  # methods x patterns x seeds
+
+    def test_planner_eps_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_config(out, horizon=20)
+        doc["task"] = {"kind": "random", "n_states": 4, "n_actions": 4,
+                       "patterns": ["steady"]}
+        doc["methods"] = [{"name": "planner", "agent": "planner"}]
+        doc["eps"] = 0.5
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert "eps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         doc = base_config(tmp_path)

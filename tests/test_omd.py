@@ -6,12 +6,14 @@ import pytest
 from driftsched import (
     BoundaryIterate,
     ExplicitConstants,
+    InvalidEpsilon,
     LengthMismatch,
     LinearLoss,
     MissingScheduleMetadata,
     NonFiniteGradient,
     OmdState,
     ScheduleConfig,
+    ShapeMismatch,
     SimplexVec,
     bound_rhs,
     build_schedule,
@@ -257,3 +259,150 @@ class TestBounds:
             measured = tr.column("regret_cum")[-1]
             assert measured <= bound_rhs(tr, consts) + 1e-8
             assert measured <= proxy_bound_rhs(tr, consts, k) + 1e-8
+
+
+def reference_run_dynamic(losses, comparators, schedule, eps, x0=None):
+    """Per-round loop: one LinearLoss, SimplexVec and md_step per round."""
+    from driftsched import eta_from_lambda, kl_div, truncate
+
+    comparators = [np.asarray(u, dtype=float) for u in comparators]
+    k = losses[0].grad.size
+    x0 = SimplexVec.uniform(k) if x0 is None else x0
+    state = OmdState(x=truncate(x0, eps) if eps > 0.0 else x0)
+    cols = {name: [] for name in ("t", "lambda", "eta", "alpha", "proxy", "regret_inc")}
+    iterates = []
+    u_prev, g_bound = comparators[0], 0.0
+    for t, (loss, u) in enumerate(zip(losses, comparators), start=1):
+        alpha = float(np.abs(u - u_prev).sum())
+        lam = schedule.step(alpha)
+        eta = eta_from_lambda(lam, state.eta_prev, schedule.cfg)
+        cols["regret_inc"].append(loss.value(state.x) - loss.value(u))
+        iterates.append(state.x.probs)
+        state = md_step(state, regularized_grad(loss.grad, state.x, lam), eta, eps)
+        g_bound = max(g_bound, float(np.abs(loss.grad).max()))
+        cols["t"].append(t)
+        cols["lambda"].append(lam)
+        cols["eta"].append(eta)
+        cols["alpha"].append(alpha)
+        cols["proxy"].append(
+            schedule.state.ema_value if hasattr(schedule, "state") else alpha)
+        u_prev = u
+    columns = {name: np.asarray(col) for name, col in cols.items()}
+    columns["regret_cum"] = np.cumsum(columns["regret_inc"])
+    try:
+        d_psi_start = kl_div(comparators[0], iterates[0])
+    except ValueError:
+        d_psi_start = math.inf
+    cfg = schedule.cfg
+    meta = {"k": k, "eps": eps, "g_bound": g_bound, "c": cfg.c,
+            "lambda_min": cfg.lambda_min, "lambda_max": cfg.lambda_max,
+            "lambda1": cols["lambda"][0], "cfg_c1": cfg.c1, "cfg_c2": cfg.c2,
+            "d_psi_start": d_psi_start}
+    return columns, meta, iterates
+
+
+def drifting_stream(seed, k, horizon, g_scale=1.0, offsets=False):
+    rng = np.random.default_rng(seed)
+    grads = rng.uniform(-g_scale, g_scale, (horizon, k))
+    offs = rng.uniform(-2.0, 2.0, horizon) if offsets else np.zeros(horizon)
+    u = rng.dirichlet(np.ones(k))
+    us = []
+    for t in range(horizon):
+        if t in (horizon // 3, 2 * horizon // 3):
+            u = rng.dirichlet(np.ones(k))
+        us.append(u)
+    return grads, offs, us
+
+
+def schedule_for(mode, horizon):
+    cfg = ScheduleConfig(mode=mode, ema_beta=0.0 if mode == "online" else 0.95,
+                         fixed_value=0.2, lambda_min=0.05, lambda_max=1.0)
+    return build_schedule(cfg, total_drift=1.7, horizon=horizon)
+
+
+class TestRunDynamicMatchesPerRoundLoop:
+    """run_dynamic repeats the per-round md_step loop bit for bit."""
+
+    def assert_same(self, losses, stream, us, mode, eps):
+        horizon = len(losses)
+        cols, meta, iterates = reference_run_dynamic(
+            losses, us, schedule_for(mode, horizon), eps)
+        tr = run_dynamic(stream, us, schedule_for(mode, horizon), eps)
+        assert list(tr.columns) == ["t", "lambda", "eta", "alpha", "proxy",
+                                    "regret_inc", "regret_cum"]
+        for name, col in cols.items():
+            assert tr.column(name).dtype == col.dtype, name
+            assert np.array_equal(tr.column(name), col), name
+        assert tr.meta == meta
+        assert len(tr.iterates) == len(iterates)
+        for x, ref in zip(tr.iterates, iterates):
+            assert np.array_equal(x, ref)
+        return tr
+
+    @pytest.mark.parametrize("mode", ["fixed", "oracle", "offline", "online"])
+    @pytest.mark.parametrize("k", [2, 5, 9, 16])
+    def test_schedules(self, mode, k):
+        grads, _, us = drifting_stream(k, k, 300)
+        losses = [LinearLoss(g) for g in grads]
+        self.assert_same(losses, losses, us, mode, 1e-6)
+        # the same stream as one (T, K) gradient array
+        self.assert_same(losses, grads, us, mode, 1e-6)
+
+    @pytest.mark.parametrize("mode", ["fixed", "online"])
+    def test_eps_zero(self, mode):
+        grads, _, us = drifting_stream(3, 6, 250, g_scale=3.0)
+        losses = [LinearLoss(g) for g in grads]
+        self.assert_same(losses, losses, us, mode, 0.0)
+        self.assert_same(losses, grads, us, mode, 0.0)
+
+    @pytest.mark.parametrize("mode", ["fixed", "oracle", "online"])
+    def test_floor_active(self, mode):
+        eps = 1e-3
+        grads, _, us = drifting_stream(5, 7, 250, g_scale=60.0)
+        losses = [LinearLoss(g) for g in grads]
+        tr = self.assert_same(losses, grads, us, mode, eps)
+        assert (np.abs(tr.iterates - eps) < 1e-15).any()
+
+    def test_offsets(self):
+        grads, offs, us = drifting_stream(11, 4, 200, offsets=True)
+        losses = [LinearLoss(g, offset=float(o)) for g, o in zip(grads, offs)]
+        self.assert_same(losses, losses, us, "online", 1e-6)
+
+    def test_bad_inputs_rejected_up_front(self):
+        sched = constant_schedule(0.1)
+        with pytest.raises(NonFiniteGradient):
+            run_dynamic(np.array([[0.0, 1.0], [np.inf, 0.0]]),
+                        [np.array([0.5, 0.5])] * 2, sched, 1e-6)
+        for eps in (-1e-6, 0.6, math.nan):
+            with pytest.raises(InvalidEpsilon):
+                run_dynamic(np.zeros((2, 2)), [np.array([0.5, 0.5])] * 2, sched, eps)
+        with pytest.raises(ShapeMismatch):
+            run_dynamic(np.zeros((2, 3)), [np.array([0.5, 0.5])] * 2, sched, 1e-6)
+
+    def test_boundary_iterate_without_floor(self):
+        with pytest.raises(BoundaryIterate):
+            run_dynamic(np.zeros((3, 2)), [np.array([0.5, 0.5])] * 3,
+                        constant_schedule(0.1), 0.0, x0=SimplexVec.vertex(2, 0))
+
+
+class TestMdStepOperationOrder:
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.02])
+    def test_matches_inline_formula(self, eps):
+        # logits = log p - eta g, shift by the max, exp, divide by the sum,
+        # then truncate only below the floor: bit for bit
+        from driftsched import truncate
+
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            k = int(rng.integers(2, 17))
+            p = truncate(rng.dirichlet(np.ones(k)), 1e-3).probs
+            g = rng.uniform(-40, 40, k)
+            eta = float(rng.uniform(0.0, 1.0))
+            logits = np.log(p) - eta * g
+            logits -= logits.max()
+            w = np.exp(logits)
+            want = w / w.sum()
+            if eps > 0.0 and (want < eps).any():
+                want = truncate(want, eps).probs
+            got = md_step(OmdState(x=SimplexVec(p)), g, eta, eps).x.probs
+            assert np.array_equal(got, want)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from driftsched import (
     DriftSpec,
     InvalidSpec,
     NoConvergence,
+    NonPositiveTemperature,
     ShapeMismatch,
     SoftMdpSequence,
     TabularMdp,
@@ -50,6 +52,24 @@ class TestTabularMdp:
         with pytest.raises(ShapeMismatch):
             TabularMdp(np.zeros((2, 2)), np.ones((2, 3, 2)) / 2, 0.9,
                        np.array([0.5, 0.5]), 0.2)
+
+    def test_nan_reward_rejected(self):
+        m = goal_chain_mdp()
+        r = m.rewards.copy()
+        r[1, 2] = np.nan
+        with pytest.raises(ValueError, match="r_max"):
+            replace(m, rewards=r)
+
+    def test_nan_transition_rejected(self):
+        m = goal_chain_mdp()
+        p = m.transitions.copy()
+        p[0, 1, 3] = np.nan
+        with pytest.raises(ValueError, match="transition"):
+            replace(m, transitions=p)
+
+    def test_nan_mu_rejected(self):
+        with pytest.raises(NonPositiveTemperature):
+            replace(goal_chain_mdp(), mu=math.nan)
 
 
 class TestSoftBellman:

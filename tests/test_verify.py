@@ -115,3 +115,31 @@ class TestSuite:
         mutated = run_suite(seed=0, tradeoff_c2_factor=0.5)
         failing = [r.name for r in mutated if not r.passed]
         assert failing == ["coupled_tradeoff_regret_bound"]
+
+
+class TestStreamDrawOrder:
+    @pytest.mark.parametrize("seed,k", [(0, 2), (1, 9), (2, 16)])
+    def test_one_draw_equals_per_round_draws(self, seed, k):
+        from driftsched.verify import _piecewise_stream
+
+        horizon, g_bound = 300, 1.0
+        rng = np.random.default_rng(seed)
+        grads, comparators = _piecewise_stream(rng, k, horizon, g_bound)
+
+        # T draws of K, then the switch times and comparators drawn after them
+        ref = np.random.default_rng(seed)
+        per_round = np.array([ref.uniform(-g_bound, g_bound, k) for _ in range(horizon)])
+        n_switch = int(ref.integers(1, 6))
+        times = list(np.sort(ref.choice(np.arange(2, horizon + 1), size=n_switch,
+                                        replace=False)))
+        u = ref.dirichlet(np.ones(k))
+        us = []
+        for t in range(1, horizon + 1):
+            if times and t == times[0]:
+                u = ref.dirichlet(np.ones(k))
+                times.pop(0)
+            us.append(u)
+
+        assert np.array_equal(grads, per_round)
+        assert np.array_equal(comparators, np.array(us))
+        assert rng.bit_generator.state == ref.bit_generator.state
