@@ -80,6 +80,7 @@ from .agent import (
     rl_dynamic_regret,
     td_step,
     td_train,
+    td_train_many,
 )
 from .metrics import EvalCurve, auc, drop_ratio, n_auc, recovery_time, smooth_evals
 from .trace import RunTrace

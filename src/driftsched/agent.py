@@ -9,11 +9,13 @@ action sampling and the soft backup target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, BoundaryIterate, NonFiniteGradient
+from .errors import (AlignmentError, BoundaryIterate, LengthMismatch,
+                     NonFiniteGradient, ShapeMismatch)
 from .omd import _check_floor, _check_iterates, _mirror_step
 from .scheduler import (
     ProxyState,
@@ -21,10 +23,11 @@ from .scheduler import (
     eta_from_lambda,
     online_lambda,
     oracle_lambda,
-    td_quantile_proxy,
     update_proxy,
 )
+from .simplex import _row_lse, _row_softmax
 from .softmdp import (
+    _surrogate_gap,
     SoftMdpSequence,
     TabularMdp,
     generate_sequence,
@@ -32,19 +35,20 @@ from .softmdp import (
     soft_return,
     soft_values,
     solve_soft_q,
-    surrogate_gap,
 )
 from .trace import RunTrace
 
 
 @dataclass(frozen=True)
 class PlannerState:
-    """Statewise policy iterate plus proxy bookkeeping."""
+    """Statewise policy iterate plus proxy bookkeeping; prev_q and prev_pi
+    are the last round's solved table and its soft-optimal policy."""
 
     policy: np.ndarray
     proxy: ProxyState
     prev_q: np.ndarray | None = None
     eta_prev: float = 0.0
+    prev_pi: np.ndarray | None = None
 
 
 def _planner_lambda(state: PlannerState, cfg: ScheduleConfig, raw: float,
@@ -82,14 +86,13 @@ def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
         alpha_true = 0.0
     else:
         raw = float(np.abs(q_star_t - state.prev_q).max()) / mu
-        pi_star_prev = soft_policy(state.prev_q, mu)
-        alpha_true = float(np.abs(pi_star - pi_star_prev).sum(axis=1).max())
+        alpha_true = float(np.abs(pi_star - state.prev_pi).sum(axis=1).max())
     lam, proxy = _planner_lambda(state, cfg, raw, alpha_true)
     eta = eta_from_lambda(lam, state.eta_prev, cfg)
 
     j_star = float(mdp_t.rho @ soft_values(q_star_t, mu))
     j_played = soft_return(mdp_t, played)
-    oco_gaps = surrogate_gap(q_star_t, played, mu)
+    oco_gaps = _surrogate_gap(q_star_t, played, pi_star, mu)
 
     logp = np.log(played)
     g = -q_star_t + mu * (1.0 + logp) + lam * (1.0 + logp)
@@ -108,9 +111,17 @@ def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
         "oco_gaps": oco_gaps,
     }
     new_state = PlannerState(
-        policy=new_policy, proxy=proxy, prev_q=np.array(q_star_t), eta_prev=eta
+        policy=new_policy, proxy=proxy, prev_q=np.array(q_star_t), eta_prev=eta,
+        prev_pi=pi_star,
     )
     return new_state, record
+
+
+def _materialize(seq) -> tuple:
+    """(MDP list, pattern, seed) of a SoftMdpSequence spec or a plain MDP list."""
+    if isinstance(seq, SoftMdpSequence):
+        return generate_sequence(seq), seq.pattern, seq.seed
+    return list(seq), "custom", 0
 
 
 def _solve_warm(mdp: TabularMdp, q_init: np.ndarray | None, tol: float) -> np.ndarray:
@@ -153,28 +164,21 @@ def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
 
     eps, the floor of every policy row, must lie in [0, 1/A].
     """
-    if isinstance(seq, SoftMdpSequence):
-        mdps = generate_sequence(seq)
-        pattern, seed = seq.pattern, seq.seed
-    else:
-        mdps = list(seq)
-        pattern, seed = "custom", 0
+    mdps, pattern, seed = _materialize(seq)
     n_states, n_actions = mdps[0].rewards.shape
     _check_floor(eps, n_actions)
     policy0 = np.full((n_states, n_actions), 1.0 / n_actions)
     state = PlannerState(policy=policy0, proxy=ProxyState())
 
     policies, records, alpha_rows = [], [], []
-    prev_pi_star = None
     for mdp_t, q_star in _solved_tables(mdps, tol):
         policies.append(state.policy)
+        prev_pi = state.prev_pi
         state, rec = planner_step(state, mdp_t, q_star, cfg, eps)
         records.append(rec)
         if collect_oco:
-            pi_star = soft_policy(q_star, mdp_t.mu)
-            alpha_rows.append(np.zeros(n_states) if prev_pi_star is None
-                              else np.abs(pi_star - prev_pi_star).sum(axis=1))
-            prev_pi_star = pi_star
+            alpha_rows.append(np.zeros(n_states) if prev_pi is None
+                              else np.abs(state.prev_pi - prev_pi).sum(axis=1))
 
     def col(name):
         return np.asarray([rec[name] for rec in records])
@@ -209,6 +213,45 @@ class TdLearnerState:
     current_state: int
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Row-wise cdf = p.cumsum(); cdf /= cdf[-1], as Generator.choice builds it."""
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _choose(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Generator.choice's cdf.searchsorted(u, side="right") per row: the count of cdf <= u."""
+    return (cdf <= u).sum(axis=1)
+
+
+def _mdp_tables(mdps) -> tuple:
+    """Stacked (rewards, start cdf, transition cdf, gamma) of a list of MDPs."""
+    return (np.stack([m.rewards for m in mdps]),
+            np.stack([_cdf(m.rho) for m in mdps]),
+            np.stack([_cdf(m.transitions) for m in mdps]),
+            np.array([m.gamma for m in mdps]))
+
+
+def _td_transition(q, rows, s, u_act, u_next, alpha, learn_rate, tables, m):
+    """One sampled soft-TD transition for every row b of the (B, S, A) table q.
+
+    Row b, in state s[b] of the stacked MDP m[b], draws a ~ softmax(q[b, s] / alpha[b])
+    with u_act[b] and s' with u_next[b] (alpha and the uniforms are (B, 1) columns),
+    moves q[b, s, a] in place towards r + gamma * LSE(q[b, s'], alpha[b]) and
+    returns (a, s', r, delta).
+    """
+    rewards, _, next_cdf, gamma = tables
+    probs = _row_softmax(q[rows, s] / alpha)  # renormalized as soft_policy does
+    a = _choose(_cdf(probs / probs.sum(axis=-1, keepdims=True)), u_act)
+    s_next = _choose(next_cdf[m, s, a], u_next)
+    r = rewards[m, s, a]
+    target = r + gamma[m] * (alpha[:, 0] * _row_lse(q[rows, s_next] / alpha))
+    delta = target - q[rows, s, a]
+    q[rows, s, a] += learn_rate * delta
+    return a, s_next, r, delta
+
+
 def td_step(state: TdLearnerState, mdp_t: TabularMdp, cfg: ScheduleConfig,
             alpha_t: float):
     """One sampled transition with temperature alpha_t.
@@ -220,15 +263,15 @@ def td_step(state: TdLearnerState, mdp_t: TabularMdp, cfg: ScheduleConfig,
     if alpha_t <= 0.0:
         raise ValueError("temperature must be positive")
     s = state.current_state
-    probs = soft_policy(state.q[s][None, :], alpha_t)[0]
-    a = int(state.rng.choice(mdp_t.n_actions, p=probs))
-    s_next = int(state.rng.choice(mdp_t.n_states, p=mdp_t.transitions[s, a]))
-    r = float(mdp_t.rewards[s, a])
-    target = r + mdp_t.gamma * float(soft_values(state.q[s_next], alpha_t))
-    delta = target - state.q[s, a]
-    state.q[s, a] += state.learn_rate * delta
-    state.current_state = s_next
-    return state, {"s": s, "a": a, "s_next": s_next, "r": r, "delta": delta}
+    u = state.rng.random((2, 1))  # the action's and the next state's uniform
+    zero = np.zeros(1, dtype=np.intp)
+    tables = (mdp_t.rewards[None], None, _cdf(mdp_t.transitions)[None], np.array([mdp_t.gamma]))
+    a, s_next, r, delta = _td_transition(
+        state.q[None], zero, np.array([s]), u[:1], u[1:], np.array([[alpha_t]]),
+        state.learn_rate, tables, zero)
+    state.current_state = int(s_next[0])
+    return state, {"s": s, "a": int(a[0]), "s_next": state.current_state,
+                   "r": float(r[0]), "delta": delta[0]}
 
 
 def td_train(seq, cfg: ScheduleConfig, batch_size: int = 20,
@@ -239,72 +282,91 @@ def td_train(seq, cfg: ScheduleConfig, batch_size: int = 20,
     Every batch_size steps the quantile proxy is refreshed and the
     temperature rescheduled; every eval_every steps the current softmax
     policy is evaluated exactly on the current MDP. Fully deterministic
-    given the seed.
+    given the seed. This is td_train_many with one learner; td_train_many
+    steps many seeds or schedules in lockstep, each as td_train would.
     """
-    if min(batch_size, eval_every, episode_len) < 1:
-        raise ValueError("batch_size, eval_every and episode_len must be >= 1")
-    if isinstance(seq, SoftMdpSequence):
-        mdps = generate_sequence(seq)
-        pattern, seq_seed = seq.pattern, seq.seed
-    else:
-        mdps = list(seq)
-        pattern, seq_seed = "custom", 0
-    horizon = len(mdps)
-    n_states, n_actions = mdps[0].rewards.shape
-    rng = np.random.default_rng(seed)
-    alpha = cfg.fixed_value if cfg.mode == "fixed" else cfg.lambda_min
-    state = TdLearnerState(
-        q=np.zeros((n_states, n_actions)), rng=rng, learn_rate=learn_rate,
-        proxy=ProxyState(), current_state=0,
-    )
+    return td_train_many([seq], [cfg], [seed], batch_size, eval_every,
+                         episode_len, learn_rate)[0]
 
-    lam_col = np.empty(horizon)
-    proxy_col = np.empty(horizon)
-    eval_col = np.full(horizon, np.nan)
-    batch = []
-    for t in range(1, horizon + 1):
-        mdp_t = mdps[t - 1]
-        if (t - 1) % episode_len == 0:
-            state.current_state = int(rng.choice(n_states, p=mdp_t.rho))
-        state, rec = td_step(state, mdp_t, cfg, alpha)
-        batch.append(abs(rec["delta"]))
-        lam_col[t - 1] = alpha
-        if t % batch_size == 0:
-            raw = td_quantile_proxy(batch, cfg.quantile_q)
-            state.proxy = update_proxy(state.proxy, raw, cfg)
-            if cfg.mode == "online":
-                alpha = online_lambda(state.proxy, cfg)
-            batch = []
-        proxy_col[t - 1] = state.proxy.ema_value
-        if t % eval_every == 0:
-            eval_col[t - 1] = soft_return(mdp_t, soft_policy(state.q, alpha))
 
-    columns = {
-        "t": np.arange(1, horizon + 1),
-        "lambda": lam_col,
-        "eta": np.zeros(horizon),
-        "alpha": np.full(horizon, np.nan),
-        "proxy": proxy_col,
-        "regret_inc": np.zeros(horizon),
-        "regret_cum": np.zeros(horizon),
-        "regret_rl_inc": np.full(horizon, np.nan),
-        "eval_return": eval_col,
-    }
-    meta = {
+def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
+                  episode_len: int = 20, learn_rate: float = 0.1) -> list:
+    """Train B independent soft-TD learners in lockstep; one RunTrace each.
+
+    Learner b's trace is td_train(seqs[b], cfgs[b], ..., seed=seeds[b])
+    bit for bit, whatever shares the run: its generator draws at once
+    every uniform of td_train's reset, action and next-state choices,
+    and each step is one _td_transition on the shared (B, S, A) table.
+    All learners share the horizon, the (S, A) shape and the knobs.
+    """
+    if not len(seqs) == len(cfgs) == len(seeds) >= 1:
+        raise LengthMismatch("seqs, cfgs and seeds must be nonempty and equally long")
+    knobs = (batch_size, eval_every, episode_len)
+    if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 for k in knobs):
+        raise ValueError("batch_size, eval_every and episode_len must be ints >= 1")
+    if not math.isfinite(learn_rate):
+        raise ValueError("learn_rate must be finite")
+    runs = [_materialize(seq) for seq in seqs]
+    if len(runs[0][0]) < 1 or len({len(mdps) for mdps, _, _ in runs}) > 1:
+        raise LengthMismatch("every learner needs the same horizon, at least 1")
+    index = {}  # one table entry per distinct MDP object, in order of first use
+    m_idx = np.array([[index.setdefault(id(m), len(index)) for m in mdps]
+                      for mdps, _, _ in runs]).T.copy()
+    distinct = list({id(m): m for mdps, _, _ in runs for m in mdps}.values())
+    if len({m.rewards.shape for m in distinct}) > 1:
+        raise ShapeMismatch("every MDP needs the same (S, A)")
+    tables = _mdp_tables(distinct)
+    start_cdf = tables[1]
+
+    (horizon, n_learners), rows = m_idx.shape, np.arange(len(runs))
+    draws = np.empty((2 * horizon + math.ceil(horizon / episode_len), n_learners, 1))
+    for b, sd in enumerate(seeds):
+        draws[:, b, 0] = np.random.default_rng(sd).random(len(draws))
+    alpha = np.array([[c.fixed_value if c.mode == "fixed" else c.lambda_min] for c in cfgs])
+    q_rank = np.array([math.ceil(c.quantile_q * batch_size) - 1 for c in cfgs])
+    q = np.zeros((n_learners,) + distinct[0].rewards.shape)
+    proxies = [ProxyState()] * n_learners
+    lam_hist, ema_hist = [alpha[:, 0].copy()], [np.zeros(n_learners)]
+    deltas = np.empty((n_learners, batch_size))
+    eval_col = np.full((horizon, n_learners), np.nan)
+    for t in range(horizon):
+        m, i = m_idx[t], 2 * t + t // episode_len  # draws[i] resets, if t starts an episode
+        if t % episode_len == 0:
+            s = _choose(start_cdf[m], draws[i])
+        _, s, _, deltas[:, t % batch_size] = _td_transition(
+            q, rows, s, draws[i + 1], draws[i + 2], alpha, learn_rate, tables, m)
+        if (t + 1) % batch_size == 0:
+            raw = np.sort(np.abs(deltas), axis=1)[rows, q_rank]
+            for b, cfg in enumerate(cfgs):
+                proxies[b] = update_proxy(proxies[b], float(raw[b]), cfg)
+                if cfg.mode == "online":
+                    alpha[b, 0] = online_lambda(proxies[b], cfg)
+            lam_hist.append(alpha[:, 0].copy())
+            ema_hist.append(np.array([p.ema_value for p in proxies]))
+        if (t + 1) % eval_every == 0:
+            for b, (mdps, _, _) in enumerate(runs):
+                eval_col[t, b] = soft_return(mdps[t], soft_policy(q[b], alpha[b, 0]))
+    # step t recorded lambda before and the proxy after that step's update
+    steps = np.arange(horizon)
+    lam_col = np.array(lam_hist)[steps // batch_size]
+    proxy_col = np.array(ema_hist)[(steps + 1) // batch_size]
+
+    # the constant columns are read-only broadcasts: no memory per trace
+    nan, zero = np.broadcast_to(np.nan, horizon), np.broadcast_to(0.0, horizon)
+    return [RunTrace(columns={
+        "t": steps + 1, "lambda": lam_col[:, b], "eta": zero, "alpha": nan,
+        "proxy": proxy_col[:, b], "regret_inc": zero, "regret_cum": zero,
+        "regret_rl_inc": nan, "eval_return": eval_col[:, b],
+    }, meta={
         "agent": "td", "pattern": pattern, "seed": seed, "seq_seed": seq_seed,
         "batch_size": batch_size, "eval_every": eval_every,
-        "episode_len": episode_len, "learn_rate": learn_rate,
-        "mu": mdps[0].mu,
-    }
-    return RunTrace(columns=columns, meta=meta)
+        "episode_len": episode_len, "learn_rate": learn_rate, "mu": mdps[0].mu,
+    }) for b, ((mdps, pattern, seq_seed), seed) in enumerate(zip(runs, seeds))]
 
 
 def rl_dynamic_regret(trace: RunTrace, seq, tol: float = 1e-9) -> float:
     """Sum over rounds of J_t(pi_t^opt) - J_t(pi_t) from stored policies."""
-    if isinstance(seq, SoftMdpSequence):
-        mdps = generate_sequence(seq)
-    else:
-        mdps = list(seq)
+    mdps = _materialize(seq)[0]
     if trace.policies is None or len(trace.policies) != len(mdps):
         raise AlignmentError("trace does not carry one policy per sequence step")
     total = 0.0

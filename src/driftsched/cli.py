@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .agent import planner_run, td_train
+from .agent import planner_run, td_train_many
 from .errors import ConfigError, InvalidSpec, UnknownKey
 from .metrics import EvalCurve, auc, recovery_time
 from .scheduler import MODES, ScheduleConfig
 from .simplex import SUM_TOL
 from .softmdp import PATTERNS, DriftSpec, SoftMdpSequence, goal_chain_mdp, random_mdp
-from .trace import RunTrace
 from .verify import run_suite
 
 SCHEDULE_KEYS = ("mode", "C1", "C2", "c", "lambda_min", "lambda_max",
@@ -153,16 +152,23 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if any(m[1] == "planner" for m in methods) and not (
             type(eps) in (int, float) and 0.0 <= eps <= 1.0 / n_actions + SUM_TOL):
         raise ConfigError(f"eps={eps!r} must lie in [0, 1/n_actions] for planners")
+    knobs = {k: doc.get(k, d) for k, d in (("batch_size", 20), ("eval_every", 50),
+                                           ("episode_len", 20))}
+    for key, val in knobs.items():
+        if type(val) is not int or val < 1:
+            raise ConfigError(f"{key}={val!r} must be an integer >= 1")
+    learn_rate = doc.get("learn_rate", 0.1)
+    if type(learn_rate) not in (int, float) or not 0.0 < learn_rate < math.inf:
+        raise ConfigError(f"learn_rate={learn_rate!r} must be a finite number > 0")
+    if any(m[1] == "td" for m in methods) and horizon // knobs["eval_every"] < 2:
+        raise ConfigError(f"eval_every={knobs['eval_every']} gives TD runs fewer than "
+                          f"two evaluation points in horizon={horizon}")
     return ExperimentConfig(
         task_kind=kind, n_states=n_states, n_actions=n_actions,
         gamma=task.get("gamma", 0.9), mu=task.get("mu", 0.2),
         r_max=task.get("r_max", 1.0), patterns=list(patterns), drift=drift,
-        methods=methods, seeds=list(seeds), horizon=horizon,
-        batch_size=doc.get("batch_size", 20),
-        eval_every=doc.get("eval_every", 50),
-        episode_len=doc.get("episode_len", 20),
-        learn_rate=doc.get("learn_rate", 0.1),
-        eps=eps, solver_tol=doc.get("solver_tol", 1e-9),
+        methods=methods, seeds=list(seeds), horizon=horizon, **knobs,
+        learn_rate=learn_rate, eps=eps, solver_tol=doc.get("solver_tol", 1e-9),
         output_dir=doc.get("output_dir", "out"),
     )
 
@@ -190,59 +196,60 @@ def build_sequence_spec(cfg: ExperimentConfig, pattern: str,
                            drift=drift, seed=seed)
 
 
-def _run_cell(cfg: ExperimentConfig, name: str, agent: str,
-              schedule: ScheduleConfig, pattern: str, seed: int) -> RunTrace:
-    spec = build_sequence_spec(cfg, pattern, seed)
-    if agent == "planner":
-        trace = planner_run(spec, schedule, eps=cfg.eps, tol=cfg.solver_tol)
-    else:
-        trace = td_train(spec, schedule, batch_size=cfg.batch_size,
-                         eval_every=cfg.eval_every,
-                         episode_len=cfg.episode_len, seed=seed,
-                         learn_rate=cfg.learn_rate)
-    n = len(trace)
-    trace.columns["pattern"] = np.asarray([pattern] * n, dtype=object)
-    trace.columns["seed"] = np.full(n, seed)
-    trace.meta.update({"method": name, "pattern": pattern, "seed": seed,
-                       "task": cfg.task_name})
-    return trace
-
-
-def _cell_filename(name: str, pattern: str, seed: int) -> str:
-    return f"trace_{name}_{pattern}_seed{seed}.csv"
-
-
 def _atomic_write(path: str, writer) -> None:
     tmp = path + ".tmp"
     writer(tmp)
     os.replace(tmp, path)
 
 
-def _cell_job(args):
-    cfg, name, agent, schedule, pattern, seed, out_dir = args
-    trace = _run_cell(cfg, name, agent, schedule, pattern, seed)
-    path = os.path.join(out_dir, _cell_filename(name, pattern, seed))
-    _atomic_write(path, trace.to_csv)
-    curve = EvalCurve.from_trace(trace)
-    return (name, pattern, seed), (curve.steps.tolist(), curve.returns.tolist())
+def _cells_job(args):
+    """Run cells, TD cells in one lockstep run; write their traces, return their curves."""
+    cfg, cells, out_dir = args
+    specs = [build_sequence_spec(cfg, pattern, seed) for (_, _, _, pattern, seed) in cells]
+    if cells[0][1] == "planner":
+        traces = [planner_run(specs[0], cells[0][2], eps=cfg.eps, tol=cfg.solver_tol)]
+    else:
+        traces = td_train_many(specs, [c[2] for c in cells], [c[4] for c in cells],
+                               cfg.batch_size, cfg.eval_every, cfg.episode_len,
+                               cfg.learn_rate)
+    results = []
+    for (name, _, _, pattern, seed), trace in zip(cells, traces):
+        trace.columns["pattern"] = np.asarray([pattern] * len(trace), dtype=object)
+        trace.columns["seed"] = np.full(len(trace), seed)
+        trace.meta.update({"method": name, "pattern": pattern, "seed": seed,
+                           "task": cfg.task_name})
+        path = os.path.join(out_dir, f"trace_{name}_{pattern}_seed{seed}.csv")
+        _atomic_write(path, trace.to_csv)
+        curve = EvalCurve.from_trace(trace)
+        results.append(((name, pattern, seed), (curve.steps.tolist(), curve.returns.tolist())))
+    return results
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    jobs: int = 1) -> str:
-    """Execute every (method, pattern, seed) cell; returns the summary path."""
+    """Execute every (method, pattern, seed) cell; returns the summary path.
+
+    Planner cells run one per job, TD cells in `jobs` contiguous lockstep
+    chunks; a trace does not depend on its chunk or on `jobs`.
+    """
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     cells = [
-        (cfg, name, agent, schedule, pattern, seed, out_dir)
+        (name, agent, schedule, pattern, seed)
         for (name, agent, schedule) in cfg.methods
         for pattern in cfg.patterns
         for seed in cfg.seeds
     ]
+    td = [c for c in cells if c[1] == "td"]
+    n_td = min(max(jobs, 1), len(td))
+    groups = [[c] for c in cells if c[1] == "planner"] + [
+        td[i * len(td) // n_td:(i + 1) * len(td) // n_td] for i in range(n_td)]
+    job_args = [(cfg, group, out_dir) for group in groups]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = dict(ex.map(_cell_job, cells))
+            results = dict(r for rs in ex.map(_cells_job, job_args) for r in rs)
     else:
-        results = dict(_cell_job(c) for c in cells)
+        results = dict(r for args in job_args for r in _cells_job(args))
 
     curves = {
         key: EvalCurve(np.asarray(steps), np.asarray(rets))

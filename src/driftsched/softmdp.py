@@ -211,8 +211,12 @@ def surrogate_gap(q_star: np.ndarray, pi: np.ndarray, mu: float) -> np.ndarray:
     temperature softmax pi* of q_star(s,.).
     """
     q_star = np.asarray(q_star, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    pi_star = soft_policy(q_star, mu)
+    return _surrogate_gap(q_star, np.asarray(pi, dtype=float),
+                          soft_policy(q_star, mu), mu)
+
+
+def _surrogate_gap(q_star, pi, pi_star, mu: float) -> np.ndarray:
+    """surrogate_gap given pi_star = soft_policy(q_star, mu)."""
     f = -(q_star * pi).sum(axis=1) + mu * _policy_entropy_terms(pi)
     f_star = -(q_star * pi_star).sum(axis=1) + mu * _policy_entropy_terms(pi_star)
     return f - f_star

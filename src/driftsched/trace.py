@@ -19,6 +19,7 @@ import numpy as np
 from ._version import __version__
 
 CORE_COLUMNS = ("t", "lambda", "eta", "alpha", "proxy", "regret_inc", "regret_cum")
+CSV_CHUNK = 1024  # rows formatted per column slice; keeps peak memory flat
 
 
 def _format_cell(v) -> str:
@@ -27,9 +28,18 @@ def _format_cell(v) -> str:
     f = float(v)
     if math.isnan(f):
         return ""
-    if f == int(f) and abs(f) < 1e15:
+    if math.isfinite(f) and f == int(f) and abs(f) < 1e15:
         return repr(int(f)) if isinstance(v, (int, np.integer)) else repr(f)
     return repr(f)
+
+
+def _format_column(col: np.ndarray) -> list:
+    """_format_cell of every entry of a column slice, via .tolist()."""
+    if col.dtype.kind == "f":
+        return ["" if v != v else repr(v) for v in col.tolist()]
+    if col.dtype.kind in "iu":
+        return [str(v) if -10**15 < v < 10**15 else repr(float(v)) for v in col.tolist()]
+    return [_format_cell(v) for v in col]  # bool and object columns
 
 
 @dataclass
@@ -66,10 +76,9 @@ class RunTrace:
             fh.write(f"# meta={json.dumps(self.meta, sort_keys=True)}\n")
             writer = csv.writer(fh)
             writer.writerow(names)
-            for i in range(len(self)):
-                writer.writerow(
-                    [_format_cell(self.columns[n][i]) for n in names]
-                )
+            for i in range(0, len(self), CSV_CHUNK):
+                writer.writerows(zip(*(
+                    _format_column(self.columns[n][i:i + CSV_CHUNK]) for n in names)))
 
     @staticmethod
     def from_csv(path) -> "RunTrace":

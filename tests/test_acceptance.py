@@ -23,7 +23,7 @@ from driftsched import (
     planner_run,
     recovery_time,
     run_suite,
-    td_train,
+    td_train_many,
 )
 from driftsched.cli import main as cli_main
 from driftsched.verify import (
@@ -182,11 +182,12 @@ def test_criterion_6_qualitative_ordering():
     horizon, tc, lr, batch = 8000, 3000, 0.25, 10
     online = ScheduleConfig(mode="online", c1=0.04, c2=1.0, lambda_min=0.05,
                             lambda_max=1.0, ema_beta=0.9)
+    seeds = list(range(n_seeds))
     steady_spec = td_task_spec("steady", horizon, ())
     finals = [
-        td_train(steady_spec, online, batch, 50, 25, seed, learn_rate=lr)
-        .column("lambda")[-1]
-        for seed in range(n_seeds)
+        tr.column("lambda")[-1]
+        for tr in td_train_many([steady_spec] * n_seeds, [online] * n_seeds,
+                                seeds, batch, 50, 25, learn_rate=lr)
     ]
     tuned_value = float(np.median(finals))
     fixed = ScheduleConfig(mode="fixed", fixed_value=tuned_value,
@@ -194,12 +195,12 @@ def test_criterion_6_qualitative_ordering():
                            lambda_max=online.lambda_max)
 
     abrupt_spec = td_task_spec("abrupt", horizon, (tc,))
-    rec_on, rec_fx = [], []
-    for seed in range(n_seeds):
-        for cfg, sink in ((online, rec_on), (fixed, rec_fx)):
-            tr = td_train(abrupt_spec, cfg, batch, 50, 25, seed, learn_rate=lr)
-            sink.append(recovery_time(EvalCurve.from_trace(tr), [tc],
-                                      window=5, total_steps=horizon))
+    traces = td_train_many([abrupt_spec] * (2 * n_seeds),
+                           [online] * n_seeds + [fixed] * n_seeds,
+                           seeds + seeds, batch, 50, 25, learn_rate=lr)
+    rec = [recovery_time(EvalCurve.from_trace(tr), [tc], window=5,
+                         total_steps=horizon) for tr in traces]
+    rec_on, rec_fx = rec[:n_seeds], rec[n_seeds:]
     td_ok = np.median(rec_on) < np.median(rec_fx)
 
     # --- full-information planner: dynamic regret on the same sequences

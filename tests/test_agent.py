@@ -21,6 +21,7 @@ from driftsched import (
     solve_soft_q,
     td_step,
     td_train,
+    td_train_many,
 )
 from driftsched.simplex import kl_div
 
@@ -341,3 +342,206 @@ class TestPlannerMatchesPerStateLoop:
         with pytest.raises(BoundaryIterate):
             planner_step(PlannerState(policy=edge, proxy=ProxyState()), mdp, q,
                          ScheduleConfig(), 0.0)
+
+    def test_one_soft_policy_per_round(self, monkeypatch):
+        from driftsched import agent
+
+        calls = []
+        real = agent.soft_policy
+        monkeypatch.setattr(agent, "soft_policy",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        for collect_oco in (False, True):
+            calls.clear()
+            tr = planner_run(drifting_random_spec("periodic", horizon=12),
+                             ScheduleConfig(), collect_oco=collect_oco)
+            assert len(calls) == len(tr) == 12
+
+
+def reference_td_step(state, mdp_t, alpha_t):
+    """td_step as one learner's rng.choice draws and row functions."""
+    from driftsched.softmdp import soft_values
+
+    s = state.current_state
+    probs = soft_policy(state.q[s][None, :], alpha_t)[0]
+    a = int(state.rng.choice(mdp_t.n_actions, p=probs))
+    s_next = int(state.rng.choice(mdp_t.n_states, p=mdp_t.transitions[s, a]))
+    r = float(mdp_t.rewards[s, a])
+    target = r + mdp_t.gamma * float(soft_values(state.q[s_next], alpha_t))
+    delta = target - state.q[s, a]
+    state.q[s, a] += state.learn_rate * delta
+    state.current_state = s_next
+    return {"s": s, "a": a, "s_next": s_next, "r": r, "delta": delta}
+
+
+def reference_td_train(seq, cfg, batch_size, eval_every, episode_len, seed,
+                       learn_rate):
+    """The per-learner, per-step td_train loop."""
+    from driftsched import td_quantile_proxy, update_proxy
+    from driftsched.scheduler import online_lambda
+    from driftsched.softmdp import generate_sequence, soft_return
+
+    if isinstance(seq, SoftMdpSequence):
+        mdps, pattern, seq_seed = generate_sequence(seq), seq.pattern, seq.seed
+    else:
+        mdps, pattern, seq_seed = list(seq), "custom", 0
+    horizon = len(mdps)
+    rng = np.random.default_rng(seed)
+    alpha = cfg.fixed_value if cfg.mode == "fixed" else cfg.lambda_min
+    state = TdLearnerState(q=np.zeros(mdps[0].rewards.shape), rng=rng,
+                           learn_rate=learn_rate, proxy=ProxyState(),
+                           current_state=0)
+    lam_col, proxy_col = np.empty(horizon), np.empty(horizon)
+    eval_col = np.full(horizon, np.nan)
+    batch = []
+    for t in range(1, horizon + 1):
+        mdp_t = mdps[t - 1]
+        if (t - 1) % episode_len == 0:
+            state.current_state = int(rng.choice(mdp_t.n_states, p=mdp_t.rho))
+        batch.append(abs(reference_td_step(state, mdp_t, alpha)["delta"]))
+        lam_col[t - 1] = alpha
+        if t % batch_size == 0:
+            raw = td_quantile_proxy(batch, cfg.quantile_q)
+            state.proxy = update_proxy(state.proxy, raw, cfg)
+            if cfg.mode == "online":
+                alpha = online_lambda(state.proxy, cfg)
+            batch = []
+        proxy_col[t - 1] = state.proxy.ema_value
+        if t % eval_every == 0:
+            eval_col[t - 1] = soft_return(mdp_t, soft_policy(state.q, alpha))
+    columns = {
+        "t": np.arange(1, horizon + 1), "lambda": lam_col,
+        "eta": np.zeros(horizon), "alpha": np.full(horizon, np.nan),
+        "proxy": proxy_col, "regret_inc": np.zeros(horizon),
+        "regret_cum": np.zeros(horizon),
+        "regret_rl_inc": np.full(horizon, np.nan), "eval_return": eval_col,
+    }
+    meta = {"agent": "td", "pattern": pattern, "seed": seed, "seq_seed": seq_seed,
+            "batch_size": batch_size, "eval_every": eval_every,
+            "episode_len": episode_len, "learn_rate": learn_rate,
+            "mu": mdps[0].mu}
+    return columns, meta
+
+
+def assert_matches_reference(traces, runs, knobs):
+    assert len(traces) == len(runs)
+    for tr, (seq, cfg, seed) in zip(traces, runs):
+        columns, meta = reference_td_train(seq, cfg, *knobs[:3], seed, knobs[3])
+        assert list(tr.columns) == list(columns)
+        for name, want in columns.items():
+            assert tr.column(name).dtype == want.dtype, name
+            assert np.array_equal(tr.column(name), want, equal_nan=True), name
+        assert tr.meta == meta
+
+
+def random_td_spec(pattern, horizon=230, seed=4):
+    base = random_mdp(12, 4, gamma=0.9, mu=0.2, rng=np.random.default_rng([seed, 7]))
+    drift = DriftSpec(change_times=(60, 150), magnitude=0.4, period=50,
+                      amplitude=0.4, transition_drift=True)
+    return SoftMdpSequence(base=base, pattern=pattern, horizon=horizon,
+                           drift=drift, seed=seed)
+
+
+ONLINE_TD = ScheduleConfig(mode="online", c1=0.04, ema_beta=0.9)
+FIXED_TD = ScheduleConfig(mode="fixed", fixed_value=0.07)
+
+
+class TestTdLockstep:
+    """td_train_many equals the per-learner reference loop bit for bit."""
+
+    def test_step_matches_choice_reference(self):
+        mdp = random_mdp(6, 4, rng=np.random.default_rng(3))
+        q0 = np.random.default_rng(4).normal(size=(6, 4))
+        mine = TdLearnerState(q=q0.copy(), rng=np.random.default_rng(9),
+                              learn_rate=0.3, proxy=ProxyState(), current_state=2)
+        ref = TdLearnerState(q=q0.copy(), rng=np.random.default_rng(9),
+                             learn_rate=0.3, proxy=ProxyState(), current_state=2)
+        for i in range(300):
+            alpha = 0.05 + 0.01 * (i % 7)
+            mine, rec = td_step(mine, mdp, ONLINE_TD, alpha)
+            want = reference_td_step(ref, mdp, alpha)
+            assert rec == want
+            assert type(rec["a"]) is int and type(rec["s_next"]) is int
+        assert np.array_equal(mine.q, ref.q)
+        assert mine.current_state == ref.current_state
+        assert mine.rng.random() == ref.rng.random()
+
+    def test_predrawn_uniforms_match_choice(self):
+        from driftsched.agent import _cdf, _choose
+
+        p = np.array([0.2, 0.5, 0.3])
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        want = [rng_a.choice(3, p=p) for _ in range(1000)]
+        got = _choose(np.tile(_cdf(p), (1000, 1)), rng_b.random((1000, 1)))
+        assert np.array_equal(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("n_learners", [1, 4, 12])
+    def test_chain_batches(self, n_learners):
+        runs = [(abrupt_goal_spec(300, (140,), seed=i % 3),
+                 (ONLINE_TD, FIXED_TD)[i % 2], 100 + i) for i in range(n_learners)]
+        knobs = (10, 50, 25, 0.25)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    def test_all_patterns_transition_drift_ragged_knobs(self):
+        # episode_len 7, batch_size 13 and eval_every 37 do not divide T = 230
+        patterns = ("steady", "abrupt", "linear", "periodic", "mixed")
+        cfg_q = ScheduleConfig(mode="online", quantile_q=0.5, ema_beta=0.8)
+        runs = [(random_td_spec(p), cfg, 5 + i)
+                for i, p in enumerate(patterns) for cfg in (cfg_q, FIXED_TD)]
+        knobs = (13, 37, 7, 0.1)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    def test_custom_mdp_lists(self):
+        a = random_mdp(5, 3, rng=np.random.default_rng(1))
+        b = random_mdp(5, 3, gamma=0.8, rng=np.random.default_rng(2))
+        lists = [[a] * 40 + [b] * 40, [b, a] * 40,
+                 [random_mdp(5, 3, rng=np.random.default_rng(i)) for i in range(80)]]
+        runs = [(mdps, cfg, seed) for mdps, cfg, seed in
+                zip(lists, (ONLINE_TD, FIXED_TD, ONLINE_TD), (0, 1, 2))]
+        knobs = (6, 20, 9, 0.2)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    def test_numpy_integer_knobs(self):
+        spec = steady_goal_spec(60)
+        want = td_train(spec, ONLINE_TD, 10, 20, 7, seed=1)
+        got = td_train(spec, ONLINE_TD, np.int64(10), np.int32(20), np.int64(7), seed=1)
+        for name in want.columns:
+            assert np.array_equal(got.column(name), want.column(name), equal_nan=True)
+
+    def test_row_independent_of_batch(self):
+        spec = random_td_spec("mixed", horizon=180)
+        alone = td_train(spec, ONLINE_TD, 10, 40, 15, seed=8, learn_rate=0.2)
+        crowd = td_train_many([random_td_spec("linear", 180), spec, spec],
+                              [FIXED_TD, ONLINE_TD, FIXED_TD], [3, 8, 8],
+                              10, 40, 15, learn_rate=0.2)
+        for name in alone.columns:
+            assert np.array_equal(alone.column(name), crowd[1].column(name),
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("kwargs,err", [
+        ({"seeds": [0]}, "equally long"),
+        ({"batch_size": 0}, "ints >= 1"),
+        ({"eval_every": 2.0}, "ints >= 1"),
+        ({"episode_len": True}, "ints >= 1"),
+        ({"learn_rate": math.nan}, "finite"),
+    ])
+    def test_boundary_validation(self, kwargs, err):
+        args = {"seqs": [steady_goal_spec(20)] * 2, "cfgs": [FIXED_TD] * 2,
+                "seeds": [0, 1]} | kwargs
+        with pytest.raises(ValueError, match=err):
+            td_train_many(**args)
+
+    def test_mixed_horizons_and_shapes_rejected(self):
+        from driftsched import LengthMismatch, ShapeMismatch
+
+        with pytest.raises(LengthMismatch):
+            td_train_many([steady_goal_spec(20), steady_goal_spec(30)],
+                          [FIXED_TD] * 2, [0, 1])
+        with pytest.raises(LengthMismatch):
+            td_train_many([[], []], [FIXED_TD] * 2, [0, 1])
+        with pytest.raises(ShapeMismatch):
+            td_train_many([[goal_chain_mdp()] * 20, [random_mdp(5, 4)] * 20],
+                          [FIXED_TD] * 2, [0, 1])

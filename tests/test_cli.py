@@ -104,6 +104,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_actions"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", 0), ("episode_len", 0), ("learn_rate", math.nan),
+        ("eval_every", 301), ("batch_size", 2.5), ("batch_size", True),
+        ("learn_rate", -1),
+    ])
+    def test_td_knobs_rejected_before_any_file(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        doc = base_config(out)
+        doc[key] = value
+        with pytest.raises(ConfigError, match=key):
+            parse_config(doc)
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_td_needs_two_evaluation_points(self, tmp_path):
+        doc = base_config(tmp_path, horizon=300)
+        doc["eval_every"] = 150
+        assert parse_config(doc).eval_every == 150
+        doc["eval_every"] = 151
+        with pytest.raises(ConfigError, match="two evaluation points"):
+            parse_config(doc)
+
     def test_change_time_must_fit_horizon(self, tmp_path):
         doc = base_config(tmp_path)
         doc["task"]["drift"]["change_times"] = [10 ** 6]
@@ -155,6 +178,18 @@ class TestRunCommand:
             b1 = (tmp_path / "r1" / name).read_bytes()
             b2 = (tmp_path / "r2" / name).read_bytes()
             assert b1 == b2
+
+    def test_jobs_do_not_change_bytes(self, tmp_path):
+        doc = base_config(tmp_path / "unused", horizon=200, seeds=(0, 1))
+        doc["methods"].append({"name": "planner", "agent": "planner"})
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "j1")]) == 0
+        assert main(["run", cfg_path, "--out", str(tmp_path / "j2"), "--jobs", "2"]) == 0
+        names = sorted(p.name for p in (tmp_path / "j1").iterdir())
+        assert len(names) == 3 * 2 * 2 + 1
+        assert names == sorted(p.name for p in (tmp_path / "j2").iterdir())
+        for name in names:
+            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
 
     def test_summary_schema_and_values(self, tmp_path):
         out = tmp_path / "out"

@@ -57,3 +57,52 @@ class TestRunTrace:
         path.write_text("t,lambda\n1,0.5\n")
         with pytest.raises(ValueError, match="stamp"):
             RunTrace.from_csv(path)
+
+
+def reference_csv_rows(trace):
+    """The row-by-row cell formatting of RunTrace.to_csv."""
+    from driftsched.trace import _format_cell
+
+    names = list(trace.columns)
+    return [[_format_cell(trace.columns[n][i]) for n in names]
+            for i in range(len(trace))]
+
+
+class TestCsvFormatting:
+    def test_column_slices_match_cell_formatting(self, tmp_path):
+        import csv
+
+        rng = np.random.default_rng(0)
+        n = 2500  # more than two CSV_CHUNK slices
+        edge = [10**15 - 1, 10**15, -10**15, -(10**15 - 1), 2**62, 0, 7]
+        tr = RunTrace(columns={
+            "t": np.arange(1, n + 1),
+            "big": np.resize(edge, n),
+            "unsigned": np.arange(n, dtype=np.uint64) * 10**13,
+            "f": np.where(rng.random(n) < 0.3, np.nan,
+                          rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)),
+            "whole": np.round(rng.normal(size=n) * 1e16),
+            "f32": rng.random(n).astype(np.float32),
+            "flag": rng.random(n) < 0.5,
+            "obj": np.asarray([["a,b", 1, 2.0, np.int64(7), np.nan, True][i % 6]
+                               for i in range(n)], dtype=object),
+            "pattern": np.asarray(["steady"] * n),
+        })
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert rows[0] == list(tr.columns)
+        assert rows[1:] == reference_csv_rows(tr)
+        assert rows[1][list(tr.columns).index("flag")] in ("1.0", "0.0")
+
+    def test_infinities_round_trip(self, tmp_path):
+        vals = np.array([np.inf, -np.inf, 1.5, np.nan])
+        tr = RunTrace(columns={"t": np.arange(1, 5), "x": vals,
+                               "o": np.asarray([np.inf, 1, 2.5, -np.inf], dtype=object)})
+        path = tmp_path / "inf.csv"
+        tr.to_csv(path)
+        back = RunTrace.from_csv(path)
+        assert np.array_equal(back.column("x"), vals, equal_nan=True)
+        assert np.array_equal(back.column("o"), [np.inf, 1.0, 2.5, -np.inf])
+        assert path.read_text().splitlines()[3] == "1,inf,inf"
