@@ -50,6 +50,10 @@ class PlannerState:
     eta_prev: float = 0.0
     prev_pi: np.ndarray | None = None
 
+    def __post_init__(self):
+        if (self.prev_q is None) != (self.prev_pi is None):
+            raise ValueError("prev_q and prev_pi must be both set or both None")
+
 
 def _planner_lambda(state: PlannerState, cfg: ScheduleConfig, raw: float,
                     alpha_true: float) -> tuple:
@@ -226,25 +230,33 @@ def _choose(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _mdp_tables(mdps) -> tuple:
-    """Stacked (rewards, start cdf, transition cdf, gamma) of a list of MDPs."""
-    return (np.stack([m.rewards for m in mdps]),
+    """Stacked (rewards, gamma, start cdf) of a list of MDPs, the transition cdf
+    of each distinct transition array, and the index k of each MDP's cdf.
+
+    MDPs that share a transition array (generate_sequence's without
+    transition drift) share its cdf.
+    """
+    arrays = {}
+    k = np.array([arrays.setdefault(id(m.transitions), (len(arrays), m.transitions))[0]
+                  for m in mdps])
+    return (np.stack([m.rewards for m in mdps]), np.array([m.gamma for m in mdps]),
             np.stack([_cdf(m.rho) for m in mdps]),
-            np.stack([_cdf(m.transitions) for m in mdps]),
-            np.array([m.gamma for m in mdps]))
+            np.stack([_cdf(p) for _, p in arrays.values()]), k)
 
 
-def _td_transition(q, rows, s, u_act, u_next, alpha, learn_rate, tables, m):
+def _td_transition(q, rows, s, u_act, u_next, alpha, learn_rate, tables, m, k):
     """One sampled soft-TD transition for every row b of the (B, S, A) table q.
 
-    Row b, in state s[b] of the stacked MDP m[b], draws a ~ softmax(q[b, s] / alpha[b])
-    with u_act[b] and s' with u_next[b] (alpha and the uniforms are (B, 1) columns),
-    moves q[b, s, a] in place towards r + gamma * LSE(q[b, s'], alpha[b]) and
+    Row b, in state s[b] of the stacked MDP m[b] whose transition cdf is
+    next_cdf[k[b]], draws a ~ softmax(q[b, s] / alpha[b]) with u_act[b] and s'
+    with u_next[b] (alpha and the uniforms are (B, 1) columns), moves
+    q[b, s, a] in place towards r + gamma * LSE(q[b, s'], alpha[b]) and
     returns (a, s', r, delta).
     """
-    rewards, _, next_cdf, gamma = tables
+    rewards, gamma, next_cdf = tables
     probs = _row_softmax(q[rows, s] / alpha)  # renormalized as soft_policy does
     a = _choose(_cdf(probs / probs.sum(axis=-1, keepdims=True)), u_act)
-    s_next = _choose(next_cdf[m, s, a], u_next)
+    s_next = _choose(next_cdf[k, s, a], u_next)
     r = rewards[m, s, a]
     target = r + gamma[m] * (alpha[:, 0] * _row_lse(q[rows, s_next] / alpha))
     delta = target - q[rows, s, a]
@@ -258,20 +270,31 @@ def td_step(state: TdLearnerState, mdp_t: TabularMdp, cfg: ScheduleConfig,
 
     Samples a ~ softmax(q(s,.)/alpha_t), steps the environment, applies
     the smoothed backup target r + gamma * LSE(q(s',.), alpha_t) and
-    records the absolute TD error.
+    records the absolute TD error. Raises ValueError, as Generator.choice
+    would, once q(s,.)/alpha_t is not finite.
     """
     if alpha_t <= 0.0:
         raise ValueError("temperature must be positive")
     s = state.current_state
+    if not np.isfinite(state.q[s] / alpha_t).all():
+        raise ValueError(f"q({s},.)/alpha_t is not finite: the learner diverged")
     u = state.rng.random((2, 1))  # the action's and the next state's uniform
     zero = np.zeros(1, dtype=np.intp)
-    tables = (mdp_t.rewards[None], None, _cdf(mdp_t.transitions)[None], np.array([mdp_t.gamma]))
+    next_cdf = np.empty((1,) + mdp_t.transitions.shape)
+    next_cdf[0, s] = _cdf(mdp_t.transitions[s])  # the kernel reads only row s
+    tables = (mdp_t.rewards[None], np.array([mdp_t.gamma]), next_cdf)
     a, s_next, r, delta = _td_transition(
         state.q[None], zero, np.array([s]), u[:1], u[1:], np.array([[alpha_t]]),
-        state.learn_rate, tables, zero)
+        state.learn_rate, tables, zero, zero)
     state.current_state = int(s_next[0])
     return state, {"s": s, "a": int(a[0]), "s_next": state.current_state,
                    "r": float(r[0]), "delta": delta[0]}
+
+
+def _check_td_errors(deltas: np.ndarray) -> None:
+    """Fail a run whose TD errors overflowed, where Generator.choice would have."""
+    if not np.isfinite(deltas).all():
+        raise ValueError("TD errors are not finite: the learner diverged")
 
 
 def td_train(seq, cfg: ScheduleConfig, batch_size: int = 20,
@@ -306,7 +329,8 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
         raise ValueError("batch_size, eval_every and episode_len must be ints >= 1")
     if not math.isfinite(learn_rate):
         raise ValueError("learn_rate must be finite")
-    runs = [_materialize(seq) for seq in seqs]
+    made = {id(seq): _materialize(seq) for seq in {id(s): s for s in seqs}.values()}
+    runs = [made[id(seq)] for seq in seqs]  # a spec that learners share is built once
     if len(runs[0][0]) < 1 or len({len(mdps) for mdps, _, _ in runs}) > 1:
         raise LengthMismatch("every learner needs the same horizon, at least 1")
     index = {}  # one table entry per distinct MDP object, in order of first use
@@ -315,8 +339,8 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     distinct = list({id(m): m for mdps, _, _ in runs for m in mdps}.values())
     if len({m.rewards.shape for m in distinct}) > 1:
         raise ShapeMismatch("every MDP needs the same (S, A)")
-    tables = _mdp_tables(distinct)
-    start_cdf = tables[1]
+    rewards, gamma, start_cdf, next_cdf, k = _mdp_tables(distinct)
+    tables, k_idx = (rewards, gamma, next_cdf), k[m_idx]
 
     (horizon, n_learners), rows = m_idx.shape, np.arange(len(runs))
     draws = np.empty((2 * horizon + math.ceil(horizon / episode_len), n_learners, 1))
@@ -327,15 +351,16 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     q = np.zeros((n_learners,) + distinct[0].rewards.shape)
     proxies = [ProxyState()] * n_learners
     lam_hist, ema_hist = [alpha[:, 0].copy()], [np.zeros(n_learners)]
-    deltas = np.empty((n_learners, batch_size))
+    deltas = np.zeros((n_learners, batch_size))
     eval_col = np.full((horizon, n_learners), np.nan)
     for t in range(horizon):
         m, i = m_idx[t], 2 * t + t // episode_len  # draws[i] resets, if t starts an episode
         if t % episode_len == 0:
             s = _choose(start_cdf[m], draws[i])
         _, s, _, deltas[:, t % batch_size] = _td_transition(
-            q, rows, s, draws[i + 1], draws[i + 2], alpha, learn_rate, tables, m)
+            q, rows, s, draws[i + 1], draws[i + 2], alpha, learn_rate, tables, m, k_idx[t])
         if (t + 1) % batch_size == 0:
+            _check_td_errors(deltas)
             raw = np.sort(np.abs(deltas), axis=1)[rows, q_rank]
             for b, cfg in enumerate(cfgs):
                 proxies[b] = update_proxy(proxies[b], float(raw[b]), cfg)
@@ -346,6 +371,7 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
         if (t + 1) % eval_every == 0:
             for b, (mdps, _, _) in enumerate(runs):
                 eval_col[t, b] = soft_return(mdps[t], soft_policy(q[b], alpha[b, 0]))
+    _check_td_errors(deltas)  # the steps after the last full batch
     # step t recorded lambda before and the proxy after that step's update
     steps = np.arange(horizon)
     lam_col = np.array(lam_hist)[steps // batch_size]

@@ -205,7 +205,9 @@ def _atomic_write(path: str, writer) -> None:
 def _cells_job(args):
     """Run cells, TD cells in one lockstep run; write their traces, return their curves."""
     cfg, cells, out_dir = args
-    specs = [build_sequence_spec(cfg, pattern, seed) for (_, _, _, pattern, seed) in cells]
+    # cells of one (pattern, seed) share a spec, so td_train_many builds its MDPs once
+    built = {c[3:]: build_sequence_spec(cfg, *c[3:]) for c in cells}
+    specs = [built[c[3:]] for c in cells]
     if cells[0][1] == "planner":
         traces = [planner_run(specs[0], cells[0][2], eps=cfg.eps, tol=cfg.solver_tol)]
     else:

@@ -270,7 +270,7 @@ def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
               "proxy": proxy.ema_value, "regret_inc": float(oco_gaps.sum()),
               "regret_rl_inc": j_star - j_played, "eval_return": j_played}
     return PlannerState(policy=new_policy, proxy=proxy, prev_q=np.array(q_star_t),
-                        eta_prev=eta), record
+                        eta_prev=eta, prev_pi=pi_star), record
 
 
 def drifting_random_spec(pattern, horizon=60, seed=2):
@@ -342,6 +342,15 @@ class TestPlannerMatchesPerStateLoop:
         with pytest.raises(BoundaryIterate):
             planner_step(PlannerState(policy=edge, proxy=ProxyState()), mdp, q,
                          ScheduleConfig(), 0.0)
+
+    def test_state_needs_prev_q_and_prev_pi_together(self):
+        from driftsched.agent import PlannerState
+
+        policy, table = np.full((5, 3), 1 / 3), np.zeros((5, 3))
+        for half in ({"prev_q": table}, {"prev_pi": policy}):
+            with pytest.raises(ValueError, match="both set or both None"):
+                PlannerState(policy=policy, proxy=ProxyState(), **half)
+        PlannerState(policy=policy, proxy=ProxyState(), prev_q=table, prev_pi=policy)
 
     def test_one_soft_policy_per_round(self, monkeypatch):
         from driftsched import agent
@@ -533,6 +542,41 @@ class TestTdLockstep:
                 "seeds": [0, 1]} | kwargs
         with pytest.raises(ValueError, match=err):
             td_train_many(**args)
+
+    @pytest.mark.parametrize("batch_size", [10, 4000])
+    def test_diverging_learner_raises(self, batch_size):
+        # learn_rate 10 overshoots each update ninefold and Q overflows; with
+        # batch_size > T only the check after the last step sees the errors
+        spec = SoftMdpSequence(base=random_mdp(6, 3, rng=np.random.default_rng(1)),
+                               pattern="steady", horizon=3000, drift=DriftSpec(), seed=0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
+            td_train_many([spec] * 2, [ONLINE_TD, FIXED_TD], [1, 2], batch_size, 50, 25,
+                          learn_rate=10.0)
+
+    def test_step_on_diverged_row_raises(self):
+        mdp = random_mdp(4, 3, rng=np.random.default_rng(0))
+        for bad in (math.inf, math.nan):
+            q = np.zeros((4, 3))
+            q[1, 2] = bad
+            state = TdLearnerState(q=q, rng=np.random.default_rng(0), learn_rate=0.1,
+                                   proxy=ProxyState(), current_state=1)
+            with pytest.raises(ValueError, match="diverged"):
+                td_step(state, mdp, FIXED_TD, 0.1)
+        state.current_state = 0  # a finite row still steps
+        td_step(state, mdp, FIXED_TD, 0.1)
+
+    def test_shared_transitions_share_one_cdf(self):
+        from driftsched.agent import _mdp_tables
+        from driftsched.softmdp import generate_sequence
+
+        spec = SoftMdpSequence(
+            base=random_mdp(6, 3, rng=np.random.default_rng(5)), pattern="periodic",
+            horizon=90, drift=DriftSpec(period=20, amplitude=0.5), seed=1)
+        mdps = generate_sequence(spec)
+        assert len({id(m) for m in mdps}) > 10
+        rewards, _, _, next_cdf, k = _mdp_tables(mdps)
+        assert rewards.shape == (90, 6, 3) and next_cdf.shape == (1, 6, 3, 6)
+        assert (k == 0).all()
 
     def test_mixed_horizons_and_shapes_rejected(self):
         from driftsched import LengthMismatch, ShapeMismatch
