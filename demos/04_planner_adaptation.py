@@ -13,7 +13,7 @@ from driftsched import (
     ScheduleConfig,
     SoftMdpSequence,
     goal_chain_mdp,
-    planner_run,
+    planner_run_many,
 )
 
 T, changes = 300, (120, 220)
@@ -25,8 +25,7 @@ spec = SoftMdpSequence(base=base, pattern="abrupt", horizon=T, drift=drift, seed
 adaptive = ScheduleConfig(mode="online", lambda_min=0.05, lambda_max=1.0, ema_beta=0.95)
 frozen = ScheduleConfig(mode="fixed", fixed_value=0.05)
 
-tr_a = planner_run(spec, adaptive)
-tr_f = planner_run(spec, frozen)
+tr_a, tr_f = planner_run_many(spec, [adaptive, frozen])  # one solve chain for both
 
 lam = tr_a.column("lambda")
 print("scheduled temperature around each change (window means):")

@@ -76,6 +76,7 @@ from .agent import (
     PlannerState,
     TdLearnerState,
     planner_run,
+    planner_run_many,
     planner_step,
     rl_dynamic_regret,
     td_step,

@@ -128,22 +128,6 @@ def _materialize(seq) -> tuple:
     return list(seq), "custom", 0
 
 
-def _solve_warm(mdp: TabularMdp, q_init: np.ndarray | None, tol: float) -> np.ndarray:
-    """Solve the smoothed fixed point, warm-starting from a nearby table."""
-    if q_init is None:
-        return solve_soft_q(mdp, tol)
-    from .softmdp import soft_bellman_apply
-
-    target = tol * (1.0 - mdp.gamma)
-    q = q_init
-    for _ in range(10000):
-        q_next = soft_bellman_apply(mdp, q)
-        if np.abs(q_next - q).max() <= target:
-            return q_next
-        q = q_next
-    return solve_soft_q(mdp, tol)  # pragma: no cover - contraction converges
-
-
 def _solved_tables(mdps, tol: float):
     """Yield (M_t, Q*_t), solving once per flat segment, warm-started.
 
@@ -157,7 +141,7 @@ def _solved_tables(mdps, tol: float):
             np.array_equal(mdp_t.rewards, prev.rewards)
             and np.array_equal(mdp_t.transitions, prev.transitions)))
         if not repeat:
-            q_star = _solve_warm(mdp_t, q_star, tol)
+            q_star = solve_soft_q(mdp_t, tol, q_init=q_star)
         prev = mdp_t
         yield mdp_t, q_star
 
@@ -166,44 +150,62 @@ def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
                 tol: float = 1e-9, collect_oco: bool = False) -> RunTrace:
     """Drive planner_step across a sequence of MDPs (spec or list).
 
-    eps, the floor of every policy row, must lie in [0, 1/A].
+    eps, the floor of every policy row, must lie in [0, 1/A]. This is
+    planner_run_many with one schedule.
     """
+    return planner_run_many(seq, [cfg], eps, tol, collect_oco)[0]
+
+
+def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
+                     collect_oco: bool = False) -> list:
+    """Drive one planner per schedule across one sequence; one RunTrace each.
+
+    The solved chain (M_t, Q*_t) depends on the sequence and tol alone,
+    so it is built once and every schedule's planner_step reads it each
+    round; trace b is planner_run(seq, cfgs[b], ...) bit for bit.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise LengthMismatch("cfgs must be nonempty")
     mdps, pattern, seed = _materialize(seq)
     n_states, n_actions = mdps[0].rewards.shape
     _check_floor(eps, n_actions)
     policy0 = np.full((n_states, n_actions), 1.0 / n_actions)
-    state = PlannerState(policy=policy0, proxy=ProxyState())
+    states = [PlannerState(policy=policy0, proxy=ProxyState())] * len(cfgs)
+    runs = [([], [], []) for _ in cfgs]  # policies, records, state alpha rows
 
-    policies, records, alpha_rows = [], [], []
     for mdp_t, q_star in _solved_tables(mdps, tol):
-        policies.append(state.policy)
-        prev_pi = state.prev_pi
-        state, rec = planner_step(state, mdp_t, q_star, cfg, eps)
-        records.append(rec)
+        for b, (cfg, (policies, records, alpha_rows)) in enumerate(zip(cfgs, runs)):
+            policies.append(states[b].policy)
+            prev_pi = states[b].prev_pi
+            states[b], rec = planner_step(states[b], mdp_t, q_star, cfg, eps)
+            records.append(rec)
+            if collect_oco:
+                alpha_rows.append(np.zeros(n_states) if prev_pi is None
+                                  else np.abs(states[b].prev_pi - prev_pi).sum(axis=1))
+
+    traces = []
+    for cfg, (policies, records, alpha_rows) in zip(cfgs, runs):
+        col = {name: np.asarray([rec[name] for rec in records]) for name in (
+            "lambda", "eta", "alpha", "proxy", "regret_rl_inc", "eval_return")}
+        inc = np.asarray([float(rec["oco_gaps"].sum()) for rec in records])
+        columns = {
+            "t": np.arange(1, len(records) + 1), "lambda": col["lambda"],
+            "eta": col["eta"], "alpha": col["alpha"], "proxy": col["proxy"],
+            "regret_inc": inc, "regret_cum": np.cumsum(inc),
+            "regret_rl_inc": col["regret_rl_inc"], "eval_return": col["eval_return"],
+        }
+        meta = {
+            "agent": "planner", "pattern": pattern, "seed": seed,
+            "eps": eps, "tol": tol, "mu": mdps[0].mu,
+            "c": cfg.c, "lambda_min": cfg.lambda_min, "lambda_max": cfg.lambda_max,
+        }
+        trace = RunTrace(columns=columns, meta=meta, policies=policies)
         if collect_oco:
-            alpha_rows.append(np.zeros(n_states) if prev_pi is None
-                              else np.abs(state.prev_pi - prev_pi).sum(axis=1))
-
-    def col(name):
-        return np.asarray([rec[name] for rec in records])
-
-    inc = np.asarray([float(rec["oco_gaps"].sum()) for rec in records])
-    columns = {
-        "t": np.arange(1, len(records) + 1), "lambda": col("lambda"),
-        "eta": col("eta"), "alpha": col("alpha"), "proxy": col("proxy"),
-        "regret_inc": inc, "regret_cum": np.cumsum(inc),
-        "regret_rl_inc": col("regret_rl_inc"), "eval_return": col("eval_return"),
-    }
-    meta = {
-        "agent": "planner", "pattern": pattern, "seed": seed,
-        "eps": eps, "tol": tol, "mu": mdps[0].mu,
-        "c": cfg.c, "lambda_min": cfg.lambda_min, "lambda_max": cfg.lambda_max,
-    }
-    trace = RunTrace(columns=columns, meta=meta, policies=policies)
-    if collect_oco:
-        trace.oco_gaps = np.vstack([rec["oco_gaps"] for rec in records])
-        trace.state_alphas = np.vstack(alpha_rows)
-    return trace
+            trace.oco_gaps = np.vstack([rec["oco_gaps"] for rec in records])
+            trace.state_alphas = np.vstack(alpha_rows)
+        traces.append(trace)
+    return traces
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .agent import planner_run, td_train_many
+from .agent import planner_run_many, td_train_many
 from .errors import ConfigError, InvalidSpec, UnknownKey
 from .metrics import EvalCurve, auc, recovery_time
 from .scheduler import MODES, ScheduleConfig
@@ -160,9 +160,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
     learn_rate = doc.get("learn_rate", 0.1)
     if type(learn_rate) not in (int, float) or not 0.0 < learn_rate < math.inf:
         raise ConfigError(f"learn_rate={learn_rate!r} must be a finite number > 0")
-    if any(m[1] == "td" for m in methods) and horizon // knobs["eval_every"] < 2:
-        raise ConfigError(f"eval_every={knobs['eval_every']} gives TD runs fewer than "
-                          f"two evaluation points in horizon={horizon}")
+    if any(m[1] == "td" for m in methods):
+        if horizon // knobs["eval_every"] < 2:
+            raise ConfigError(f"eval_every={knobs['eval_every']} gives TD runs fewer than "
+                              f"two evaluation points in horizon={horizon}")
+        # recovery_time needs an evaluation point before each change
+        if (any(p in ("abrupt", "mixed") for p in patterns) and drift.change_times
+                and knobs["eval_every"] >= min(drift.change_times)):
+            raise ConfigError(f"eval_every={knobs['eval_every']} gives TD runs no "
+                              f"evaluation point before change time "
+                              f"{min(drift.change_times)}")
     return ExperimentConfig(
         task_kind=kind, n_states=n_states, n_actions=n_actions,
         gamma=task.get("gamma", 0.9), mu=task.get("mu", 0.2),
@@ -203,13 +210,15 @@ def _atomic_write(path: str, writer) -> None:
 
 
 def _cells_job(args):
-    """Run cells, TD cells in one lockstep run; write their traces, return their curves."""
+    """Run one (pattern, seed)'s planner cells or a chunk of TD cells in one call;
+    write their traces, return their curves."""
     cfg, cells, out_dir = args
-    # cells of one (pattern, seed) share a spec, so td_train_many builds its MDPs once
+    # cells of one (pattern, seed) share a spec, so its MDPs are built once
     built = {c[3:]: build_sequence_spec(cfg, *c[3:]) for c in cells}
     specs = [built[c[3:]] for c in cells]
     if cells[0][1] == "planner":
-        traces = [planner_run(specs[0], cells[0][2], eps=cfg.eps, tol=cfg.solver_tol)]
+        traces = planner_run_many(specs[0], [c[2] for c in cells], eps=cfg.eps,
+                                  tol=cfg.solver_tol)
     else:
         traces = td_train_many(specs, [c[2] for c in cells], [c[4] for c in cells],
                                cfg.batch_size, cfg.eval_every, cfg.episode_len,
@@ -231,8 +240,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    jobs: int = 1) -> str:
     """Execute every (method, pattern, seed) cell; returns the summary path.
 
-    Planner cells run one per job, TD cells in `jobs` contiguous lockstep
-    chunks; a trace does not depend on its chunk or on `jobs`.
+    Planner cells run one job per (pattern, seed), sharing its solve chain;
+    TD cells run in `jobs` contiguous lockstep chunks. A trace does not
+    depend on its group, its chunk or on `jobs`.
     """
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -242,9 +252,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         for pattern in cfg.patterns
         for seed in cfg.seeds
     ]
+    planner = {}
+    for c in cells:
+        if c[1] == "planner":
+            planner.setdefault(c[3:], []).append(c)
     td = [c for c in cells if c[1] == "td"]
     n_td = min(max(jobs, 1), len(td))
-    groups = [[c] for c in cells if c[1] == "planner"] + [
+    groups = list(planner.values()) + [
         td[i * len(td) // n_td:(i + 1) * len(td) // n_td] for i in range(n_td)]
     job_args = [(cfg, group, out_dir) for group in groups]
     if jobs > 1:

@@ -109,20 +109,28 @@ def soft_bellman_apply(mdp: TabularMdp, q: np.ndarray) -> np.ndarray:
     return mdp.rewards + mdp.gamma * (mdp.transitions @ v)
 
 
-def solve_soft_q(mdp: TabularMdp, tol: float = 1e-9) -> np.ndarray:
-    """Value-iterate the smoothed backup from Q = 0 to a tol-accurate fixed point.
+def solve_soft_q(mdp: TabularMdp, tol: float = 1e-9,
+                 q_init: np.ndarray | None = None) -> np.ndarray:
+    """Value-iterate the smoothed backup from q_init (default Q = 0) to a
+    tol-accurate fixed point.
 
     Stops when successive iterates differ by at most tol*(1-gamma) in
     sup norm, which leaves the fixed-point residual ||TQ - Q|| <= tol.
+    Sweep k's step is at most 2 gamma^k (q_bound + ||q_init||), which
+    bounds the sweeps; a warm start from a nearby table takes fewer.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    q = np.zeros_like(mdp.rewards) if q_init is None else np.asarray(q_init, dtype=float)
+    reach = float(np.abs(q).max(initial=0.0))
+    if not math.isfinite(reach):
+        raise ValueError("q_init must be finite")
     target = tol * (1.0 - mdp.gamma)
     max_iter = (
-        math.ceil(math.log(target / (2.0 * mdp.q_bound() + 1e-12)) / math.log(mdp.gamma))
+        math.ceil(math.log(target / (2.0 * (mdp.q_bound() + reach) + 1e-12))
+                  / math.log(mdp.gamma))
         + 16
     )
-    q = np.zeros_like(mdp.rewards)
     for _ in range(max(max_iter, 1)):
         q_next = soft_bellman_apply(mdp, q)
         if np.abs(q_next - q).max() <= target:

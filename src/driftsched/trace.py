@@ -42,6 +42,13 @@ def _format_column(col: np.ndarray) -> list:
     return [_format_cell(v) for v in col]  # bool and object columns
 
 
+def _json_scalar(v):
+    """json.dumps fallback: a numpy scalar as its Python value."""
+    if isinstance(v, np.generic):
+        return v.item()
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 @dataclass
 class RunTrace:
     """Columnar per-step record of one run."""
@@ -70,10 +77,12 @@ class RunTrace:
         return self.columns[name]
 
     def to_csv(self, path) -> None:
+        # serialized first, so a meta JSON cannot encode leaves no partial file
+        meta = json.dumps(self.meta, sort_keys=True, default=_json_scalar)
         names = list(self.columns)
         with open(path, "w", newline="") as fh:
             fh.write(f"# driftsched={__version__}\n")
-            fh.write(f"# meta={json.dumps(self.meta, sort_keys=True)}\n")
+            fh.write(f"# meta={meta}\n")
             writer = csv.writer(fh)
             writer.writerow(names)
             for i in range(0, len(self), CSV_CHUNK):

@@ -21,6 +21,7 @@ from driftsched import (
     drop_ratio,
     goal_chain_mdp,
     planner_run,
+    planner_run_many,
     recovery_time,
     run_suite,
     td_train_many,
@@ -211,8 +212,9 @@ def test_criterion_6_qualitative_ordering():
     reg_on, reg_fx = [], []
     for seed in range(n_seeds):
         spec = planner_task_spec("abrupt", p_horizon, p_changes, seed)
-        reg_on.append(planner_run(spec, cfg_on).column("regret_rl_inc").sum())
-        reg_fx.append(planner_run(spec, cfg_fx).column("regret_rl_inc").sum())
+        tr_on, tr_fx = planner_run_many(spec, [cfg_on, cfg_fx])
+        reg_on.append(tr_on.column("regret_rl_inc").sum())
+        reg_fx.append(tr_fx.column("regret_rl_inc").sum())
     plan_ok = np.median(reg_on) < np.median(reg_fx)
 
     report("6 qualitative ordering", td_ok and plan_ok,

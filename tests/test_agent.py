@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -213,9 +214,9 @@ class TestTdTrain:
         cfg = ScheduleConfig(mode="online", c1=0.04, c2=1.0, ema_beta=0.9)
         horizon = 3000
         starts, ends = [], []
-        for seed in range(12):
-            tr = td_train(steady_goal_spec(horizon), cfg, 10, 100, 25, seed,
-                          learn_rate=0.25)
+        seeds = list(range(12))
+        for tr in td_train_many([steady_goal_spec(horizon)] * len(seeds), [cfg] * len(seeds),
+                                seeds, 10, 100, 25, learn_rate=0.25):
             tail = tr.column("lambda")[horizon // 4:]
             diffs = np.diff(tail)
             up = diffs[diffs > 0].sum()
@@ -231,8 +232,9 @@ class TestTdTrain:
         tc, horizon = 1500, 2200
         pre, post = [], []
         spec = abrupt_goal_spec(horizon, (tc,), seed=0)
-        for seed in range(10):
-            tr = td_train(spec, cfg, 10, 100, 25, seed, learn_rate=0.25)
+        seeds = list(range(10))
+        for tr in td_train_many([spec] * len(seeds), [cfg] * len(seeds), seeds,
+                                10, 100, 25, learn_rate=0.25):
             proxy = tr.column("proxy")
             pre.append(proxy[tc - 200:tc].mean())
             post.append(proxy[tc:tc + 200].mean())
@@ -364,6 +366,157 @@ class TestPlannerMatchesPerStateLoop:
             tr = planner_run(drifting_random_spec("periodic", horizon=12),
                              ScheduleConfig(), collect_oco=collect_oco)
             assert len(calls) == len(tr) == 12
+
+
+def reference_planner_run(seq, cfg, eps, tol=1e-9):
+    """The per-cell planner_run loop, with its own solve chain: a cold solve,
+    then plain value iteration from the last table at each new MDP."""
+    from driftsched.agent import PlannerState
+    from driftsched.softmdp import generate_sequence, soft_bellman_apply
+
+    if isinstance(seq, SoftMdpSequence):
+        mdps, pattern, seed = generate_sequence(seq), seq.pattern, seq.seed
+    else:
+        mdps, pattern, seed = list(seq), "custom", 0
+    n_states, n_actions = mdps[0].rewards.shape
+    state = PlannerState(policy=np.full((n_states, n_actions), 1.0 / n_actions),
+                         proxy=ProxyState())
+    policies, records, alpha_rows = [], [], []
+    prev, q_star = None, None
+    for mdp_t in mdps:
+        if q_star is None:
+            q_star = solve_soft_q(mdp_t, tol)
+        elif not (mdp_t is prev or (np.array_equal(mdp_t.rewards, prev.rewards) and
+                                    np.array_equal(mdp_t.transitions, prev.transitions))):
+            q = q_star
+            while True:
+                q_star = soft_bellman_apply(mdp_t, q)
+                if np.abs(q_star - q).max() <= tol * (1.0 - mdp_t.gamma):
+                    break
+                q = q_star
+        prev = mdp_t
+        policies.append(state.policy)
+        prev_pi = state.prev_pi
+        state, rec = planner_step(state, mdp_t, q_star, cfg, eps)
+        records.append(rec)
+        alpha_rows.append(np.zeros(n_states) if prev_pi is None
+                          else np.abs(state.prev_pi - prev_pi).sum(axis=1))
+    inc = np.asarray([float(rec["oco_gaps"].sum()) for rec in records])
+    columns = {"t": np.arange(1, len(records) + 1)}
+    for name in ("lambda", "eta", "alpha", "proxy"):
+        columns[name] = np.asarray([rec[name] for rec in records])
+    columns.update(regret_inc=inc, regret_cum=np.cumsum(inc))
+    for name in ("regret_rl_inc", "eval_return"):
+        columns[name] = np.asarray([rec[name] for rec in records])
+    meta = {"agent": "planner", "pattern": pattern, "seed": seed, "eps": eps,
+            "tol": tol, "mu": mdps[0].mu, "c": cfg.c, "lambda_min": cfg.lambda_min,
+            "lambda_max": cfg.lambda_max}
+    return columns, meta, policies, np.vstack([rec["oco_gaps"] for rec in records]), \
+        np.vstack(alpha_rows)
+
+
+def custom_planner_list():
+    """Repeats by object and by equal arrays, drift, and a warm start into
+    another gamma."""
+    from dataclasses import replace
+
+    from driftsched.softmdp import generate_sequence
+
+    m = generate_sequence(drifting_random_spec("periodic", horizon=12))
+    twin = replace(m[4], rewards=m[4].rewards.copy())
+    far = replace(m[8], gamma=0.95)
+    return [m[0], m[0], m[2], m[4], twin, twin, m[7], far, far, m[10], m[0], m[11]]
+
+
+PLANNER_SCHEDULES = {
+    "online": ScheduleConfig(mode="online"),
+    "oracle": ScheduleConfig(mode="oracle", c=2.0, lambda_min=0.02),
+    "fixed": ScheduleConfig(mode="fixed", fixed_value=0.3),
+}
+
+
+@functools.cache
+def planner_case(seq_name):
+    return custom_planner_list() if seq_name == "custom" else drifting_random_spec(seq_name)
+
+
+@functools.cache
+def reference_planner_cell(seq_name, mode):
+    return reference_planner_run(planner_case(seq_name), PLANNER_SCHEDULES[mode], 1e-6)
+
+
+class TestPlannerRunMany:
+    """planner_run_many equals the per-cell planner_run loop bit for bit."""
+
+    @pytest.mark.parametrize("seq", ["periodic", "abrupt", "custom"])
+    @pytest.mark.parametrize("modes,collect_oco", [
+        (("online",), True), (("fixed", "oracle"), True),
+        (("online", "oracle", "fixed"), False), (("oracle", "fixed", "online"), True)])
+    def test_matches_per_cell_loop(self, seq, modes, collect_oco):
+        from driftsched import planner_run_many
+
+        cfgs = [PLANNER_SCHEDULES[m] for m in modes]
+        traces = planner_run_many(planner_case(seq), cfgs, eps=1e-6, collect_oco=collect_oco)
+        assert len(traces) == len(cfgs)
+        for tr, mode in zip(traces, modes):
+            columns, meta, policies, gaps, alphas = reference_planner_cell(seq, mode)
+            assert list(tr.columns) == list(columns)
+            for name, want in columns.items():
+                assert tr.column(name).dtype == want.dtype, name
+                assert np.array_equal(tr.column(name), want, equal_nan=True), name
+            assert tr.meta == meta
+            assert [type(v) for v in tr.meta.values()] == [type(v) for v in meta.values()]
+            assert len(tr.policies) == len(policies)
+            for got, want in zip(tr.policies, policies):
+                assert np.array_equal(got, want)
+            if collect_oco:
+                assert np.array_equal(tr.oco_gaps, gaps)
+                assert np.array_equal(tr.state_alphas, alphas)
+            else:
+                assert not hasattr(tr, "oco_gaps") and not hasattr(tr, "state_alphas")
+
+    def test_one_solve_chain_for_every_schedule(self, monkeypatch):
+        from driftsched import planner_run_many, softmdp
+
+        sweeps = []
+        real = softmdp.soft_bellman_apply
+        monkeypatch.setattr(softmdp, "soft_bellman_apply",
+                            lambda *a: sweeps.append(1) or real(*a))
+        spec = drifting_random_spec("periodic", horizon=20)
+        planner_run(spec, PLANNER_SCHEDULES["online"])
+        one = len(sweeps)
+        sweeps.clear()
+        planner_run_many(spec, list(PLANNER_SCHEDULES.values()))
+        assert one > 20 and len(sweeps) == one
+
+    def test_planner_run_is_one_schedule(self):
+        from driftsched import planner_run_many
+
+        spec = drifting_random_spec("abrupt", horizon=15)
+        cfg = PLANNER_SCHEDULES["oracle"]
+        alone = planner_run(spec, cfg, eps=0.05, collect_oco=True)
+        shared = planner_run_many(spec, [PLANNER_SCHEDULES["online"], cfg], eps=0.05,
+                                  collect_oco=True)[1]
+        for name in alone.columns:
+            assert np.array_equal(alone.column(name), shared.column(name)), name
+        assert alone.meta == shared.meta
+        assert np.array_equal(alone.oco_gaps, shared.oco_gaps)
+
+    def test_boundary_checked_before_round_one(self, monkeypatch):
+        from driftsched import InvalidEpsilon, LengthMismatch, agent, planner_run_many
+
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("ran a round")
+
+        monkeypatch.setattr(agent, "planner_step", no_rounds)
+        monkeypatch.setattr(agent, "solve_soft_q", no_rounds)
+        spec = drifting_random_spec("abrupt", horizon=5)
+        with pytest.raises(LengthMismatch):
+            planner_run_many(spec, [])
+        with pytest.raises(LengthMismatch):
+            planner_run_many(spec, iter(()))
+        with pytest.raises(InvalidEpsilon):
+            planner_run_many(spec, list(PLANNER_SCHEDULES.values()), eps=0.3)
 
 
 def reference_td_step(state, mdp_t, alpha_t):

@@ -121,6 +121,8 @@ class TestParseConfig:
 
     def test_td_needs_two_evaluation_points(self, tmp_path):
         doc = base_config(tmp_path, horizon=300)
+        # a change after the first evaluation point, which recovery_time needs
+        doc["task"]["drift"]["change_times"] = [200]
         doc["eval_every"] = 150
         assert parse_config(doc).eval_every == 150
         doc["eval_every"] = 151
@@ -164,6 +166,23 @@ class TestRunCommand:
         assert "eps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_change_before_first_td_evaluation_exit_code(self, tmp_path, capsys):
+        # recovery_time needs an evaluation point before each change time
+        out = tmp_path / "out"
+        doc = base_config(out, horizon=200)
+        doc["task"]["drift"]["change_times"] = [20]
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert "change time 20" in capsys.readouterr().err
+        assert not out.exists()
+        doc["eval_every"] = 20  # the first evaluation falls on the change
+        with pytest.raises(ConfigError, match="before change time 20"):
+            parse_config(doc)
+        doc["eval_every"] = 19
+        assert parse_config(doc).eval_every == 19
+        doc["task"]["patterns"] = ["steady"]  # no change to recover from
+        doc["eval_every"] = 50
+        assert parse_config(doc).eval_every == 50
+
     def test_config_error_exit_code(self, tmp_path):
         doc = base_config(tmp_path)
         doc["methods"][0]["schedule"]["lambda_min"] = 5.0
@@ -181,12 +200,15 @@ class TestRunCommand:
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         doc = base_config(tmp_path / "unused", horizon=200, seeds=(0, 1))
-        doc["methods"].append({"name": "planner", "agent": "planner"})
+        # two planner methods: each (pattern, seed) group holds two cells
+        doc["methods"] += [{"name": "planner", "agent": "planner"},
+                           {"name": "fixed_planner", "agent": "planner",
+                            "schedule": {"mode": "fixed", "fixed_value": 0.2}}]
         cfg_path = write_config(tmp_path, doc)
         assert main(["run", cfg_path, "--out", str(tmp_path / "j1")]) == 0
         assert main(["run", cfg_path, "--out", str(tmp_path / "j2"), "--jobs", "2"]) == 0
         names = sorted(p.name for p in (tmp_path / "j1").iterdir())
-        assert len(names) == 3 * 2 * 2 + 1
+        assert len(names) == 4 * 2 * 2 + 1
         assert names == sorted(p.name for p in (tmp_path / "j2").iterdir())
         for name in names:
             assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()

@@ -140,6 +140,47 @@ class TestSolveSoftQ:
         with pytest.raises(ValueError):
             solve_soft_q(single_state_mdp(), tol=0.0)
 
+    def test_warm_start_sweeps_from_the_given_table(self, monkeypatch):
+        from driftsched import softmdp
+
+        m0, m1 = (random_mdp(6, 3, gamma=0.9, mu=0.2, rng=np.random.default_rng(s))
+                  for s in (1, 2))
+        q_init = solve_soft_q(m0, 1e-9)
+        target, q = 1e-9 * (1 - m1.gamma), q_init
+        while True:  # the plain value-iteration loop from q_init
+            q_next = soft_bellman_apply(m1, q)
+            if np.abs(q_next - q).max() <= target:
+                break
+            q = q_next
+        sweeps = []
+        real = softmdp.soft_bellman_apply
+        monkeypatch.setattr(softmdp, "soft_bellman_apply",
+                            lambda *a: sweeps.append(1) or real(*a))
+        warm = solve_soft_q(m1, 1e-9, q_init=q_init)
+        assert np.array_equal(warm, q_next)
+        n_warm = len(sweeps)
+        sweeps.clear()
+        cold = solve_soft_q(m1, 1e-9)
+        assert 0 < n_warm < len(sweeps)
+        assert np.abs(warm - cold).max() <= 2e-9 / (1 - m1.gamma)
+        assert np.array_equal(solve_soft_q(m1, 1e-9, q_init=np.zeros((6, 3))), cold)
+
+    def test_far_warm_start_converges(self):
+        # the sweep bound grows with ||q_init||: a table far off the fixed
+        # point still converges at gamma = 0.99
+        m = random_mdp(5, 3, gamma=0.99, mu=0.2, rng=np.random.default_rng(4))
+        cold = solve_soft_q(m, 1e-9)
+        for far in (1e6, -1e6):
+            warm = solve_soft_q(m, 1e-9, q_init=np.full((5, 3), far))
+            assert np.abs(warm - cold).max() <= 2e-9 / (1 - m.gamma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_warm_start_rejected(self, bad):
+        q_init = np.zeros((1, 1))
+        q_init[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_soft_q(single_state_mdp(), q_init=q_init)
+
 
 class TestSoftPolicy:
     def test_constant_row_uniform(self):

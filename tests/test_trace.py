@@ -106,3 +106,35 @@ class TestCsvFormatting:
         assert np.array_equal(back.column("x"), vals, equal_nan=True)
         assert np.array_equal(back.column("o"), [np.inf, 1.0, 2.5, -np.inf])
         assert path.read_text().splitlines()[3] == "1,inf,inf"
+
+    def test_numpy_scalar_meta_round_trip(self, tmp_path):
+        meta = {"eval_every": np.int64(10), "learn_rate": np.float32(0.25),
+                "mu": np.float64(0.2), "flag": np.bool_(True), "seed": 3}
+        path = tmp_path / "np.csv"
+        RunTrace(columns={"t": np.arange(1, 4)}, meta=meta).to_csv(path)
+        back = RunTrace.from_csv(path)
+        assert back.meta == {"eval_every": 10, "learn_rate": 0.25, "mu": 0.2,
+                             "flag": True, "seed": 3}
+        assert type(back.meta["eval_every"]) is int
+        # the same bytes as the meta given as Python values
+        plain = tmp_path / "plain.csv"
+        RunTrace(columns={"t": np.arange(1, 4)}, meta=back.meta).to_csv(plain)
+        assert plain.read_bytes() == path.read_bytes()
+
+    def test_unserializable_meta_writes_nothing(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        tr = RunTrace(columns={"t": np.arange(1, 4)}, meta={"obj": object()})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            tr.to_csv(path)
+        assert not path.exists()
+
+    def test_td_trace_with_numpy_knob_writes(self, tmp_path):
+        from driftsched import DriftSpec, ScheduleConfig, SoftMdpSequence, goal_chain_mdp, td_train
+
+        spec = SoftMdpSequence(base=goal_chain_mdp(), pattern="steady", horizon=60,
+                               drift=DriftSpec(), seed=0)
+        tr = td_train(spec, ScheduleConfig(mode="fixed"), np.int64(10), 20, 7)
+        tr.to_csv(tmp_path / "td.csv")
+        back = RunTrace.from_csv(tmp_path / "td.csv")
+        assert back.meta["batch_size"] == 10
+        assert np.array_equal(back.column("lambda"), tr.column("lambda"))
