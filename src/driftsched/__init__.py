@@ -35,8 +35,8 @@ from .simplex import (
 from .scheduler import (
     ProxyState,
     ScheduleConfig,
-    build_schedule,
     eta_from_lambda,
+    next_lambda,
     offline_lambda,
     online_lambda,
     oracle_lambda,

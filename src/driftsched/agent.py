@@ -17,14 +17,7 @@ import numpy as np
 from .errors import (AlignmentError, BoundaryIterate, LengthMismatch,
                      NonFiniteGradient, ShapeMismatch)
 from .omd import _check_floor, _check_iterates, _mirror_step
-from .scheduler import (
-    ProxyState,
-    ScheduleConfig,
-    eta_from_lambda,
-    online_lambda,
-    oracle_lambda,
-    update_proxy,
-)
+from .scheduler import ProxyState, ScheduleConfig, eta_from_lambda, next_lambda
 from .simplex import _row_lse, _row_softmax
 from .softmdp import (
     _surrogate_gap,
@@ -55,18 +48,6 @@ class PlannerState:
             raise ValueError("prev_q and prev_pi must be both set or both None")
 
 
-def _planner_lambda(state: PlannerState, cfg: ScheduleConfig, raw: float,
-                    alpha_true: float) -> tuple:
-    proxy = update_proxy(state.proxy, raw, cfg)
-    if cfg.mode == "fixed":
-        return cfg.fixed_value, proxy
-    if cfg.mode == "oracle":
-        return oracle_lambda(alpha_true, cfg), proxy
-    if cfg.mode == "online":
-        return online_lambda(proxy, cfg), proxy
-    raise ValueError(f"planner does not support stepwise mode {cfg.mode!r}")
-
-
 def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
                  cfg: ScheduleConfig, eps: float):
     """One full-information round against the solved table q_star_t.
@@ -91,7 +72,7 @@ def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
     else:
         raw = float(np.abs(q_star_t - state.prev_q).max()) / mu
         alpha_true = float(np.abs(pi_star - state.prev_pi).sum(axis=1).max())
-    lam, proxy = _planner_lambda(state, cfg, raw, alpha_true)
+    lam, proxy = next_lambda(cfg, state.proxy, raw, alpha_true)
     eta = eta_from_lambda(lam, state.eta_prev, cfg)
 
     j_star = float(mdp_t.rho @ soft_values(q_star_t, mu))
@@ -133,12 +114,14 @@ def _solved_tables(mdps, tol: float):
 
     A step repeats the previous MDP when it is the same object (as
     generate_sequence gives for a repeated drift weight) or, for
-    user-supplied lists, when its rewards and transitions are equal.
+    user-supplied lists, when its rewards, transitions, gamma and mu are
+    all equal: Q* depends on nothing else.
     """
     prev, q_star = None, None
     for mdp_t in mdps:
         repeat = prev is not None and (mdp_t is prev or (
-            np.array_equal(mdp_t.rewards, prev.rewards)
+            mdp_t.gamma == prev.gamma and mdp_t.mu == prev.mu
+            and np.array_equal(mdp_t.rewards, prev.rewards)
             and np.array_equal(mdp_t.transitions, prev.transitions)))
         if not repeat:
             q_star = solve_soft_q(mdp_t, tol, q_init=q_star)
@@ -200,11 +183,10 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
             "eps": eps, "tol": tol, "mu": mdps[0].mu,
             "c": cfg.c, "lambda_min": cfg.lambda_min, "lambda_max": cfg.lambda_max,
         }
-        trace = RunTrace(columns=columns, meta=meta, policies=policies)
-        if collect_oco:
-            trace.oco_gaps = np.vstack([rec["oco_gaps"] for rec in records])
-            trace.state_alphas = np.vstack(alpha_rows)
-        traces.append(trace)
+        gaps = np.vstack([rec["oco_gaps"] for rec in records]) if collect_oco else None
+        alphas = np.vstack(alpha_rows) if collect_oco else None
+        traces.append(RunTrace(columns=columns, meta=meta, policies=policies,
+                               oco_gaps=gaps, state_alphas=alphas))
     return traces
 
 
@@ -348,7 +330,7 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     draws = np.empty((2 * horizon + math.ceil(horizon / episode_len), n_learners, 1))
     for b, sd in enumerate(seeds):
         draws[:, b, 0] = np.random.default_rng(sd).random(len(draws))
-    alpha = np.array([[c.fixed_value if c.mode == "fixed" else c.lambda_min] for c in cfgs])
+    alpha = np.array([[next_lambda(c, ProxyState(), 0.0)[0]] for c in cfgs])
     q_rank = np.array([math.ceil(c.quantile_q * batch_size) - 1 for c in cfgs])
     q = np.zeros((n_learners,) + distinct[0].rewards.shape)
     proxies = [ProxyState()] * n_learners
@@ -365,9 +347,7 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
             _check_td_errors(deltas)
             raw = np.sort(np.abs(deltas), axis=1)[rows, q_rank]
             for b, cfg in enumerate(cfgs):
-                proxies[b] = update_proxy(proxies[b], float(raw[b]), cfg)
-                if cfg.mode == "online":
-                    alpha[b, 0] = online_lambda(proxies[b], cfg)
+                alpha[b, 0], proxies[b] = next_lambda(cfg, proxies[b], float(raw[b]))
             lam_hist.append(alpha[:, 0].copy())
             ema_hist.append(np.array([p.ema_value for p in proxies]))
         if (t + 1) % eval_every == 0:

@@ -35,6 +35,13 @@ SCHEDULE_KEYS = ("mode", "C1", "C2", "c", "lambda_min", "lambda_max",
                  "quantile_q", "ema_beta", "fixed_value")
 TOP_SWEEP_KEYS = ("horizon", "batch_size", "eval_every", "episode_len",
                   "learn_rate")
+TOP_KEYS = TOP_SWEEP_KEYS + ("task", "methods", "seeds", "eps", "solver_tol",
+                             "output_dir")
+TASK_KEYS = ("kind", "n_states", "n_actions", "gamma", "mu", "r_max", "patterns",
+             "drift")
+DRIFT_KEYS = ("change_times", "magnitude", "period", "amplitude", "reward_drift",
+              "transition_drift", "jitter")
+METHOD_KEYS = ("name", "agent", "schedule")
 
 
 @dataclass
@@ -74,10 +81,24 @@ def _require(doc: dict, key: str, kind, path: str):
     return val
 
 
-def _schedule_from(doc: dict, path: str) -> ScheduleConfig:
-    unknown = set(doc) - set(SCHEDULE_KEYS)
+def _check_keys(doc: dict, allowed, path: str) -> None:
+    unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key {path}{sorted(unknown)[0]}")
+
+
+def _number(doc: dict, key: str, default, path: str,
+            ok=lambda v: v > 0.0, want: str = "a finite number > 0"):
+    """doc[key] (default if absent), which must be a finite number, not a
+    bool, for which ok holds; want describes the accepted values."""
+    val = doc.get(key, default)
+    if type(val) not in (int, float) or not math.isfinite(val) or not ok(val):
+        raise ConfigError(f"{path}{key}={val!r} must be {want}")
+    return val
+
+
+def _schedule_from(doc: dict, path: str) -> ScheduleConfig:
+    _check_keys(doc, SCHEDULE_KEYS, path)
     mode = doc.get("mode", "online")
     if mode not in MODES:
         raise ConfigError(f"{path}mode must be one of {MODES}, got {mode!r}")
@@ -101,7 +122,9 @@ def _schedule_from(doc: dict, path: str) -> ScheduleConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    _check_keys(doc, TOP_KEYS, "")
     task = _require(doc, "task", dict, "")
+    _check_keys(task, TASK_KEYS, "task.")
     kind = task.get("kind", "random")
     if kind not in ("random", "goal_chain"):
         raise ConfigError(f"task.kind must be 'random' or 'goal_chain', got {kind!r}")
@@ -115,7 +138,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for p in patterns:
         if p not in PATTERNS:
             raise ConfigError(f"task.patterns entry {p!r} not in {PATTERNS}")
-    drift_doc = task.get("drift", {})
+    gamma = _number(task, "gamma", 0.9, "task.", lambda v: 0.0 < v < 1.0,
+                    "a number in (0, 1)")
+    mu = _number(task, "mu", 0.2, "task.")
+    r_max = _number(task, "r_max", 1.0, "task.")
+    drift_doc = _require(task, "drift", dict, "task.") if "drift" in task else {}
+    _check_keys(drift_doc, DRIFT_KEYS, "task.drift.")
     drift = DriftSpec(
         change_times=tuple(drift_doc.get("change_times", ())),
         magnitude=drift_doc.get("magnitude", 1.0),
@@ -123,20 +151,26 @@ def parse_config(doc: dict) -> ExperimentConfig:
         amplitude=drift_doc.get("amplitude", 0.0),
         reward_drift=drift_doc.get("reward_drift", True),
         transition_drift=drift_doc.get("transition_drift", False),
-        jitter=drift_doc.get("jitter", 0.0),
+        jitter=_number(drift_doc, "jitter", 0.0, "task.drift.", lambda v: v >= 0.0,
+                       "a finite number >= 0"),
     )
     methods = []
     for i, m in enumerate(_require(doc, "methods", list, "")):
         path = f"methods[{i}]."
+        _check_keys(m, METHOD_KEYS, path)
         name = _require(m, "name", str, path)
         agent = _require(m, "agent", str, path)
         if agent not in ("planner", "td"):
             raise ConfigError(f"{path}agent must be 'planner' or 'td'")
-        methods.append((name, agent, _schedule_from(m.get("schedule", {}), path + "schedule.")))
+        schedule = _schedule_from(m.get("schedule", {}), path + "schedule.")
+        if agent == "td" and schedule.mode == "oracle":
+            raise ConfigError(f"{path}schedule.mode 'oracle' needs the true drift, "
+                              f"which a td agent does not observe")
+        methods.append((name, agent, schedule))
     if len({m[0] for m in methods}) != len(methods):
         raise ConfigError("methods[].name values must be unique")
     seeds = _require(doc, "seeds", list, "")
-    if not seeds or not all(isinstance(s, int) for s in seeds):
+    if not seeds or not all(type(s) is int for s in seeds):
         raise ConfigError("seeds must be a nonempty list of integers")
     horizon = _require(doc, "horizon", int, "")
     if horizon < 1:
@@ -157,9 +191,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for key, val in knobs.items():
         if type(val) is not int or val < 1:
             raise ConfigError(f"{key}={val!r} must be an integer >= 1")
-    learn_rate = doc.get("learn_rate", 0.1)
-    if type(learn_rate) not in (int, float) or not 0.0 < learn_rate < math.inf:
-        raise ConfigError(f"learn_rate={learn_rate!r} must be a finite number > 0")
+    learn_rate = _number(doc, "learn_rate", 0.1, "")
+    solver_tol = _number(doc, "solver_tol", 1e-9, "")
     if any(m[1] == "td" for m in methods):
         if horizon // knobs["eval_every"] < 2:
             raise ConfigError(f"eval_every={knobs['eval_every']} gives TD runs fewer than "
@@ -172,10 +205,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
                               f"{min(drift.change_times)}")
     return ExperimentConfig(
         task_kind=kind, n_states=n_states, n_actions=n_actions,
-        gamma=task.get("gamma", 0.9), mu=task.get("mu", 0.2),
-        r_max=task.get("r_max", 1.0), patterns=list(patterns), drift=drift,
+        gamma=gamma, mu=mu, r_max=r_max, patterns=list(patterns), drift=drift,
         methods=methods, seeds=list(seeds), horizon=horizon, **knobs,
-        learn_rate=learn_rate, eps=eps, solver_tol=doc.get("solver_tol", 1e-9),
+        learn_rate=learn_rate, eps=eps, solver_tol=solver_tol,
         output_dir=doc.get("output_dir", "out"),
     )
 

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     SupportMismatch,
 )
-from .scheduler import ScheduleConfig, eta_from_lambda
+from .scheduler import ProxyState, ScheduleConfig, eta_from_lambda, next_lambda
 from .simplex import SUM_TOL, SimplexVec, as_probs, kl_div, truncate
 from .trace import RunTrace
 
@@ -155,16 +155,17 @@ class ExplicitConstants:
         )
 
 
-def run_dynamic(stream, comparators, schedule, eps: float,
+def run_dynamic(stream, comparators, cfg: ScheduleConfig, eps: float,
                 x0: SimplexVec | None = None) -> RunTrace:
     """Run mirror descent against a drifting comparator sequence.
 
     stream is a (T, K) array of loss gradients or a list of T
-    LinearLoss; comparators holds T points of the K-simplex. Per round:
-    drift alpha_t = ||u_t - u_{t-1}||_1 (zero at t=1) is fed to the
-    schedule as the proxy, the step size follows the monotone envelope,
-    the regret increment f_t(x_t) - f_t(u_t) is recorded, and the
-    iterate is updated on the regularized gradient.
+    LinearLoss; comparators holds T points of the K-simplex; cfg is the
+    schedule. Per round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero at
+    t=1) is fed to next_lambda as both the proxy and the true drift, the
+    step size follows the monotone envelope, the regret increment
+    f_t(x_t) - f_t(u_t) is recorded, and the iterate is updated on the
+    regularized gradient.
 
     The default start is uniform, which keeps the initial Bregman
     distance to any comparator at most log K.
@@ -185,7 +186,6 @@ def run_dynamic(stream, comparators, schedule, eps: float,
         raise NonFiniteGradient("gradient contains NaN or infinity")
     k = grads.shape[1]
     _check_floor(eps, k)
-    cfg = schedule.cfg
     if x0 is None:
         x0 = SimplexVec.uniform(k)
     x = truncate(x0, eps).probs if eps > 0.0 else as_probs(x0)
@@ -197,16 +197,14 @@ def run_dynamic(stream, comparators, schedule, eps: float,
     # the schedule sees only the comparator drift, so it runs first
     alpha_col = [0.0] + np.abs(np.diff(us, axis=0)).sum(axis=1).tolist()
     lam_col, eta_col, proxy_col = [], [], []
-    eta = 0.0
+    eta, proxy = 0.0, ProxyState()
     for alpha in alpha_col:
-        lam = schedule.step(alpha)
+        lam, proxy = next_lambda(cfg, proxy, alpha, alpha)
         eta = eta_from_lambda(lam, eta, cfg)
         lam_col.append(lam)
         eta_col.append(eta)
         # what the schedule actually accumulated (smoothed for online mode)
-        proxy_col.append(
-            schedule.state.ema_value if hasattr(schedule, "state") else alpha
-        )
+        proxy_col.append(proxy.ema_value if cfg.mode == "online" else alpha)
 
     xs = np.empty((horizon + 1, k))
     xs[0] = x
@@ -242,9 +240,7 @@ def run_dynamic(stream, comparators, schedule, eps: float,
         "cfg_c2": cfg.c2,
         "d_psi_start": d_psi_start,  # divergence from x_1 to the first comparator
     }
-    trace = RunTrace(columns=columns, meta=meta)
-    trace.iterates = xs[:horizon]
-    return trace
+    return RunTrace(columns=columns, meta=meta, iterates=xs[:horizon])
 
 
 def bound_rhs(trace: RunTrace, consts: ExplicitConstants) -> float:

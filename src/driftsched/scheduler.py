@@ -1,9 +1,10 @@
 """Temperature schedules and the drift-proxy bookkeeping that feeds them.
 
-Four schedule modes share one config: a fixed value, the per-round
-oracle sqrt(C1*alpha_t/C2), the offline constant sqrt(C1*A_T/(C2*T)),
+Three schedule modes share one config and one per-round rule,
+next_lambda: a fixed value, the per-round oracle sqrt(C1*alpha_t/C2),
 and the clipped online rule sqrt(C1/C2)*sqrt(A_hat_t/t) driven by an
-observable proxy (e.g. a TD-error quantile).
+observable proxy (e.g. a TD-error quantile). The offline constant
+sqrt(C1*A_T/(C2*T)) is offline_lambda, run as a fixed schedule.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyBatch, NegativeError
 
-MODES = ("fixed", "oracle", "offline", "online")
+MODES = ("fixed", "oracle", "online")
 
 
 @dataclass(frozen=True)
@@ -120,58 +121,19 @@ def eta_from_lambda(lam: float, eta_prev: float, cfg: ScheduleConfig) -> float:
     return max(eta_prev, cfg.c * lam)
 
 
-class FixedSchedule:
-    """Constant temperature; ignores the proxy."""
+def next_lambda(cfg: ScheduleConfig, proxy: ProxyState, raw: float,
+                drift: float | None = None) -> tuple:
+    """One schedule round: fold raw into the proxy, then pick lambda by cfg.mode.
 
-    def __init__(self, cfg: ScheduleConfig):
-        self.cfg = cfg
-
-    def step(self, alpha_hat: float) -> float:
-        return self.cfg.fixed_value
-
-
-class OracleSchedule:
-    """Per-round oracle sqrt(C1*alpha_t/C2); needs the true drift."""
-
-    def __init__(self, cfg: ScheduleConfig):
-        self.cfg = cfg
-
-    def step(self, alpha_hat: float) -> float:
-        return oracle_lambda(alpha_hat, self.cfg)
-
-
-class OfflineSchedule:
-    """Constant sqrt(C1*A_T/(C2*T)); needs the total drift up front."""
-
-    def __init__(self, cfg: ScheduleConfig, total_drift: float, horizon: int):
-        self.cfg = cfg
-        self.value = offline_lambda(total_drift, horizon, cfg)
-
-    def step(self, alpha_hat: float) -> float:
-        return self.value
-
-
-class OnlineSchedule:
-    """Clipped prefix-average schedule; owns its ProxyState."""
-
-    def __init__(self, cfg: ScheduleConfig):
-        self.cfg = cfg
-        self.state = ProxyState()
-
-    def step(self, alpha_hat: float) -> float:
-        self.state = update_proxy(self.state, alpha_hat, self.cfg)
-        return online_lambda(self.state, self.cfg)
-
-
-def build_schedule(cfg: ScheduleConfig, total_drift: float | None = None,
-                   horizon: int | None = None):
-    """Instantiate the schedule named by cfg.mode."""
+    Returns (lambda, updated proxy). Fixed mode gives fixed_value, online
+    mode the clipped prefix-average rule on the updated proxy, oracle
+    mode the per-round minimizer of the true drift, which it must be given.
+    """
+    proxy = update_proxy(proxy, raw, cfg)
     if cfg.mode == "fixed":
-        return FixedSchedule(cfg)
-    if cfg.mode == "oracle":
-        return OracleSchedule(cfg)
-    if cfg.mode == "offline":
-        if total_drift is None or horizon is None:
-            raise ValueError("offline mode needs total_drift and horizon")
-        return OfflineSchedule(cfg, total_drift, horizon)
-    return OnlineSchedule(cfg)
+        return cfg.fixed_value, proxy
+    if cfg.mode == "online":
+        return online_lambda(proxy, cfg), proxy
+    if drift is None:
+        raise ValueError("oracle mode needs the true drift")
+    return oracle_lambda(drift, cfg), proxy

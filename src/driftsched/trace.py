@@ -55,7 +55,13 @@ class RunTrace:
 
     columns: dict
     meta: dict = field(default_factory=dict)
-    policies: list | None = None  # planner snapshots; not serialized
+    # side arrays, never serialized: planner policy snapshots, run_dynamic's
+    # (T, K) iterates, and with collect_oco the planner's (T, S) surrogate
+    # gaps and per-state comparator drifts
+    policies: list | None = None
+    iterates: np.ndarray | None = None
+    oco_gaps: np.ndarray | None = None
+    state_alphas: np.ndarray | None = None
 
     def __post_init__(self):
         lengths = {name: len(col) for name, col in self.columns.items()}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SamplerFailure
 from .omd import ExplicitConstants, bound_rhs, proxy_bound_rhs, run_dynamic
-from .scheduler import ScheduleConfig, build_schedule, offline_lambda
+from .scheduler import ScheduleConfig, offline_lambda
 from .simplex import (
     bregman_neg_entropy,
     kl_div,
@@ -318,8 +318,7 @@ def _check_offline_lambda_minimizer(seed):
 
     def relative_gap(s):
         a_total, horizon, c1, c2 = s
-        cfg = ScheduleConfig(c1=c1, c2=c2, mode="offline",
-                             lambda_min=1e-6, lambda_max=1e6)
+        cfg = ScheduleConfig(c1=c1, c2=c2)
         closed = offline_lambda(a_total, horizon, cfg)
         return abs(closed - grid_argmin(s)) / closed
 
@@ -656,7 +655,7 @@ def _check_tradeoff_bounds(seed, n_streams=100, horizon=1000, c2_factor=1.0):
     tradeoff_samples = []
     online_samples = []
     for k, grads, comparators, cfg, eps in runs():
-        trace = run_dynamic(grads, comparators, build_schedule(cfg), eps)
+        trace = run_dynamic(grads, comparators, cfg, eps)
         consts = ExplicitConstants.derive_from_trace(trace)
         scaled = ExplicitConstants(
             c0=math.log(k) / (cfg.c * cfg.lambda_min)
@@ -685,7 +684,7 @@ def _check_oracle_schedule_bound(seed, n_streams=50, horizon=500):
         g_bound = float(np.abs(grads).max())
         consts = ExplicitConstants.derive(cfg, g_bound, k, eps, lambda1=0.0)
         oracle_cfg = replace(cfg, c1=consts.c1, c2=consts.c2)
-        trace = run_dynamic(grads, comparators, build_schedule(oracle_cfg), eps)
+        trace = run_dynamic(grads, comparators, oracle_cfg, eps)
         alphas = trace.column("alpha")
         rhs = consts.c0 + 2.0 * math.sqrt(consts.c1 * consts.c2) * float(
             np.sqrt(alphas[1:]).sum()

@@ -93,6 +93,23 @@ class TestPlanner:
         total = rl_dynamic_regret(tr, spec, tol=1e-9)
         assert total == pytest.approx(tr.column("regret_rl_inc").sum(), abs=1e-6)
 
+    @pytest.mark.parametrize("change", [{"gamma": 0.95}, {"mu": 0.5}])
+    def test_gamma_or_mu_change_solves_again(self, change):
+        # equal rewards and transitions, but Q* depends on gamma and mu too
+        from dataclasses import replace
+
+        from driftsched.softmdp import soft_return, soft_values
+
+        m = random_mdp(6, 3, rng=np.random.default_rng(0))
+        seq = [m, replace(m, **change)]
+        j_star = [float(mdp.rho @ soft_values(solve_soft_q(mdp, 1e-9), mdp.mu))
+                  for mdp in seq]
+        tr = planner_run(seq, ScheduleConfig(mode="fixed", fixed_value=0.3))
+        assert tr.column("eval_return") + tr.column("regret_rl_inc") == pytest.approx(
+            j_star, abs=1e-7)
+        want = sum(j - soft_return(mdp, pi) for j, mdp, pi in zip(j_star, seq, tr.policies))
+        assert rl_dynamic_regret(tr, seq) == pytest.approx(want, abs=1e-7)
+
     def test_rl_dynamic_regret_zero_for_optimal_play(self):
         spec = steady_goal_spec(20)
         from driftsched.softmdp import generate_sequence
@@ -243,8 +260,9 @@ class TestTdTrain:
 
 def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
     """planner_step with one SimplexVec and md_step per state row."""
-    from driftsched import OmdState, SimplexVec, md_step, regularized_grad
-    from driftsched.agent import PlannerState, _planner_lambda
+    from driftsched import (OmdState, SimplexVec, md_step, online_lambda, oracle_lambda,
+                            regularized_grad, update_proxy)
+    from driftsched.agent import PlannerState
     from driftsched.scheduler import eta_from_lambda
     from driftsched.softmdp import soft_return, soft_values, surrogate_gap
 
@@ -256,7 +274,13 @@ def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
         raw = float(np.abs(q_star_t - state.prev_q).max()) / mu
         pi_star_prev = soft_policy(state.prev_q, mu)
         alpha_true = float(np.abs(pi_star - pi_star_prev).sum(axis=1).max())
-    lam, proxy = _planner_lambda(state, cfg, raw, alpha_true)
+    proxy = update_proxy(state.proxy, raw, cfg)
+    if cfg.mode == "fixed":
+        lam = cfg.fixed_value
+    elif cfg.mode == "oracle":
+        lam = oracle_lambda(alpha_true, cfg)
+    else:
+        lam = online_lambda(proxy, cfg)
     eta = eta_from_lambda(lam, state.eta_prev, cfg)
     played = state.policy
     j_star = float(mdp_t.rho @ soft_values(q_star_t, mu))
@@ -387,7 +411,8 @@ def reference_planner_run(seq, cfg, eps, tol=1e-9):
         if q_star is None:
             q_star = solve_soft_q(mdp_t, tol)
         elif not (mdp_t is prev or (np.array_equal(mdp_t.rewards, prev.rewards) and
-                                    np.array_equal(mdp_t.transitions, prev.transitions))):
+                                    np.array_equal(mdp_t.transitions, prev.transitions) and
+                                    (mdp_t.gamma, mdp_t.mu) == (prev.gamma, prev.mu))):
             q = q_star
             while True:
                 q_star = soft_bellman_apply(mdp_t, q)
@@ -473,7 +498,7 @@ class TestPlannerRunMany:
                 assert np.array_equal(tr.oco_gaps, gaps)
                 assert np.array_equal(tr.state_alphas, alphas)
             else:
-                assert not hasattr(tr, "oco_gaps") and not hasattr(tr, "state_alphas")
+                assert tr.oco_gaps is None and tr.state_alphas is None
 
     def test_one_solve_chain_for_every_schedule(self, monkeypatch):
         from driftsched import planner_run_many, softmdp
@@ -689,6 +714,7 @@ class TestTdLockstep:
         ({"eval_every": 2.0}, "ints >= 1"),
         ({"episode_len": True}, "ints >= 1"),
         ({"learn_rate": math.nan}, "finite"),
+        ({"cfgs": [FIXED_TD, ScheduleConfig(mode="oracle")]}, "true drift"),
     ])
     def test_boundary_validation(self, kwargs, err):
         args = {"seqs": [steady_goal_spec(20)] * 2, "cfgs": [FIXED_TD] * 2,

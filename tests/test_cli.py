@@ -129,6 +129,54 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="two evaluation points"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("where,value,match", [
+        (("horzion",), 300, "unknown key horzion"),
+        (("task", "goal"), 0, "unknown key task.goal"),
+        (("task", "drift", "shift"), 1.0, "unknown key task.drift.shift"),
+        (("methods", 0, "shedule"), {}, r"unknown key methods\[0\].shedule"),
+        (("task", "gamma"), 1.0, "task.gamma"),
+        (("task", "gamma"), 0.0, "task.gamma"),
+        (("task", "gamma"), "x", "task.gamma"),
+        (("task", "mu"), 0, "task.mu"),
+        (("task", "mu"), math.inf, "task.mu"),
+        (("task", "r_max"), math.nan, "task.r_max"),
+        (("task", "r_max"), -1.0, "task.r_max"),
+        (("solver_tol",), 0, "solver_tol"),
+        (("solver_tol",), math.nan, "solver_tol"),
+        (("task", "drift", "jitter"), -1, "task.drift.jitter"),
+        (("task", "drift", "jitter"), math.inf, "task.drift.jitter"),
+        (("seeds",), [0, True], "seeds"),
+    ])
+    def test_bad_input_rejected_before_any_file(self, tmp_path, capsys, where, value,
+                                                match):
+        out = tmp_path / "out"
+        doc = base_config(out)
+        *parents, key = where
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ConfigError, match=match):
+            parse_config(doc)
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("agent,mode,match", [
+        ("td", "oracle", "true drift"),
+        ("td", "offline", "mode must be one of"),
+        ("planner", "offline", "mode must be one of"),
+    ])
+    def test_schedule_its_agent_cannot_run(self, tmp_path, capsys, agent, mode, match):
+        out = tmp_path / "out"
+        doc = base_config(out)
+        doc["methods"][0].update(agent=agent, schedule={"mode": mode})
+        with pytest.raises(ConfigError, match=match):
+            parse_config(doc)
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
     def test_change_time_must_fit_horizon(self, tmp_path):
         doc = base_config(tmp_path)
         doc["task"]["drift"]["change_times"] = [10 ** 6]

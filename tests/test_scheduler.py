@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ from driftsched import (
     NegativeError,
     ProxyState,
     ScheduleConfig,
-    build_schedule,
     eta_from_lambda,
+    next_lambda,
     offline_lambda,
     online_lambda,
     oracle_lambda,
@@ -35,8 +34,9 @@ class TestConfig:
             cfg(lambda_min=2.0, lambda_max=1.0)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            cfg(mode="sometimes")
+        for mode in ("sometimes", "offline"):  # offline_lambda runs as a fixed schedule
+            with pytest.raises(ValueError):
+                cfg(mode=mode)
 
 
 class TestOracleLambda:
@@ -177,18 +177,24 @@ class TestEtaEnvelope:
             prev = eta
 
 
-class TestBuildSchedule:
+class TestNextLambda:
     def test_fixed(self):
-        s = build_schedule(cfg(mode="fixed", fixed_value=0.3))
-        assert s.step(100.0) == 0.3
+        lam, proxy = next_lambda(cfg(mode="fixed", fixed_value=0.3), ProxyState(), 100.0)
+        assert lam == 0.3
+        assert proxy == ProxyState(a_hat_sum=100.0, t=1, ema_value=100.0)
 
     def test_online_floor_then_rise(self):
-        s = build_schedule(cfg(mode="online", ema_beta=0.0, c1=1.0, c2=1.0))
-        assert s.step(0.0) == 0.05
-        assert s.step(2.0) > 0.05
+        c = cfg(mode="online", ema_beta=0.0, c1=1.0, c2=1.0)
+        lam, proxy = next_lambda(c, ProxyState(), 0.0)
+        assert lam == 0.05
+        lam, proxy = next_lambda(c, proxy, 2.0)
+        assert lam > 0.05
+        assert lam == online_lambda(proxy, c)
 
-    def test_offline_requires_totals(self):
-        with pytest.raises(ValueError):
-            build_schedule(cfg(mode="offline"))
-        s = build_schedule(cfg(mode="offline"), total_drift=4.0, horizon=100)
-        assert s.step(0.0) == pytest.approx(math.sqrt(4.0 / 100))
+    def test_oracle_needs_drift(self):
+        c = cfg(mode="oracle", c1=4.0, c2=1.0)
+        with pytest.raises(ValueError, match="true drift"):
+            next_lambda(c, ProxyState(), 0.5)
+        lam, proxy = next_lambda(c, ProxyState(), 0.5, drift=0.25)
+        assert lam == oracle_lambda(0.25, c) == 1.0
+        assert proxy.ema_value == 0.5
