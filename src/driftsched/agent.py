@@ -59,13 +59,19 @@ def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
     regularizer folded in. Returns the new state and a per-round record
     including the return gap of the policy that was played.
     """
+    pi_star = soft_policy(q_star_t, mdp_t.mu)
+    j_star = float(mdp_t.rho @ soft_values(q_star_t, mdp_t.mu))
+    return _planner_step(state, mdp_t, q_star_t, pi_star, j_star, cfg, eps)
+
+
+def _planner_step(state, mdp_t, q_star_t, pi_star, j_star, cfg, eps):
+    """planner_step given q_star_t's soft-optimal policy pi_star and J*_t."""
     played = state.policy
     _check_floor(eps, played.shape[1])
     _check_iterates(played, eps)
     if (played <= 0.0).any():
         raise BoundaryIterate("entropy gradient needs all coordinates > 0")
     mu = mdp_t.mu
-    pi_star = soft_policy(q_star_t, mu)
     if state.prev_q is None:
         raw = 0.0
         alpha_true = 0.0
@@ -75,7 +81,6 @@ def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
     lam, proxy = next_lambda(cfg, state.proxy, raw, alpha_true)
     eta = eta_from_lambda(lam, state.eta_prev, cfg)
 
-    j_star = float(mdp_t.rho @ soft_values(q_star_t, mu))
     j_played = soft_return(mdp_t, played)
     oco_gaps = _surrogate_gap(q_star_t, played, pi_star, mu)
 
@@ -144,8 +149,9 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
     """Drive one planner per schedule across one sequence; one RunTrace each.
 
     The solved chain (M_t, Q*_t) depends on the sequence and tol alone,
-    so it is built once and every schedule's planner_step reads it each
-    round; trace b is planner_run(seq, cfgs[b], ...) bit for bit.
+    so it is built once, and each round's soft-optimal policy and J*_t
+    are computed once for every schedule's step to read; trace b is
+    planner_run(seq, cfgs[b], ...) bit for bit.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -158,10 +164,13 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
     runs = [([], [], []) for _ in cfgs]  # policies, records, state alpha rows
 
     for mdp_t, q_star in _solved_tables(mdps, tol):
+        pi_star = soft_policy(q_star, mdp_t.mu)
+        j_star = float(mdp_t.rho @ soft_values(q_star, mdp_t.mu))
         for b, (cfg, (policies, records, alpha_rows)) in enumerate(zip(cfgs, runs)):
             policies.append(states[b].policy)
             prev_pi = states[b].prev_pi
-            states[b], rec = planner_step(states[b], mdp_t, q_star, cfg, eps)
+            states[b], rec = _planner_step(states[b], mdp_t, q_star, pi_star, j_star,
+                                           cfg, eps)
             records.append(rec)
             if collect_oco:
                 alpha_rows.append(np.zeros(n_states) if prev_pi is None

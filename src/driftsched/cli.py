@@ -70,13 +70,13 @@ class ExperimentConfig:
         return f"{self.task_kind}-{self.n_states}x{self.n_actions}"
 
 
-def _require(doc: dict, key: str, kind, path: str):
-    if key not in doc:
+def _require(doc: dict, key: str, kind, path: str, default=None):
+    """doc[key], which must be a kind (a bool is no int); default when the
+    key is absent, or a missing-key error if there is no default."""
+    if key not in doc and default is None:
         raise ConfigError(f"missing key {path}{key}")
-    val = doc[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
+    val = doc.get(key, default)
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise ConfigError(f"{path}{key} must be {kind.__name__}, got {val!r}")
     return val
 
@@ -142,16 +142,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
                     "a number in (0, 1)")
     mu = _number(task, "mu", 0.2, "task.")
     r_max = _number(task, "r_max", 1.0, "task.")
-    drift_doc = _require(task, "drift", dict, "task.") if "drift" in task else {}
-    _check_keys(drift_doc, DRIFT_KEYS, "task.drift.")
+    at = "task.drift."
+    drift_doc = _require(task, "drift", dict, "task.", {})
+    _check_keys(drift_doc, DRIFT_KEYS, at)
+    change_times = _require(drift_doc, "change_times", list, at, [])
+    if not all(type(tc) is int for tc in change_times):
+        raise ConfigError(f"{at}change_times={change_times!r} must list integers")
+    in_unit = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
     drift = DriftSpec(
-        change_times=tuple(drift_doc.get("change_times", ())),
-        magnitude=drift_doc.get("magnitude", 1.0),
-        period=drift_doc.get("period", 0),
-        amplitude=drift_doc.get("amplitude", 0.0),
-        reward_drift=drift_doc.get("reward_drift", True),
-        transition_drift=drift_doc.get("transition_drift", False),
-        jitter=_number(drift_doc, "jitter", 0.0, "task.drift.", lambda v: v >= 0.0,
+        change_times=tuple(change_times),
+        magnitude=_number(drift_doc, "magnitude", 1.0, at, *in_unit),
+        period=_require(drift_doc, "period", int, at, 0),
+        amplitude=_number(drift_doc, "amplitude", 0.0, at, *in_unit),
+        reward_drift=_require(drift_doc, "reward_drift", bool, at, True),
+        transition_drift=_require(drift_doc, "transition_drift", bool, at, False),
+        jitter=_number(drift_doc, "jitter", 0.0, at, lambda v: v >= 0.0,
                        "a finite number >= 0"),
     )
     methods = []

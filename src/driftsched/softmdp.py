@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class TabularMdp:
 
     def q_bound(self) -> float:
         """Sup-norm bound on the soft-optimal Q table."""
-        return (self.r_max + self.gamma * self.mu * math.log(self.n_actions)) / (
+        return (self.r_max + self.gamma * self.mu * math.log(self.rewards.shape[-1])) / (
             1.0 - self.gamma
         )
 
@@ -100,24 +101,38 @@ def soft_bellman_apply(mdp: TabularMdp, q: np.ndarray) -> np.ndarray:
     """One application of the smoothed optimality backup.
 
     (TQ)(s,a) = r(s,a) + gamma * sum_s' P(s'|s,a) V(s') with V the
-    rowwise log-sum-exp of Q at temperature mu.
+    rowwise log-sum-exp of Q at temperature mu; an _MdpStack backs up
+    its (n, S, A) stack of tables.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != mdp.rewards.shape:
         raise ShapeMismatch(f"Q must be {mdp.rewards.shape}, got {q.shape}")
     v = soft_values(q, mdp.mu)
-    return mdp.rewards + mdp.gamma * (mdp.transitions @ v)
+    return mdp.rewards + mdp.gamma * (mdp.transitions @ v[..., None, :, None])[..., 0]
 
 
-def solve_soft_q(mdp: TabularMdp, tol: float = 1e-9,
+class _MdpStack(NamedTuple):
+    """Same-shaped MDPs sharing gamma, mu and r_max: rewards (n, S, A), P (n, S, A, S)."""
+
+    rewards: np.ndarray
+    transitions: np.ndarray
+    gamma: float
+    mu: float
+    r_max: float = 1.0
+    q_bound = TabularMdp.q_bound
+
+
+def solve_soft_q(mdp: TabularMdp | _MdpStack, tol: float = 1e-9,
                  q_init: np.ndarray | None = None) -> np.ndarray:
-    """Value-iterate the smoothed backup from q_init (default Q = 0) to a
-    tol-accurate fixed point.
+    """Soft policy iteration from q_init (default Q = 0): each Newton step
+    replaces Q by the exact value Q^pi of pi = softmax(Q/mu) (Geist,
+    Scherrer & Pietquin, "A Theory of Regularized MDPs", ICML 2019).
 
-    Stops when successive iterates differ by at most tol*(1-gamma) in
-    sup norm, which leaves the fixed-point residual ||TQ - Q|| <= tol.
-    Sweep k's step is at most 2 gamma^k (q_bound + ||q_init||), which
-    bounds the sweeps; a warm start from a nearby table takes fewer.
+    Returns TQ once ||TQ - Q|| <= tol*(1-gamma) in sup norm, so that
+    ||T(TQ) - TQ|| <= tol. Past the first step the iterates are policy
+    values, each at least a sweep closer to Q*, so value iteration's sweep
+    bound caps the steps; a nearby warm start takes fewer. A stack is one
+    chain with one stopping test over the stack.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -126,17 +141,14 @@ def solve_soft_q(mdp: TabularMdp, tol: float = 1e-9,
     if not math.isfinite(reach):
         raise ValueError("q_init must be finite")
     target = tol * (1.0 - mdp.gamma)
-    max_iter = (
-        math.ceil(math.log(target / (2.0 * (mdp.q_bound() + reach) + 1e-12))
-                  / math.log(mdp.gamma))
-        + 16
-    )
-    for _ in range(max(max_iter, 1)):
+    max_steps = 16 + math.ceil(
+        math.log(target / (2.0 * (mdp.q_bound() + reach) + 1e-12)) / math.log(mdp.gamma))
+    for _ in range(max(max_steps, 1)):
         q_next = soft_bellman_apply(mdp, q)
         if np.abs(q_next - q).max() <= target:
             return q_next
-        q = q_next
-    raise NoConvergence(f"value iteration did not reach {target} in {max_iter} sweeps")
+        q, _ = _evaluate(mdp, soft_policy(q, mdp.mu))
+    raise NoConvergence(f"soft policy iteration did not reach {target} in {max_steps} steps")
 
 
 def soft_policy(q: np.ndarray, mu: float) -> np.ndarray:
@@ -154,33 +166,23 @@ def _policy_entropy_terms(pi: np.ndarray) -> np.ndarray:
     return t.sum(axis=-1)
 
 
-def policy_eval(mdp: TabularMdp, pi: np.ndarray, tol: float = 1e-9):
-    """Entropy-augmented evaluation of a fixed policy.
+def _evaluate(mdp: TabularMdp | _MdpStack, pi: np.ndarray):
+    """(Q^pi, V^pi) of pi: V solves (I - gamma P_pi) V = sum_a pi (r - mu log pi)
+    directly, and Q = r + gamma P V; a stack solves its n systems in one call."""
+    p_pi = np.einsum("...sa,...saz->...sz", pi, mdp.transitions)
+    per_state = (pi * mdp.rewards).sum(axis=-1) - mdp.mu * _policy_entropy_terms(pi)
+    lhs = np.eye(p_pi.shape[-1]) - mdp.gamma * p_pi
+    v = np.linalg.solve(lhs, per_state[..., None])[..., 0]
+    return mdp.rewards + mdp.gamma * (mdp.transitions @ v[..., None, :, None])[..., 0], v
 
-    Iterates Q(s,a) = r + gamma E_{s'}[V(s')] with
-    V(s) = sum_a pi(a|s) (Q(s,a) - mu log pi(a|s)) to the same stopping
-    rule as the optimality solver. Returns (Q, V).
-    """
+
+def policy_eval(mdp: TabularMdp, pi: np.ndarray):
+    """Entropy-augmented values (Q, V) of a fixed policy by one direct solve:
+    V(s) = sum_a pi(a|s) (Q(s,a) - mu log pi(a|s)), Q(s,a) = r + gamma E[V(s')]."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape != mdp.rewards.shape:
         raise ShapeMismatch(f"policy must be {mdp.rewards.shape}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    ent = -mdp.mu * _policy_entropy_terms(pi)  # mu * H(pi(.|s)) >= 0
-    target = tol * (1.0 - mdp.gamma)
-    max_iter = (
-        math.ceil(math.log(target / (2.0 * mdp.q_bound() + 1e-12)) / math.log(mdp.gamma))
-        + 16
-    )
-    q = np.zeros_like(mdp.rewards)
-    for _ in range(max(max_iter, 1)):
-        v = (pi * q).sum(axis=1) + ent
-        q_next = mdp.rewards + mdp.gamma * (mdp.transitions @ v)
-        if np.abs(q_next - q).max() <= target:
-            v = (pi * q_next).sum(axis=1) + ent
-            return q_next, v
-        q = q_next
-    raise NoConvergence(f"policy evaluation did not reach {target} in {max_iter} sweeps")
+    return _evaluate(mdp, pi)
 
 
 def occupancy(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:

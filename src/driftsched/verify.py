@@ -4,7 +4,8 @@ Each check draws seeded samples, evaluates an independent left- and
 right-hand side, and reports the worst violation against a stated
 tolerance. Identities use |lhs - rhs|, inequalities use lhs - rhs.
 Tolerances are absolute and include solver-propagated slack where fixed
-points are involved.
+points are involved: those come from softmdp.solve_soft_q, on a stack of
+MDPs where a check needs many, and satisfy ||TQ - Q|| <= solver_tol.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .simplex import (
     truncate,
 )
 from .softmdp import (
+    _MdpStack,
     DriftSpec,
     SoftMdpSequence,
     TabularMdp,
@@ -37,6 +39,7 @@ from .softmdp import (
     soft_bellman_apply,
     soft_policy,
     soft_values,
+    solve_soft_q,
     surrogate_gap,
 )
 
@@ -327,28 +330,8 @@ def _check_offline_lambda_minimizer(seed):
 
 
 # ---------------------------------------------------------------------------
-# soft MDP machinery
-
-
-def _solve_batch(rewards, transitions, gamma, mu, tol):
-    """Value-iterate a stack of same-shaped MDPs to tol-accurate fixed points."""
-    target = tol * (1.0 - gamma)
-    q = np.zeros_like(rewards)
-    r_max = float(np.abs(rewards).max()) + 1e-9
-    q_bound = (r_max + gamma * mu * math.log(rewards.shape[-1])) / (1.0 - gamma)
-    max_iter = math.ceil(math.log(target / (2 * q_bound)) / math.log(gamma)) + 16
-    for _ in range(max_iter):
-        v = mu * _batch_lse(q / mu)
-        q_next = rewards + gamma * np.einsum("...saz,...z->...sa", transitions, v)
-        if np.abs(q_next - q).max() <= target:
-            return q_next
-        q = q_next
-    raise RuntimeError("batched value iteration did not converge")
-
-
-def _batch_lse(z):
-    m = z.max(axis=-1, keepdims=True)
-    return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
+# soft MDP machinery: a check that needs many fixed points solves them with
+# one soft policy iteration on an _MdpStack; policy values are direct solves
 
 
 def _random_mdp_batch(rng, n, s, a, r_max=1.0):
@@ -417,7 +400,7 @@ def _check_fixed_point_sensitivity(seed, n=1000, solver_tol=1e-10):
     pairs = [_perturbed_pair(rng, s_dim, a_dim, gamma, mu) for _ in range(n)]
     rewards = np.stack([m.rewards for pair in pairs for m in pair])
     transitions = np.stack([m.transitions for pair in pairs for m in pair])
-    q_all = _solve_batch(rewards, transitions, gamma, mu, solver_tol)
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
 
     samples = []
     for i, (m1, m2) in enumerate(pairs):
@@ -436,7 +419,7 @@ def _check_q_value_bounds(seed, n=1000, solver_tol=1e-9):
     rng = _rng(seed, "q_value_bounds")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
     rewards, transitions = _random_mdp_batch(rng, n, s_dim, a_dim)
-    q_all = _solve_batch(rewards, transitions, gamma, mu, solver_tol)
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
     q_bound = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     v_bound = (1.0 + mu * math.log(a_dim)) / (1.0 - gamma)
 
@@ -474,7 +457,7 @@ def _check_squared_drift_conversion(seed, n_sequences=100, steps=12,
         seq = generate_sequence(spec)
         rewards = np.stack([m.rewards for m in seq])
         transitions = np.stack([m.transitions for m in seq])
-        q_all = _solve_batch(rewards, transitions, gamma, mu, solver_tol)
+        q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
         drifts = np.abs(np.diff(q_all, axis=0)).max(axis=(1, 2))
         q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
         samples.append((float((drifts ** 2).sum()),
@@ -489,7 +472,7 @@ def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):
     rng = _rng(seed, "surrogate_gap_range")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
     rewards, transitions = _random_mdp_batch(rng, n, s_dim, a_dim)
-    q_all = _solve_batch(rewards, transitions, gamma, mu, solver_tol)
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
     policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
@@ -510,7 +493,7 @@ def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):
     rng = _rng(seed, "occupancy_mismatch_bound")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
     rewards, transitions = _random_mdp_batch(rng, n, s_dim, a_dim)
-    q_all = _solve_batch(rewards, transitions, gamma, mu, solver_tol)
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
     rho = np.full(s_dim, 1.0 / s_dim)
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
@@ -574,7 +557,7 @@ def _check_fenchel_young_gap(seed):
                           n=1000, tol=1e-10, seed=seed)
 
 
-def _check_performance_difference(seed, n=200, solver_tol=1e-11):
+def _check_performance_difference(seed, n=200):
     def sampler(rng):
         mdp = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=rng)
         pi = rng.dirichlet(np.ones(3), size=4)
@@ -583,13 +566,13 @@ def _check_performance_difference(seed, n=200, solver_tol=1e-11):
 
     def lhs(s):
         mdp, pi, pi_prime = s
-        _, v = policy_eval(mdp, pi, solver_tol)
-        _, v_prime = policy_eval(mdp, pi_prime, solver_tol)
+        _, v = policy_eval(mdp, pi)
+        _, v_prime = policy_eval(mdp, pi_prime)
         return float(mdp.rho @ (v_prime - v))
 
     def rhs(s):
         mdp, pi, pi_prime = s
-        q_pi, v_pi = policy_eval(mdp, pi, solver_tol)
+        q_pi, v_pi = policy_eval(mdp, pi)
         with np.errstate(divide="ignore"):
             log_pi = np.where(pi > 0.0, np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
         adv = q_pi - mdp.mu * log_pi - v_pi[:, None]

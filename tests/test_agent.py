@@ -350,7 +350,7 @@ class TestPlannerMatchesPerStateLoop:
         def no_rounds(*args, **kwargs):
             raise AssertionError("planner_step ran")
 
-        monkeypatch.setattr(agent, "planner_step", no_rounds)
+        monkeypatch.setattr(agent, "_planner_step", no_rounds)
         with pytest.raises(InvalidEpsilon):
             planner_run(drifting_random_spec("abrupt", horizon=5), ScheduleConfig(), eps=eps)
 
@@ -392,11 +392,31 @@ class TestPlannerMatchesPerStateLoop:
             assert len(calls) == len(tr) == 12
 
 
+def reference_solve(mdp, tol, q):
+    """Soft policy iteration from q, each step a dense solve for the values of
+    pi = softmax(q / mu); returns T q once ||T q - q|| <= tol (1 - gamma)."""
+    from driftsched.softmdp import soft_bellman_apply
+
+    n_states = mdp.rewards.shape[0]
+    while True:
+        tq = soft_bellman_apply(mdp, q)
+        if np.abs(tq - q).max() <= tol * (1.0 - mdp.gamma):
+            return tq
+        pi = soft_policy(q, mdp.mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            neg_ent = np.where(pi > 0.0, pi * np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
+        p_pi = np.einsum("sa,saz->sz", pi, mdp.transitions)
+        v = np.linalg.solve(np.eye(n_states) - mdp.gamma * p_pi,
+                            (pi * mdp.rewards).sum(axis=1) - mdp.mu * neg_ent.sum(axis=1))
+        q = mdp.rewards + mdp.gamma * (mdp.transitions @ v)
+
+
 def reference_planner_run(seq, cfg, eps, tol=1e-9):
-    """The per-cell planner_run loop, with its own solve chain: a cold solve,
-    then plain value iteration from the last table at each new MDP."""
+    """The per-cell planner_run loop, with its own solve chain: soft policy
+    iteration, cold at the first MDP, then warm from the last table at each
+    new MDP."""
     from driftsched.agent import PlannerState
-    from driftsched.softmdp import generate_sequence, soft_bellman_apply
+    from driftsched.softmdp import generate_sequence
 
     if isinstance(seq, SoftMdpSequence):
         mdps, pattern, seed = generate_sequence(seq), seq.pattern, seq.seed
@@ -409,16 +429,11 @@ def reference_planner_run(seq, cfg, eps, tol=1e-9):
     prev, q_star = None, None
     for mdp_t in mdps:
         if q_star is None:
-            q_star = solve_soft_q(mdp_t, tol)
+            q_star = reference_solve(mdp_t, tol, np.zeros_like(mdp_t.rewards))
         elif not (mdp_t is prev or (np.array_equal(mdp_t.rewards, prev.rewards) and
                                     np.array_equal(mdp_t.transitions, prev.transitions) and
                                     (mdp_t.gamma, mdp_t.mu) == (prev.gamma, prev.mu))):
-            q = q_star
-            while True:
-                q_star = soft_bellman_apply(mdp_t, q)
-                if np.abs(q_star - q).max() <= tol * (1.0 - mdp_t.gamma):
-                    break
-                q = q_star
+            q_star = reference_solve(mdp_t, tol, q_star)
         prev = mdp_t
         policies.append(state.policy)
         prev_pi = state.prev_pi
@@ -514,6 +529,37 @@ class TestPlannerRunMany:
         planner_run_many(spec, list(PLANNER_SCHEDULES.values()))
         assert one > 20 and len(sweeps) == one
 
+    def test_newton_steps_per_solve(self, monkeypatch):
+        # value iteration took about 170 sweeps a round on this chain
+        from driftsched import agent, softmdp
+
+        steps, solves = [], []
+        real_apply, real_solve = softmdp.soft_bellman_apply, agent.solve_soft_q
+        monkeypatch.setattr(softmdp, "soft_bellman_apply",
+                            lambda *a: steps.append(1) or real_apply(*a))
+        monkeypatch.setattr(agent, "solve_soft_q",
+                            lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+        planner_run(drifting_random_spec("periodic", horizon=20), PLANNER_SCHEDULES["online"])
+        assert len(solves) == 20
+        assert len(steps) <= 10 * len(solves)
+
+    def test_table_terms_once_per_round(self, monkeypatch):
+        from driftsched import agent, planner_run_many
+
+        calls = {"soft_policy": 0, "soft_values": 0}
+        for name in calls:
+            real = getattr(agent, name)
+
+            def counted(*a, _name=name, _real=real, **k):
+                calls[_name] += 1
+                return _real(*a, **k)
+
+            monkeypatch.setattr(agent, name, counted)
+        traces = planner_run_many(drifting_random_spec("periodic", horizon=12),
+                                  list(PLANNER_SCHEDULES.values()))
+        assert len(traces) == 3
+        assert calls == {"soft_policy": 12, "soft_values": 12}  # J* is rho . soft_values
+
     def test_planner_run_is_one_schedule(self):
         from driftsched import planner_run_many
 
@@ -533,7 +579,7 @@ class TestPlannerRunMany:
         def no_rounds(*args, **kwargs):
             raise AssertionError("ran a round")
 
-        monkeypatch.setattr(agent, "planner_step", no_rounds)
+        monkeypatch.setattr(agent, "_planner_step", no_rounds)
         monkeypatch.setattr(agent, "solve_soft_q", no_rounds)
         spec = drifting_random_spec("abrupt", horizon=5)
         with pytest.raises(LengthMismatch):

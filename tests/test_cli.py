@@ -146,6 +146,20 @@ class TestParseConfig:
         (("task", "drift", "jitter"), -1, "task.drift.jitter"),
         (("task", "drift", "jitter"), math.inf, "task.drift.jitter"),
         (("seeds",), [0, True], "seeds"),
+        (("horizon",), True, "horizon must be int"),
+        (("task", "n_states"), True, "task.n_states"),
+        (("task", "n_actions"), 3.0, "task.n_actions"),
+        (("task", "drift", "period"), 8.5, "task.drift.period"),
+        (("task", "drift", "period"), True, "task.drift.period"),
+        (("task", "drift", "magnitude"), "x", "task.drift.magnitude"),
+        (("task", "drift", "magnitude"), 1.5, "task.drift.magnitude"),
+        (("task", "drift", "amplitude"), math.nan, "task.drift.amplitude"),
+        (("task", "drift", "jitter"), "0", "task.drift.jitter"),
+        (("task", "drift", "change_times"), ["10"], "task.drift.change_times"),
+        (("task", "drift", "change_times"), [10.0], "task.drift.change_times"),
+        (("task", "drift", "change_times"), 10, "task.drift.change_times"),
+        (("task", "drift", "reward_drift"), "no", "task.drift.reward_drift"),
+        (("task", "drift", "transition_drift"), 1, "task.drift.transition_drift"),
     ])
     def test_bad_input_rejected_before_any_file(self, tmp_path, capsys, where, value,
                                                 match):

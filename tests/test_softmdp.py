@@ -5,6 +5,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftsched import (
     DriftSpec,
@@ -140,28 +142,31 @@ class TestSolveSoftQ:
         with pytest.raises(ValueError):
             solve_soft_q(single_state_mdp(), tol=0.0)
 
-    def test_warm_start_sweeps_from_the_given_table(self, monkeypatch):
+    def test_warm_start_steps_from_the_given_table(self, monkeypatch):
         from driftsched import softmdp
 
-        m0, m1 = (random_mdp(6, 3, gamma=0.9, mu=0.2, rng=np.random.default_rng(s))
-                  for s in (1, 2))
+        m0, alt = (random_mdp(6, 3, gamma=0.9, mu=0.2, rng=np.random.default_rng(s))
+                   for s in (1, 2))
+        m1 = replace(m0, rewards=0.95 * m0.rewards + 0.05 * alt.rewards)  # a drift step
         q_init = solve_soft_q(m0, 1e-9)
-        target, q = 1e-9 * (1 - m1.gamma), q_init
-        while True:  # the plain value-iteration loop from q_init
-            q_next = soft_bellman_apply(m1, q)
-            if np.abs(q_next - q).max() <= target:
+        target, q, newton = 1e-9 * (1 - m1.gamma), q_init, 0
+        while True:  # the soft policy-iteration chain from q_init
+            tq = soft_bellman_apply(m1, q)
+            if np.abs(tq - q).max() <= target:
                 break
-            q = q_next
-        sweeps = []
+            q, _ = policy_eval(m1, soft_policy(q, m1.mu))
+            newton += 1
+        steps = []
         real = softmdp.soft_bellman_apply
         monkeypatch.setattr(softmdp, "soft_bellman_apply",
-                            lambda *a: sweeps.append(1) or real(*a))
+                            lambda *a: steps.append(1) or real(*a))
         warm = solve_soft_q(m1, 1e-9, q_init=q_init)
-        assert np.array_equal(warm, q_next)
-        n_warm = len(sweeps)
-        sweeps.clear()
+        assert np.array_equal(warm, tq)  # T of the last iterate
+        n_warm = len(steps)
+        assert n_warm == newton + 1  # one backup per step, plus the final test
+        steps.clear()
         cold = solve_soft_q(m1, 1e-9)
-        assert 0 < n_warm < len(sweeps)
+        assert 0 < n_warm < len(steps)
         assert np.abs(warm - cold).max() <= 2e-9 / (1 - m1.gamma)
         assert np.array_equal(solve_soft_q(m1, 1e-9, q_init=np.zeros((6, 3))), cold)
 
@@ -182,6 +187,51 @@ class TestSolveSoftQ:
             solve_soft_q(single_state_mdp(), q_init=q_init)
 
 
+    def test_step_cap_raises_no_convergence(self, monkeypatch):
+        from driftsched import softmdp
+
+        m = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=np.random.default_rng(5))
+        steps = []
+        real = softmdp.soft_bellman_apply
+        monkeypatch.setattr(softmdp, "soft_bellman_apply",
+                            lambda *a: steps.append(1) or real(*a))
+        # a step that never moves: Q stays at 0, which is no fixed point
+        monkeypatch.setattr(softmdp, "_evaluate",
+                            lambda mdp, pi: (np.zeros_like(mdp.rewards), None))
+        with pytest.raises(NoConvergence):
+            solve_soft_q(m, 1e-9)
+        cap = math.ceil(math.log(1e-9 * 0.1 / (2 * m.q_bound() + 1e-12)) / math.log(0.9)) + 16
+        assert len(steps) == cap
+
+
+def value_iteration(m, tol, q):
+    """Plain soft value iteration with its own max-shifted log-sum-exp."""
+    while True:
+        z = q / m.mu
+        top = z.max(axis=1)
+        v = m.mu * (top + np.log(np.exp(z - top[:, None]).sum(axis=1)))
+        q_next = m.rewards + m.gamma * np.einsum("saz,z->sa", m.transitions, v)
+        if np.abs(q_next - q).max() <= tol * (1 - m.gamma):
+            return q_next
+        q = q_next
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), gamma=st.floats(0.5, 0.99),
+       mu=st.floats(0.01, 2.0), n_states=st.integers(1, 8), n_actions=st.integers(1, 5),
+       warm=st.booleans())
+def test_solve_soft_q_matches_value_iteration(seed, gamma, mu, n_states, n_actions, warm):
+    # small mu gives softmax rows with exact zeros, which the entropy term skips
+    rng = np.random.default_rng(seed)
+    m = random_mdp(n_states, n_actions, gamma=gamma, mu=mu, rng=rng)
+    q_init = rng.uniform(-m.q_bound(), m.q_bound(), (n_states, n_actions)) if warm else None
+    tol = 1e-9
+    q = solve_soft_q(m, tol, q_init=q_init)
+    assert np.abs(soft_bellman_apply(m, q) - q).max() <= tol
+    want = value_iteration(m, tol, np.zeros((n_states, n_actions)))
+    assert np.abs(q - want).max() <= 2 * tol / (1 - gamma)
+
+
 class TestSoftPolicy:
     def test_constant_row_uniform(self):
         pi = soft_policy(np.zeros((2, 4)), 0.5)
@@ -200,7 +250,7 @@ class TestSoftPolicy:
 class TestPolicyEval:
     def test_deterministic_scalar(self):
         m = single_state_mdp(r=1.0, gamma=0.5, mu=1.0)
-        q, v = policy_eval(m, np.ones((1, 1)), tol=1e-10)
+        q, v = policy_eval(m, np.ones((1, 1)))
         assert q[0, 0] == pytest.approx(2.0, abs=1e-9)
         assert v[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -208,7 +258,7 @@ class TestPolicyEval:
         n_actions, gamma, mu = 4, 0.6, 0.5
         m = random_mdp(3, n_actions, gamma=gamma, mu=mu)
         m = TabularMdp(np.zeros((3, n_actions)), m.transitions, gamma, m.rho, mu)
-        _, v = policy_eval(m, np.full((3, n_actions), 0.25), tol=1e-10)
+        _, v = policy_eval(m, np.full((3, n_actions), 0.25))
         assert np.allclose(v, mu * math.log(n_actions) / (1 - gamma), atol=1e-9)
 
     def test_soft_optimality_consistency(self):
@@ -217,8 +267,45 @@ class TestPolicyEval:
             m = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=rng)
             tol = 1e-10
             q_star = solve_soft_q(m, tol)
-            _, v = policy_eval(m, soft_policy(q_star, m.mu), tol)
+            _, v = policy_eval(m, soft_policy(q_star, m.mu))
             assert np.abs(v - soft_values(q_star, m.mu)).max() <= 2 * tol * 10
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_solve(self, seed):
+        # the (S A) x (S A) system Q = r + gamma P Pi (Q - mu log pi)
+        rng = np.random.default_rng(seed)
+        n_states, n_actions = 5, 3
+        m = random_mdp(n_states, n_actions, gamma=float(rng.uniform(0.5, 0.99)),
+                       mu=float(rng.uniform(0.01, 2.0)), rng=rng)
+        pi = rng.dirichlet(np.ones(n_actions), size=n_states)
+        pi[0] = [1.0, 0.0, 0.0]  # a deterministic row: 0 log 0 = 0
+        log_pi = np.log(np.where(pi > 0, pi, 1.0))
+        follow = np.einsum("saz,zb->sazb", m.transitions, pi).reshape(
+            n_states * n_actions, n_states * n_actions)
+        bonus = -m.mu * (pi * log_pi).sum(axis=1)
+        rhs = (m.rewards + m.gamma * m.transitions @ bonus).ravel()
+        q_want = np.linalg.solve(np.eye(n_states * n_actions) - m.gamma * follow, rhs)
+        q_want = q_want.reshape(n_states, n_actions)
+        v_want = (pi * (q_want - m.mu * log_pi)).sum(axis=1)
+        q, v = policy_eval(m, pi)
+        scale = m.v_bound()
+        assert np.abs(q - q_want).max() <= 1e-12 * scale
+        assert np.abs(v - v_want).max() <= 1e-12 * scale
+
+    def test_no_backup_sweeps(self, monkeypatch):
+        from driftsched import softmdp
+
+        def no_sweeps(*args):
+            raise AssertionError("policy_eval applied the Bellman backup")
+
+        monkeypatch.setattr(softmdp, "soft_bellman_apply", no_sweeps)
+        m = random_mdp(6, 3, rng=np.random.default_rng(2))
+        policy_eval(m, np.full((6, 3), 1 / 3))
+
+    def test_policy_shape_checked(self):
+        with pytest.raises(ShapeMismatch):
+            policy_eval(random_mdp(4, 3), np.full((4, 2), 0.5))
 
 
 class TestOccupancy:
@@ -260,7 +347,7 @@ class TestSoftReturn:
         for _ in range(20):
             m = random_mdp(5, 3, gamma=0.9, mu=0.2, rng=rng)
             pi = rng.dirichlet(np.ones(3), size=5)
-            _, v = policy_eval(m, pi, tol=1e-10)
+            _, v = policy_eval(m, pi)
             assert soft_return(m, pi) == pytest.approx(float(m.rho @ v), abs=1e-6)
 
 
