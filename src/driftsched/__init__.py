@@ -52,6 +52,7 @@ from .omd import (
     proxy_bound_rhs,
     regularized_grad,
     run_dynamic,
+    run_dynamic_many,
 )
 from .softmdp import (
     DriftSpec,

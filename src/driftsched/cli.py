@@ -103,12 +103,18 @@ def _schedule_from(doc: dict, path: str) -> ScheduleConfig:
     if mode not in MODES:
         raise ConfigError(f"{path}mode must be one of {MODES}, got {mode!r}")
     kwargs = dict(
-        c1=doc.get("C1", 1.0), c2=doc.get("C2", 1.0), c=doc.get("c", 1.0),
-        lambda_min=doc.get("lambda_min", 0.05),
-        lambda_max=doc.get("lambda_max", 1.0),
-        quantile_q=doc.get("quantile_q", 0.9),
-        ema_beta=doc.get("ema_beta", 0.95),
-        mode=mode, fixed_value=doc.get("fixed_value", 0.1),
+        c1=_number(doc, "C1", 1.0, path), c2=_number(doc, "C2", 1.0, path),
+        c=_number(doc, "c", 1.0, path),
+        lambda_min=_number(doc, "lambda_min", 0.05, path),
+        lambda_max=_number(doc, "lambda_max", 1.0, path),
+        quantile_q=_number(doc, "quantile_q", 0.9, path, lambda v: 0.0 < v <= 1.0,
+                           "a number in (0, 1]"),
+        ema_beta=_number(doc, "ema_beta", 0.95, path, lambda v: 0.0 <= v < 1.0,
+                         "a number in [0, 1)"),
+        mode=mode,
+        fixed_value=_number(doc, "fixed_value", 0.1, path,
+                            lambda v: v > 0.0 or mode != "fixed",
+                            "a finite number, > 0 in fixed mode"),
     )
     if kwargs["lambda_min"] > kwargs["lambda_max"]:
         raise ConfigError(
@@ -134,7 +140,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("task.n_states and task.n_actions must be >= 1")
     if kind == "goal_chain" and n_actions != 3:
         raise ConfigError("task.n_actions must be 3 for goal_chain")
-    patterns = task.get("patterns", ["steady"])
+    patterns = _require(task, "patterns", list, "task.", ["steady"])
     for p in patterns:
         if p not in PATTERNS:
             raise ConfigError(f"task.patterns entry {p!r} not in {PATTERNS}")
@@ -162,12 +168,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     methods = []
     for i, m in enumerate(_require(doc, "methods", list, "")):
         path = f"methods[{i}]."
+        if not isinstance(m, dict):
+            raise ConfigError(f"methods[{i}] must be an object, got {m!r}")
         _check_keys(m, METHOD_KEYS, path)
         name = _require(m, "name", str, path)
         agent = _require(m, "agent", str, path)
         if agent not in ("planner", "td"):
             raise ConfigError(f"{path}agent must be 'planner' or 'td'")
-        schedule = _schedule_from(m.get("schedule", {}), path + "schedule.")
+        schedule = _schedule_from(_require(m, "schedule", dict, path, {}),
+                                  path + "schedule.")
         if agent == "td" and schedule.mode == "oracle":
             raise ConfigError(f"{path}schedule.mode 'oracle' needs the true drift, "
                               f"which a td agent does not observe")
@@ -213,7 +222,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         gamma=gamma, mu=mu, r_max=r_max, patterns=list(patterns), drift=drift,
         methods=methods, seeds=list(seeds), horizon=horizon, **knobs,
         learn_rate=learn_rate, eps=eps, solver_tol=solver_tol,
-        output_dir=doc.get("output_dir", "out"),
+        output_dir=_require(doc, "output_dir", str, "", "out"),
     )
 
 

@@ -51,14 +51,13 @@ class OmdState:
     t: int = 0
 
 
-def _mirror_step(logp: np.ndarray, g: np.ndarray, eta: float,
-                 eps: float) -> np.ndarray:
+def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float) -> np.ndarray:
     """Row-wise multiplicative-weights step on (..., K) arrays.
 
     logits = logp - eta * g, minus the row max, exp, divided by the row
     sum (traces and reports depend on this order bit for bit); with
     eps > 0 only rows below the floor go through truncate. g includes
-    the regularizer.
+    the regularizer; eta is one step size or a (..., 1) column of them.
     """
     logits = logp - eta * g
     logits -= logits.max(axis=-1, keepdims=True)
@@ -69,6 +68,15 @@ def _mirror_step(logp: np.ndarray, g: np.ndarray, eta: float,
         for i in np.flatnonzero((rows < eps).any(axis=1)):
             rows[i] = truncate(rows[i], eps).probs
     return x
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., i, :] @ b[..., i, :] for every row, as one stacked matmul.
+
+    Each entry has the same bits as the row's own 1-D dot (einsum's
+    summation order differs in the last bit).
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _check_floor(eps: float, k: int) -> None:
@@ -161,86 +169,124 @@ def run_dynamic(stream, comparators, cfg: ScheduleConfig, eps: float,
 
     stream is a (T, K) array of loss gradients or a list of T
     LinearLoss; comparators holds T points of the K-simplex; cfg is the
-    schedule. Per round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero at
-    t=1) is fed to next_lambda as both the proxy and the true drift, the
-    step size follows the monotone envelope, the regret increment
-    f_t(x_t) - f_t(u_t) is recorded, and the iterate is updated on the
-    regularized gradient.
+    schedule. This is the one-stream case of run_dynamic_many, which
+    describes a round.
+    """
+    losses = stream if isinstance(stream, np.ndarray) else list(stream)
+    offsets = None
+    if len(losses) and isinstance(losses[0], LinearLoss):
+        grads = np.array([loss.grad for loss in losses])
+        offsets = [[float(loss.offset) for loss in losses]]
+    else:
+        grads = np.ascontiguousarray(losses, dtype=float)
+    us = np.array([as_probs(u) for u in comparators], dtype=float)
+    return run_dynamic_many(grads[None], us[None], [cfg], eps, offsets, x0)[0]
+
+
+def run_dynamic_many(grads, comparators, cfgs, eps: float, offsets=None,
+                     x0: SimplexVec | None = None) -> list[RunTrace]:
+    """Run B mirror-descent streams of one shape in lockstep.
+
+    grads and comparators are (B, T, K): stream b has loss gradients
+    grads[b] and comparators (points of the K-simplex) comparators[b].
+    cfgs holds the B schedules and offsets, if given, the (B, T) loss
+    offsets; every stream shares the floor eps and the start x0. Per
+    round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero at t=1) is fed to
+    next_lambda as both the proxy and the true drift, the step size
+    follows the monotone envelope, the regret increment f_t(x_t) -
+    f_t(u_t) is recorded, and the iterate is updated on the regularized
+    gradient. Each trace equals the one its stream gives alone, bit for
+    bit.
 
     The default start is uniform, which keeps the initial Bregman
     distance to any comparator at most log K.
     """
-    losses = stream if isinstance(stream, np.ndarray) else list(stream)
-    if len(losses) and isinstance(losses[0], LinearLoss):
-        grads = np.array([loss.grad for loss in losses])
-        offsets = [float(loss.offset) for loss in losses]
-    else:
-        grads, offsets = np.ascontiguousarray(losses, dtype=float), [0.0] * len(losses)
-    us = np.array([as_probs(u) for u in comparators], dtype=float)
-    horizon = len(grads)
-    if horizon != len(us) or not horizon:
-        raise LengthMismatch(f"{horizon} losses vs {len(us)} comparators")
-    if grads.ndim != 2 or us.shape != grads.shape:
+    grads = np.asarray(grads, dtype=float)
+    us = np.asarray(comparators, dtype=float)
+    n = len(cfgs)
+    if not n or len(grads) != n or len(us) != n:
+        raise LengthMismatch(f"{len(grads)} gradient streams, {len(us)} "
+                             f"comparator streams and {n} schedules")
+    horizon = grads.shape[1] if grads.ndim > 1 else 0
+    if us.ndim < 2 or horizon != us.shape[1] or not horizon:
+        raise LengthMismatch(f"{horizon} losses vs {us.shape[1:2]} comparators")
+    if grads.ndim != 3 or us.shape != grads.shape:
         raise ShapeMismatch(f"gradients {grads.shape}, comparators {us.shape}")
+    offs = np.zeros((n, horizon)) if offsets is None else np.asarray(offsets, dtype=float)
+    if offs.shape != (n, horizon):
+        raise ShapeMismatch(f"offsets {offs.shape}, want {(n, horizon)}")
     if not np.isfinite(grads).all():
         raise NonFiniteGradient("gradient contains NaN or infinity")
-    k = grads.shape[1]
+    k = grads.shape[2]
     _check_floor(eps, k)
     if x0 is None:
         x0 = SimplexVec.uniform(k)
-    x = truncate(x0, eps).probs if eps > 0.0 else as_probs(x0)
-    try:
-        d_psi_start = kl_div(us[0], x)
-    except SupportMismatch:
-        d_psi_start = math.inf
+    start = truncate(x0, eps).probs if eps > 0.0 else as_probs(x0)
+    if start.shape != (k,):
+        raise ShapeMismatch(f"start point {start.shape}, want {(k,)}")
 
-    # the schedule sees only the comparator drift, so it runs first
-    alpha_col = [0.0] + np.abs(np.diff(us, axis=0)).sum(axis=1).tolist()
-    lam_col, eta_col, proxy_col = [], [], []
-    eta, proxy = 0.0, ProxyState()
-    for alpha in alpha_col:
-        lam, proxy = next_lambda(cfg, proxy, alpha, alpha)
-        eta = eta_from_lambda(lam, eta, cfg)
-        lam_col.append(lam)
-        eta_col.append(eta)
-        # what the schedule actually accumulated (smoothed for online mode)
-        proxy_col.append(proxy.ema_value if cfg.mode == "online" else alpha)
+    # the schedule sees only the comparator drift, so it runs first, a
+    # stream at a time
+    lam = np.empty((n, horizon))
+    eta = np.empty((n, horizon))
+    alphas, proxies = [], []
+    for b, cfg in enumerate(cfgs):
+        alpha_col = [0.0] + np.abs(np.diff(us[b], axis=0)).sum(axis=1).tolist()
+        lam_col, eta_col, proxy_col = [], [], []
+        eta_t, proxy = 0.0, ProxyState()
+        for alpha in alpha_col:
+            lam_t, proxy = next_lambda(cfg, proxy, alpha, alpha)
+            eta_t = eta_from_lambda(lam_t, eta_t, cfg)
+            lam_col.append(lam_t)
+            eta_col.append(eta_t)
+            # what the schedule actually accumulated (smoothed for online mode)
+            proxy_col.append(proxy.ema_value if cfg.mode == "online" else alpha)
+        lam[b], eta[b] = lam_col, eta_col
+        alphas.append(np.asarray(alpha_col))
+        proxies.append(np.asarray(proxy_col))
 
-    xs = np.empty((horizon + 1, k))
-    xs[0] = x
-    inc = np.empty(horizon)
+    xs = np.empty((n, horizon + 1, k))
+    xs[:, 0] = start
     for t in range(horizon):
-        g, off, x = grads[t], offsets[t], xs[t]
-        inc[t] = (float(g @ x) + off) - (float(g @ us[t]) + off)
+        x = xs[:, t]
         if eps == 0.0 and not (x > 0.0).all():
             raise BoundaryIterate("entropy gradient needs all coordinates > 0")
         logp = np.log(x)
-        xs[t + 1] = _mirror_step(logp, g + lam_col[t] * (1.0 + logp),
-                                 eta_col[t], eps)
+        xs[:, t + 1] = _mirror_step(logp, grads[:, t] + lam[:, t, None] * (1.0 + logp),
+                                    eta[:, t, None], eps)
     _check_iterates(xs, eps)
+    inc = ((_row_dots(grads, xs[:, :horizon]) + offs)
+           - (_row_dots(grads, us) + offs))
 
-    columns = {
-        "t": np.arange(1, horizon + 1),
-        "lambda": np.asarray(lam_col),
-        "eta": np.asarray(eta_col),
-        "alpha": np.asarray(alpha_col),
-        "proxy": np.asarray(proxy_col),
-        "regret_inc": inc,
-        "regret_cum": np.cumsum(inc),
-    }
-    meta = {
-        "k": k,
-        "eps": eps,
-        "g_bound": float(np.abs(grads).max()),
-        "c": cfg.c,
-        "lambda_min": cfg.lambda_min,
-        "lambda_max": cfg.lambda_max,
-        "lambda1": lam_col[0],
-        "cfg_c1": cfg.c1,
-        "cfg_c2": cfg.c2,
-        "d_psi_start": d_psi_start,  # divergence from x_1 to the first comparator
-    }
-    return RunTrace(columns=columns, meta=meta, iterates=xs[:horizon])
+    traces = []
+    for b, cfg in enumerate(cfgs):
+        try:
+            d_psi_start = kl_div(us[b, 0], start)
+        except SupportMismatch:
+            d_psi_start = math.inf
+        columns = {
+            "t": np.arange(1, horizon + 1),
+            "lambda": lam[b],
+            "eta": eta[b],
+            "alpha": alphas[b],
+            "proxy": proxies[b],
+            "regret_inc": inc[b],
+            "regret_cum": np.cumsum(inc[b]),
+        }
+        meta = {
+            "k": k,
+            "eps": eps,
+            "g_bound": float(np.abs(grads[b]).max()),
+            "c": cfg.c,
+            "lambda_min": cfg.lambda_min,
+            "lambda_max": cfg.lambda_max,
+            "lambda1": float(lam[b, 0]),
+            "cfg_c1": cfg.c1,
+            "cfg_c2": cfg.c2,
+            "d_psi_start": d_psi_start,  # divergence from x_1 to the first comparator
+        }
+        traces.append(RunTrace(columns=columns, meta=meta, iterates=xs[b, :horizon]))
+    return traces
 
 
 def bound_rhs(trace: RunTrace, consts: ExplicitConstants) -> float:

@@ -10,6 +10,7 @@ MDPs where a check needs many, and satisfy ||TQ - Q|| <= solver_tol.
 
 from __future__ import annotations
 
+import copy
 import math
 import zlib
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SamplerFailure
-from .omd import ExplicitConstants, bound_rhs, proxy_bound_rhs, run_dynamic
+from .omd import (ExplicitConstants, bound_rhs, proxy_bound_rhs, run_dynamic,
+                  run_dynamic_many)
 from .scheduler import ScheduleConfig, offline_lambda
 from .simplex import (
     bregman_neg_entropy,
@@ -622,23 +624,46 @@ def _tight_tradeoff_instance(horizon=1000):
     return grads, comparators, cfg, 0.25
 
 
+def _redraw(k, snapshots, horizon):
+    """(B, T, K) gradients and comparators of one piecewise stream per generator."""
+    grads = np.empty((len(snapshots), horizon, k))
+    comparators = np.empty_like(grads)
+    for j, snapshot in enumerate(snapshots):
+        grads[j], comparators[j] = _piecewise_stream(snapshot, k, horizon)
+    return grads, comparators
+
+
+def _per_stream(rng, n_streams, horizon, results_of):
+    """One result for each of n_streams piecewise streams, in stream order.
+
+    Each stream draws its K, then its gradients and comparators, from
+    rng. results_of(k, grads, comparators) takes the (B, T, K) arrays of
+    all streams of one K and returns a result per stream. A group is
+    redrawn from copies of rng taken before each of its streams' draws:
+    the numbers are those of the in-order draw, and only one group's
+    arrays are held at a time.
+    """
+    groups = {}
+    for i in range(n_streams):
+        k = int(rng.integers(2, 17))
+        groups.setdefault(k, []).append((i, copy.deepcopy(rng)))
+        _piecewise_stream(rng, k, horizon)
+    results = [None] * n_streams
+    for k, members in groups.items():
+        indices, snapshots = zip(*members)
+        # no name here holds the arrays: they are freed when results_of returns
+        for i, result in zip(indices, results_of(k, *_redraw(k, snapshots, horizon))):
+            results[i] = result
+    return results
+
+
 def _check_tradeoff_bounds(seed, n_streams=100, horizon=1000, c2_factor=1.0):
     """Run online-schedule streams; check the per-round trade-off bound and
     the online-proxy bound on every one, plus the designed tight stream."""
-    rng = _rng(seed, "tradeoff_streams")
     online_cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
                                 lambda_max=1.0, ema_beta=0.0, mode="online")
 
-    def runs():  # (k, grads, comparators, cfg, eps), drawn one at a time
-        for _ in range(n_streams):
-            k = int(rng.integers(2, 17))
-            yield (k, *_piecewise_stream(rng, k, horizon), online_cfg, 1e-6)
-        yield (2, *_tight_tradeoff_instance(horizon))
-
-    tradeoff_samples = []
-    online_samples = []
-    for k, grads, comparators, cfg, eps in runs():
-        trace = run_dynamic(grads, comparators, cfg, eps)
+    def samples(trace, cfg, k):  # (trade-off sample, online-proxy sample)
         consts = ExplicitConstants.derive_from_trace(trace)
         scaled = ExplicitConstants(
             c0=math.log(k) / (cfg.c * cfg.lambda_min)
@@ -646,34 +671,42 @@ def _check_tradeoff_bounds(seed, n_streams=100, horizon=1000, c2_factor=1.0):
             c1=consts.c1, c2=c2_factor * consts.c2,
         )
         measured = float(trace.column("regret_cum")[-1])
-        tradeoff_samples.append((measured, bound_rhs(trace, scaled), k))
-        if cfg is online_cfg:
-            online_samples.append((measured, proxy_bound_rhs(trace, consts, k), k))
+        return ((measured, bound_rhs(trace, scaled), k),
+                (measured, proxy_bound_rhs(trace, consts, k), k))
 
-    tradeoff = _check_samples("coupled_tradeoff_regret_bound", tradeoff_samples, tol=1e-8)
-    online = _check_samples("online_schedule_regret_bound", online_samples, tol=1e-8)
+    def group_samples(k, grads, comparators):
+        traces = run_dynamic_many(grads, comparators, [online_cfg] * len(grads), 1e-6)
+        return [samples(trace, online_cfg, k) for trace in traces]
+
+    pairs = _per_stream(_rng(seed, "tradeoff_streams"), n_streams, horizon, group_samples)
+    grads, comparators, cfg, eps = _tight_tradeoff_instance(horizon)
+    tight, _ = samples(run_dynamic(grads, comparators, cfg, eps), cfg, 2)
+
+    tradeoff = _check_samples("coupled_tradeoff_regret_bound",
+                              [p[0] for p in pairs] + [tight], tol=1e-8)
+    online = _check_samples("online_schedule_regret_bound", [p[1] for p in pairs],
+                            tol=1e-8)
     return tradeoff, online
 
 
 def _check_oracle_schedule_bound(seed, n_streams=50, horizon=500):
-    rng = _rng(seed, "oracle_streams")
     eps = 1e-6
     cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
                          lambda_max=1.0, mode="oracle")
-    samples = []
-    for _ in range(n_streams):
-        k = int(rng.integers(2, 17))
-        grads, comparators = _piecewise_stream(rng, k, horizon)
-        g_bound = float(np.abs(grads).max())
-        consts = ExplicitConstants.derive(cfg, g_bound, k, eps, lambda1=0.0)
-        oracle_cfg = replace(cfg, c1=consts.c1, c2=consts.c2)
-        trace = run_dynamic(grads, comparators, oracle_cfg, eps)
-        alphas = trace.column("alpha")
-        rhs = consts.c0 + 2.0 * math.sqrt(consts.c1 * consts.c2) * float(
-            np.sqrt(alphas[1:]).sum()
-        )
-        samples.append((float(trace.column("regret_cum")[-1]), rhs, k))
 
+    def group_samples(k, grads, comparators):
+        consts = [ExplicitConstants.derive(cfg, float(np.abs(g).max()), k, eps, lambda1=0.0)
+                  for g in grads]
+        traces = run_dynamic_many(grads, comparators,
+                                  [replace(cfg, c1=c.c1, c2=c.c2) for c in consts], eps)
+        samples = []
+        for c, trace in zip(consts, traces):
+            alphas = trace.column("alpha")
+            rhs = c.c0 + 2.0 * math.sqrt(c.c1 * c.c2) * float(np.sqrt(alphas[1:]).sum())
+            samples.append((float(trace.column("regret_cum")[-1]), rhs, k))
+        return samples
+
+    samples = _per_stream(_rng(seed, "oracle_streams"), n_streams, horizon, group_samples)
     return _check_samples("oracle_schedule_bound", samples, tol=1e-8)
 
 

@@ -160,6 +160,22 @@ class TestParseConfig:
         (("task", "drift", "change_times"), 10, "task.drift.change_times"),
         (("task", "drift", "reward_drift"), "no", "task.drift.reward_drift"),
         (("task", "drift", "transition_drift"), 1, "task.drift.transition_drift"),
+        (("methods", 0, "schedule", "C1"), "x", r"methods\[0\].schedule.C1"),
+        (("methods", 0, "schedule", "C2"), 0.0, r"methods\[0\].schedule.C2"),
+        (("methods", 0, "schedule", "c"), math.inf, r"methods\[0\].schedule.c="),
+        (("methods", 0, "schedule", "lambda_min"), True, r"methods\[0\].schedule.lambda_min"),
+        (("methods", 0, "schedule", "lambda_max"), "1", r"methods\[0\].schedule.lambda_max"),
+        (("methods", 0, "schedule", "quantile_q"), "x", r"methods\[0\].schedule.quantile_q"),
+        (("methods", 0, "schedule", "quantile_q"), 1.5, r"methods\[0\].schedule.quantile_q"),
+        (("methods", 0, "schedule", "ema_beta"), "x", r"methods\[0\].schedule.ema_beta"),
+        (("methods", 0, "schedule", "ema_beta"), 1.0, r"methods\[0\].schedule.ema_beta"),
+        (("methods", 0, "schedule", "fixed_value"), math.nan,
+         r"methods\[0\].schedule.fixed_value"),
+        (("methods", 1, "schedule", "fixed_value"), 0, r"methods\[1\].schedule.fixed_value"),
+        (("methods", 0, "schedule"), [], r"methods\[0\].schedule must be dict"),
+        (("methods", 1), 5, r"methods\[1\] must be an object"),
+        (("output_dir",), 5, "output_dir must be str"),
+        (("task", "patterns"), 5, "task.patterns must be list"),
     ])
     def test_bad_input_rejected_before_any_file(self, tmp_path, capsys, where, value,
                                                 match):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from driftsched import (
     BoundaryIterate,
@@ -21,6 +24,7 @@ from driftsched import (
     proxy_bound_rhs,
     regularized_grad,
     run_dynamic,
+    run_dynamic_many,
 )
 
 MD_UNIFORM2_G10 = (0.26894142136999512075, 0.73105857863000487925)
@@ -324,21 +328,28 @@ def schedule_for(mode):
                           fixed_value=0.2, lambda_min=0.05, lambda_max=1.0)
 
 
+def assert_matches_reference(tr, reference):
+    """Every column (values and dtype), meta value and iterate of tr equals
+    the reference loop's."""
+    cols, meta, iterates = reference
+    assert list(tr.columns) == ["t", "lambda", "eta", "alpha", "proxy",
+                                "regret_inc", "regret_cum"]
+    for name, col in cols.items():
+        assert tr.column(name).dtype == col.dtype, name
+        assert np.array_equal(tr.column(name), col), name
+    assert tr.meta == meta
+    assert len(tr.iterates) == len(iterates)
+    for x, ref in zip(tr.iterates, iterates):
+        assert np.array_equal(x, ref)
+
+
 class TestRunDynamicMatchesPerRoundLoop:
     """run_dynamic repeats the per-round md_step loop bit for bit."""
 
     def assert_same(self, losses, stream, us, mode, eps):
-        cols, meta, iterates = reference_run_dynamic(losses, us, schedule_for(mode), eps)
         tr = run_dynamic(stream, us, schedule_for(mode), eps)
-        assert list(tr.columns) == ["t", "lambda", "eta", "alpha", "proxy",
-                                    "regret_inc", "regret_cum"]
-        for name, col in cols.items():
-            assert tr.column(name).dtype == col.dtype, name
-            assert np.array_equal(tr.column(name), col), name
-        assert tr.meta == meta
-        assert len(tr.iterates) == len(iterates)
-        for x, ref in zip(tr.iterates, iterates):
-            assert np.array_equal(x, ref)
+        assert_matches_reference(
+            tr, reference_run_dynamic(losses, us, schedule_for(mode), eps))
         return tr
 
     @pytest.mark.parametrize("mode", ["fixed", "oracle", "online"])
@@ -408,3 +419,102 @@ class TestMdStepOperationOrder:
                 want = truncate(want, eps).probs
             got = md_step(OmdState(x=SimplexVec(p)), g, eta, eps).x.probs
             assert np.array_equal(got, want)
+
+
+MIXED_MODES = ("fixed", "oracle", "online")
+
+
+def batch_of_streams(n, k, horizon, g_scale, offsets):
+    """n drifting streams of one shape, stacked, and their LinearLoss lists."""
+    draws = [drifting_stream(100 * k + b, k, horizon, g_scale, offsets) for b in range(n)]
+    grads = np.stack([d[0] for d in draws])
+    offs = np.stack([d[1] for d in draws])
+    us = np.stack([np.array(d[2]) for d in draws])
+    losses = [[LinearLoss(g, offset=float(o)) for g, o in zip(grads[b], offs[b])]
+              for b in range(n)]
+    return grads, (offs if offsets else None), us, losses
+
+
+class TestRunDynamicMany:
+    """run_dynamic_many repeats the per-round loop of every stream bit for bit."""
+
+    @pytest.mark.parametrize("offsets", [False, True])
+    @pytest.mark.parametrize("floor", ["zero", "small", "active"])
+    @pytest.mark.parametrize("k", [2, 5, 16])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_matches_per_stream_loop(self, n, k, floor, offsets):
+        eps, g_scale = {"zero": (0.0, 3.0), "small": (1e-6, 1.0),
+                        "active": (0.9 / k, 60.0)}[floor]
+        grads, offs, us, losses = batch_of_streams(n, k, 90, g_scale, offsets)
+        cfgs = [schedule_for(MIXED_MODES[b % 3]) for b in range(n)]
+        traces = run_dynamic_many(grads, us, cfgs, eps, offs)
+        assert len(traces) == n
+        for b, tr in enumerate(traces):
+            assert_matches_reference(tr, reference_run_dynamic(losses[b], us[b], cfgs[b], eps))
+            # the stream alone gives the same trace as inside the batch
+            alone = run_dynamic_many(grads[b:b + 1], us[b:b + 1], cfgs[b:b + 1], eps,
+                                     None if offs is None else offs[b:b + 1])[0]
+            assert_matches_reference(alone, reference_run_dynamic(losses[b], us[b],
+                                                                  cfgs[b], eps))
+        if floor == "active":
+            assert any((np.abs(tr.iterates - eps) < 1e-15).any() for tr in traces)
+
+    def test_shared_start_point(self):
+        grads, _, us, losses = batch_of_streams(3, 4, 60, 1.0, False)
+        x0 = SimplexVec(np.array([0.1, 0.2, 0.3, 0.4]))
+        cfgs = [schedule_for(mode) for mode in MIXED_MODES]
+        for b, tr in enumerate(run_dynamic_many(grads, us, cfgs, 1e-6, x0=x0)):
+            assert_matches_reference(tr, reference_run_dynamic(losses[b], us[b], cfgs[b],
+                                                               1e-6, x0=x0))
+
+    @pytest.mark.parametrize("change,error", [
+        (lambda a: {**a, "grads": a["grads"][:, :, :2]}, ShapeMismatch),
+        (lambda a: {**a, "grads": a["grads"][..., None]}, ShapeMismatch),
+        (lambda a: {**a, "offsets": np.zeros((3, 5))}, ShapeMismatch),
+        (lambda a: {**a, "x0": SimplexVec.uniform(2)}, ShapeMismatch),
+        (lambda a: {**a, "grads": a["grads"][:, :5]}, LengthMismatch),
+        (lambda a: {**a, "grads": a["grads"][:, :0], "comparators": a["comparators"][:, :0]},
+         LengthMismatch),
+        (lambda a: {**a, "cfgs": a["cfgs"][:2]}, LengthMismatch),
+        (lambda a: {**a, "grads": a["grads"][:0], "comparators": a["comparators"][:0],
+                    "cfgs": []}, LengthMismatch),
+        (lambda a: {**a, "eps": 0.5}, InvalidEpsilon),
+        (lambda a: {**a, "eps": -1e-9}, InvalidEpsilon),
+        (lambda a: {**a, "eps": math.nan}, InvalidEpsilon),
+        (lambda a: {**a, "grads": np.where(a["grads"] > 0.9, np.inf, a["grads"])},
+         NonFiniteGradient),
+    ])
+    def test_boundary_errors_before_round_one(self, monkeypatch, change, error):
+        from driftsched import omd
+
+        def no_round(*args):
+            raise AssertionError("a round ran before the inputs were checked")
+
+        monkeypatch.setattr(omd, "_mirror_step", no_round)
+        grads, _, us, _ = batch_of_streams(3, 3, 20, 1.0, False)
+        args = {"grads": grads, "comparators": us, "eps": 1e-6, "offsets": None,
+                "cfgs": [schedule_for(mode) for mode in MIXED_MODES], "x0": None}
+        with pytest.raises(error):
+            run_dynamic_many(**change(args))
+
+    def test_boundary_iterate_without_floor(self):
+        grads, _, us, _ = batch_of_streams(2, 2, 5, 1.0, False)
+        with pytest.raises(BoundaryIterate):
+            run_dynamic_many(grads, us, [schedule_for("fixed")] * 2, 0.0,
+                             x0=SimplexVec.vertex(2, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 32), st.data())
+def test_stacked_dot_matches_row_dots_bitwise(n, horizon, k, data):
+    # the regret increments rest on this: if a numpy or BLAS release
+    # changes the stacked dot's summation order, this fails first
+    from driftsched.omd import _row_dots
+
+    elements = st.floats(-1e6, 1e6, allow_subnormal=False)
+    a = data.draw(hnp.arrays(np.float64, (n, horizon, k), elements=elements))
+    b = data.draw(hnp.arrays(np.float64, (n, horizon + 1, k), elements=elements))[:, :horizon]
+    got = _row_dots(a, b)
+    want = np.array([[float(a[i, t] @ b[i, t]) for t in range(horizon)] for i in range(n)])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -143,3 +143,110 @@ class TestStreamDrawOrder:
         assert np.array_equal(grads, per_round)
         assert np.array_equal(comparators, np.array(us))
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_tradeoff_reports(seed, n_streams, horizon, c2_factor=1.0):
+    """The trade-off check as a per-stream loop: each stream drawn, then run
+    alone through run_dynamic."""
+    import math
+
+    from driftsched import ExplicitConstants, ScheduleConfig, bound_rhs, proxy_bound_rhs
+    from driftsched import run_dynamic
+    from driftsched.verify import (_check_samples, _piecewise_stream, _rng,
+                                   _tight_tradeoff_instance)
+
+    rng = _rng(seed, "tradeoff_streams")
+    online_cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
+                                lambda_max=1.0, ema_beta=0.0, mode="online")
+    tradeoff, online = [], []
+    for i in range(n_streams + 1):
+        if i < n_streams:
+            k = int(rng.integers(2, 17))
+            grads, comparators = _piecewise_stream(rng, k, horizon)
+            cfg, eps = online_cfg, 1e-6
+        else:
+            k = 2
+            grads, comparators, cfg, eps = _tight_tradeoff_instance(horizon)
+        trace = run_dynamic(grads, comparators, cfg, eps)
+        consts = ExplicitConstants.derive_from_trace(trace)
+        scaled = ExplicitConstants(
+            c0=math.log(k) / (cfg.c * cfg.lambda_min)
+            + c2_factor * consts.c2 * trace.meta["lambda1"],
+            c1=consts.c1, c2=c2_factor * consts.c2,
+        )
+        measured = float(trace.column("regret_cum")[-1])
+        tradeoff.append((measured, bound_rhs(trace, scaled), k))
+        if i < n_streams:
+            online.append((measured, proxy_bound_rhs(trace, consts, k), k))
+    return (_check_samples("coupled_tradeoff_regret_bound", tradeoff, tol=1e-8),
+            _check_samples("online_schedule_regret_bound", online, tol=1e-8))
+
+
+def reference_oracle_report(seed, n_streams, horizon):
+    """The oracle-schedule check as a per-stream loop through run_dynamic."""
+    import math
+    from dataclasses import replace
+
+    from driftsched import ExplicitConstants, ScheduleConfig, run_dynamic
+    from driftsched.verify import _check_samples, _piecewise_stream, _rng
+
+    rng = _rng(seed, "oracle_streams")
+    eps = 1e-6
+    cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
+                         lambda_max=1.0, mode="oracle")
+    samples = []
+    for _ in range(n_streams):
+        k = int(rng.integers(2, 17))
+        grads, comparators = _piecewise_stream(rng, k, horizon)
+        consts = ExplicitConstants.derive(cfg, float(np.abs(grads).max()), k, eps,
+                                          lambda1=0.0)
+        trace = run_dynamic(grads, comparators, replace(cfg, c1=consts.c1, c2=consts.c2),
+                            eps)
+        rhs = consts.c0 + 2.0 * math.sqrt(consts.c1 * consts.c2) * float(
+            np.sqrt(trace.column("alpha")[1:]).sum())
+        samples.append((float(trace.column("regret_cum")[-1]), rhs, k))
+    return _check_samples("oracle_schedule_bound", samples, tol=1e-8)
+
+
+def assert_same_report(ours, ref):
+    assert ours == ref
+    assert ours.max_violation.hex() == ref.max_violation.hex()
+    assert ours.worst_case == ref.worst_case and ours.samples == ref.samples
+
+
+class TestLockstepRegretChecks:
+    """The regret checks run their streams one K group at a time and still
+    report what a per-stream loop reports."""
+
+    @pytest.mark.parametrize("seed,c2_factor", [(0, 1.0), (1, 1.0), (2, 1.0), (0, 0.5)])
+    def test_tradeoff_matches_per_stream_loop(self, seed, c2_factor):
+        from driftsched.verify import _check_tradeoff_bounds
+
+        ours = _check_tradeoff_bounds(seed, n_streams=40, horizon=120, c2_factor=c2_factor)
+        ref = reference_tradeoff_reports(seed, 40, 120, c2_factor)
+        for a, b in zip(ours, ref):
+            assert_same_report(a, b)
+        assert ours[0].samples == 41 and ours[1].samples == 40
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oracle_matches_per_stream_loop(self, seed):
+        from driftsched.verify import _check_oracle_schedule_bound
+
+        ours = _check_oracle_schedule_bound(seed, n_streams=40, horizon=120)
+        assert_same_report(ours, reference_oracle_report(seed, 40, 120))
+        assert ours.samples == 40
+
+    def test_tradeoff_holds_one_group_at_a_time(self):
+        # gradients, comparators and iterates of all 100 streams at once
+        # come to 21 MB on seed 0; one K group at a time stays under 6 MB
+        import tracemalloc
+
+        from driftsched.verify import _check_tradeoff_bounds
+
+        tracemalloc.start()
+        try:
+            _check_tradeoff_bounds(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
