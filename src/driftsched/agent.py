@@ -346,22 +346,25 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     lam_hist, ema_hist = [alpha[:, 0].copy()], [np.zeros(n_learners)]
     deltas = np.zeros((n_learners, batch_size))
     eval_col = np.full((horizon, n_learners), np.nan)
-    for t in range(horizon):
-        m, i = m_idx[t], 2 * t + t // episode_len  # draws[i] resets, if t starts an episode
-        if t % episode_len == 0:
-            s = _choose(start_cdf[m], draws[i])
-        _, s, _, deltas[:, t % batch_size] = _td_transition(
-            q, rows, s, draws[i + 1], draws[i + 2], alpha, learn_rate, tables, m, k_idx[t])
-        if (t + 1) % batch_size == 0:
-            _check_td_errors(deltas)
-            raw = np.sort(np.abs(deltas), axis=1)[rows, q_rank]
-            for b, cfg in enumerate(cfgs):
-                alpha[b, 0], proxies[b] = next_lambda(cfg, proxies[b], float(raw[b]))
-            lam_hist.append(alpha[:, 0].copy())
-            ema_hist.append(np.array([p.ema_value for p in proxies]))
-        if (t + 1) % eval_every == 0:
-            for b, (mdps, _, _) in enumerate(runs):
-                eval_col[t, b] = soft_return(mdps[t], soft_policy(q[b], alpha[b, 0]))
+    # a diverging learner overflows before _check_td_errors names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            # draws[i] resets, if t starts an episode
+            m, i = m_idx[t], 2 * t + t // episode_len
+            if t % episode_len == 0:
+                s = _choose(start_cdf[m], draws[i])
+            _, s, _, deltas[:, t % batch_size] = _td_transition(
+                q, rows, s, draws[i + 1], draws[i + 2], alpha, learn_rate, tables, m, k_idx[t])
+            if (t + 1) % batch_size == 0:
+                _check_td_errors(deltas)
+                raw = np.sort(np.abs(deltas), axis=1)[rows, q_rank]
+                for b, cfg in enumerate(cfgs):
+                    alpha[b, 0], proxies[b] = next_lambda(cfg, proxies[b], float(raw[b]))
+                lam_hist.append(alpha[:, 0].copy())
+                ema_hist.append(np.array([p.ema_value for p in proxies]))
+            if (t + 1) % eval_every == 0:
+                for b, (mdps, _, _) in enumerate(runs):
+                    eval_col[t, b] = soft_return(mdps[t], soft_policy(q[b], alpha[b, 0]))
     _check_td_errors(deltas)  # the steps after the last full batch
     # step t recorded lambda before and the proxy after that step's update
     steps = np.arange(horizon)

@@ -76,9 +76,14 @@ def _require(doc: dict, key: str, kind, path: str, default=None):
     if key not in doc and default is None:
         raise ConfigError(f"missing key {path}{key}")
     val = doc.get(key, default)
-    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+    if not isinstance(val, kind) or (kind is int and not _is_int(val)):
         raise ConfigError(f"{path}{key} must be {kind.__name__}, got {val!r}")
     return val
+
+
+def _is_int(val) -> bool:
+    """An int that is no bool and that a float can hold (JSON allows more)."""
+    return type(val) is int and abs(val) <= sys.float_info.max
 
 
 def _check_keys(doc: dict, allowed, path: str) -> None:
@@ -92,7 +97,7 @@ def _number(doc: dict, key: str, default, path: str,
     """doc[key] (default if absent), which must be a finite number, not a
     bool, for which ok holds; want describes the accepted values."""
     val = doc.get(key, default)
-    if type(val) not in (int, float) or not math.isfinite(val) or not ok(val):
+    if type(val) not in (int, float) or not abs(val) <= sys.float_info.max or not ok(val):
         raise ConfigError(f"{path}{key}={val!r} must be {want}")
     return val
 
@@ -152,7 +157,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     drift_doc = _require(task, "drift", dict, "task.", {})
     _check_keys(drift_doc, DRIFT_KEYS, at)
     change_times = _require(drift_doc, "change_times", list, at, [])
-    if not all(type(tc) is int for tc in change_times):
+    if not all(_is_int(tc) for tc in change_times):
         raise ConfigError(f"{at}change_times={change_times!r} must list integers")
     in_unit = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
     drift = DriftSpec(
@@ -184,8 +189,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if len({m[0] for m in methods}) != len(methods):
         raise ConfigError("methods[].name values must be unique")
     seeds = _require(doc, "seeds", list, "")
-    if not seeds or not all(type(s) is int for s in seeds):
-        raise ConfigError("seeds must be a nonempty list of integers")
+    if not seeds or not all(_is_int(s) and s >= 0 for s in seeds):
+        raise ConfigError("seeds must be a nonempty list of integers >= 0")
     horizon = _require(doc, "horizon", int, "")
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -203,7 +208,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     knobs = {k: doc.get(k, d) for k, d in (("batch_size", 20), ("eval_every", 50),
                                            ("episode_len", 20))}
     for key, val in knobs.items():
-        if type(val) is not int or val < 1:
+        if not _is_int(val) or val < 1:
             raise ConfigError(f"{key}={val!r} must be an integer >= 1")
     learn_rate = _number(doc, "learn_rate", 0.1, "")
     solver_tol = _number(doc, "solver_tol", 1e-9, "")
@@ -489,6 +494,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, RuntimeError) as exc:  # includes NoConvergence, SingularSystem
+        print(f"run error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     SupportMismatch,
 )
-from .scheduler import ProxyState, ScheduleConfig, eta_from_lambda, next_lambda
+from .scheduler import ScheduleConfig, _schedule_columns
 from .simplex import SUM_TOL, SimplexVec, as_probs, kl_div, truncate
 from .trace import RunTrace
 
@@ -191,12 +191,14 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float, offsets=None,
     grads[b] and comparators (points of the K-simplex) comparators[b].
     cfgs holds the B schedules and offsets, if given, the (B, T) loss
     offsets; every stream shares the floor eps and the start x0. Per
-    round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero at t=1) is fed to
-    next_lambda as both the proxy and the true drift, the step size
-    follows the monotone envelope, the regret increment f_t(x_t) -
+    round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero at t=1) is the
+    schedule's proxy reading and true drift, the step size follows the
+    monotone envelope, the regret increment f_t(x_t) -
     f_t(u_t) is recorded, and the iterate is updated on the regularized
     gradient. Each trace equals the one its stream gives alone, bit for
-    bit.
+    bit. The drift column is known before round 1, so each stream's
+    schedule is one array pass (scheduler._schedule_columns, which
+    equals iterated next_lambda bit for bit).
 
     The default start is uniform, which keeps the initial Bregman
     distance to any comparator at most log K.
@@ -225,25 +227,12 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float, offsets=None,
     if start.shape != (k,):
         raise ShapeMismatch(f"start point {start.shape}, want {(k,)}")
 
-    # the schedule sees only the comparator drift, so it runs first, a
-    # stream at a time
-    lam = np.empty((n, horizon))
-    eta = np.empty((n, horizon))
-    alphas, proxies = [], []
+    # the schedule sees only the comparator drift, known before round 1
+    alpha = np.zeros((n, horizon))
+    lam, eta, proxy = np.empty((3, n, horizon))
     for b, cfg in enumerate(cfgs):
-        alpha_col = [0.0] + np.abs(np.diff(us[b], axis=0)).sum(axis=1).tolist()
-        lam_col, eta_col, proxy_col = [], [], []
-        eta_t, proxy = 0.0, ProxyState()
-        for alpha in alpha_col:
-            lam_t, proxy = next_lambda(cfg, proxy, alpha, alpha)
-            eta_t = eta_from_lambda(lam_t, eta_t, cfg)
-            lam_col.append(lam_t)
-            eta_col.append(eta_t)
-            # what the schedule actually accumulated (smoothed for online mode)
-            proxy_col.append(proxy.ema_value if cfg.mode == "online" else alpha)
-        lam[b], eta[b] = lam_col, eta_col
-        alphas.append(np.asarray(alpha_col))
-        proxies.append(np.asarray(proxy_col))
+        alpha[b, 1:] = np.abs(np.diff(us[b], axis=0)).sum(axis=1)
+        lam[b], eta[b], proxy[b] = _schedule_columns(cfg, alpha[b])
 
     xs = np.empty((n, horizon + 1, k))
     xs[:, 0] = start
@@ -268,8 +257,8 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float, offsets=None,
             "t": np.arange(1, horizon + 1),
             "lambda": lam[b],
             "eta": eta[b],
-            "alpha": alphas[b],
-            "proxy": proxies[b],
+            "alpha": alpha[b],
+            "proxy": proxy[b],
             "regret_inc": inc[b],
             "regret_cum": np.cumsum(inc[b]),
         }

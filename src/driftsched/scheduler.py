@@ -4,7 +4,9 @@ Three schedule modes share one config and one per-round rule,
 next_lambda: a fixed value, the per-round oracle sqrt(C1*alpha_t/C2),
 and the clipped online rule sqrt(C1/C2)*sqrt(A_hat_t/t) driven by an
 observable proxy (e.g. a TD-error quantile). The offline constant
-sqrt(C1*A_T/(C2*T)) is offline_lambda, run as a fixed schedule.
+sqrt(C1*A_T/(C2*T)) is offline_lambda, run as a fixed schedule. An
+open-loop carrier, whose drift column is known up front, runs the same
+rule as one array pass (_schedule_columns).
 """
 
 from __future__ import annotations
@@ -137,3 +139,37 @@ def next_lambda(cfg: ScheduleConfig, proxy: ProxyState, raw: float,
     if drift is None:
         raise ValueError("oracle mode needs the true drift")
     return oracle_lambda(drift, cfg), proxy
+
+
+def _schedule_columns(cfg: ScheduleConfig, alpha) -> tuple:
+    """next_lambda and eta_from_lambda over a whole drift column at once.
+
+    alpha[t] is round t's proxy reading and its true drift, as an
+    open-loop carrier (run_dynamic_many) knows them before round 1.
+    Returns the (lambda, eta, proxy) columns, where proxy is the EMA the
+    online rule accumulates and alpha itself in the other modes. Every
+    entry has the bits the per-round rules give: the EMA is their float
+    recurrence, np.cumsum adds in sequence like the running sum, fmax and
+    fmin drop a NaN as the scalar clip's max and min do, and the envelope
+    keeps eta_prev unless c * lambda exceeds it. A negative reading
+    raises NegativeError (a ValueError), as it would in update_proxy.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if (alpha < 0.0).any():
+        raise NegativeError("proxy reading must be nonnegative")
+    proxy = alpha
+    if cfg.mode == "fixed":
+        lam = np.full(alpha.shape, cfg.fixed_value, dtype=float)
+    elif cfg.mode == "oracle":
+        lam = np.sqrt(cfg.c1 * alpha / cfg.c2)
+    else:
+        ema, beta = alpha.tolist(), cfg.ema_beta
+        for t in range(1, len(ema)):
+            ema[t] = beta * ema[t - 1] + (1.0 - beta) * ema[t]
+        proxy = np.array(ema, dtype=float)
+        raw = math.sqrt(cfg.c1 / cfg.c2) * np.sqrt(
+            np.cumsum(proxy) / np.arange(1, len(ema) + 1))
+        lam = np.fmin(cfg.lambda_max, np.fmax(cfg.lambda_min, raw))
+    step = cfg.c * lam
+    eta = np.maximum.accumulate(np.where(step > 0.0, step, 0.0))
+    return lam, eta, proxy

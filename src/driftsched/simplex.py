@@ -132,7 +132,7 @@ def _row_lse(a: np.ndarray):
     m = tied.sum(axis=-1, keepdims=True, dtype=a.dtype)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
+        s = s / m  # scipy keeps s where s == 0; +0.0 / m is +0.0 all the same
         out = np.log1p(s) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():

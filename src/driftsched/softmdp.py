@@ -261,7 +261,14 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class SoftMdpSequence:
-    """Generator spec for a time-indexed MDP sequence; deterministic in seed."""
+    """Generator spec for a time-indexed MDP sequence; deterministic in seed.
+
+    Unless the drift gives it, the alternate endpoint is drawn from
+    default_rng(seed). A base that random_mdp draws from default_rng
+    with the same seed is that endpoint (random_mdp's default generator
+    is default_rng(0), and seed defaults to 0), so the sequence never
+    drifts: seed the base differently, as the CLI does with [seed, 1017].
+    """
 
     base: TabularMdp
     pattern: str

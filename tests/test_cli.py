@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftsched import ConfigError, RunTrace, UnknownKey
+import driftsched
+from driftsched import ConfigError, NoConvergence, RunTrace, UnknownKey
 from driftsched.cli import main, parse_config
 
 
@@ -176,6 +183,10 @@ class TestParseConfig:
         (("methods", 1), 5, r"methods\[1\] must be an object"),
         (("output_dir",), 5, "output_dir must be str"),
         (("task", "patterns"), 5, "task.patterns must be list"),
+        (("seeds",), [0, -1], "seeds"),
+        (("task", "n_states"), 10 ** 400, "task.n_states"),
+        (("learn_rate",), -10 ** 400, "learn_rate"),
+        (("methods", 0, "schedule", "C1"), 10 ** 400, r"methods\[0\].schedule.C1"),
     ])
     def test_bad_input_rejected_before_any_file(self, tmp_path, capsys, where, value,
                                                 match):
@@ -212,6 +223,51 @@ class TestParseConfig:
         doc["task"]["drift"]["change_times"] = [10 ** 6]
         with pytest.raises(ConfigError, match="change_times"):
             parse_config(doc)
+
+
+def readme_config():
+    """The minimal config the README shows, read from its first json block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+JSON_VALUES = st.recursive(
+    # JSON numbers include ints no float can hold
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
+    | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def json_nodes(doc, parent=None, key=None):
+    """(container, key, is_key) for every value and every object key under doc."""
+    if parent is not None:
+        yield parent, key, False
+    if isinstance(doc, dict):
+        for k, v in list(doc.items()):
+            yield doc, k, True
+            yield from json_nodes(v, doc, k)
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from json_nodes(v, doc, i)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.data())
+def test_parse_config_mutated_readme_config(data):
+    # one leaf, subtree or key of a valid config replaced by any JSON value
+    # (a key by any string): the config parses or raises ConfigError
+    doc = readme_config()
+    parent, key, is_key = data.draw(st.sampled_from(list(json_nodes(doc))))
+    if is_key:
+        parent[data.draw(st.text())] = parent.pop(key)
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
 
 
 class TestRunCommand:
@@ -265,6 +321,33 @@ class TestRunCommand:
         doc = base_config(tmp_path)
         doc["methods"][0]["schedule"]["lambda_min"] = 5.0
         assert main(["run", write_config(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverging_run_prints_one_line(self, tmp_path, jobs):
+        # the learner overflows: exit 1 with one line on stderr, no warnings
+        # and no traceback, also from a worker process
+        doc = base_config(tmp_path / "out", horizon=400)
+        doc["task"].update(gamma=0.99, patterns=["steady"])
+        doc["learn_rate"] = 1e6
+        src = str(Path(driftsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftsched.cli", "run", write_config(tmp_path, doc),
+             "--jobs", jobs],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "run error: TD errors are not finite: the learner diverged"]
+
+    def test_solver_failure_exit_code(self, monkeypatch, capsys):
+        from driftsched import cli
+
+        def no_convergence(seed):
+            raise NoConvergence("soft policy iteration did not converge")
+
+        monkeypatch.setattr(cli, "run_suite", no_convergence)
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().err == (
+            "run error: soft policy iteration did not converge\n")
 
     def test_bit_identical_reruns(self, tmp_path):
         doc = base_config(tmp_path / "a", horizon=200)

@@ -422,6 +422,9 @@ class TestMdStepOperationOrder:
 
 
 MIXED_MODES = ("fixed", "oracle", "online")
+# online with ema_beta 0.9 runs the EMA fold that schedule_for's ema_beta 0 skips
+MIXED_SCHEDULES = [schedule_for(mode) for mode in MIXED_MODES] + [
+    ScheduleConfig(mode="online", ema_beta=0.9, lambda_min=0.05, lambda_max=1.0)]
 
 
 def batch_of_streams(n, k, horizon, g_scale, offsets):
@@ -446,7 +449,7 @@ class TestRunDynamicMany:
         eps, g_scale = {"zero": (0.0, 3.0), "small": (1e-6, 1.0),
                         "active": (0.9 / k, 60.0)}[floor]
         grads, offs, us, losses = batch_of_streams(n, k, 90, g_scale, offsets)
-        cfgs = [schedule_for(MIXED_MODES[b % 3]) for b in range(n)]
+        cfgs = [MIXED_SCHEDULES[b % 4] for b in range(n)]
         traces = run_dynamic_many(grads, us, cfgs, eps, offs)
         assert len(traces) == n
         for b, tr in enumerate(traces):
@@ -496,6 +499,19 @@ class TestRunDynamicMany:
                 "cfgs": [schedule_for(mode) for mode in MIXED_MODES], "x0": None}
         with pytest.raises(error):
             run_dynamic_many(**change(args))
+
+    def test_no_per_round_schedule_call(self, monkeypatch):
+        from driftsched import omd, scheduler
+
+        def per_round(*args):
+            raise AssertionError("run_dynamic_many called next_lambda")
+
+        for module in (scheduler, omd):
+            monkeypatch.setattr(module, "next_lambda", per_round, raising=False)
+        grads, _, us, losses = batch_of_streams(3, 4, 50, 1.0, False)
+        cfgs = MIXED_SCHEDULES[1:]
+        for b, tr in enumerate(run_dynamic_many(grads, us, cfgs, 1e-6)):
+            assert_matches_reference(tr, reference_run_dynamic(losses[b], us[b], cfgs[b], 1e-6))
 
     def test_boundary_iterate_without_floor(self):
         grads, _, us, _ = batch_of_streams(2, 2, 5, 1.0, False)

@@ -49,6 +49,12 @@ def assert_bits_equal(ours, theirs):
 @example(np.array([[1e308, 1e308, -1e308], [-1e308, -1e308, -1e308]]))
 @example(np.array([[HUGE, HUGE], [np.inf, 1.0], [np.nan, 2.0]]))
 @example(np.array([[[3.0, 3.0, 3.0, 1.0]], [[-2.0, 7.0, 7.0, 7.0]]]))
+# the shifted sum is 0 and m = K, a one-element row, a shift that
+# overflows, and a row whose max is NaN (m = 0, s NaN): s / m needs no guard
+@example(np.full((2, 4), -1.5))
+@example(np.array([[0.25]]))
+@example(np.array([HUGE, -HUGE]))
+@example(np.array([[1.0, np.nan, 3.0], [0.0, 0.0, 1.0]]))
 def test_row_lse_matches_scipy_bitwise(a):
     with np.errstate(all="ignore"):  # scipy warns on a - max overflowing
         expected = special.logsumexp(a, axis=-1)

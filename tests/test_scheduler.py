@@ -1,7 +1,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftsched import (
@@ -17,6 +17,7 @@ from driftsched import (
     td_quantile_proxy,
     update_proxy,
 )
+from driftsched.scheduler import MODES, _schedule_columns
 
 
 def cfg(**kw):
@@ -198,3 +199,60 @@ class TestNextLambda:
         lam, proxy = next_lambda(c, ProxyState(), 0.5, drift=0.25)
         assert lam == oracle_lambda(0.25, c) == 1.0
         assert proxy.ema_value == 0.5
+
+
+def per_round_columns(c, readings):
+    """The (lambda, eta, proxy) columns of iterated next_lambda and
+    eta_from_lambda, each reading being the proxy and the true drift."""
+    lam_col, eta_col, proxy_col = [], [], []
+    proxy, eta = ProxyState(), 0.0
+    for raw in readings:
+        lam, proxy = next_lambda(c, proxy, raw, raw)
+        eta = eta_from_lambda(lam, eta, c)
+        lam_col.append(lam)
+        eta_col.append(eta)
+        proxy_col.append(proxy.ema_value if c.mode == "online" else raw)
+    return tuple(np.array(col, dtype=float) for col in (lam_col, eta_col, proxy_col))
+
+
+READINGS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, np.inf, np.nan]),
+                              st.floats(0.0, 1e6)), min_size=1, max_size=200)
+
+
+@st.composite
+def schedules(draw):
+    lambda_min = draw(st.floats(1e-4, 2.0))
+    return cfg(mode=draw(st.sampled_from(MODES)), c1=draw(st.floats(1e-3, 1e3)),
+               c2=draw(st.floats(1e-3, 1e3)), c=draw(st.floats(1e-3, 1e3)),
+               lambda_min=lambda_min,
+               lambda_max=lambda_min + draw(st.sampled_from([0.0, 0.5, 10.0])),
+               ema_beta=draw(st.floats(0.0, 1.0, exclude_max=True)),
+               fixed_value=draw(st.floats(1e-3, 10.0)))
+
+
+class TestScheduleColumns:
+    """The array pass an open-loop carrier runs equals the per-round rule."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(schedules(), READINGS)
+    # long and unsmoothed: a prefix sum in another order than the running
+    # sum's differs in the last bit here
+    @example(cfg(mode="online", ema_beta=0.0, lambda_max=1e3),
+             np.random.default_rng(0).uniform(0.0, 10.0, 200).tolist())
+    def test_matches_next_lambda_bitwise(self, c, readings):
+        got = _schedule_columns(c, np.array(readings))
+        for ours, want in zip(got, per_round_columns(c, readings)):
+            assert ours.dtype == want.dtype and ours.shape == want.shape
+            assert ours.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_negative_reading_raises_as_next_lambda_does(self, mode):
+        # in oracle mode the reading is the drift: a NegativeError is the
+        # ValueError oracle_lambda would raise, and update_proxy raises first
+        c = cfg(mode=mode)
+        readings = [0.0, 0.3, -1e-12, 0.2]
+        with pytest.raises(NegativeError) as per_round:
+            per_round_columns(c, readings)
+        with pytest.raises(NegativeError) as columns:
+            _schedule_columns(c, np.array(readings))
+        assert type(columns.value) is type(per_round.value)
