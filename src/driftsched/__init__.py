@@ -74,11 +74,9 @@ from .softmdp import (
     variation_budget,
 )
 from .agent import (
-    PlannerState,
     TdLearnerState,
     planner_run,
     planner_run_many,
-    planner_step,
     rl_dynamic_regret,
     td_step,
     td_train,

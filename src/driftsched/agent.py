@@ -4,7 +4,9 @@ Two carriers: a full-information statewise mirror-descent planner whose
 drift proxy is the sup-norm change of the solved Q table (critic
 drift), and a sampled tabular soft-TD learner whose proxy is a quantile
 of absolute TD errors and whose scheduled temperature enters both
-action sampling and the soft backup target.
+action sampling and the soft backup target. The planner's proxy depends
+on the task alone, so its schedule is fixed before round 1 (open loop);
+the TD learner's depends on its own errors (closed loop).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import (AlignmentError, BoundaryIterate, LengthMismatch,
                      NonFiniteGradient, ShapeMismatch)
 from .omd import _check_floor, _check_iterates, _mirror_step
-from .scheduler import ProxyState, ScheduleConfig, eta_from_lambda, next_lambda
+from .scheduler import ProxyState, ScheduleConfig, _schedule_columns, next_lambda
 from .simplex import _row_lse, _row_softmax
 from .softmdp import (
     _surrogate_gap,
@@ -30,81 +32,6 @@ from .softmdp import (
     solve_soft_q,
 )
 from .trace import RunTrace
-
-
-@dataclass(frozen=True)
-class PlannerState:
-    """Statewise policy iterate plus proxy bookkeeping; prev_q and prev_pi
-    are the last round's solved table and its soft-optimal policy."""
-
-    policy: np.ndarray
-    proxy: ProxyState
-    prev_q: np.ndarray | None = None
-    eta_prev: float = 0.0
-    prev_pi: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.prev_q is None) != (self.prev_pi is None):
-            raise ValueError("prev_q and prev_pi must be both set or both None")
-
-
-def planner_step(state: PlannerState, mdp_t: TabularMdp, q_star_t: np.ndarray,
-                 cfg: ScheduleConfig, eps: float):
-    """One full-information round against the solved table q_star_t.
-
-    The raw proxy is ||q_star_t - prev_q||_inf / mu, an upper bound on
-    the statewise l1 drift of the softmax-optimal policy. Every state
-    row takes one mirror step on the surrogate gradient
-    -q_star_t(s,.) + mu (1 + log pi_s) with the scheduled entropy
-    regularizer folded in. Returns the new state and a per-round record
-    including the return gap of the policy that was played.
-    """
-    pi_star = soft_policy(q_star_t, mdp_t.mu)
-    j_star = float(mdp_t.rho @ soft_values(q_star_t, mdp_t.mu))
-    return _planner_step(state, mdp_t, q_star_t, pi_star, j_star, cfg, eps)
-
-
-def _planner_step(state, mdp_t, q_star_t, pi_star, j_star, cfg, eps):
-    """planner_step given q_star_t's soft-optimal policy pi_star and J*_t."""
-    played = state.policy
-    _check_floor(eps, played.shape[1])
-    _check_iterates(played, eps)
-    if (played <= 0.0).any():
-        raise BoundaryIterate("entropy gradient needs all coordinates > 0")
-    mu = mdp_t.mu
-    if state.prev_q is None:
-        raw = 0.0
-        alpha_true = 0.0
-    else:
-        raw = float(np.abs(q_star_t - state.prev_q).max()) / mu
-        alpha_true = float(np.abs(pi_star - state.prev_pi).sum(axis=1).max())
-    lam, proxy = next_lambda(cfg, state.proxy, raw, alpha_true)
-    eta = eta_from_lambda(lam, state.eta_prev, cfg)
-
-    j_played = soft_return(mdp_t, played)
-    oco_gaps = _surrogate_gap(q_star_t, played, pi_star, mu)
-
-    logp = np.log(played)
-    g = -q_star_t + mu * (1.0 + logp) + lam * (1.0 + logp)
-    if not np.isfinite(g).all():
-        raise NonFiniteGradient("gradient contains NaN or infinity")
-    new_policy = _mirror_step(logp, g, eta, eps)
-
-    record = {
-        "lambda": lam,
-        "eta": eta,
-        "proxy_raw": raw,
-        "proxy": proxy.ema_value,
-        "alpha": alpha_true,
-        "regret_rl_inc": j_star - j_played,
-        "eval_return": j_played,
-        "oco_gaps": oco_gaps,
-    }
-    new_state = PlannerState(
-        policy=new_policy, proxy=proxy, prev_q=np.array(q_star_t), eta_prev=eta,
-        prev_pi=pi_star,
-    )
-    return new_state, record
 
 
 def _materialize(seq) -> tuple:
@@ -136,7 +63,7 @@ def _solved_tables(mdps, tol: float):
 
 def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
                 tol: float = 1e-9, collect_oco: bool = False) -> RunTrace:
-    """Drive planner_step across a sequence of MDPs (spec or list).
+    """Drive the planner across a sequence of MDPs (spec or list).
 
     eps, the floor of every policy row, must lie in [0, 1/A]. This is
     planner_run_many with one schedule.
@@ -148,10 +75,16 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
                      collect_oco: bool = False) -> list:
     """Drive one planner per schedule across one sequence; one RunTrace each.
 
-    The solved chain (M_t, Q*_t) depends on the sequence and tol alone,
-    so it is built once, and each round's soft-optimal policy and J*_t
-    are computed once for every schedule's step to read; trace b is
-    planner_run(seq, cfgs[b], ...) bit for bit.
+    The planner is open-loop: its proxy reading ||Q*_t - Q*_{t-1}||_inf / mu
+    and its true drift alpha_t = max_s ||pi*_t(s) - pi*_{t-1}(s)||_1 (both
+    0 at t = 1) depend on the solved chain alone, never on the policies
+    played. So one pass over the chain (_solved_tables) records Q*_t, its
+    soft-optimal policy pi*_t, J*_t and the readings; each schedule's
+    lambda and eta columns are one _schedule_columns pass; and a second
+    pass takes one mirror step a round on the (B, S, A) stack of policies,
+    every row on the gradient -Q*_t(s,.) + mu (1 + log pi_s) +
+    lambda_t (1 + log pi_s). Trace b is planner_run(seq, cfgs[b], ...)
+    bit for bit.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -159,44 +92,53 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
     mdps, pattern, seed = _materialize(seq)
     n_states, n_actions = mdps[0].rewards.shape
     _check_floor(eps, n_actions)
-    policy0 = np.full((n_states, n_actions), 1.0 / n_actions)
-    states = [PlannerState(policy=policy0, proxy=ProxyState())] * len(cfgs)
-    runs = [([], [], []) for _ in cfgs]  # policies, records, state alpha rows
 
+    chain, reading, drift_rows = [], [], []
     for mdp_t, q_star in _solved_tables(mdps, tol):
         pi_star = soft_policy(q_star, mdp_t.mu)
-        j_star = float(mdp_t.rho @ soft_values(q_star, mdp_t.mu))
-        for b, (cfg, (policies, records, alpha_rows)) in enumerate(zip(cfgs, runs)):
-            policies.append(states[b].policy)
-            prev_pi = states[b].prev_pi
-            states[b], rec = _planner_step(states[b], mdp_t, q_star, pi_star, j_star,
-                                           cfg, eps)
-            records.append(rec)
-            if collect_oco:
-                alpha_rows.append(np.zeros(n_states) if prev_pi is None
-                                  else np.abs(states[b].prev_pi - prev_pi).sum(axis=1))
+        q_prev, pi_prev = chain[-1][1:3] if chain else (q_star, pi_star)  # 0 at t = 1
+        reading.append(float(np.abs(q_star - q_prev).max()) / mdp_t.mu)
+        drift_rows.append(np.abs(pi_star - pi_prev).sum(axis=1))
+        chain.append((mdp_t, q_star, pi_star,
+                      float(mdp_t.rho @ soft_values(q_star, mdp_t.mu))))
+    state_alphas = np.vstack(drift_rows)
+    alpha = state_alphas.max(axis=1)
+    horizon, n = len(chain), len(cfgs)
+    lam, eta, ema = np.empty((3, n, horizon))
+    for b, cfg in enumerate(cfgs):
+        lam[b], eta[b], ema[b] = _schedule_columns(cfg, reading, alpha)
 
-    traces = []
-    for cfg, (policies, records, alpha_rows) in zip(cfgs, runs):
-        col = {name: np.asarray([rec[name] for rec in records]) for name in (
-            "lambda", "eta", "alpha", "proxy", "regret_rl_inc", "eval_return")}
-        inc = np.asarray([float(rec["oco_gaps"].sum()) for rec in records])
-        columns = {
-            "t": np.arange(1, len(records) + 1), "lambda": col["lambda"],
-            "eta": col["eta"], "alpha": col["alpha"], "proxy": col["proxy"],
-            "regret_inc": inc, "regret_cum": np.cumsum(inc),
-            "regret_rl_inc": col["regret_rl_inc"], "eval_return": col["eval_return"],
-        }
-        meta = {
-            "agent": "planner", "pattern": pattern, "seed": seed,
-            "eps": eps, "tol": tol, "mu": mdps[0].mu,
-            "c": cfg.c, "lambda_min": cfg.lambda_min, "lambda_max": cfg.lambda_max,
-        }
-        gaps = np.vstack([rec["oco_gaps"] for rec in records]) if collect_oco else None
-        alphas = np.vstack(alpha_rows) if collect_oco else None
-        traces.append(RunTrace(columns=columns, meta=meta, policies=policies,
-                               oco_gaps=gaps, state_alphas=alphas))
-    return traces
+    played = np.empty((n, horizon, n_states, n_actions))
+    gaps = np.empty((n, horizon, n_states))
+    j_played = np.empty((n, horizon))
+    x = np.full((n, n_states, n_actions), 1.0 / n_actions)
+    for t, (mdp_t, q_star, pi_star, _) in enumerate(chain):
+        if eps == 0.0 and not (x > 0.0).all():
+            raise BoundaryIterate("entropy gradient needs all coordinates > 0")
+        played[:, t] = x
+        j_played[:, t] = [soft_return(mdp_t, x_b) for x_b in x]
+        gaps[:, t] = _surrogate_gap(q_star, x, pi_star, mdp_t.mu)
+        logp = np.log(x)
+        g = -q_star + mdp_t.mu * (1.0 + logp) + lam[:, t, None, None] * (1.0 + logp)
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient("gradient contains NaN or infinity")
+        x = _mirror_step(logp, g, eta[:, t, None, None], eps)
+    _check_iterates(played, eps)
+    inc = gaps.sum(axis=-1)
+    j_star = np.array([j for *_, j in chain])
+
+    return [RunTrace(columns={
+        "t": np.arange(1, horizon + 1), "lambda": lam[b], "eta": eta[b],
+        "alpha": alpha, "proxy": ema[b], "regret_inc": inc[b],
+        "regret_cum": np.cumsum(inc[b]), "regret_rl_inc": j_star - j_played[b],
+        "eval_return": j_played[b],
+    }, meta={
+        "agent": "planner", "pattern": pattern, "seed": seed,
+        "eps": eps, "tol": tol, "mu": mdps[0].mu,
+        "c": cfg.c, "lambda_min": cfg.lambda_min, "lambda_max": cfg.lambda_max,
+    }, policies=list(played[b]), oco_gaps=gaps[b] if collect_oco else None,
+        state_alphas=state_alphas if collect_oco else None)
+        for b, cfg in enumerate(cfgs)]
 
 
 @dataclass

@@ -495,7 +495,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:  # includes NoConvergence, SingularSystem
+    except (ValueError, RuntimeError, MemoryError) as exc:  # NoConvergence, SingularSystem
         print(f"run error: {exc}", file=sys.stderr)
         return 1
 

@@ -232,7 +232,8 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float, offsets=None,
     lam, eta, proxy = np.empty((3, n, horizon))
     for b, cfg in enumerate(cfgs):
         alpha[b, 1:] = np.abs(np.diff(us[b], axis=0)).sum(axis=1)
-        lam[b], eta[b], proxy[b] = _schedule_columns(cfg, alpha[b])
+        lam[b], eta[b], ema = _schedule_columns(cfg, alpha[b])
+        proxy[b] = ema if cfg.mode == "online" else alpha[b]
 
     xs = np.empty((n, horizon + 1, k))
     xs[:, 0] = start

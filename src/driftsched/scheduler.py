@@ -4,15 +4,17 @@ Three schedule modes share one config and one per-round rule,
 next_lambda: a fixed value, the per-round oracle sqrt(C1*alpha_t/C2),
 and the clipped online rule sqrt(C1/C2)*sqrt(A_hat_t/t) driven by an
 observable proxy (e.g. a TD-error quantile). The offline constant
-sqrt(C1*A_T/(C2*T)) is offline_lambda, run as a fixed schedule. An
-open-loop carrier, whose drift column is known up front, runs the same
-rule as one array pass (_schedule_columns).
+sqrt(C1*A_T/(C2*T)) is offline_lambda, run as a fixed schedule. The
+open-loop carriers, run_dynamic_many and the planner, whose readings
+depend on the task alone, run the same rule as one array pass
+(_schedule_columns). The TD learner reads its own TD errors, so it is
+closed-loop and calls next_lambda once a batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +43,9 @@ class ScheduleConfig:
     fixed_value: float = 0.1
 
     def __post_init__(self):
+        # an int value would reach a trace as "1" where a float writes "1.0"
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("c1", "c2", "c", "lambda_min"):
@@ -141,35 +146,36 @@ def next_lambda(cfg: ScheduleConfig, proxy: ProxyState, raw: float,
     return oracle_lambda(drift, cfg), proxy
 
 
-def _schedule_columns(cfg: ScheduleConfig, alpha) -> tuple:
-    """next_lambda and eta_from_lambda over a whole drift column at once.
+def _schedule_columns(cfg: ScheduleConfig, reading, drift=None) -> tuple:
+    """next_lambda and eta_from_lambda over whole columns at once.
 
-    alpha[t] is round t's proxy reading and its true drift, as an
-    open-loop carrier (run_dynamic_many) knows them before round 1.
-    Returns the (lambda, eta, proxy) columns, where proxy is the EMA the
-    online rule accumulates and alpha itself in the other modes. Every
-    entry has the bits the per-round rules give: the EMA is their float
-    recurrence, np.cumsum adds in sequence like the running sum, fmax and
-    fmin drop a NaN as the scalar clip's max and min do, and the envelope
-    keeps eta_prev unless c * lambda exceeds it. A negative reading
-    raises NegativeError (a ValueError), as it would in update_proxy.
+    reading[t] is round t's proxy reading and drift[t] its true drift
+    (reading itself if drift is None), as an open-loop carrier knows them
+    before round 1. Returns the (lambda, eta, EMA) columns, the EMA being
+    the proxy's ema_value after each round. Every entry has the per-round
+    rules' bits: the EMA is their float recurrence, np.cumsum adds in
+    sequence like the running sum, fmax and fmin drop a NaN as the scalar
+    clip does, and the envelope keeps eta_prev unless c * lambda exceeds
+    it. Negative readings and oracle drifts raise as next_lambda does.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if (alpha < 0.0).any():
+    reading = np.asarray(reading, dtype=float)
+    if (reading < 0.0).any():
         raise NegativeError("proxy reading must be nonnegative")
-    proxy = alpha
+    ema, beta = reading.tolist(), cfg.ema_beta
+    for t in range(1, len(ema)):
+        ema[t] = beta * ema[t - 1] + (1.0 - beta) * ema[t]
+    ema = np.array(ema, dtype=float)
     if cfg.mode == "fixed":
-        lam = np.full(alpha.shape, cfg.fixed_value, dtype=float)
+        lam = np.full(reading.shape, cfg.fixed_value, dtype=float)
     elif cfg.mode == "oracle":
-        lam = np.sqrt(cfg.c1 * alpha / cfg.c2)
+        drift = reading if drift is None else np.asarray(drift, dtype=float)
+        if (drift < 0.0).any():
+            raise ValueError("drift must be nonnegative")
+        lam = np.sqrt(cfg.c1 * drift / cfg.c2)
     else:
-        ema, beta = alpha.tolist(), cfg.ema_beta
-        for t in range(1, len(ema)):
-            ema[t] = beta * ema[t - 1] + (1.0 - beta) * ema[t]
-        proxy = np.array(ema, dtype=float)
         raw = math.sqrt(cfg.c1 / cfg.c2) * np.sqrt(
-            np.cumsum(proxy) / np.arange(1, len(ema) + 1))
+            np.cumsum(ema) / np.arange(1, len(ema) + 1))
         lam = np.fmin(cfg.lambda_max, np.fmax(cfg.lambda_min, raw))
     step = cfg.c * lam
     eta = np.maximum.accumulate(np.where(step > 0.0, step, 0.0))
-    return lam, eta, proxy
+    return lam, eta, ema

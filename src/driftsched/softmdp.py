@@ -226,9 +226,10 @@ def surrogate_gap(q_star: np.ndarray, pi: np.ndarray, mu: float) -> np.ndarray:
 
 
 def _surrogate_gap(q_star, pi, pi_star, mu: float) -> np.ndarray:
-    """surrogate_gap given pi_star = soft_policy(q_star, mu)."""
-    f = -(q_star * pi).sum(axis=1) + mu * _policy_entropy_terms(pi)
-    f_star = -(q_star * pi_star).sum(axis=1) + mu * _policy_entropy_terms(pi_star)
+    """surrogate_gap given pi_star = soft_policy(q_star, mu); pi may be a
+    (..., S, A) stack of policies."""
+    f = -(q_star * pi).sum(axis=-1) + mu * _policy_entropy_terms(pi)
+    f_star = -(q_star * pi_star).sum(axis=-1) + mu * _policy_entropy_terms(pi_star)
     return f - f_star
 
 

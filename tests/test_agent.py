@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from driftsched import (
     TdLearnerState,
     goal_chain_mdp,
     planner_run,
-    planner_step,
     random_mdp,
     rl_dynamic_regret,
     soft_policy,
@@ -61,20 +61,10 @@ class TestPlanner:
             assert kl_div(final[s], target[s]) <= 1e-3
 
     def test_proxy_spikes_only_at_changes(self):
+        # with ema_beta = 0 the proxy column is the raw reading ||dQ*||_inf / mu
         spec = abrupt_goal_spec(60, (20, 45), seed=3, jitter=0.05)
-        cfg = ScheduleConfig(mode="online")
-        from driftsched.softmdp import generate_sequence
-        from driftsched.scheduler import ProxyState as PS
-
-        mdps = generate_sequence(spec)
-        from driftsched.agent import PlannerState
-        state = PlannerState(policy=np.full((5, 3), 1 / 3), proxy=PS())
-        raws = []
-        for mdp in mdps:
-            q = solve_soft_q(mdp, 1e-9)
-            state, rec = planner_step(state, mdp, q, cfg, eps=1e-6)
-            raws.append(rec["proxy_raw"])
-        raws = np.asarray(raws)
+        tr = planner_run(spec, ScheduleConfig(mode="online", ema_beta=0.0))
+        raws = tr.column("proxy")
         spike_idx = set(np.nonzero(raws > 1e-6)[0] + 1)
         assert spike_idx == {20, 45}
 
@@ -258,11 +248,23 @@ class TestTdTrain:
         assert np.median(post) > np.median(pre)
 
 
+@dataclass(frozen=True)
+class RefPlannerState:
+    """One planner's policy and schedule state between reference rounds;
+    prev_q and prev_pi are the last round's solved table and its soft policy."""
+
+    policy: np.ndarray
+    proxy: ProxyState = ProxyState()
+    prev_q: np.ndarray | None = None
+    eta_prev: float = 0.0
+    prev_pi: np.ndarray | None = None
+
+
 def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
-    """planner_step with one SimplexVec and md_step per state row."""
+    """One planner round with per-round schedule rules and one SimplexVec and
+    md_step per state row; returns the next state and the round's record."""
     from driftsched import (OmdState, SimplexVec, md_step, online_lambda, oracle_lambda,
                             regularized_grad, update_proxy)
-    from driftsched.agent import PlannerState
     from driftsched.scheduler import eta_from_lambda
     from driftsched.softmdp import soft_return, soft_values, surrogate_gap
 
@@ -294,9 +296,10 @@ def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
         new_policy[s] = md_step(OmdState(x=row), g, eta, eps).x.probs
     record = {"lambda": lam, "eta": eta, "alpha": alpha_true,
               "proxy": proxy.ema_value, "regret_inc": float(oco_gaps.sum()),
-              "regret_rl_inc": j_star - j_played, "eval_return": j_played}
-    return PlannerState(policy=new_policy, proxy=proxy, prev_q=np.array(q_star_t),
-                        eta_prev=eta, prev_pi=pi_star), record
+              "regret_rl_inc": j_star - j_played, "eval_return": j_played,
+              "oco_gaps": oco_gaps}
+    return RefPlannerState(policy=new_policy, proxy=proxy, prev_q=np.array(q_star_t),
+                           eta_prev=eta, prev_pi=pi_star), record
 
 
 def drifting_random_spec(pattern, horizon=60, seed=2):
@@ -315,14 +318,14 @@ class TestPlannerMatchesPerStateLoop:
     @pytest.mark.parametrize("mode,eps", [("online", 1e-6), ("oracle", 1e-6),
                                           ("fixed", 0.0), ("online", 0.05)])
     def test_columns_and_policies(self, pattern, mode, eps):
-        from driftsched.agent import PlannerState, _solved_tables
+        from driftsched.agent import _solved_tables
         from driftsched.softmdp import generate_sequence
 
         spec = drifting_random_spec(pattern)
         cfg = ScheduleConfig(mode=mode, fixed_value=0.3)
         tr = planner_run(spec, cfg, eps=eps)
 
-        state = PlannerState(policy=np.full((30, 4), 0.25), proxy=ProxyState())
+        state = RefPlannerState(policy=np.full((30, 4), 0.25))
         policies, records = [], []
         for mdp, q in _solved_tables(generate_sequence(spec), 1e-9):
             policies.append(state.policy)
@@ -348,35 +351,11 @@ class TestPlannerMatchesPerStateLoop:
         from driftsched import InvalidEpsilon, agent
 
         def no_rounds(*args, **kwargs):
-            raise AssertionError("planner_step ran")
+            raise AssertionError("a mirror step ran")
 
-        monkeypatch.setattr(agent, "_planner_step", no_rounds)
+        monkeypatch.setattr(agent, "_mirror_step", no_rounds)
         with pytest.raises(InvalidEpsilon):
             planner_run(drifting_random_spec("abrupt", horizon=5), ScheduleConfig(), eps=eps)
-
-    def test_step_rejects_policy_off_the_simplex(self):
-        from driftsched import BoundaryIterate
-        from driftsched.agent import PlannerState
-
-        mdp = goal_chain_mdp()
-        q = solve_soft_q(mdp, 1e-9)
-        bad = np.full((5, 3), 0.4)
-        with pytest.raises(ValueError, match="sum to 1"):
-            planner_step(PlannerState(policy=bad, proxy=ProxyState()), mdp, q,
-                         ScheduleConfig(), 1e-6)
-        edge = np.tile([1.0, 0.0, 0.0], (5, 1))
-        with pytest.raises(BoundaryIterate):
-            planner_step(PlannerState(policy=edge, proxy=ProxyState()), mdp, q,
-                         ScheduleConfig(), 0.0)
-
-    def test_state_needs_prev_q_and_prev_pi_together(self):
-        from driftsched.agent import PlannerState
-
-        policy, table = np.full((5, 3), 1 / 3), np.zeros((5, 3))
-        for half in ({"prev_q": table}, {"prev_pi": policy}):
-            with pytest.raises(ValueError, match="both set or both None"):
-                PlannerState(policy=policy, proxy=ProxyState(), **half)
-        PlannerState(policy=policy, proxy=ProxyState(), prev_q=table, prev_pi=policy)
 
     def test_one_soft_policy_per_round(self, monkeypatch):
         from driftsched import agent
@@ -415,7 +394,6 @@ def reference_planner_run(seq, cfg, eps, tol=1e-9):
     """The per-cell planner_run loop, with its own solve chain: soft policy
     iteration, cold at the first MDP, then warm from the last table at each
     new MDP."""
-    from driftsched.agent import PlannerState
     from driftsched.softmdp import generate_sequence
 
     if isinstance(seq, SoftMdpSequence):
@@ -423,8 +401,7 @@ def reference_planner_run(seq, cfg, eps, tol=1e-9):
     else:
         mdps, pattern, seed = list(seq), "custom", 0
     n_states, n_actions = mdps[0].rewards.shape
-    state = PlannerState(policy=np.full((n_states, n_actions), 1.0 / n_actions),
-                         proxy=ProxyState())
+    state = RefPlannerState(policy=np.full((n_states, n_actions), 1.0 / n_actions))
     policies, records, alpha_rows = [], [], []
     prev, q_star = None, None
     for mdp_t in mdps:
@@ -437,7 +414,7 @@ def reference_planner_run(seq, cfg, eps, tol=1e-9):
         prev = mdp_t
         policies.append(state.policy)
         prev_pi = state.prev_pi
-        state, rec = planner_step(state, mdp_t, q_star, cfg, eps)
+        state, rec = reference_planner_step(state, mdp_t, q_star, cfg, eps)
         records.append(rec)
         alpha_rows.append(np.zeros(n_states) if prev_pi is None
                           else np.abs(state.prev_pi - prev_pi).sum(axis=1))
@@ -560,6 +537,24 @@ class TestPlannerRunMany:
         assert len(traces) == 3
         assert calls == {"soft_policy": 12, "soft_values": 12}  # J* is rho . soft_values
 
+    def test_open_loop_one_stacked_step_per_round(self, monkeypatch):
+        # the schedule is fixed before round 1 and every round steps all
+        # schedules' policies at once
+        from driftsched import agent, planner_run_many
+
+        def per_round(*args, **kwargs):
+            raise AssertionError("planner_run_many called next_lambda")
+
+        steps = []
+        real = agent._mirror_step
+        monkeypatch.setattr(agent, "next_lambda", per_round)
+        monkeypatch.setattr(agent, "_mirror_step",
+                            lambda logp, *a: steps.append(logp.shape) or real(logp, *a))
+        traces = planner_run_many(drifting_random_spec("periodic", horizon=12),
+                                  list(PLANNER_SCHEDULES.values()))
+        assert len(traces) == 3
+        assert steps == [(3, 30, 4)] * 12
+
     def test_planner_run_is_one_schedule(self):
         from driftsched import planner_run_many
 
@@ -579,7 +574,7 @@ class TestPlannerRunMany:
         def no_rounds(*args, **kwargs):
             raise AssertionError("ran a round")
 
-        monkeypatch.setattr(agent, "_planner_step", no_rounds)
+        monkeypatch.setattr(agent, "_mirror_step", no_rounds)
         monkeypatch.setattr(agent, "solve_soft_q", no_rounds)
         spec = drifting_random_spec("abrupt", horizon=5)
         with pytest.raises(LengthMismatch):

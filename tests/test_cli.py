@@ -338,6 +338,21 @@ class TestRunCommand:
         assert proc.stderr.splitlines() == [
             "run error: TD errors are not finite: the learner diverged"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_memory_error_prints_one_line(self, tmp_path, jobs):
+        # the weight path of 10^15 steps cannot be allocated: numpy refuses
+        # the request at once, and main reports it as a run error
+        doc = base_config(tmp_path / "out", horizon=10**15)
+        src = str(Path(driftsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftsched.cli", "run", write_config(tmp_path, doc),
+             "--jobs", jobs],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("run error: Unable to allocate")
+
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         from driftsched import cli
 
@@ -361,6 +376,8 @@ class TestRunCommand:
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         doc = base_config(tmp_path / "unused", horizon=200, seeds=(0, 1))
+        # an int schedule value: with --jobs 2 one TD chunk holds only this method
+        doc["methods"][1]["schedule"]["fixed_value"] = 1
         # two planner methods: each (pattern, seed) group holds two cells
         doc["methods"] += [{"name": "planner", "agent": "planner"},
                            {"name": "fixed_planner", "agent": "planner",

@@ -30,6 +30,16 @@ class TestConfig:
         assert (c.quantile_q, c.ema_beta) == (0.9, 0.95)
         assert (c.lambda_min, c.lambda_max) == (0.05, 1.0)
 
+    def test_numbers_stored_as_floats(self):
+        # an int schedule value would otherwise reach a trace as "1", not "1.0"
+        c = cfg(c1=1, c2=2, c=3, lambda_min=1, lambda_max=4, quantile_q=1, ema_beta=0,
+                mode="fixed", fixed_value=np.int64(1))
+        values = [getattr(c, name) for name in ("c1", "c2", "c", "lambda_min", "lambda_max",
+                                                "quantile_q", "ema_beta", "fixed_value")]
+        assert values == [1.0, 2.0, 3.0, 1.0, 4.0, 1.0, 0.0, 1.0]
+        assert all(type(v) is float for v in values)
+        assert c.mode == "fixed"
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             cfg(lambda_min=2.0, lambda_max=1.0)
@@ -201,22 +211,31 @@ class TestNextLambda:
         assert proxy.ema_value == 0.5
 
 
-def per_round_columns(c, readings):
-    """The (lambda, eta, proxy) columns of iterated next_lambda and
-    eta_from_lambda, each reading being the proxy and the true drift."""
-    lam_col, eta_col, proxy_col = [], [], []
+def per_round_columns(c, readings, drift=None):
+    """The (lambda, eta, EMA) columns of iterated next_lambda and
+    eta_from_lambda; round t reads readings[t] and has true drift drift[t],
+    or readings[t] if drift is None."""
+    lam_col, eta_col, ema_col = [], [], []
     proxy, eta = ProxyState(), 0.0
-    for raw in readings:
-        lam, proxy = next_lambda(c, proxy, raw, raw)
+    for raw, alpha in zip(readings, readings if drift is None else drift):
+        lam, proxy = next_lambda(c, proxy, raw, alpha)
         eta = eta_from_lambda(lam, eta, c)
         lam_col.append(lam)
         eta_col.append(eta)
-        proxy_col.append(proxy.ema_value if c.mode == "online" else raw)
-    return tuple(np.array(col, dtype=float) for col in (lam_col, eta_col, proxy_col))
+        ema_col.append(proxy.ema_value)
+    return tuple(np.array(col, dtype=float) for col in (lam_col, eta_col, ema_col))
 
 
-READINGS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, np.inf, np.nan]),
-                              st.floats(0.0, 1e6)), min_size=1, max_size=200)
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, np.nan]), st.floats(0.0, 1e6))
+READINGS = st.lists(VALUES, min_size=1, max_size=200)
+
+
+@st.composite
+def reading_and_drift(draw):
+    """A reading column and either None or a drift column of its length."""
+    readings = draw(READINGS)
+    n = len(readings)
+    return readings, draw(st.none() | st.lists(VALUES, min_size=n, max_size=n))
 
 
 @st.composite
@@ -234,14 +253,17 @@ class TestScheduleColumns:
     """The array pass an open-loop carrier runs equals the per-round rule."""
 
     @settings(max_examples=500, deadline=None)
-    @given(schedules(), READINGS)
+    @given(schedules(), reading_and_drift())
     # long and unsmoothed: a prefix sum in another order than the running
     # sum's differs in the last bit here
     @example(cfg(mode="online", ema_beta=0.0, lambda_max=1e3),
-             np.random.default_rng(0).uniform(0.0, 10.0, 200).tolist())
-    def test_matches_next_lambda_bitwise(self, c, readings):
-        got = _schedule_columns(c, np.array(readings))
-        for ours, want in zip(got, per_round_columns(c, readings)):
+             (np.random.default_rng(0).uniform(0.0, 10.0, 200).tolist(), None))
+    @example(cfg(mode="oracle", ema_beta=0.5), ([0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 4.0, 1.0]))
+    def test_matches_next_lambda_bitwise(self, c, columns):
+        readings, drift = columns
+        got = _schedule_columns(c, np.array(readings),
+                                None if drift is None else np.array(drift))
+        for ours, want in zip(got, per_round_columns(c, readings, drift)):
             assert ours.dtype == want.dtype and ours.shape == want.shape
             assert ours.tobytes() == want.tobytes()
 
@@ -256,3 +278,13 @@ class TestScheduleColumns:
         with pytest.raises(NegativeError) as columns:
             _schedule_columns(c, np.array(readings))
         assert type(columns.value) is type(per_round.value)
+
+    def test_negative_drift_raises_as_oracle_lambda_does(self):
+        c, readings, drift = cfg(mode="oracle"), [0.0, 0.3, 0.2], [0.0, -1e-12, 0.1]
+        with pytest.raises(ValueError, match="drift must be nonnegative") as per_round:
+            per_round_columns(c, readings, drift)
+        with pytest.raises(ValueError, match="drift must be nonnegative") as columns:
+            _schedule_columns(c, np.array(readings), np.array(drift))
+        assert type(columns.value) is type(per_round.value)
+        for mode in ("fixed", "online"):  # the drift is not read
+            _schedule_columns(cfg(mode=mode), np.array(readings), np.array(drift))
