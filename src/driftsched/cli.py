@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,17 +31,67 @@ from .simplex import SUM_TOL
 from .softmdp import PATTERNS, DriftSpec, SoftMdpSequence, goal_chain_mdp, random_mdp
 from .verify import run_suite
 
-SCHEDULE_KEYS = ("mode", "C1", "C2", "c", "lambda_min", "lambda_max",
-                 "quantile_q", "ema_beta", "fixed_value")
-TOP_SWEEP_KEYS = ("horizon", "batch_size", "eval_every", "episode_len",
-                  "learn_rate")
-TOP_KEYS = TOP_SWEEP_KEYS + ("task", "methods", "seeds", "eps", "solver_tol",
-                             "output_dir")
-TASK_KEYS = ("kind", "n_states", "n_actions", "gamma", "mu", "r_max", "patterns",
-             "drift")
-DRIFT_KEYS = ("change_times", "magnitude", "period", "amplitude", "reward_drift",
-              "transition_drift", "jitter")
-METHOD_KEYS = ("name", "agent", "schedule")
+_REQUIRED = object()  # the default of a key that every config must give
+_POSITIVE = (lambda v: v > 0.0, "a finite number > 0")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "a finite number in [0, 1]")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_FINITE = (lambda v: True, "a finite number")  # for a key with no range test
+
+# The config schema: key -> (kind, default or _REQUIRED[, range test, what the
+# test accepts]). A kind is a type, a table (an object walked with it) or a
+# one-table list (a list of such objects). A float is any finite number.
+_SCHEDULE = {
+    "mode": (str, "online", lambda v: v in MODES, f"one of {MODES}"),
+    "C1": (float, 1.0, *_POSITIVE),
+    "C2": (float, 1.0, *_POSITIVE),
+    "c": (float, 1.0, *_POSITIVE),
+    "lambda_min": (float, 0.05, *_POSITIVE),
+    "lambda_max": (float, 1.0, *_POSITIVE),
+    "quantile_q": (float, 0.9, lambda v: 0.0 < v <= 1.0, "a finite number in (0, 1]"),
+    "ema_beta": (float, 0.95, lambda v: 0.0 <= v < 1.0, "a finite number in [0, 1)"),
+    "fixed_value": (float, 0.1),
+}
+_METHOD = {
+    "name": (str, _REQUIRED),
+    "agent": (str, _REQUIRED, lambda v: v in ("planner", "td"), "'planner' or 'td'"),
+    "schedule": (_SCHEDULE, {}),
+}
+_DRIFT = {
+    "change_times": (list, [], lambda v: all(_fits(t, int) for t in v), "a list of integers"),
+    "magnitude": (float, 1.0, *_UNIT),
+    "period": (int, 0),
+    "amplitude": (float, 0.0, *_UNIT),
+    "reward_drift": (bool, True),
+    "transition_drift": (bool, False),
+    "jitter": (float, 0.0, lambda v: v >= 0.0, "a finite number >= 0"),
+}
+_TASK = {
+    "kind": (str, "random", lambda v: v in ("random", "goal_chain"), "'random' or 'goal_chain'"),
+    "n_states": (int, _REQUIRED, *_AT_LEAST_1),
+    "n_actions": (int, _REQUIRED, *_AT_LEAST_1),
+    "gamma": (float, 0.9, lambda v: 0.0 < v < 1.0, "a finite number in (0, 1)"),
+    "mu": (float, 0.2, *_POSITIVE),
+    "r_max": (float, 1.0, *_POSITIVE),
+    "patterns": (list, ["steady"], lambda v: _distinct(v, lambda p: p in PATTERNS),
+                 f"a nonempty list of distinct patterns from {PATTERNS}"),
+    "drift": (_DRIFT, {}),
+}
+_CONFIG = {
+    "task": (_TASK, _REQUIRED),
+    "methods": ([_METHOD], _REQUIRED, lambda v: len(v) > 0, "a nonempty list"),
+    "seeds": (list, _REQUIRED, lambda v: _distinct(v, lambda s: _fits(s, int) and s >= 0),
+              "a nonempty list of distinct integers >= 0"),
+    "horizon": (int, _REQUIRED, *_AT_LEAST_1),
+    "batch_size": (int, 20, *_AT_LEAST_1),
+    "eval_every": (int, 50, *_AT_LEAST_1),
+    "episode_len": (int, 20, *_AT_LEAST_1),
+    "learn_rate": (float, 0.1, *_POSITIVE),
+    "eps": (float, 1e-6),
+    "solver_tol": (float, 1e-9, *_POSITIVE),
+    "output_dir": (str, "out"),
+}
+SCHEDULE_KEYS = tuple(_SCHEDULE)
+TOP_SWEEP_KEYS = ("horizon", "batch_size", "eval_every", "episode_len", "learn_rate")
 
 
 @dataclass
@@ -70,164 +120,93 @@ class ExperimentConfig:
         return f"{self.task_kind}-{self.n_states}x{self.n_actions}"
 
 
-def _require(doc: dict, key: str, kind, path: str, default=None):
-    """doc[key], which must be a kind (a bool is no int); default when the
-    key is absent, or a missing-key error if there is no default."""
-    if key not in doc and default is None:
-        raise ConfigError(f"missing key {path}{key}")
-    val = doc.get(key, default)
-    if not isinstance(val, kind) or (kind is int and not _is_int(val)):
-        raise ConfigError(f"{path}{key} must be {kind.__name__}, got {val!r}")
-    return val
+def _fits(val, kind) -> bool:
+    """val is a kind; a bool is no int, and an int or float is one a finite
+    float can hold (JSON also allows larger ints, NaN and infinities)."""
+    if kind in (int, float):
+        return type(val) in (int, kind) and abs(val) <= sys.float_info.max
+    return isinstance(val, kind)
 
 
-def _is_int(val) -> bool:
-    """An int that is no bool and that a float can hold (JSON allows more)."""
-    return type(val) is int and abs(val) <= sys.float_info.max
+def _distinct(vals: list, ok) -> bool:
+    """vals is nonempty, ok holds for each entry, and no entry repeats."""
+    return bool(vals) and all(ok(v) for v in vals) and len(set(vals)) == len(vals)
 
 
-def _check_keys(doc: dict, allowed, path: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {path}{sorted(unknown)[0]}")
+def _walk(doc, schema: dict, path: str) -> dict:
+    """The values of the object doc checked against schema, absent keys at their
+    defaults: no unknown or missing key, each value of its kind and in range."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, got {doc!r}")
+    at = path + "." if path else ""
+    for key in doc:
+        if key not in schema:
+            raise ConfigError(f"unknown key {at}{key}")
+    out = {}
+    for key, (kind, default, *test) in schema.items():
+        name, val = at + key, doc.get(key, default)
+        base = type(kind) if type(kind) in (dict, list) else kind
+        ok, want = test or _FINITE
+        if val is _REQUIRED:
+            raise ConfigError(f"missing key {name}")
+        if base is float and not (_fits(val, float) and ok(val)):
+            raise ConfigError(f"{name}={val!r} must be {want}")
+        if not _fits(val, base):
+            raise ConfigError(f"{name} must be {base.__name__}, got {val!r}")
+        if not ok(val):
+            raise ConfigError(f"{name} must be {want}, got {val!r}")
+        if type(kind) is dict:
+            val = _walk(val, kind, name)
+        elif type(kind) is list:
+            val = [_walk(v, kind[0], f"{name}[{i}]") for i, v in enumerate(val)]
+        out[key] = val
+    return out
 
 
-def _number(doc: dict, key: str, default, path: str,
-            ok=lambda v: v > 0.0, want: str = "a finite number > 0"):
-    """doc[key] (default if absent), which must be a finite number, not a
-    bool, for which ok holds; want describes the accepted values."""
-    val = doc.get(key, default)
-    if type(val) not in (int, float) or not abs(val) <= sys.float_info.max or not ok(val):
-        raise ConfigError(f"{path}{key}={val!r} must be {want}")
-    return val
-
-
-def _schedule_from(doc: dict, path: str) -> ScheduleConfig:
-    _check_keys(doc, SCHEDULE_KEYS, path)
-    mode = doc.get("mode", "online")
-    if mode not in MODES:
-        raise ConfigError(f"{path}mode must be one of {MODES}, got {mode!r}")
-    kwargs = dict(
-        c1=_number(doc, "C1", 1.0, path), c2=_number(doc, "C2", 1.0, path),
-        c=_number(doc, "c", 1.0, path),
-        lambda_min=_number(doc, "lambda_min", 0.05, path),
-        lambda_max=_number(doc, "lambda_max", 1.0, path),
-        quantile_q=_number(doc, "quantile_q", 0.9, path, lambda v: 0.0 < v <= 1.0,
-                           "a number in (0, 1]"),
-        ema_beta=_number(doc, "ema_beta", 0.95, path, lambda v: 0.0 <= v < 1.0,
-                         "a number in [0, 1)"),
-        mode=mode,
-        fixed_value=_number(doc, "fixed_value", 0.1, path,
-                            lambda v: v > 0.0 or mode != "fixed",
-                            "a finite number, > 0 in fixed mode"),
-    )
-    if kwargs["lambda_min"] > kwargs["lambda_max"]:
-        raise ConfigError(
-            f"{path}lambda_min (={kwargs['lambda_min']}) exceeds "
-            f"{path}lambda_max (={kwargs['lambda_max']})"
-        )
-    try:
-        return ScheduleConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def parse_config(doc: dict) -> ExperimentConfig:
-    _check_keys(doc, TOP_KEYS, "")
-    task = _require(doc, "task", dict, "")
-    _check_keys(task, TASK_KEYS, "task.")
-    kind = task.get("kind", "random")
-    if kind not in ("random", "goal_chain"):
-        raise ConfigError(f"task.kind must be 'random' or 'goal_chain', got {kind!r}")
-    n_states = _require(task, "n_states", int, "task.")
-    n_actions = _require(task, "n_actions", int, "task.")
-    if n_states < 1 or n_actions < 1:
-        raise ConfigError("task.n_states and task.n_actions must be >= 1")
-    if kind == "goal_chain" and n_actions != 3:
-        raise ConfigError("task.n_actions must be 3 for goal_chain")
-    patterns = _require(task, "patterns", list, "task.", ["steady"])
-    for p in patterns:
-        if p not in PATTERNS:
-            raise ConfigError(f"task.patterns entry {p!r} not in {PATTERNS}")
-    gamma = _number(task, "gamma", 0.9, "task.", lambda v: 0.0 < v < 1.0,
-                    "a number in (0, 1)")
-    mu = _number(task, "mu", 0.2, "task.")
-    r_max = _number(task, "r_max", 1.0, "task.")
-    at = "task.drift."
-    drift_doc = _require(task, "drift", dict, "task.", {})
-    _check_keys(drift_doc, DRIFT_KEYS, at)
-    change_times = _require(drift_doc, "change_times", list, at, [])
-    if not all(_is_int(tc) for tc in change_times):
-        raise ConfigError(f"{at}change_times={change_times!r} must list integers")
-    in_unit = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-    drift = DriftSpec(
-        change_times=tuple(change_times),
-        magnitude=_number(drift_doc, "magnitude", 1.0, at, *in_unit),
-        period=_require(drift_doc, "period", int, at, 0),
-        amplitude=_number(drift_doc, "amplitude", 0.0, at, *in_unit),
-        reward_drift=_require(drift_doc, "reward_drift", bool, at, True),
-        transition_drift=_require(drift_doc, "transition_drift", bool, at, False),
-        jitter=_number(drift_doc, "jitter", 0.0, at, lambda v: v >= 0.0,
-                       "a finite number >= 0"),
-    )
-    methods = []
-    for i, m in enumerate(_require(doc, "methods", list, "")):
-        path = f"methods[{i}]."
-        if not isinstance(m, dict):
-            raise ConfigError(f"methods[{i}] must be an object, got {m!r}")
-        _check_keys(m, METHOD_KEYS, path)
-        name = _require(m, "name", str, path)
-        agent = _require(m, "agent", str, path)
-        if agent not in ("planner", "td"):
-            raise ConfigError(f"{path}agent must be 'planner' or 'td'")
-        schedule = _schedule_from(_require(m, "schedule", dict, path, {}),
-                                  path + "schedule.")
-        if agent == "td" and schedule.mode == "oracle":
-            raise ConfigError(f"{path}schedule.mode 'oracle' needs the true drift, "
+def parse_config(doc) -> ExperimentConfig:
+    """The experiment a config document describes. The schema checks each
+    key, then the rules below tie keys together."""
+    top = _walk(doc, _CONFIG, "")
+    task, methods, seeds = top.pop("task"), top.pop("methods"), top.pop("seeds")
+    drift, patterns = task.pop("drift"), task.pop("patterns")
+    horizon, every, changes = top["horizon"], top["eval_every"], drift["change_times"]
+    schedules = []
+    for i, m in enumerate(methods):
+        at = f"methods[{i}].schedule."
+        # ScheduleConfig (c1, c2 for C1, C2) checks lambda_min <= lambda_max
+        # and fixed_value > 0 in fixed mode; the schema checked all else
+        try:
+            sch = ScheduleConfig(**{k.lower(): v for k, v in m["schedule"].items()})
+        except ValueError as exc:
+            raise ConfigError(f"{at}{exc}") from exc
+        if m["agent"] == "td" and sch.mode == "oracle":
+            raise ConfigError(f"{at}mode 'oracle' needs the true drift, "
                               f"which a td agent does not observe")
-        methods.append((name, agent, schedule))
-    if len({m[0] for m in methods}) != len(methods):
+        schedules.append((m["name"], m["agent"], sch))
+    if len({m["name"] for m in methods}) != len(methods):
         raise ConfigError("methods[].name values must be unique")
-    seeds = _require(doc, "seeds", list, "")
-    if not seeds or not all(_is_int(s) and s >= 0 for s in seeds):
-        raise ConfigError("seeds must be a nonempty list of integers >= 0")
-    horizon = _require(doc, "horizon", int, "")
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
-    if any(p in ("periodic", "mixed") for p in patterns) and drift.period < 2:
+    if task["kind"] == "goal_chain" and task["n_actions"] != 3:
+        raise ConfigError("task.n_actions must be 3 for goal_chain")
+    if any(p in ("periodic", "mixed") for p in patterns) and drift["period"] < 2:
         raise ConfigError("task.drift.period must be >= 2 for periodic/mixed patterns")
-    for tc in drift.change_times:
-        if not 2 <= tc <= horizon:
-            raise ConfigError(
-                f"task.drift.change_times entry {tc} outside [2, horizon={horizon}]"
-            )
-    eps = doc.get("eps", 1e-6)
-    if any(m[1] == "planner" for m in methods) and not (
-            type(eps) in (int, float) and 0.0 <= eps <= 1.0 / n_actions + SUM_TOL):
-        raise ConfigError(f"eps={eps!r} must lie in [0, 1/n_actions] for planners")
-    knobs = {k: doc.get(k, d) for k, d in (("batch_size", 20), ("eval_every", 50),
-                                           ("episode_len", 20))}
-    for key, val in knobs.items():
-        if not _is_int(val) or val < 1:
-            raise ConfigError(f"{key}={val!r} must be an integer >= 1")
-    learn_rate = _number(doc, "learn_rate", 0.1, "")
-    solver_tol = _number(doc, "solver_tol", 1e-9, "")
-    if any(m[1] == "td" for m in methods):
-        if horizon // knobs["eval_every"] < 2:
-            raise ConfigError(f"eval_every={knobs['eval_every']} gives TD runs fewer than "
-                              f"two evaluation points in horizon={horizon}")
-        # recovery_time needs an evaluation point before each change
-        if (any(p in ("abrupt", "mixed") for p in patterns) and drift.change_times
-                and knobs["eval_every"] >= min(drift.change_times)):
-            raise ConfigError(f"eval_every={knobs['eval_every']} gives TD runs no "
-                              f"evaluation point before change time "
-                              f"{min(drift.change_times)}")
+    if not all(2 <= tc <= horizon for tc in changes):
+        raise ConfigError(f"task.drift.change_times={changes} must lie in [2, horizon={horizon}]")
+    agents = {m["agent"] for m in methods}
+    if "planner" in agents and not 0.0 <= top["eps"] <= 1.0 / task["n_actions"] + SUM_TOL:
+        raise ConfigError(f"eps={top['eps']!r} must lie in [0, 1/n_actions] for planners")
+    if "td" in agents and horizon // every < 2:
+        raise ConfigError(f"eval_every={every} gives TD runs fewer than "
+                          f"two evaluation points in horizon={horizon}")
+    # recovery_time needs an evaluation point before each change
+    if ("td" in agents and any(p in ("abrupt", "mixed") for p in patterns) and changes
+            and every >= min(changes)):
+        raise ConfigError(f"eval_every={every} gives TD runs no evaluation point "
+                          f"before change time {min(changes)}")
+    # the keys left in task and top are the names of ExperimentConfig fields
     return ExperimentConfig(
-        task_kind=kind, n_states=n_states, n_actions=n_actions,
-        gamma=gamma, mu=mu, r_max=r_max, patterns=list(patterns), drift=drift,
-        methods=methods, seeds=list(seeds), horizon=horizon, **knobs,
-        learn_rate=learn_rate, eps=eps, solver_tol=solver_tol,
-        output_dir=_require(doc, "output_dir", str, "", "out"),
+        task_kind=task.pop("kind"), **task, patterns=list(patterns),
+        drift=DriftSpec(**{**drift, "change_times": tuple(changes)}),
+        methods=schedules, seeds=list(seeds), **top,
     )
 
 
@@ -237,14 +216,7 @@ def build_sequence_spec(cfg: ExperimentConfig, pattern: str,
         base = goal_chain_mdp(cfg.n_states, cfg.gamma, cfg.mu)
         # the drifted configuration moves the goal to the opposite end
         alt = goal_chain_mdp(cfg.n_states, cfg.gamma, cfg.mu, goal=0)
-        drift = DriftSpec(
-            change_times=cfg.drift.change_times,
-            magnitude=cfg.drift.magnitude, period=cfg.drift.period,
-            amplitude=cfg.drift.amplitude,
-            reward_drift=cfg.drift.reward_drift,
-            transition_drift=cfg.drift.transition_drift,
-            reward_alt=alt.rewards, jitter=cfg.drift.jitter,
-        )
+        drift = replace(cfg.drift, reward_alt=alt.rewards)
     else:
         rng = np.random.default_rng([seed, 1017])
         base = random_mdp(cfg.n_states, cfg.n_actions, cfg.gamma, cfg.mu,
@@ -381,27 +353,38 @@ def _write_summary(path: str, rows: list) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def cmd_run(args) -> int:
-    with open(args.config) as fh:
+def _load_config(path: str):
+    """The JSON document in the file at path. Bytes that are not UTF-8
+    JSON, and an object that repeats a key, are config errors."""
+    def unique(pairs):
+        doc = {}
+        for key, val in pairs:
+            if key in doc:
+                raise ConfigError(f"config repeats key {key!r}")
+            doc[key] = val
+        return doc
+
+    with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, object_pairs_hook=unique)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = parse_config(doc)
-    summary = run_experiment(cfg, out_dir=args.out, jobs=args.jobs)
-    print(summary)
+
+
+def cmd_run(args) -> int:
+    cfg = parse_config(_load_config(args.config))
+    print(run_experiment(cfg, out_dir=args.out, jobs=args.jobs))
     return 0
 
 
 def _apply_override(doc: dict, param: str, value):
     if param in TOP_SWEEP_KEYS:
         doc[param] = value
-        return
-    if param in SCHEDULE_KEYS:
-        for m in doc.get("methods", []):
+    elif param in SCHEDULE_KEYS:
+        for m in doc["methods"]:
             m.setdefault("schedule", {})[param] = value
-        return
-    raise UnknownKey(f"unknown sweep parameter {param!r}")
+    else:
+        raise UnknownKey(f"unknown sweep parameter {param!r}")
 
 
 def _parse_value(text: str):
@@ -412,16 +395,13 @@ def _parse_value(text: str):
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        try:
-            base_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    base_doc = _load_config(args.config)
+    base_dir = parse_config(base_doc).output_dir  # the overrides need a checked doc
+    out_root = args.out or base_dir
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         return 0
     all_rows = []
-    out_root = args.out or parse_config(base_doc).output_dir
     for text in values:
         value = _parse_value(text)
         doc = json.loads(json.dumps(base_doc))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftsched
-from driftsched import ConfigError, NoConvergence, RunTrace, UnknownKey
+from driftsched import ConfigError, NoConvergence, RunTrace, UnknownKey, cli
 from driftsched.cli import main, parse_config
 
 
@@ -187,6 +188,10 @@ class TestParseConfig:
         (("task", "n_states"), 10 ** 400, "task.n_states"),
         (("learn_rate",), -10 ** 400, "learn_rate"),
         (("methods", 0, "schedule", "C1"), 10 ** 400, r"methods\[0\].schedule.C1"),
+        (("methods",), [], "methods must be a nonempty list"),
+        (("task", "patterns"), [], "task.patterns"),
+        (("task", "patterns"), ["steady", "steady"], "task.patterns"),
+        (("seeds",), [0, 0, 1], "seeds"),
     ])
     def test_bad_input_rejected_before_any_file(self, tmp_path, capsys, where, value,
                                                 match):
@@ -225,10 +230,29 @@ class TestParseConfig:
             parse_config(doc)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_config():
     """The minimal config the README shows, read from its first json block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    return json.loads(README.read_text().split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def schema_keys(schema):
+    """Every key of a config schema table and of the tables nested in it."""
+    for key, (kind, *_) in schema.items():
+        yield key
+        if isinstance(kind, list):
+            kind = kind[0]
+        if isinstance(kind, dict):
+            yield from schema_keys(kind)
+
+
+def test_readme_names_every_config_key():
+    # a key is named as `key` or as the last part of a path such as `task.gamma`
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    named = {span.rsplit(".", 1)[-1] for span in spans}
+    assert [key for key in schema_keys(cli._CONFIG) if key not in named] == []
 
 
 JSON_VALUES = st.recursive(
@@ -316,6 +340,39 @@ class TestRunCommand:
         doc["task"]["patterns"] = ["steady"]  # no change to recover from
         doc["eval_every"] = 50
         assert parse_config(doc).eval_every == 50
+
+    @pytest.mark.parametrize("text,match", [
+        (b"5", "config must be an object, got 5"),
+        (b"null", "config must be an object, got None"),
+        (b'"abc"', "config must be an object, got 'abc'"),
+        (b"[1]", r"config must be an object, got \[1\]"),
+        (b"\xff", "config is not valid JSON"),
+    ])
+    def test_config_root_not_an_object(self, tmp_path, monkeypatch, capsys, text, match):
+        monkeypatch.chdir(tmp_path)  # where the default output_dir "out" would go
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        for argv in (["run", str(path)],
+                     ["sweep", str(path), "--param", "horizon", "--values", "100"]):
+            assert main(argv) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            assert re.match("config error: " + match, line)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("given,repeat", [
+        ('"horizon": 300', '"horizon": 200'),
+        ('"jitter": 0.0', '"jitter": 0.5'),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, capsys, given, repeat):
+        out = tmp_path / "out"
+        text = json.dumps(base_config(out))
+        assert text.count(given) == 1
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(given, f"{given}, {repeat}"))
+        assert main(["run", str(path)]) == 2
+        key = given.split(":")[0].strip('"')
+        assert f"config repeats key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         doc = base_config(tmp_path)
@@ -460,6 +517,17 @@ class TestSweepCommand:
     def test_unknown_key(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
         assert main(["sweep", cfg_path, "--param", "zeta", "--values", "1,2"]) == 2
+
+    @pytest.mark.parametrize("methods", [5, {"a": 1}, [3]])
+    def test_base_config_checked_before_override(self, tmp_path, capsys, methods):
+        # the override edits every methods entry, so it needs them checked first
+        doc = base_config(tmp_path / "out")
+        doc["methods"] = methods
+        out = tmp_path / "sweep"
+        assert main(["sweep", write_config(tmp_path, doc), "--param", "quantile_q",
+                     "--values", "0.5", "--out", str(out)]) == 2
+        assert "config error: methods" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:
