@@ -22,16 +22,18 @@ from .omd import _check_floor, _check_iterates, _mirror_step
 from .scheduler import ProxyState, ScheduleConfig, _schedule_columns, next_lambda
 from .simplex import _row_lse, _row_softmax
 from .softmdp import (
+    _soft_returns,
     _surrogate_gap,
     SoftMdpSequence,
     TabularMdp,
     generate_sequence,
     soft_policy,
-    soft_return,
     soft_values,
     solve_soft_q,
 )
 from .trace import RunTrace
+
+EVAL_CHUNK = 32  # (policy, MDP) entries per stacked evaluation; keeps peak memory flat
 
 
 def _materialize(seq) -> tuple:
@@ -61,6 +63,20 @@ def _solved_tables(mdps, tol: float):
         yield mdp_t, q_star
 
 
+def _soft_returns_of(mdps, policies) -> np.ndarray:
+    """soft_return(mdps[i], policies[i]) for every i, EVAL_CHUNK entries per
+    stacked solve, bit for bit."""
+    j = np.empty(len(mdps))
+    for lo in range(0, len(mdps), EVAL_CHUNK):
+        part = mdps[lo:lo + EVAL_CHUNK]
+        j[lo:lo + EVAL_CHUNK] = _soft_returns(
+            np.stack([m.rewards for m in part]), np.stack([m.transitions for m in part]),
+            np.stack([m.rho for m in part]), np.array([m.gamma for m in part], dtype=float),
+            np.array([m.mu for m in part], dtype=float),
+            np.asarray(policies[lo:lo + EVAL_CHUNK], dtype=float))
+    return j
+
+
 def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
                 tol: float = 1e-9, collect_oco: bool = False) -> RunTrace:
     """Drive the planner across a sequence of MDPs (spec or list).
@@ -78,13 +94,17 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
     The planner is open-loop: its proxy reading ||Q*_t - Q*_{t-1}||_inf / mu
     and its true drift alpha_t = max_s ||pi*_t(s) - pi*_{t-1}(s)||_1 (both
     0 at t = 1) depend on the solved chain alone, never on the policies
-    played. So one pass over the chain (_solved_tables) records Q*_t, its
-    soft-optimal policy pi*_t, J*_t and the readings; each schedule's
-    lambda and eta columns are one _schedule_columns pass; and a second
-    pass takes one mirror step a round on the (B, S, A) stack of policies,
-    every row on the gradient -Q*_t(s,.) + mu (1 + log pi_s) +
-    lambda_t (1 + log pi_s). Trace b is planner_run(seq, cfgs[b], ...)
-    bit for bit.
+    played. So it runs in three passes, with each schedule's lambda and eta
+    columns computed by one _schedule_columns pass after the first:
+    - the chain: one walk of _solved_tables records Q*_t, its soft-optimal
+      policy pi*_t and soft values V*_t (once per solve: a reused solve
+      reuses them, reads 0 and drifts 0) and J*_t = rho_t . V*_t;
+    - the mirror steps: one step a round on the (B, S, A) stack of
+      policies, every row on the gradient -Q*_t(s,.) + mu (1 + log pi_s) +
+      lambda_t (1 + log pi_s);
+    - the evaluation: J_t and the surrogate gaps of the played policies,
+      EVAL_CHUNK (schedule, round) entries per stacked solve.
+    Trace b is planner_run(seq, cfgs[b], ...) bit for bit.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -93,14 +113,18 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
     n_states, n_actions = mdps[0].rewards.shape
     _check_floor(eps, n_actions)
 
-    chain, reading, drift_rows = [], [], []
+    chain, reading, drift_rows = [], [], []  # chain: (M_t, Q*_t, pi*_t, V*_t)
     for mdp_t, q_star in _solved_tables(mdps, tol):
+        if chain and q_star is chain[-1][1]:  # |x - x| = 0: no reading, no drift
+            chain.append((mdp_t,) + chain[-1][1:])
+            reading.append(0.0)
+            drift_rows.append(np.zeros(n_states))
+            continue
         pi_star = soft_policy(q_star, mdp_t.mu)
         q_prev, pi_prev = chain[-1][1:3] if chain else (q_star, pi_star)  # 0 at t = 1
         reading.append(float(np.abs(q_star - q_prev).max()) / mdp_t.mu)
         drift_rows.append(np.abs(pi_star - pi_prev).sum(axis=1))
-        chain.append((mdp_t, q_star, pi_star,
-                      float(mdp_t.rho @ soft_values(q_star, mdp_t.mu))))
+        chain.append((mdp_t, q_star, pi_star, soft_values(q_star, mdp_t.mu)))
     state_alphas = np.vstack(drift_rows)
     alpha = state_alphas.max(axis=1)
     horizon, n = len(chain), len(cfgs)
@@ -109,23 +133,30 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
         lam[b], eta[b], ema[b] = _schedule_columns(cfg, reading, alpha)
 
     played = np.empty((n, horizon, n_states, n_actions))
-    gaps = np.empty((n, horizon, n_states))
-    j_played = np.empty((n, horizon))
     x = np.full((n, n_states, n_actions), 1.0 / n_actions)
-    for t, (mdp_t, q_star, pi_star, _) in enumerate(chain):
+    for t, (mdp_t, q_star, _, _) in enumerate(chain):
         if eps == 0.0 and not (x > 0.0).all():
             raise BoundaryIterate("entropy gradient needs all coordinates > 0")
         played[:, t] = x
-        j_played[:, t] = [soft_return(mdp_t, x_b) for x_b in x]
-        gaps[:, t] = _surrogate_gap(q_star, x, pi_star, mdp_t.mu)
         logp = np.log(x)
         g = -q_star + mdp_t.mu * (1.0 + logp) + lam[:, t, None, None] * (1.0 + logp)
         if not np.isfinite(g).all():
             raise NonFiniteGradient("gradient contains NaN or infinity")
         x = _mirror_step(logp, g, eta[:, t, None, None], eps)
     _check_iterates(played, eps)
+
+    flat = played.reshape(n * horizon, n_states, n_actions)  # entry b * horizon + t
+    rounds = chain * n
+    j_played = _soft_returns_of([m for m, *_ in rounds], flat).reshape(n, horizon)
+    gaps = np.empty((n * horizon, n_states))
+    for lo in range(0, n * horizon, EVAL_CHUNK):
+        part = rounds[lo:lo + EVAL_CHUNK]
+        gaps[lo:lo + EVAL_CHUNK] = _surrogate_gap(
+            np.stack([q for _, q, _, _ in part]), flat[lo:lo + EVAL_CHUNK],
+            np.stack([p for _, _, p, _ in part]), np.array([[m.mu] for m, *_ in part]))
+    gaps = gaps.reshape(n, horizon, n_states)
     inc = gaps.sum(axis=-1)
-    j_star = np.array([j for *_, j in chain])
+    j_star = np.array([float(m.rho @ v_star) for m, _, _, v_star in chain])
 
     return [RunTrace(columns={
         "t": np.arange(1, horizon + 1), "lambda": lam[b], "eta": eta[b],
@@ -232,6 +263,13 @@ def _check_td_errors(deltas: np.ndarray) -> None:
         raise ValueError("TD errors are not finite: the learner diverged")
 
 
+def _score_snapshots(snaps, runs, eval_col) -> None:
+    """eval_col[t, b] = J of each (t, b, policy) snapshot on learner b's MDP at step t."""
+    steps, learners, policies = zip(*snaps)
+    eval_col[steps, learners] = _soft_returns_of(
+        [runs[b][0][t] for t, b in zip(steps, learners)], policies)
+
+
 def td_train(seq, cfg: ScheduleConfig, batch_size: int = 20,
              eval_every: int = 50, episode_len: int = 20,
              seed: int = 0, learn_rate: float = 0.1) -> RunTrace:
@@ -255,7 +293,10 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     bit for bit, whatever shares the run: its generator draws at once
     every uniform of td_train's reset, action and next-state choices,
     and each step is one _td_transition on the shared (B, S, A) table.
-    All learners share the horizon, the (S, A) shape and the knobs.
+    An eval step only stores each learner's softmax policy; the stored
+    policies are scored EVAL_CHUNK at a time in stacked solves, as each
+    chunk fills and for the rest after the last step. All learners share
+    the horizon, the (S, A) shape and the knobs.
     """
     if not len(seqs) == len(cfgs) == len(seeds) >= 1:
         raise LengthMismatch("seqs, cfgs and seeds must be nonempty and equally long")
@@ -288,6 +329,7 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     lam_hist, ema_hist = [alpha[:, 0].copy()], [np.zeros(n_learners)]
     deltas = np.zeros((n_learners, batch_size))
     eval_col = np.full((horizon, n_learners), np.nan)
+    snaps = []  # (step, learner, policy) awaiting a stacked evaluation
     # a diverging learner overflows before _check_td_errors names it
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
@@ -305,8 +347,12 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
                 lam_hist.append(alpha[:, 0].copy())
                 ema_hist.append(np.array([p.ema_value for p in proxies]))
             if (t + 1) % eval_every == 0:
-                for b, (mdps, _, _) in enumerate(runs):
-                    eval_col[t, b] = soft_return(mdps[t], soft_policy(q[b], alpha[b, 0]))
+                snaps += [(t, b, soft_policy(q[b], alpha[b, 0])) for b in rows]
+                while len(snaps) >= EVAL_CHUNK:
+                    _score_snapshots(snaps[:EVAL_CHUNK], runs, eval_col)
+                    del snaps[:EVAL_CHUNK]
+    if snaps:
+        _score_snapshots(snaps, runs, eval_col)
     _check_td_errors(deltas)  # the steps after the last full batch
     # step t recorded lambda before and the proxy after that step's update
     steps = np.arange(horizon)
@@ -331,8 +377,8 @@ def rl_dynamic_regret(trace: RunTrace, seq, tol: float = 1e-9) -> float:
     mdps = _materialize(seq)[0]
     if trace.policies is None or len(trace.policies) != len(mdps):
         raise AlignmentError("trace does not carry one policy per sequence step")
+    j_played = _soft_returns_of(mdps, trace.policies).tolist()
     total = 0.0
-    for (mdp_t, q_star), pi_t in zip(_solved_tables(mdps, tol), trace.policies):
-        j_star = float(mdp_t.rho @ soft_values(q_star, mdp_t.mu))
-        total += j_star - soft_return(mdp_t, pi_t)
+    for (mdp_t, q_star), j_t in zip(_solved_tables(mdps, tol), j_played):
+        total += float(mdp_t.rho @ soft_values(q_star, mdp_t.mu)) - j_t
     return total

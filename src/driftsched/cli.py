@@ -401,12 +401,13 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         return 0
-    all_rows = []
+    cfgs = []  # every value is checked before the first one runs
     for text in values:
-        value = _parse_value(text)
         doc = json.loads(json.dumps(base_doc))
-        _apply_override(doc, args.param, value)
-        cfg = parse_config(doc)
+        _apply_override(doc, args.param, _parse_value(text))
+        cfgs.append(parse_config(doc))
+    all_rows = []
+    for text, cfg in zip(values, cfgs):
         sub = os.path.join(out_root, f"sweep_{args.param}={text}")
         os.makedirs(sub, exist_ok=True)
         run_experiment(cfg, out_dir=sub, jobs=args.jobs)

@@ -185,22 +185,39 @@ def policy_eval(mdp: TabularMdp, pi: np.ndarray):
     return _evaluate(mdp, pi)
 
 
+def _occupancies(transitions, rho, gamma, pi) -> np.ndarray:
+    """(..., S) occupancies of (..., S, A) policies, gamma one per entry:
+    each entry solves (I - gamma P_pi^T) d = (1-gamma) rho in one stacked call."""
+    lhs = np.einsum("...sa,...saz->...sz", pi, transitions).swapaxes(-1, -2)
+    lhs *= -gamma[..., None, None]  # I - gamma P_pi^T in place: the same bits, one buffer
+    lhs += np.eye(lhs.shape[-1])
+    try:
+        d = np.linalg.solve(lhs, ((1.0 - gamma)[..., None] * rho)[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - gamma<1 prevents this
+        raise SingularSystem(str(exc)) from exc
+    total = d.sum(axis=-1)
+    off = np.abs(total - 1.0) > 1e-8
+    if off.any():
+        raise SingularSystem(f"occupancy sums to {total[off].tolist()}")
+    return d
+
+
+def _soft_returns(rewards, transitions, rho, gamma, mu, pi) -> np.ndarray:
+    """J of each entry of a (..., S, A) policy stack, with the MDP arrays and
+    gamma, mu given per entry; entry i has soft_return's bits for entry i."""
+    d = _occupancies(transitions, rho, gamma, pi)
+    per_state = (pi * rewards).sum(axis=-1) - mu[..., None] * _policy_entropy_terms(pi)
+    # a (1, S) @ (S, 1) matmul per entry keeps the 1-D dot's bits; einsum does not
+    return (d[..., None, :] @ per_state[..., :, None])[..., 0, 0] / (1.0 - gamma)
+
+
 def occupancy(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
     """Normalized discounted state occupancy of pi, by direct linear solve.
 
     Solves d = (1-gamma) rho + gamma (P^pi)^T d; the result sums to 1.
     """
-    pi = np.asarray(pi, dtype=float)
-    p_pi = np.einsum("sa,saz->sz", pi, mdp.transitions)
-    n = mdp.n_states
-    lhs = np.eye(n) - mdp.gamma * p_pi.T
-    try:
-        d = np.linalg.solve(lhs, (1.0 - mdp.gamma) * mdp.rho)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - gamma<1 prevents this
-        raise SingularSystem(str(exc)) from exc
-    if abs(d.sum() - 1.0) > 1e-8:
-        raise SingularSystem(f"occupancy sums to {d.sum()!r}")
-    return d
+    return _occupancies(mdp.transitions, mdp.rho, np.float64(mdp.gamma),
+                        np.asarray(pi, dtype=float))
 
 
 def soft_return(mdp: TabularMdp, pi: np.ndarray) -> float:
@@ -208,10 +225,8 @@ def soft_return(mdp: TabularMdp, pi: np.ndarray) -> float:
 
     J = 1/(1-gamma) * E_{s~d, a~pi}[r(s,a) - mu log pi(a|s)].
     """
-    pi = np.asarray(pi, dtype=float)
-    d = occupancy(mdp, pi)
-    per_state = (pi * mdp.rewards).sum(axis=1) - mdp.mu * _policy_entropy_terms(pi)
-    return float(d @ per_state) / (1.0 - mdp.gamma)
+    return float(_soft_returns(mdp.rewards, mdp.transitions, mdp.rho, np.float64(mdp.gamma),
+                               np.float64(mdp.mu), np.asarray(pi, dtype=float)))
 
 
 def surrogate_gap(q_star: np.ndarray, pi: np.ndarray, mu: float) -> np.ndarray:

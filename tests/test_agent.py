@@ -100,6 +100,28 @@ class TestPlanner:
         want = sum(j - soft_return(mdp, pi) for j, mdp, pi in zip(j_star, seq, tr.policies))
         assert rl_dynamic_regret(tr, seq) == pytest.approx(want, abs=1e-7)
 
+    def test_start_change_reuses_the_solve_not_j_star(self, monkeypatch):
+        # Q* does not depend on rho, but J* = rho . V* does
+        from dataclasses import replace
+
+        from driftsched import agent
+        from driftsched.softmdp import soft_values
+
+        m = random_mdp(6, 3, rng=np.random.default_rng(0))
+        seq = [m, replace(m, rho=np.eye(6)[2])]
+        v_star = soft_values(solve_soft_q(m, 1e-9), m.mu)
+        solves = []
+        real = agent.solve_soft_q
+        monkeypatch.setattr(agent, "solve_soft_q",
+                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        tr = planner_run(seq, ScheduleConfig(mode="fixed", fixed_value=0.3), collect_oco=True)
+        assert len(solves) == 1
+        j_star = [float(mdp.rho @ v_star) for mdp in seq]
+        assert abs(j_star[1] - j_star[0]) > 0.1
+        assert tr.column("eval_return") + tr.column("regret_rl_inc") == pytest.approx(
+            j_star, abs=1e-12)
+        assert tr.column("alpha")[1] == 0.0 and not tr.state_alphas[1].any()
+
     def test_rl_dynamic_regret_zero_for_optimal_play(self):
         spec = steady_goal_spec(20)
         from driftsched.softmdp import generate_sequence
@@ -305,8 +327,8 @@ def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
 def drifting_random_spec(pattern, horizon=60, seed=2):
     base = random_mdp(30, 4, gamma=0.9, mu=0.2,
                       rng=np.random.default_rng([seed, 1017]))
-    drift = DriftSpec(change_times=(horizon // 2,), magnitude=1.0, period=20,
-                      amplitude=0.5, transition_drift=True)
+    drift = DriftSpec(change_times=(horizon // 2,) if horizon > 3 else (), magnitude=1.0,
+                      period=20, amplitude=0.5, transition_drift=True)
     return SoftMdpSequence(base=base, pattern=pattern, horizon=horizon,
                            drift=drift, seed=seed)
 
@@ -454,7 +476,13 @@ PLANNER_SCHEDULES = {
 
 @functools.cache
 def planner_case(seq_name):
-    return custom_planner_list() if seq_name == "custom" else drifting_random_spec(seq_name)
+    """A case name is a sequence, with "-T" for a horizon T other than its own
+    (a custom list is repeated to length T)."""
+    name, _, horizon = seq_name.partition("-")
+    if name == "custom":
+        mdps = custom_planner_list()
+        return (mdps * 3)[:int(horizon)] if horizon else mdps
+    return drifting_random_spec(name, *(int(horizon),) if horizon else ())
 
 
 @functools.cache
@@ -465,7 +493,9 @@ def reference_planner_cell(seq_name, mode):
 class TestPlannerRunMany:
     """planner_run_many equals the per-cell planner_run loop bit for bit."""
 
-    @pytest.mark.parametrize("seq", ["periodic", "abrupt", "custom"])
+    # 1, 31 and 33 rounds: evaluation chunks that the (schedule, round) entries do not fill
+    @pytest.mark.parametrize("seq", ["periodic", "abrupt", "custom",
+                                     "periodic-1", "abrupt-31", "custom-33"])
     @pytest.mark.parametrize("modes,collect_oco", [
         (("online",), True), (("fixed", "oracle"), True),
         (("online", "oracle", "fixed"), False), (("oracle", "fixed", "online"), True)])
@@ -520,10 +550,11 @@ class TestPlannerRunMany:
         assert len(solves) == 20
         assert len(steps) <= 10 * len(solves)
 
-    def test_table_terms_once_per_round(self, monkeypatch):
+    @pytest.mark.parametrize("pattern,solves", [("periodic", 12), ("abrupt", 2)])
+    def test_table_terms_once_per_solve(self, monkeypatch, pattern, solves):
         from driftsched import agent, planner_run_many
 
-        calls = {"soft_policy": 0, "soft_values": 0}
+        calls = {"soft_policy": 0, "soft_values": 0, "solve_soft_q": 0}
         for name in calls:
             real = getattr(agent, name)
 
@@ -532,10 +563,33 @@ class TestPlannerRunMany:
                 return _real(*a, **k)
 
             monkeypatch.setattr(agent, name, counted)
-        traces = planner_run_many(drifting_random_spec("periodic", horizon=12),
+        traces = planner_run_many(drifting_random_spec(pattern, horizon=12),
                                   list(PLANNER_SCHEDULES.values()))
         assert len(traces) == 3
-        assert calls == {"soft_policy": 12, "soft_values": 12}  # J* is rho . soft_values
+        # J*_t is rho_t . soft_values; a reused solve reuses pi* and V*
+        assert calls == {"soft_policy": solves, "soft_values": solves, "solve_soft_q": solves}
+
+    def test_no_per_round_evaluation(self, monkeypatch):
+        from driftsched import agent, planner_run_many, softmdp
+
+        def per_round(*args, **kwargs):
+            raise AssertionError("a carrier called soft_return")
+
+        monkeypatch.setattr(softmdp, "soft_return", per_round)
+        monkeypatch.setattr(agent, "soft_return", per_round, raising=False)
+        evaluated = []
+        real = agent._soft_returns
+        monkeypatch.setattr(agent, "_soft_returns",
+                            lambda *a: evaluated.append(a[-1].shape[0]) or real(*a))
+        traces = planner_run_many(drifting_random_spec("abrupt", horizon=33),
+                                  list(PLANNER_SCHEDULES.values()))
+        assert len(traces) == 3 and np.isfinite(traces[0].column("eval_return")).all()
+        assert evaluated == [agent.EVAL_CHUNK] * 3 + [3]  # 99 (schedule, round) entries
+        evaluated.clear()
+        traces = td_train_many([steady_goal_spec(33)] * 2, [ONLINE_TD, FIXED_TD], [0, 1],
+                               4, 1, 6)
+        assert np.isfinite(traces[1].column("eval_return")).all()
+        assert evaluated == [agent.EVAL_CHUNK] * 2 + [2]  # 66 (step, learner) entries
 
     def test_open_loop_one_stacked_step_per_round(self, monkeypatch):
         # the schedule is fixed before round 1 and every round steps all
@@ -729,6 +783,19 @@ class TestTdLockstep:
         runs = [(mdps, cfg, seed) for mdps, cfg, seed in
                 zip(lists, (ONLINE_TD, FIXED_TD, ONLINE_TD), (0, 1, 2))]
         knobs = (6, 20, 9, 0.2)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    @pytest.mark.parametrize("horizon", [1, 31, 33])
+    def test_horizons_off_the_eval_chunk(self, horizon):
+        # eval_every 1 stores 3 policies a step: chunks fill mid-run and a
+        # remainder is left after the last step
+        a = random_mdp(5, 3, rng=np.random.default_rng(1))
+        b = random_mdp(5, 3, gamma=0.8, mu=0.3, rng=np.random.default_rng(2))
+        runs = [(steady_goal_spec(horizon), ONLINE_TD, 0),
+                (([a, b] * horizon)[:horizon], FIXED_TD, 1),
+                (([b, b, a] * horizon)[:horizon], ONLINE_TD, 2)]
+        knobs = (4, 1, 6, 0.2)
         assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
                                  runs, knobs)
 

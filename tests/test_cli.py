@@ -529,6 +529,16 @@ class TestSweepCommand:
         assert "config error: methods" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_every_value_checked_before_the_first_run(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "out", horizon=200)
+        doc["task"]["patterns"] = ["steady"]
+        doc["methods"] = doc["methods"][:1]
+        out = tmp_path / "sweep"
+        assert main(["sweep", write_config(tmp_path, doc), "--param", "horizon",
+                     "--values", "200,abc", "--out", str(out)]) == 2
+        assert "config error: horizon" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/sweep_*"))
+
 
 class TestVerifyCommand:
     def test_json_output(self, capsys):

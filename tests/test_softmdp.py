@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftsched import (
@@ -349,6 +349,53 @@ class TestSoftReturn:
             pi = rng.dirichlet(np.ones(3), size=5)
             _, v = policy_eval(m, pi)
             assert soft_return(m, pi) == pytest.approx(float(m.rho @ v), abs=1e-6)
+
+
+def reference_soft_return(rewards, transitions, rho, gamma, mu, pi):
+    """(d, J) of one policy: a 2-D einsum, a 1-D solve and a 1-D dot."""
+    p_pi = np.einsum("sa,saz->sz", pi, transitions)
+    d = np.linalg.solve(np.eye(len(rho)) - gamma * p_pi.T, (1.0 - gamma) * rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg_ent = np.where(pi > 0.0, pi * np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
+    per_state = (pi * rewards).sum(axis=1) - mu * neg_ent.sum(axis=1)
+    return d, float(d @ per_state) / (1.0 - gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6),
+       st.sampled_from([(1,), (2,), (5,), (1, 1), (2, 3), (3, 2)]),
+       st.integers(0, 2**32 - 1), st.data())
+@example(1, 1, (3,), 0, None)
+@example(1, 4, (2, 2), 1, None)
+@example(7, 1, (4,), 2, None)
+def test_stacked_soft_returns_match_per_policy_bits(n_states, n_actions, stack, seed, data):
+    from driftsched.softmdp import _soft_returns
+
+    n = math.prod(stack)
+    if data is None:  # the explicit examples spread gamma and mu themselves
+        gammas, mus = np.linspace(0.05, 0.99, n), np.linspace(0.01, 3.0, n)
+    else:
+        gammas = np.array(data.draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+        mus = np.array(data.draw(st.lists(st.floats(1e-3, 5.0), min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    rewards = rng.uniform(-1.0, 1.0, stack + (n_states, n_actions))
+    transitions = rng.dirichlet(np.ones(n_states), size=stack + (n_states, n_actions))
+    rho = rng.dirichlet(np.ones(n_states), size=stack)
+    pi = rng.dirichlet(np.full(n_actions, 0.5), size=stack + (n_states,))
+    pi[rng.random(pi.shape) < 0.2] = 0.0  # exact zeros: the 0 log 0 = 0 branch
+    pi[pi.sum(axis=-1) == 0.0, 0] = 1.0
+    pi /= pi.sum(axis=-1, keepdims=True)
+    gamma, mu = gammas.reshape(stack), mus.reshape(stack)
+
+    got = _soft_returns(rewards, transitions, rho, gamma, mu, pi)
+    assert got.shape == stack
+    for i in np.ndindex(stack):
+        d, want = reference_soft_return(rewards[i], transitions[i], rho[i],
+                                        float(gamma[i]), float(mu[i]), pi[i])
+        assert got[i] == want, i
+        mdp = TabularMdp(rewards[i], transitions[i], float(gamma[i]), rho[i], float(mu[i]))
+        assert soft_return(mdp, pi[i]) == want, i  # the one-entry calls
+        assert np.array_equal(occupancy(mdp, pi[i]), d), i
 
 
 class TestGenerateSequence:
