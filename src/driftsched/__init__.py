@@ -45,12 +45,8 @@ from .scheduler import (
 )
 from .omd import (
     ExplicitConstants,
-    LinearLoss,
-    OmdState,
     bound_rhs,
-    md_step,
     proxy_bound_rhs,
-    regularized_grad,
     run_dynamic,
     run_dynamic_many,
 )
@@ -74,11 +70,9 @@ from .softmdp import (
     variation_budget,
 )
 from .agent import (
-    TdLearnerState,
     planner_run,
     planner_run_many,
     rl_dynamic_regret,
-    td_step,
     td_train,
     td_train_many,
 )

@@ -12,7 +12,6 @@ the TD learner's depends on its own errors (closed loop).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .softmdp import (
     _soft_returns,
     _surrogate_gap,
     SoftMdpSequence,
-    TabularMdp,
     generate_sequence,
     soft_policy,
     soft_values,
@@ -78,17 +76,16 @@ def _soft_returns_of(mdps, policies) -> np.ndarray:
 
 
 def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
-                tol: float = 1e-9, collect_oco: bool = False) -> RunTrace:
+                tol: float = 1e-9) -> RunTrace:
     """Drive the planner across a sequence of MDPs (spec or list).
 
     eps, the floor of every policy row, must lie in [0, 1/A]. This is
     planner_run_many with one schedule.
     """
-    return planner_run_many(seq, [cfg], eps, tol, collect_oco)[0]
+    return planner_run_many(seq, [cfg], eps, tol)[0]
 
 
-def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
-                     collect_oco: bool = False) -> list:
+def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
     """Drive one planner per schedule across one sequence; one RunTrace each.
 
     The planner is open-loop: its proxy reading ||Q*_t - Q*_{t-1}||_inf / mu
@@ -104,7 +101,10 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
       lambda_t (1 + log pi_s);
     - the evaluation: J_t and the surrogate gaps of the played policies,
       EVAL_CHUNK (schedule, round) entries per stacked solve.
-    Trace b is planner_run(seq, cfgs[b], ...) bit for bit.
+    Trace b is planner_run(seq, cfgs[b], ...) bit for bit. Besides its
+    policies it carries its (T, S) surrogate gaps as oco_gaps and the
+    (T, S) per-state drifts ||pi*_t(s) - pi*_{t-1}(s)||_1, which every
+    trace shares, as state_alphas.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -167,20 +167,8 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9,
         "agent": "planner", "pattern": pattern, "seed": seed,
         "eps": eps, "tol": tol, "mu": mdps[0].mu,
         "c": cfg.c, "lambda_min": cfg.lambda_min, "lambda_max": cfg.lambda_max,
-    }, policies=list(played[b]), oco_gaps=gaps[b] if collect_oco else None,
-        state_alphas=state_alphas if collect_oco else None)
+    }, policies=list(played[b]), oco_gaps=gaps[b], state_alphas=state_alphas)
         for b, cfg in enumerate(cfgs)]
-
-
-@dataclass
-class TdLearnerState:
-    """Tabular soft-TD learner; owns its Q table and sampling stream."""
-
-    q: np.ndarray
-    rng: np.random.Generator
-    learn_rate: float
-    proxy: ProxyState
-    current_state: int
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -228,33 +216,6 @@ def _td_transition(q, rows, s, u_act, u_next, alpha, learn_rate, tables, m, k):
     delta = target - q[rows, s, a]
     q[rows, s, a] += learn_rate * delta
     return a, s_next, r, delta
-
-
-def td_step(state: TdLearnerState, mdp_t: TabularMdp, cfg: ScheduleConfig,
-            alpha_t: float):
-    """One sampled transition with temperature alpha_t.
-
-    Samples a ~ softmax(q(s,.)/alpha_t), steps the environment, applies
-    the smoothed backup target r + gamma * LSE(q(s',.), alpha_t) and
-    records the absolute TD error. Raises ValueError, as Generator.choice
-    would, once q(s,.)/alpha_t is not finite.
-    """
-    if alpha_t <= 0.0:
-        raise ValueError("temperature must be positive")
-    s = state.current_state
-    if not np.isfinite(state.q[s] / alpha_t).all():
-        raise ValueError(f"q({s},.)/alpha_t is not finite: the learner diverged")
-    u = state.rng.random((2, 1))  # the action's and the next state's uniform
-    zero = np.zeros(1, dtype=np.intp)
-    next_cdf = np.empty((1,) + mdp_t.transitions.shape)
-    next_cdf[0, s] = _cdf(mdp_t.transitions[s])  # the kernel reads only row s
-    tables = (mdp_t.rewards[None], np.array([mdp_t.gamma]), next_cdf)
-    a, s_next, r, delta = _td_transition(
-        state.q[None], zero, np.array([s]), u[:1], u[1:], np.array([[alpha_t]]),
-        state.learn_rate, tables, zero, zero)
-    state.current_state = int(s_next[0])
-    return state, {"s": s, "a": int(a[0]), "s_next": state.current_state,
-                   "r": float(r[0]), "delta": delta[0]}
 
 
 def _check_td_errors(deltas: np.ndarray) -> None:

@@ -194,6 +194,9 @@ def parse_config(doc) -> ExperimentConfig:
     agents = {m["agent"] for m in methods}
     if "planner" in agents and not 0.0 <= top["eps"] <= 1.0 / task["n_actions"] + SUM_TOL:
         raise ConfigError(f"eps={top['eps']!r} must lie in [0, 1/n_actions] for planners")
+    if "planner" in agents and horizon < 2:  # a planner evaluates every round
+        raise ConfigError(f"horizon={horizon} gives planner runs fewer than "
+                          f"two evaluation points")
     if "td" in agents and horizon // every < 2:
         raise ConfigError(f"eval_every={every} gives TD runs fewer than "
                           f"two evaluation points in horizon={horizon}")
@@ -267,6 +270,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     TD cells run in `jobs` contiguous lockstep chunks. A trace does not
     depend on its group, its chunk or on `jobs`.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs={jobs} must be >= 1")
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     cells = [
@@ -280,12 +285,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         if c[1] == "planner":
             planner.setdefault(c[3:], []).append(c)
     td = [c for c in cells if c[1] == "td"]
-    n_td = min(max(jobs, 1), len(td))
+    n_td = min(jobs, len(td))
     groups = list(planner.values()) + [
         td[i * len(td) // n_td:(i + 1) * len(td) // n_td] for i in range(n_td)]
     job_args = [(cfg, group, out_dir) for group in groups]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(job_args))  # a pool starts all its workers at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = dict(r for rs in ex.map(_cells_job, job_args) for r in rs)
     else:
         results = dict(r for args in job_args for r in _cells_job(args))
@@ -409,7 +415,6 @@ def cmd_sweep(args) -> int:
     all_rows = []
     for text, cfg in zip(values, cfgs):
         sub = os.path.join(out_root, f"sweep_{args.param}={text}")
-        os.makedirs(sub, exist_ok=True)
         run_experiment(cfg, out_dir=sub, jobs=args.jobs)
         # reread the per-cell metric rows with the sweep column attached
         with open(os.path.join(sub, "summary.csv")) as fh:
@@ -417,11 +422,14 @@ def cmd_sweep(args) -> int:
         for line in lines:
             all_rows.append(line + f",{args.param},{text}")
     combined = os.path.join(out_root, "sweep_summary.csv")
-    with open(combined + ".tmp", "w") as fh:
-        fh.write(f"# driftsched={__version__}\n")
-        fh.write("task,pattern,method,seed,nauc,drop_ratio,recovery,sweep_param,sweep_value\n")
-        fh.write("\n".join(all_rows) + ("\n" if all_rows else ""))
-    os.replace(combined + ".tmp", combined)
+
+    def write(path):
+        with open(path, "w") as fh:
+            fh.write(f"# driftsched={__version__}\n")
+            fh.write("task,pattern,method,seed,nauc,drop_ratio,recovery,sweep_param,sweep_value\n")
+            fh.write("\n".join(all_rows) + ("\n" if all_rows else ""))
+
+    _atomic_write(combined, write)
     print(combined)
     return 0
 

@@ -1,7 +1,7 @@
 """Entropy mirror descent on the simplex with dynamic-regret accounting.
 
 The update is multiplicative: x_{t+1,i} ∝ x_{t,i} exp(-eta_t g_i),
-renormalized and floored. Losses are linear (gradient plus offset) with
+renormalized and floored. Losses are linear (a gradient per round) with
 a time-varying entropy regularizer lambda_t added through the gradient,
 and step sizes follow the monotone envelope eta_t = max(eta_{t-1},
 c * lambda_t).
@@ -26,29 +26,6 @@ from .errors import (
 from .scheduler import ScheduleConfig, _schedule_columns
 from .simplex import SUM_TOL, SimplexVec, as_probs, kl_div, truncate
 from .trace import RunTrace
-
-
-@dataclass(frozen=True)
-class LinearLoss:
-    """f(x) = <grad, x> + offset."""
-
-    grad: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
-
-    def value(self, x) -> float:
-        return float(self.grad @ as_probs(x)) + self.offset
-
-
-@dataclass(frozen=True)
-class OmdState:
-    """Current iterate, last step size (for the envelope), step index."""
-
-    x: SimplexVec
-    eta_prev: float = 0.0
-    t: int = 0
 
 
 def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float) -> np.ndarray:
@@ -93,36 +70,6 @@ def _check_iterates(x: np.ndarray, eps: float) -> None:
         raise ValueError(f"an iterate has a coordinate below floor {eps}")
 
 
-def md_step(state: OmdState, g, eta: float, eps: float) -> OmdState:
-    """One multiplicative-weights step, then truncation to the eps-floor.
-
-    eta = 0 is permitted and leaves the point unchanged (oracle schedules
-    emit a zero temperature on drift-free rounds).
-    """
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise NonFiniteGradient("gradient contains NaN or infinity")
-    if eta < 0.0:
-        raise ValueError("step size must be nonnegative")
-    p = state.x.probs
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-    x_new = SimplexVec(_mirror_step(logp, g, eta, eps), max(eps, 0.0))
-    return OmdState(x=x_new, eta_prev=max(state.eta_prev, eta), t=state.t + 1)
-
-
-def regularized_grad(g_f, x, lam: float) -> np.ndarray:
-    """Gradient of f + lambda * neg_entropy at an interior point.
-
-    Componentwise g_f + lambda * (1 + log x); on the eps-floored simplex
-    its sup norm is at most G + lambda * (1 + |log eps|).
-    """
-    p = as_probs(x)
-    if (p <= 0.0).any():
-        raise BoundaryIterate("entropy gradient needs all coordinates > 0")
-    return np.asarray(g_f, dtype=float) + lam * (1.0 + np.log(p))
-
-
 @dataclass(frozen=True)
 class ExplicitConstants:
     """Constants of the per-round trade-off bound C0 + sum(C1 a/l + C2 l)."""
@@ -163,38 +110,30 @@ class ExplicitConstants:
         )
 
 
-def run_dynamic(stream, comparators, cfg: ScheduleConfig, eps: float,
+def run_dynamic(grads, comparators, cfg: ScheduleConfig, eps: float,
                 x0: SimplexVec | None = None) -> RunTrace:
     """Run mirror descent against a drifting comparator sequence.
 
-    stream is a (T, K) array of loss gradients or a list of T
-    LinearLoss; comparators holds T points of the K-simplex; cfg is the
-    schedule. This is the one-stream case of run_dynamic_many, which
-    describes a round.
+    grads is the (T, K) array of loss gradients; comparators holds T
+    points of the K-simplex; cfg is the schedule. This is the one-stream
+    case of run_dynamic_many, which describes a round.
     """
-    losses = stream if isinstance(stream, np.ndarray) else list(stream)
-    offsets = None
-    if len(losses) and isinstance(losses[0], LinearLoss):
-        grads = np.array([loss.grad for loss in losses])
-        offsets = [[float(loss.offset) for loss in losses]]
-    else:
-        grads = np.ascontiguousarray(losses, dtype=float)
+    grads = np.ascontiguousarray(grads, dtype=float)
     us = np.array([as_probs(u) for u in comparators], dtype=float)
-    return run_dynamic_many(grads[None], us[None], [cfg], eps, offsets, x0)[0]
+    return run_dynamic_many(grads[None], us[None], [cfg], eps, x0)[0]
 
 
-def run_dynamic_many(grads, comparators, cfgs, eps: float, offsets=None,
+def run_dynamic_many(grads, comparators, cfgs, eps: float,
                      x0: SimplexVec | None = None) -> list[RunTrace]:
     """Run B mirror-descent streams of one shape in lockstep.
 
     grads and comparators are (B, T, K): stream b has loss gradients
     grads[b] and comparators (points of the K-simplex) comparators[b].
-    cfgs holds the B schedules and offsets, if given, the (B, T) loss
-    offsets; every stream shares the floor eps and the start x0. Per
-    round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero at t=1) is the
-    schedule's proxy reading and true drift, the step size follows the
-    monotone envelope, the regret increment f_t(x_t) -
-    f_t(u_t) is recorded, and the iterate is updated on the regularized
+    cfgs holds the B schedules; every stream shares the floor eps and
+    the start x0. Per round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero
+    at t=1) is the schedule's proxy reading and true drift, the step size
+    follows the monotone envelope, the regret increment <g_t, x_t> -
+    <g_t, u_t> is recorded, and the iterate is updated on the regularized
     gradient. Each trace equals the one its stream gives alone, bit for
     bit. The drift column is known before round 1, so each stream's
     schedule is one array pass (scheduler._schedule_columns, which
@@ -214,9 +153,6 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float, offsets=None,
         raise LengthMismatch(f"{horizon} losses vs {us.shape[1:2]} comparators")
     if grads.ndim != 3 or us.shape != grads.shape:
         raise ShapeMismatch(f"gradients {grads.shape}, comparators {us.shape}")
-    offs = np.zeros((n, horizon)) if offsets is None else np.asarray(offsets, dtype=float)
-    if offs.shape != (n, horizon):
-        raise ShapeMismatch(f"offsets {offs.shape}, want {(n, horizon)}")
     if not np.isfinite(grads).all():
         raise NonFiniteGradient("gradient contains NaN or infinity")
     k = grads.shape[2]
@@ -245,8 +181,7 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float, offsets=None,
         xs[:, t + 1] = _mirror_step(logp, grads[:, t] + lam[:, t, None] * (1.0 + logp),
                                     eta[:, t, None], eps)
     _check_iterates(xs, eps)
-    inc = ((_row_dots(grads, xs[:, :horizon]) + offs)
-           - (_row_dots(grads, us) + offs))
+    inc = _row_dots(grads, xs[:, :horizon]) - _row_dots(grads, us)
 
     traces = []
     for b, cfg in enumerate(cfgs):

@@ -56,8 +56,8 @@ class RunTrace:
     columns: dict
     meta: dict = field(default_factory=dict)
     # side arrays, never serialized: planner policy snapshots, run_dynamic's
-    # (T, K) iterates, and with collect_oco the planner's (T, S) surrogate
-    # gaps and per-state comparator drifts
+    # (T, K) iterates, and the planner's (T, S) surrogate gaps and per-state
+    # comparator drifts
     policies: list | None = None
     iterates: np.ndarray | None = None
     oco_gaps: np.ndarray | None = None

@@ -424,19 +424,11 @@ def _check_q_value_bounds(seed, n=1000, solver_tol=1e-9):
     q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
     q_bound = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     v_bound = (1.0 + mu * math.log(a_dim)) / (1.0 - gamma)
-
-    idx = iter(range(n))
-
-    def lhs(i):
-        q = q_all[i]
-        v = soft_values(q, mu)
-        return max(float(np.abs(q).max()) - q_bound,
-                   float(np.abs(v).max()) - v_bound)
-
-    return check_inequality(
-        "q_value_bounds", lhs, lambda i: 0.0,
-        lambda rng_: next(idx), n=n, tol=solver_tol, seed=seed,
-    )
+    samples = []
+    for q in q_all:
+        q_sup, v_sup = float(np.abs(q).max()), float(np.abs(soft_values(q, mu)).max())
+        samples.append((max(q_sup - q_bound, v_sup - v_bound), 0.0, q_sup, v_sup))
+    return _check_samples("q_value_bounds", samples, tol=solver_tol)
 
 
 def _check_squared_drift_conversion(seed, n_sequences=100, steps=12,
@@ -478,17 +470,12 @@ def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):
     policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
-
-    idx = iter(range(n))
-
-    def lhs(i):
-        gaps = surrogate_gap(q_all[i], policies[i], mu)
-        return max(float(-gaps.min()), float(gaps.max() - gap_cap))
-
-    return check_inequality(
-        "surrogate_gap_range", lhs, lambda i: 0.0,
-        lambda rng_: next(idx), n=n, tol=1e-8, seed=seed,
-    )
+    samples = []
+    for q, pi in zip(q_all, policies):
+        gaps = surrogate_gap(q, pi, mu)
+        lo, hi = float(gaps.min()), float(gaps.max())
+        samples.append((max(-lo, hi - gap_cap), 0.0, lo, hi))
+    return _check_samples("surrogate_gap_range", samples, tol=1e-8)
 
 
 def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):

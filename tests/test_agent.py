@@ -13,17 +13,16 @@ from driftsched import (
     ScheduleConfig,
     SoftMdpSequence,
     TabularMdp,
-    TdLearnerState,
     goal_chain_mdp,
     planner_run,
     random_mdp,
     rl_dynamic_regret,
     soft_policy,
     solve_soft_q,
-    td_step,
     td_train,
     td_train_many,
 )
+from driftsched.agent import _cdf, _td_transition
 from driftsched.simplex import kl_div
 
 
@@ -114,7 +113,7 @@ class TestPlanner:
         real = agent.solve_soft_q
         monkeypatch.setattr(agent, "solve_soft_q",
                             lambda *a, **k: solves.append(1) or real(*a, **k))
-        tr = planner_run(seq, ScheduleConfig(mode="fixed", fixed_value=0.3), collect_oco=True)
+        tr = planner_run(seq, ScheduleConfig(mode="fixed", fixed_value=0.3))
         assert len(solves) == 1
         j_star = [float(mdp.rho @ v_star) for mdp in seq]
         assert abs(j_star[1] - j_star[0]) > 0.1
@@ -150,7 +149,7 @@ class TestPlanner:
             spec = abrupt_goal_spec(120, (40, 80), seed=seed, jitter=0.05)
             cfg = ScheduleConfig(mode="oracle", c1=1.0, c2=1.0, c=1.0,
                                  lambda_min=0.02, lambda_max=1.0)
-            tr = planner_run(spec, cfg, eps=eps, collect_oco=True)
+            tr = planner_run(spec, cfg, eps=eps)
             gaps = tr.oco_gaps          # (T, S) nonnegative loss gaps
             alphas = tr.state_alphas    # (T, S) per-state comparator drift
             lam = tr.column("lambda")
@@ -186,33 +185,39 @@ def one_state_mdp(r=1.0, gamma=0.5, mu=1.0):
                       np.array([1.0]), mu, r_max=1.0)
 
 
+def one_learner_step(q, m, alpha, learn_rate, rng):
+    """One _td_transition of a single learner, in state 0, on the one MDP m."""
+    zero = np.zeros(1, dtype=np.intp)
+    tables = (m.rewards[None], np.array([m.gamma]), _cdf(m.transitions)[None])
+    u = rng.random((2, 1))
+    return _td_transition(q[None], zero, zero, u[:1], u[1:], np.array([[alpha]]),
+                          learn_rate, tables, zero, zero)
+
+
 class TestTdStep:
+    """The TD step kernel, _td_transition, on a one-state learner."""
+
     def test_zero_learn_rate(self):
-        m = one_state_mdp()
-        state = TdLearnerState(q=np.zeros((1, 1)), rng=np.random.default_rng(0),
-                               learn_rate=0.0, proxy=ProxyState(), current_state=0)
-        state, rec = td_step(state, m, ScheduleConfig(mode="fixed"), alpha_t=0.3)
-        assert state.q[0, 0] == 0.0
-        assert rec["delta"] == pytest.approx(1.0)
+        q = np.zeros((1, 1))
+        _, _, _, delta = one_learner_step(q, one_state_mdp(), 0.3, 0.0,
+                                          np.random.default_rng(0))
+        assert q[0, 0] == 0.0
+        assert delta[0] == pytest.approx(1.0)
 
     def test_scalar_convergence(self):
         # single state and action: the smoothed target collapses to the
         # plain backup and q approaches r / (1 - gamma) = 2
         m = one_state_mdp(r=1.0, gamma=0.5)
-        state = TdLearnerState(q=np.zeros((1, 1)), rng=np.random.default_rng(0),
-                               learn_rate=0.2, proxy=ProxyState(), current_state=0)
-        cfg = ScheduleConfig(mode="fixed", fixed_value=0.4)
+        q, rng = np.zeros((1, 1)), np.random.default_rng(0)
         for _ in range(200):
-            state, rec = td_step(state, m, cfg, alpha_t=0.4)
-        assert state.q[0, 0] == pytest.approx(2.0, abs=1e-3)
-        assert abs(rec["delta"]) <= 1e-3
+            _, _, _, delta = one_learner_step(q, m, 0.4, 0.2, rng)
+        assert q[0, 0] == pytest.approx(2.0, abs=1e-3)
+        assert abs(delta[0]) <= 1e-3
 
     def test_requires_positive_temperature(self):
-        m = one_state_mdp()
-        state = TdLearnerState(q=np.zeros((1, 1)), rng=np.random.default_rng(0),
-                               learn_rate=0.1, proxy=ProxyState(), current_state=0)
-        with pytest.raises(ValueError):
-            td_step(state, m, ScheduleConfig(mode="fixed"), alpha_t=0.0)
+        # the learner's temperature is its schedule's, and a schedule refuses 0
+        with pytest.raises(ValueError, match="fixed_value must be positive"):
+            td_train(steady_goal_spec(10), ScheduleConfig(mode="fixed", fixed_value=0.0))
 
 
 class TestTdTrain:
@@ -285,9 +290,9 @@ class RefPlannerState:
 def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
     """One planner round with per-round schedule rules and one SimplexVec and
     md_step per state row; returns the next state and the round's record."""
-    from driftsched import (OmdState, SimplexVec, md_step, online_lambda, oracle_lambda,
-                            regularized_grad, update_proxy)
+    from driftsched import SimplexVec, online_lambda, oracle_lambda, update_proxy
     from driftsched.scheduler import eta_from_lambda
+    from omd_reference import OmdState, md_step, regularized_grad
     from driftsched.softmdp import soft_return, soft_values, surrogate_gap
 
     mu = mdp_t.mu
@@ -386,11 +391,8 @@ class TestPlannerMatchesPerStateLoop:
         real = agent.soft_policy
         monkeypatch.setattr(agent, "soft_policy",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
-        for collect_oco in (False, True):
-            calls.clear()
-            tr = planner_run(drifting_random_spec("periodic", horizon=12),
-                             ScheduleConfig(), collect_oco=collect_oco)
-            assert len(calls) == len(tr) == 12
+        tr = planner_run(drifting_random_spec("periodic", horizon=12), ScheduleConfig())
+        assert len(calls) == len(tr) == 12
 
 
 def reference_solve(mdp, tol, q):
@@ -496,14 +498,16 @@ class TestPlannerRunMany:
     # 1, 31 and 33 rounds: evaluation chunks that the (schedule, round) entries do not fill
     @pytest.mark.parametrize("seq", ["periodic", "abrupt", "custom",
                                      "periodic-1", "abrupt-31", "custom-33"])
-    @pytest.mark.parametrize("modes,collect_oco", [
+    @pytest.mark.parametrize("modes,one_shot", [
         (("online",), True), (("fixed", "oracle"), True),
         (("online", "oracle", "fixed"), False), (("oracle", "fixed", "online"), True)])
-    def test_matches_per_cell_loop(self, seq, modes, collect_oco):
+    def test_matches_per_cell_loop(self, seq, modes, one_shot):
         from driftsched import planner_run_many
 
         cfgs = [PLANNER_SCHEDULES[m] for m in modes]
-        traces = planner_run_many(planner_case(seq), cfgs, eps=1e-6, collect_oco=collect_oco)
+        # the schedules as a list or as a one-shot iterator
+        traces = planner_run_many(planner_case(seq), iter(cfgs) if one_shot else cfgs,
+                                  eps=1e-6)
         assert len(traces) == len(cfgs)
         for tr, mode in zip(traces, modes):
             columns, meta, policies, gaps, alphas = reference_planner_cell(seq, mode)
@@ -516,11 +520,8 @@ class TestPlannerRunMany:
             assert len(tr.policies) == len(policies)
             for got, want in zip(tr.policies, policies):
                 assert np.array_equal(got, want)
-            if collect_oco:
-                assert np.array_equal(tr.oco_gaps, gaps)
-                assert np.array_equal(tr.state_alphas, alphas)
-            else:
-                assert tr.oco_gaps is None and tr.state_alphas is None
+            assert np.array_equal(tr.oco_gaps, gaps)
+            assert np.array_equal(tr.state_alphas, alphas)
 
     def test_one_solve_chain_for_every_schedule(self, monkeypatch):
         from driftsched import planner_run_many, softmdp
@@ -614,9 +615,8 @@ class TestPlannerRunMany:
 
         spec = drifting_random_spec("abrupt", horizon=15)
         cfg = PLANNER_SCHEDULES["oracle"]
-        alone = planner_run(spec, cfg, eps=0.05, collect_oco=True)
-        shared = planner_run_many(spec, [PLANNER_SCHEDULES["online"], cfg], eps=0.05,
-                                  collect_oco=True)[1]
+        alone = planner_run(spec, cfg, eps=0.05)
+        shared = planner_run_many(spec, [PLANNER_SCHEDULES["online"], cfg], eps=0.05)[1]
         for name in alone.columns:
             assert np.array_equal(alone.column(name), shared.column(name)), name
         assert alone.meta == shared.meta
@@ -639,8 +639,19 @@ class TestPlannerRunMany:
             planner_run_many(spec, list(PLANNER_SCHEDULES.values()), eps=0.3)
 
 
+@dataclass
+class TdLearnerState:
+    """Tabular soft-TD learner; owns its Q table and sampling stream."""
+
+    q: np.ndarray
+    rng: np.random.Generator
+    learn_rate: float
+    proxy: ProxyState
+    current_state: int
+
+
 def reference_td_step(state, mdp_t, alpha_t):
-    """td_step as one learner's rng.choice draws and row functions."""
+    """One sampled soft-TD step as one learner's rng.choice draws and row functions."""
     from driftsched.softmdp import soft_values
 
     s = state.current_state
@@ -730,25 +741,8 @@ FIXED_TD = ScheduleConfig(mode="fixed", fixed_value=0.07)
 class TestTdLockstep:
     """td_train_many equals the per-learner reference loop bit for bit."""
 
-    def test_step_matches_choice_reference(self):
-        mdp = random_mdp(6, 4, rng=np.random.default_rng(3))
-        q0 = np.random.default_rng(4).normal(size=(6, 4))
-        mine = TdLearnerState(q=q0.copy(), rng=np.random.default_rng(9),
-                              learn_rate=0.3, proxy=ProxyState(), current_state=2)
-        ref = TdLearnerState(q=q0.copy(), rng=np.random.default_rng(9),
-                             learn_rate=0.3, proxy=ProxyState(), current_state=2)
-        for i in range(300):
-            alpha = 0.05 + 0.01 * (i % 7)
-            mine, rec = td_step(mine, mdp, ONLINE_TD, alpha)
-            want = reference_td_step(ref, mdp, alpha)
-            assert rec == want
-            assert type(rec["a"]) is int and type(rec["s_next"]) is int
-        assert np.array_equal(mine.q, ref.q)
-        assert mine.current_state == ref.current_state
-        assert mine.rng.random() == ref.rng.random()
-
     def test_predrawn_uniforms_match_choice(self):
-        from driftsched.agent import _cdf, _choose
+        from driftsched.agent import _choose
 
         p = np.array([0.2, 0.5, 0.3])
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
@@ -839,18 +833,6 @@ class TestTdLockstep:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
             td_train_many([spec] * 2, [ONLINE_TD, FIXED_TD], [1, 2], batch_size, 50, 25,
                           learn_rate=10.0)
-
-    def test_step_on_diverged_row_raises(self):
-        mdp = random_mdp(4, 3, rng=np.random.default_rng(0))
-        for bad in (math.inf, math.nan):
-            q = np.zeros((4, 3))
-            q[1, 2] = bad
-            state = TdLearnerState(q=q, rng=np.random.default_rng(0), learn_rate=0.1,
-                                   proxy=ProxyState(), current_state=1)
-            with pytest.raises(ValueError, match="diverged"):
-                td_step(state, mdp, FIXED_TD, 0.1)
-        state.current_state = 0  # a finite row still steps
-        td_step(state, mdp, FIXED_TD, 0.1)
 
     def test_shared_transitions_share_one_cdf(self):
         from driftsched.agent import _mdp_tables

@@ -192,16 +192,23 @@ class TestParseConfig:
         (("task", "patterns"), [], "task.patterns"),
         (("task", "patterns"), ["steady", "steady"], "task.patterns"),
         (("seeds",), [0, 0, 1], "seeds"),
+        # an empty path merges the value into the config root
+        ((), {"horizon": 1, "methods": [{"name": "p", "agent": "planner",
+                                         "schedule": {"mode": "fixed"}}],
+              "task": {"kind": "random", "n_states": 4, "n_actions": 3}},
+         "horizon=1 gives planner runs fewer than two evaluation points"),
     ])
     def test_bad_input_rejected_before_any_file(self, tmp_path, capsys, where, value,
                                                 match):
         out = tmp_path / "out"
         doc = base_config(out)
-        *parents, key = where
         node = doc
-        for name in parents:
+        for name in where[:-1]:
             node = node[name]
-        node[key] = value
+        if where:
+            node[where[-1]] = value
+        else:
+            doc.update(value)
         with pytest.raises(ConfigError, match=match):
             parse_config(doc)
         assert main(["run", write_config(tmp_path, doc)]) == 2
@@ -409,6 +416,43 @@ class TestRunCommand:
         assert "Traceback" not in proc.stderr
         [line] = proc.stderr.splitlines()
         assert line.startswith("run error: Unable to allocate")
+
+    @pytest.mark.parametrize("command", [[], ["--param", "horizon", "--values", "200"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
+        out = tmp_path / "out"
+        argv = ["sweep" if command else "run", write_config(tmp_path, base_config(out)),
+                *command, "--jobs", jobs]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: jobs={jobs} must be >= 1\n"
+        assert not out.exists()
+
+    def test_pool_no_larger_than_the_job_count(self, tmp_path, monkeypatch):
+        # --jobs 64 on two planner groups, one per pattern; the fake pool
+        # maps serially, so no process starts
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        doc = base_config(tmp_path / "out", horizon=20)
+        doc["task"] = {"kind": "random", "n_states": 4, "n_actions": 3,
+                       "patterns": ["steady", "linear"]}
+        doc["methods"] = [{"name": "planner", "agent": "planner"}]
+        assert main(["run", write_config(tmp_path, doc), "--jobs", "64"]) == 0
+        assert started == [2]
+        assert len(list((tmp_path / "out").glob("trace_*.csv"))) == 2
 
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         from driftsched import cli

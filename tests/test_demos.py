@@ -1,4 +1,4 @@
-"""Demos 01-04 run to the end against the installed API."""
+"""Demos 01-04 and the README quick start run to the end against the installed API."""
 
 import os
 import subprocess
@@ -21,3 +21,14 @@ def test_demo_runs(name):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+
+
+def test_readme_quick_start(capsys):
+    # the README's library example runs against the exported API
+    readme = (DEMOS.parent / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("temperature at the change:")
+    assert "dynamic regret:" in out

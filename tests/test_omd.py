@@ -11,21 +11,18 @@ from driftsched import (
     ExplicitConstants,
     InvalidEpsilon,
     LengthMismatch,
-    LinearLoss,
     MissingScheduleMetadata,
     NonFiniteGradient,
-    OmdState,
     ScheduleConfig,
     ShapeMismatch,
     SimplexVec,
     bound_rhs,
-    md_step,
     neg_entropy,
     proxy_bound_rhs,
-    regularized_grad,
     run_dynamic,
     run_dynamic_many,
 )
+from omd_reference import LinearLoss, OmdState, md_step, regularized_grad
 
 MD_UNIFORM2_G10 = (0.26894142136999512075, 0.73105857863000487925)
 
@@ -136,19 +133,19 @@ def constant_schedule(value, c=1.0):
 
 class TestRunDynamic:
     def test_single_round_self_comparator(self):
-        losses = [LinearLoss(np.array([0.4, -0.1]), offset=3.0)]
-        tr = run_dynamic(losses, [np.array([0.5, 0.5])], constant_schedule(0.2), 1e-6)
+        tr = run_dynamic(np.array([[0.4, -0.1]]), [np.array([0.5, 0.5])],
+                         constant_schedule(0.2), 1e-6)
         assert len(tr) == 1
         assert tr.column("regret_cum")[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            run_dynamic([LinearLoss(np.zeros(2))], [], constant_schedule(0.1), 0.0)
+            run_dynamic(np.zeros((1, 2)), [], constant_schedule(0.1), 0.0)
 
     def test_alpha_column_is_comparator_drift(self):
         rng = np.random.default_rng(1)
         us = [rng.dirichlet(np.ones(3)) for _ in range(40)]
-        losses = [LinearLoss(rng.uniform(-1, 1, 3)) for _ in range(40)]
+        losses = np.array([rng.uniform(-1, 1, 3) for _ in range(40)])
         tr = run_dynamic(losses, us, constant_schedule(0.1), 1e-6)
         expected = [0.0] + [float(np.abs(b - a).sum()) for a, b in zip(us, us[1:])]
         assert tr.column("alpha") == pytest.approx(expected, abs=1e-14)
@@ -156,7 +153,7 @@ class TestRunDynamic:
     def test_converges_to_regularized_optimum(self):
         g = np.array([0.8, -0.5])
         lam, c = 0.3, 1.0
-        losses = [LinearLoss(g)] * 300
+        losses = np.tile(g, (300, 1))
         us = [np.array([0.2, 0.8])] * 300
         tr = run_dynamic(losses, us, constant_schedule(lam, c), eps=1e-9)
         inc = tr.column("regret_inc")
@@ -174,7 +171,7 @@ class TestRunDynamic:
 
     def test_eta_nondecreasing_and_floor(self):
         rng = np.random.default_rng(2)
-        losses = [LinearLoss(rng.uniform(-1, 1, 4)) for _ in range(200)]
+        losses = np.array([rng.uniform(-1, 1, 4) for _ in range(200)])
         us = [rng.dirichlet(np.ones(4)) for _ in range(200)]
         cfg = ScheduleConfig(mode="online", ema_beta=0.0)
         tr = run_dynamic(losses, us, cfg, eps=1e-6)
@@ -186,7 +183,7 @@ class TestRunDynamic:
 
     def test_iterates_recorded_and_floored(self):
         rng = np.random.default_rng(6)
-        losses = [LinearLoss(rng.uniform(-3, 3, 5)) for _ in range(150)]
+        losses = np.array([rng.uniform(-3, 3, 5) for _ in range(150)])
         us = [rng.dirichlet(np.ones(5)) for _ in range(150)]
         eps = 1e-4
         tr = run_dynamic(losses, us, constant_schedule(0.2), eps=eps)
@@ -249,7 +246,7 @@ class TestBounds:
         for _ in range(10):
             k = int(rng.integers(2, 9))
             horizon = 300
-            losses = [LinearLoss(rng.uniform(-1, 1, k)) for _ in range(horizon)]
+            losses = np.array([rng.uniform(-1, 1, k) for _ in range(horizon)])
             u = rng.dirichlet(np.ones(k))
             us = []
             for t in range(horizon):
@@ -310,17 +307,16 @@ def reference_run_dynamic(losses, comparators, cfg, eps, x0=None):
     return columns, meta, iterates
 
 
-def drifting_stream(seed, k, horizon, g_scale=1.0, offsets=False):
+def drifting_stream(seed, k, horizon, g_scale=1.0):
     rng = np.random.default_rng(seed)
     grads = rng.uniform(-g_scale, g_scale, (horizon, k))
-    offs = rng.uniform(-2.0, 2.0, horizon) if offsets else np.zeros(horizon)
     u = rng.dirichlet(np.ones(k))
     us = []
     for t in range(horizon):
         if t in (horizon // 3, 2 * horizon // 3):
             u = rng.dirichlet(np.ones(k))
         us.append(u)
-    return grads, offs, us
+    return grads, us
 
 
 def schedule_for(mode):
@@ -355,31 +351,23 @@ class TestRunDynamicMatchesPerRoundLoop:
     @pytest.mark.parametrize("mode", ["fixed", "oracle", "online"])
     @pytest.mark.parametrize("k", [2, 5, 9, 16])
     def test_schedules(self, mode, k):
-        grads, _, us = drifting_stream(k, k, 300)
+        grads, us = drifting_stream(k, k, 300)
         losses = [LinearLoss(g) for g in grads]
-        self.assert_same(losses, losses, us, mode, 1e-6)
-        # the same stream as one (T, K) gradient array
         self.assert_same(losses, grads, us, mode, 1e-6)
 
     @pytest.mark.parametrize("mode", ["fixed", "online"])
     def test_eps_zero(self, mode):
-        grads, _, us = drifting_stream(3, 6, 250, g_scale=3.0)
+        grads, us = drifting_stream(3, 6, 250, g_scale=3.0)
         losses = [LinearLoss(g) for g in grads]
-        self.assert_same(losses, losses, us, mode, 0.0)
         self.assert_same(losses, grads, us, mode, 0.0)
 
     @pytest.mark.parametrize("mode", ["fixed", "oracle", "online"])
     def test_floor_active(self, mode):
         eps = 1e-3
-        grads, _, us = drifting_stream(5, 7, 250, g_scale=60.0)
+        grads, us = drifting_stream(5, 7, 250, g_scale=60.0)
         losses = [LinearLoss(g) for g in grads]
         tr = self.assert_same(losses, grads, us, mode, eps)
         assert (np.abs(tr.iterates - eps) < 1e-15).any()
-
-    def test_offsets(self):
-        grads, offs, us = drifting_stream(11, 4, 200, offsets=True)
-        losses = [LinearLoss(g, offset=float(o)) for g, o in zip(grads, offs)]
-        self.assert_same(losses, losses, us, "online", 1e-6)
 
     def test_bad_inputs_rejected_up_front(self):
         sched = constant_schedule(0.1)
@@ -427,43 +415,42 @@ MIXED_SCHEDULES = [schedule_for(mode) for mode in MIXED_MODES] + [
     ScheduleConfig(mode="online", ema_beta=0.9, lambda_min=0.05, lambda_max=1.0)]
 
 
-def batch_of_streams(n, k, horizon, g_scale, offsets):
+def batch_of_streams(n, k, horizon, g_scale):
     """n drifting streams of one shape, stacked, and their LinearLoss lists."""
-    draws = [drifting_stream(100 * k + b, k, horizon, g_scale, offsets) for b in range(n)]
+    draws = [drifting_stream(100 * k + b, k, horizon, g_scale) for b in range(n)]
     grads = np.stack([d[0] for d in draws])
-    offs = np.stack([d[1] for d in draws])
-    us = np.stack([np.array(d[2]) for d in draws])
-    losses = [[LinearLoss(g, offset=float(o)) for g, o in zip(grads[b], offs[b])]
-              for b in range(n)]
-    return grads, (offs if offsets else None), us, losses
+    us = np.stack([np.array(d[1]) for d in draws])
+    losses = [[LinearLoss(g) for g in grads[b]] for b in range(n)]
+    return grads, us, losses
 
 
 class TestRunDynamicMany:
     """run_dynamic_many repeats the per-round loop of every stream bit for bit."""
 
-    @pytest.mark.parametrize("offsets", [False, True])
+    @pytest.mark.parametrize("given_x0", [False, True])
     @pytest.mark.parametrize("floor", ["zero", "small", "active"])
     @pytest.mark.parametrize("k", [2, 5, 16])
     @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_matches_per_stream_loop(self, n, k, floor, offsets):
+    def test_matches_per_stream_loop(self, n, k, floor, given_x0):
         eps, g_scale = {"zero": (0.0, 3.0), "small": (1e-6, 1.0),
                         "active": (0.9 / k, 60.0)}[floor]
-        grads, offs, us, losses = batch_of_streams(n, k, 90, g_scale, offsets)
+        grads, us, losses = batch_of_streams(n, k, 90, g_scale)
+        # a drawn start, which the active floor truncates, or the uniform default
+        x0 = SimplexVec(np.random.default_rng(k).dirichlet(np.ones(k))) if given_x0 else None
         cfgs = [MIXED_SCHEDULES[b % 4] for b in range(n)]
-        traces = run_dynamic_many(grads, us, cfgs, eps, offs)
+        traces = run_dynamic_many(grads, us, cfgs, eps, x0)
         assert len(traces) == n
         for b, tr in enumerate(traces):
-            assert_matches_reference(tr, reference_run_dynamic(losses[b], us[b], cfgs[b], eps))
+            want = reference_run_dynamic(losses[b], us[b], cfgs[b], eps, x0)
+            assert_matches_reference(tr, want)
             # the stream alone gives the same trace as inside the batch
-            alone = run_dynamic_many(grads[b:b + 1], us[b:b + 1], cfgs[b:b + 1], eps,
-                                     None if offs is None else offs[b:b + 1])[0]
-            assert_matches_reference(alone, reference_run_dynamic(losses[b], us[b],
-                                                                  cfgs[b], eps))
+            alone = run_dynamic_many(grads[b:b + 1], us[b:b + 1], cfgs[b:b + 1], eps, x0)[0]
+            assert_matches_reference(alone, want)
         if floor == "active":
             assert any((np.abs(tr.iterates - eps) < 1e-15).any() for tr in traces)
 
     def test_shared_start_point(self):
-        grads, _, us, losses = batch_of_streams(3, 4, 60, 1.0, False)
+        grads, us, losses = batch_of_streams(3, 4, 60, 1.0)
         x0 = SimplexVec(np.array([0.1, 0.2, 0.3, 0.4]))
         cfgs = [schedule_for(mode) for mode in MIXED_MODES]
         for b, tr in enumerate(run_dynamic_many(grads, us, cfgs, 1e-6, x0=x0)):
@@ -473,7 +460,7 @@ class TestRunDynamicMany:
     @pytest.mark.parametrize("change,error", [
         (lambda a: {**a, "grads": a["grads"][:, :, :2]}, ShapeMismatch),
         (lambda a: {**a, "grads": a["grads"][..., None]}, ShapeMismatch),
-        (lambda a: {**a, "offsets": np.zeros((3, 5))}, ShapeMismatch),
+        (lambda a: {**a, "comparators": a["comparators"][:, :, :2]}, ShapeMismatch),
         (lambda a: {**a, "x0": SimplexVec.uniform(2)}, ShapeMismatch),
         (lambda a: {**a, "grads": a["grads"][:, :5]}, LengthMismatch),
         (lambda a: {**a, "grads": a["grads"][:, :0], "comparators": a["comparators"][:, :0]},
@@ -494,8 +481,8 @@ class TestRunDynamicMany:
             raise AssertionError("a round ran before the inputs were checked")
 
         monkeypatch.setattr(omd, "_mirror_step", no_round)
-        grads, _, us, _ = batch_of_streams(3, 3, 20, 1.0, False)
-        args = {"grads": grads, "comparators": us, "eps": 1e-6, "offsets": None,
+        grads, us, _ = batch_of_streams(3, 3, 20, 1.0)
+        args = {"grads": grads, "comparators": us, "eps": 1e-6,
                 "cfgs": [schedule_for(mode) for mode in MIXED_MODES], "x0": None}
         with pytest.raises(error):
             run_dynamic_many(**change(args))
@@ -508,13 +495,13 @@ class TestRunDynamicMany:
 
         for module in (scheduler, omd):
             monkeypatch.setattr(module, "next_lambda", per_round, raising=False)
-        grads, _, us, losses = batch_of_streams(3, 4, 50, 1.0, False)
+        grads, us, losses = batch_of_streams(3, 4, 50, 1.0)
         cfgs = MIXED_SCHEDULES[1:]
         for b, tr in enumerate(run_dynamic_many(grads, us, cfgs, 1e-6)):
             assert_matches_reference(tr, reference_run_dynamic(losses[b], us[b], cfgs[b], 1e-6))
 
     def test_boundary_iterate_without_floor(self):
-        grads, _, us, _ = batch_of_streams(2, 2, 5, 1.0, False)
+        grads, us, _ = batch_of_streams(2, 2, 5, 1.0)
         with pytest.raises(BoundaryIterate):
             run_dynamic_many(grads, us, [schedule_for("fixed")] * 2, 0.0,
                              x0=SimplexVec.vertex(2, 0))
