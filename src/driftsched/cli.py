@@ -449,6 +449,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
+def _seed_arg(text: str) -> int:
+    """argparse type of --seed: default_rng takes only non-negative ints."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="driftsched",
@@ -471,7 +478,7 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the numerical check suite")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed_arg, default=0)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

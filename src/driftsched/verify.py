@@ -6,6 +6,13 @@ tolerance. Identities use |lhs - rhs|, inequalities use lhs - rhs.
 Tolerances are absolute and include solver-propagated slack where fixed
 points are involved: those come from softmdp.solve_soft_q, on a stack of
 MDPs where a check needs many, and satisfy ||TQ - Q|| <= solver_tol.
+
+Nine checks draw all samples in order, then evaluate them in one stacked
+call per kernel (per K for lse_lipschitz and softmax_drift), with each
+sample's own bits. The rest go one sample at a time: the entropy, KL and
+truncate kernels take one vector, soft_backup_contraction draws gamma and
+mu per sample, and one merged squared_drift_conversion solve would share
+a stopping test and move bits. Every report comes from _worst's loop.
 """
 
 from __future__ import annotations
@@ -18,31 +25,32 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SamplerFailure
-from .omd import (ExplicitConstants, bound_rhs, proxy_bound_rhs, run_dynamic,
-                  run_dynamic_many)
+from .omd import (ExplicitConstants, _check_iterates as _validate_rows, _row_dots,
+                  bound_rhs, proxy_bound_rhs, run_dynamic, run_dynamic_many)
 from .scheduler import ScheduleConfig, offline_lambda
 from .simplex import (
+    _row_lse,
+    _row_softmax,
     bregman_neg_entropy,
     kl_div,
-    log_sum_exp,
     neg_entropy,
     softmax,
     truncate,
 )
 from .softmdp import (
     _MdpStack,
+    _evaluate,
+    _occupancies,
+    _surrogate_gap,
     DriftSpec,
     SoftMdpSequence,
     TabularMdp,
     generate_sequence,
-    occupancy,
-    policy_eval,
     random_mdp,
     soft_bellman_apply,
     soft_policy,
     soft_values,
     solve_soft_q,
-    surrogate_gap,
 )
 
 
@@ -84,45 +92,55 @@ def _describe(sample) -> str:
     return text if len(text) <= 200 else text[:197] + "..."
 
 
-def _scan(name, lhs_fn, rhs_fn, sampler, n, tol, rng, violation):
-    if n < 1:
+def _draw(name, sampler, n, seed) -> list:
+    """n samples of sampler(rng) in order, from the check's seeded rng."""
+    rng = _rng(seed, name)
+    try:
+        return [sampler(rng) for _ in range(n)]
+    except Exception as exc:
+        raise SamplerFailure(f"{name}: sampler raised {exc!r}") from exc
+
+
+def _worst(name, samples, lhs, rhs, tol, violation) -> CheckReport:
+    """Report over samples with lhs and rhs columns: the worst case is the first
+    of largest violation(lhs, rhs); a NaN is never picked (all NaN: -inf)."""
+    if not samples:
         raise ValueError("need at least one sample")
-    worst = -math.inf
-    worst_sample = None
-    for _ in range(n):
-        try:
-            sample = sampler(rng)
-        except Exception as exc:
-            raise SamplerFailure(f"{name}: sampler raised {exc!r}") from exc
-        v = violation(float(lhs_fn(sample)), float(rhs_fn(sample)))
+    worst, worst_sample = -math.inf, None
+    for sample, a, b in zip(samples, lhs, rhs):
+        v = violation(float(a), float(b))
         if v > worst:
-            worst = v
-            worst_sample = sample
-    return CheckReport(
-        name=name, samples=n, max_violation=worst, tolerance=tol,
-        worst_case=_describe(worst_sample),
-    )
+            worst, worst_sample = v, sample
+    return CheckReport(name=name, samples=len(samples), max_violation=worst,
+                       tolerance=tol, worst_case=_describe(worst_sample))
+
+
+def _gap(a, b):
+    return abs(a - b)
+
+
+def _excess(a, b):
+    return a - b
 
 
 def check_identity(name, lhs_fn, rhs_fn, sampler, n: int, tol: float,
                    seed: int = 0) -> CheckReport:
     """max |lhs - rhs| over n seeded samples against tol."""
-    return _scan(name, lhs_fn, rhs_fn, sampler, n, tol, _rng(seed, name),
-                 lambda a, b: abs(a - b))
+    samples = _draw(name, sampler, n, seed)
+    return _worst(name, samples, map(lhs_fn, samples), map(rhs_fn, samples), tol, _gap)
 
 
 def check_inequality(name, lhs_fn, rhs_fn, sampler, n: int, tol: float,
                      seed: int = 0) -> CheckReport:
     """max (lhs - rhs) over n seeded samples; passes when <= tol."""
-    return _scan(name, lhs_fn, rhs_fn, sampler, n, tol, _rng(seed, name),
-                 lambda a, b: a - b)
+    samples = _draw(name, sampler, n, seed)
+    return _worst(name, samples, map(lhs_fn, samples), map(rhs_fn, samples), tol, _excess)
 
 
 def _check_samples(name, samples, tol: float) -> CheckReport:
     """check_inequality over precomputed (lhs, rhs, ...) tuples."""
-    it = iter(samples)
-    return check_inequality(name, lambda s: s[0], lambda s: s[1],
-                            lambda rng_: next(it), n=len(samples), tol=tol)
+    return _worst(name, samples, [s[0] for s in samples], [s[1] for s in samples],
+                  tol, _excess)
 
 
 # ---------------------------------------------------------------------------
@@ -188,33 +206,50 @@ def _check_pinsker(seed):
     )
 
 
-def _check_lse_lipschitz(seed):
-    def sampler(rng):
-        k = int(rng.integers(2, 17))
-        mu = float(rng.uniform(0.05, 5.0))
-        return rng.uniform(-10, 10, k), rng.uniform(-10, 10, k), mu
-
-    return check_inequality(
-        "lse_lipschitz",
-        lambda s: abs(log_sum_exp(s[0], s[2]) - log_sum_exp(s[1], s[2])),
-        lambda s: float(np.abs(s[0] - s[1]).max()),
-        sampler, n=2000, tol=1e-10, seed=seed,
-    )
+def _vector_pair(rng):
+    k = int(rng.integers(2, 17))
+    mu = float(rng.uniform(0.05, 5.0))
+    return rng.uniform(-10, 10, k), rng.uniform(-10, 10, k), mu
 
 
-def _check_softmax_drift(seed):
-    def sampler(rng):
-        k = int(rng.integers(2, 17))
-        mu = float(rng.uniform(0.05, 5.0))
-        return rng.uniform(-10, 10, k), rng.uniform(-10, 10, k), mu
+def _per_k(samples, columns_of):
+    """lhs and rhs columns over (x, y, mu) samples whose K varies.
 
-    return check_inequality(
-        "softmax_drift",
-        lambda s: float(np.abs(softmax(s[0], s[2]).probs
-                               - softmax(s[1], s[2]).probs).sum()),
-        lambda s: float(np.abs(s[0] - s[1]).max()) / s[2],
-        sampler, n=2000, tol=1e-10, seed=seed,
-    )
+    columns_of(x, y, mu) gets the (m, K) rows and the m temperatures of
+    the samples of one K, and returns their lhs and rhs.
+    """
+    groups = {}
+    for i, (x, _, _) in enumerate(samples):
+        groups.setdefault(x.size, []).append(i)
+    lhs, rhs = np.empty(len(samples)), np.empty(len(samples))
+    for members in groups.values():
+        x, y, mu = (np.stack([samples[i][j] for i in members]) for j in range(3))
+        lhs[members], rhs[members] = columns_of(x, y, mu)
+    return lhs, rhs
+
+
+def _check_lse_lipschitz(seed, n=2000):
+    def columns(x, y, mu):
+        lse = lambda z: mu * _row_lse(z / mu[:, None])  # log_sum_exp of each row
+        return np.abs(lse(x) - lse(y)), np.abs(x - y).max(axis=-1)
+
+    samples = _draw("lse_lipschitz", _vector_pair, n, seed)
+    return _worst("lse_lipschitz", samples, *_per_k(samples, columns), 1e-10, _excess)
+
+
+def _check_softmax_drift(seed, n=2000):
+    def probs(z, mu):  # softmax, with the checks SimplexVec makes on each row
+        p = _row_softmax(z / mu[:, None])
+        p = p / p.sum(axis=-1, keepdims=True)
+        _validate_rows(p, 0.0)
+        return p
+
+    def columns(x, y, mu):
+        return (np.abs(probs(x, mu) - probs(y, mu)).sum(axis=-1),
+                np.abs(x - y).max(axis=-1) / mu)
+
+    samples = _draw("softmax_drift", _vector_pair, n, seed)
+    return _worst("softmax_drift", samples, *_per_k(samples, columns), 1e-10, _excess)
 
 
 def _check_softmax_jacobian_tight(seed):
@@ -373,47 +408,46 @@ def _perturbed_pair(rng, s=5, a=3, gamma=0.9, mu=0.2):
     return m1, m2
 
 
-def _check_operator_drift(seed):
+def _stack(mdps) -> _MdpStack:
+    """The _MdpStack of TabularMdps that share gamma and mu."""
+    return _MdpStack(np.stack([m.rewards for m in mdps]),
+                     np.stack([m.transitions for m in mdps]), mdps[0].gamma, mdps[0].mu)
+
+
+def _sup(x):
+    """Sup norm of each (S, A) table or S-vector of a stack."""
+    return np.abs(x).max(axis=tuple(range(1, x.ndim)))
+
+
+def _model_drift(m1: _MdpStack, m2: _MdpStack):
+    """Sup-norm reward change and worst-row l1 transition change per entry."""
+    return _sup(m2.rewards - m1.rewards), _sup(np.abs(m2.transitions - m1.transitions).sum(axis=-1))
+
+
+def _check_operator_drift(seed, n=1000):
     def sampler(rng):
         m1, m2 = _perturbed_pair(rng)
         scale = m1.q_bound()
         q = rng.uniform(-scale, scale, size=m1.rewards.shape)
         return m1, m2, q
 
-    def lhs(s):
-        m1, m2, q = s
-        return float(np.abs(soft_bellman_apply(m2, q)
-                            - soft_bellman_apply(m1, q)).max())
-
-    def rhs(s):
-        m1, m2, q = s
-        delta_r = float(np.abs(m2.rewards - m1.rewards).max())
-        delta_p = float(np.abs(m2.transitions - m1.transitions).sum(axis=2).max())
-        v_sup = float(np.abs(soft_values(q, m1.mu)).max())
-        return delta_r + m1.gamma * v_sup * delta_p
-
-    return check_inequality("operator_drift_bound", lhs, rhs, sampler,
-                            n=1000, tol=1e-10, seed=seed)
+    samples = _draw("operator_drift_bound", sampler, n, seed)
+    m1s, m2s, q = zip(*samples)
+    m1, m2, q = _stack(m1s), _stack(m2s), np.stack(q)
+    lhs = _sup(soft_bellman_apply(m2, q) - soft_bellman_apply(m1, q))
+    delta_r, delta_p = _model_drift(m1, m2)
+    rhs = delta_r + m1.gamma * _sup(soft_values(q, m1.mu)) * delta_p
+    return _worst("operator_drift_bound", samples, lhs, rhs, 1e-10, _excess)
 
 
 def _check_fixed_point_sensitivity(seed, n=1000, solver_tol=1e-10):
     rng = _rng(seed, "fixed_point_sensitivity")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
-    pairs = [_perturbed_pair(rng, s_dim, a_dim, gamma, mu) for _ in range(n)]
-    rewards = np.stack([m.rewards for pair in pairs for m in pair])
-    transitions = np.stack([m.transitions for pair in pairs for m in pair])
-    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
-
-    samples = []
-    for i, (m1, m2) in enumerate(pairs):
-        q1, q2 = q_all[2 * i], q_all[2 * i + 1]
-        delta_r = float(np.abs(m2.rewards - m1.rewards).max())
-        delta_p = float(np.abs(m2.transitions - m1.transitions).sum(axis=2).max())
-        lhs = float(np.abs(q2 - q1).max())
-        v_sup = float(np.abs(soft_values(q1, mu)).max())
-        rhs = (delta_r + gamma * v_sup * delta_p) / (1.0 - gamma)
-        samples.append((lhs, rhs, delta_r, delta_p))
-
+    m1s, m2s = zip(*(_perturbed_pair(rng, s_dim, a_dim, gamma, mu) for _ in range(n)))
+    q1, q2 = np.split(solve_soft_q(_stack(m1s + m2s), solver_tol), 2)
+    delta_r, delta_p = _model_drift(_stack(m1s), _stack(m2s))
+    rhs = (delta_r + gamma * _sup(soft_values(q1, mu)) * delta_p) / (1.0 - gamma)
+    samples = list(zip(_sup(q2 - q1).tolist(), rhs.tolist(), delta_r.tolist(), delta_p.tolist()))
     return _check_samples("fixed_point_sensitivity", samples, tol=4 * solver_tol)
 
 
@@ -424,10 +458,9 @@ def _check_q_value_bounds(seed, n=1000, solver_tol=1e-9):
     q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
     q_bound = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     v_bound = (1.0 + mu * math.log(a_dim)) / (1.0 - gamma)
-    samples = []
-    for q in q_all:
-        q_sup, v_sup = float(np.abs(q).max()), float(np.abs(soft_values(q, mu)).max())
-        samples.append((max(q_sup - q_bound, v_sup - v_bound), 0.0, q_sup, v_sup))
+    samples = [(max(q_sup - q_bound, v_sup - v_bound), 0.0, q_sup, v_sup)
+               for q_sup, v_sup in zip(_sup(q_all).tolist(),
+                                       _sup(soft_values(q_all, mu)).tolist())]
     return _check_samples("q_value_bounds", samples, tol=solver_tol)
 
 
@@ -470,11 +503,9 @@ def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):
     policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
-    samples = []
-    for q, pi in zip(q_all, policies):
-        gaps = surrogate_gap(q, pi, mu)
-        lo, hi = float(gaps.min()), float(gaps.max())
-        samples.append((max(-lo, hi - gap_cap), 0.0, lo, hi))
+    gaps = _surrogate_gap(q_all, policies, soft_policy(q_all, mu), mu)
+    samples = [(max(-lo, hi - gap_cap), 0.0, lo, hi)
+               for lo, hi in zip(gaps.min(axis=-1).tolist(), gaps.max(axis=-1).tolist())]
     return _check_samples("surrogate_gap_range", samples, tol=1e-8)
 
 
@@ -487,22 +518,21 @@ def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
 
-    samples = []
-    for i in range(n):
-        mdp = TabularMdp(rewards[i], transitions[i], gamma, rho, mu)
-        pi = rng.dirichlet(np.ones(a_dim), size=s_dim)
-        pi_star = soft_policy(q_all[i], mu)
-        gaps = surrogate_gap(q_all[i], pi, mu)
-        d_star = occupancy(mdp, pi_star)
-        d_tilde = occupancy(mdp, pi)
-        occ_err = float(d_star @ gaps - d_tilde @ gaps) / (1.0 - gamma)
-        l1 = float(np.abs(d_star - d_tilde).sum())
-        samples.append((abs(occ_err), gap_cap * l1 / (1.0 - gamma)))
-
+    for i in range(n):  # TabularMdp validates each drawn MDP
+        TabularMdp(rewards[i], transitions[i], gamma, rho, mu)
+    policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))  # the numbers of n draws of (S, A)
+    pi_star = soft_policy(q_all, mu)
+    gaps = _surrogate_gap(q_all, policies, pi_star, mu)
+    d_star, d_tilde = _occupancies(transitions, rho, np.float64(gamma),
+                                   np.stack([pi_star, policies]))
+    occ_err = (_row_dots(d_star, gaps) - _row_dots(d_tilde, gaps)) / (1.0 - gamma)
+    l1 = np.abs(d_star - d_tilde).sum(axis=-1)
+    samples = [(abs(e), gap_cap * l / (1.0 - gamma))
+               for e, l in zip(occ_err.tolist(), l1.tolist())]
     return _check_samples("occupancy_mismatch_bound", samples, tol=1e-8)
 
 
-def _check_occupancy_policy_sensitivity(seed):
+def _check_occupancy_policy_sensitivity(seed, n=1000):
     def sampler(rng):
         s, a = 5, 3
         mdp = random_mdp(s, a, gamma=float(rng.uniform(0.5, 0.95)),
@@ -511,17 +541,15 @@ def _check_occupancy_policy_sensitivity(seed):
         pi2 = rng.dirichlet(np.ones(a), size=s)
         return mdp, pi1, pi2
 
-    def lhs(s):
-        mdp, pi1, pi2 = s
-        return float(np.abs(occupancy(mdp, pi1) - occupancy(mdp, pi2)).sum())
-
-    def rhs(s):
-        mdp, pi1, pi2 = s
-        gap = float(np.abs(pi1 - pi2).sum(axis=1).max())
-        return mdp.gamma / (1.0 - mdp.gamma) * gap
-
-    return check_inequality("occupancy_policy_sensitivity", lhs, rhs,
-                            sampler, n=1000, tol=1e-10, seed=seed)
+    name = "occupancy_policy_sensitivity"
+    samples = _draw(name, sampler, n, seed)
+    mdps, pi1, pi2 = zip(*samples)
+    gamma = np.array([m.gamma for m in mdps])
+    pi1, pi2 = np.stack(pi1), np.stack(pi2)
+    d1, d2 = _occupancies(np.stack([m.transitions for m in mdps]),
+                          np.stack([m.rho for m in mdps]), gamma, np.stack([pi1, pi2]))
+    rhs = gamma / (1.0 - gamma) * np.abs(pi1 - pi2).sum(axis=-1).max(axis=-1)
+    return _worst(name, samples, np.abs(d1 - d2).sum(axis=-1), rhs, 1e-10, _excess)
 
 
 def _check_fenchel_young_gap(seed):
@@ -553,27 +581,21 @@ def _check_performance_difference(seed, n=200):
         pi_prime = rng.dirichlet(np.ones(3), size=4)
         return mdp, pi, pi_prime
 
-    def lhs(s):
-        mdp, pi, pi_prime = s
-        _, v = policy_eval(mdp, pi)
-        _, v_prime = policy_eval(mdp, pi_prime)
-        return float(mdp.rho @ (v_prime - v))
-
-    def rhs(s):
-        mdp, pi, pi_prime = s
-        q_pi, v_pi = policy_eval(mdp, pi)
-        with np.errstate(divide="ignore"):
-            log_pi = np.where(pi > 0.0, np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
-        adv = q_pi - mdp.mu * log_pi - v_pi[:, None]
-        d_prime = occupancy(mdp, pi_prime)
-        kl_rows = np.array(
-            [kl_div(pi_prime[s_], pi[s_]) for s_ in range(mdp.n_states)]
-        )
-        inner = (pi_prime * adv).sum(axis=1) - mdp.mu * kl_rows
-        return float(d_prime @ inner) / (1.0 - mdp.gamma)
-
-    return check_identity("performance_difference", lhs, rhs, sampler,
-                          n=n, tol=1e-7, seed=seed)
+    name = "performance_difference"
+    samples = _draw(name, sampler, n, seed)
+    mdps, pi, pi_prime = zip(*samples)
+    mdp, pi, pi_prime = _stack(mdps), np.stack(pi), np.stack(pi_prime)
+    rho = np.stack([m.rho for m in mdps])
+    (q_pi, _), (v_pi, v_prime) = _evaluate(mdp, np.stack([pi, pi_prime]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pi = np.where(pi > 0.0, np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
+        # kl_div of each row: its masked entries add +0.0, which keeps the 3-term sum's bits
+        kl_rows = np.where(pi_prime > 0.0, pi_prime * np.log(pi_prime / pi), 0.0).sum(axis=-1)
+    adv = q_pi - mdp.mu * log_pi - v_pi[..., None]
+    d_prime = _occupancies(mdp.transitions, rho, np.float64(mdp.gamma), pi_prime)
+    inner = (pi_prime * adv).sum(axis=-1) - mdp.mu * kl_rows
+    rhs = _row_dots(d_prime, inner) / (1.0 - mdp.gamma)
+    return _worst(name, samples, _row_dots(rho, v_prime - v_pi), rhs, 1e-7, _gap)
 
 
 # ---------------------------------------------------------------------------

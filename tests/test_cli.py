@@ -598,6 +598,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "checks passed" in out
 
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_rejected_before_any_check(self, monkeypatch, capsys, seed):
+        def no_suite(seed):
+            raise AssertionError("run_suite called")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--json", "--seed", seed])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --seed: seed must be a non-negative integer, got {seed!r}" in err
+
     def test_deterministic(self, capsys):
         main(["verify", "--json", "--seed", "3"])
         first = capsys.readouterr().out

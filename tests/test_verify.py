@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import verify_reference
 from driftsched import CheckReport, SamplerFailure, check_identity, check_inequality, run_suite
 
 EXPECTED_CHECKS = {
@@ -115,6 +116,69 @@ class TestSuite:
         mutated = run_suite(seed=0, tradeoff_c2_factor=0.5)
         failing = [r.name for r in mutated if not r.passed]
         assert failing == ["coupled_tradeoff_regret_bound"]
+
+
+class TestWorstSample:
+    """The one loop every report goes through picks its worst sample."""
+
+    def test_first_of_tied_maxima(self):
+        from driftsched.verify import _excess, _worst
+
+        r = _worst("t", ["a", "b", "c", "d"], [1.0, 3.0, 2.0, 3.0], [0.0] * 4, 0.0, _excess)
+        assert r.max_violation == 3.0 and r.worst_case == "'b'" and r.samples == 4
+
+    def test_nan_never_picked(self):
+        from driftsched.verify import _excess, _worst
+
+        nan = float("nan")
+        r = _worst("t", ["a", "b", "c"], [nan, -2.0, nan], [0.0, 0.0, 0.0], 0.0, _excess)
+        assert r.max_violation == -2.0 and r.worst_case == "'b'"
+        r = _worst("t", ["a", "b"], np.array([1.0, 1.0]), np.array([nan, 0.5]), 0.0, _excess)
+        assert r.max_violation == 0.5 and r.worst_case == "'b'"
+
+    def test_all_nan(self):
+        from driftsched.verify import _excess, _worst
+
+        nan = float("nan")
+        r = _worst("t", ["a", "b"], [nan, nan], [0.0, nan], 0.0, _excess)
+        assert r.max_violation == -np.inf and r.worst_case == "None"
+
+    def test_identity_records_absolute_gap(self):
+        from driftsched.verify import _gap, _worst
+
+        r = _worst("t", ["a", "b"], [1.0, 0.0], [0.5, 2.5], 1.0, _gap)
+        assert r.max_violation == 2.5 and r.worst_case == "'b'" and not r.passed
+        r = check_identity("below", lambda x: -x, lambda x: 0.0, lambda rng: 1.5, n=3, tol=0.0)
+        assert r.max_violation == 1.5 and r.worst_case == "1.5" and not r.passed
+
+
+STACKED_SEEDS = (0, 1, 3, 7, 4242)
+
+
+class TestStackedChecks:
+    """Checks that draw their samples in order and evaluate them in one
+    stacked call per kernel report what their per-sample forms report."""
+
+    @pytest.mark.parametrize("seed", STACKED_SEEDS)
+    @pytest.mark.parametrize("check", verify_reference.STACKED_CHECKS)
+    def test_matches_per_sample_reference(self, check, seed):
+        from driftsched import verify
+
+        ours = getattr(verify, check)(seed)
+        ref = getattr(verify_reference, check)(seed)
+        assert ours.to_dict() == ref.to_dict()
+        assert_same_report(ours, ref)
+
+    def test_softmax_drift_checks_rows_on_the_simplex(self, monkeypatch):
+        from driftsched import verify
+
+        def off_simplex(x):
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+            return np.where(e == 1.0, -1e-9, e)  # a negative entry survives the renormalization
+
+        monkeypatch.setattr(verify, "_row_softmax", off_simplex)
+        with pytest.raises(ValueError, match="floor"):
+            verify._check_softmax_drift(0, n=5)
 
 
 class TestStreamDrawOrder:

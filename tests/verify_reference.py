@@ -1,0 +1,229 @@
+"""Per-sample forms of the stacked checks, for test_verify.py.
+
+The library draws each check's samples in order and evaluates them in
+one stacked call per kernel. These are the forms it replaced: each
+sample's left- and right-hand side computed on its own, through the
+public one-table kernels, and scanned by check_inequality /
+check_identity or _check_samples. A stacked check's report must equal
+its reference's on every seed.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from driftsched.simplex import kl_div, log_sum_exp, softmax
+from driftsched.softmdp import (
+    _MdpStack,
+    TabularMdp,
+    occupancy,
+    policy_eval,
+    random_mdp,
+    soft_bellman_apply,
+    soft_policy,
+    soft_values,
+    solve_soft_q,
+    surrogate_gap,
+)
+from driftsched.verify import (
+    _check_samples,
+    _perturbed_pair,
+    _random_mdp_batch,
+    _rng,
+    check_identity,
+    check_inequality,
+)
+
+
+def _check_lse_lipschitz(seed):
+    def sampler(rng):
+        k = int(rng.integers(2, 17))
+        mu = float(rng.uniform(0.05, 5.0))
+        return rng.uniform(-10, 10, k), rng.uniform(-10, 10, k), mu
+
+    return check_inequality(
+        "lse_lipschitz",
+        lambda s: abs(log_sum_exp(s[0], s[2]) - log_sum_exp(s[1], s[2])),
+        lambda s: float(np.abs(s[0] - s[1]).max()),
+        sampler, n=2000, tol=1e-10, seed=seed,
+    )
+
+
+def _check_softmax_drift(seed):
+    def sampler(rng):
+        k = int(rng.integers(2, 17))
+        mu = float(rng.uniform(0.05, 5.0))
+        return rng.uniform(-10, 10, k), rng.uniform(-10, 10, k), mu
+
+    return check_inequality(
+        "softmax_drift",
+        lambda s: float(np.abs(softmax(s[0], s[2]).probs
+                               - softmax(s[1], s[2]).probs).sum()),
+        lambda s: float(np.abs(s[0] - s[1]).max()) / s[2],
+        sampler, n=2000, tol=1e-10, seed=seed,
+    )
+
+
+def _check_operator_drift(seed):
+    def sampler(rng):
+        m1, m2 = _perturbed_pair(rng)
+        scale = m1.q_bound()
+        q = rng.uniform(-scale, scale, size=m1.rewards.shape)
+        return m1, m2, q
+
+    def lhs(s):
+        m1, m2, q = s
+        return float(np.abs(soft_bellman_apply(m2, q)
+                            - soft_bellman_apply(m1, q)).max())
+
+    def rhs(s):
+        m1, m2, q = s
+        delta_r = float(np.abs(m2.rewards - m1.rewards).max())
+        delta_p = float(np.abs(m2.transitions - m1.transitions).sum(axis=2).max())
+        v_sup = float(np.abs(soft_values(q, m1.mu)).max())
+        return delta_r + m1.gamma * v_sup * delta_p
+
+    return check_inequality("operator_drift_bound", lhs, rhs, sampler,
+                            n=1000, tol=1e-10, seed=seed)
+
+
+def _check_fixed_point_sensitivity(seed, n=1000, solver_tol=1e-10):
+    rng = _rng(seed, "fixed_point_sensitivity")
+    s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
+    pairs = [_perturbed_pair(rng, s_dim, a_dim, gamma, mu) for _ in range(n)]
+    rewards = np.stack([m.rewards for pair in pairs for m in pair])
+    transitions = np.stack([m.transitions for pair in pairs for m in pair])
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
+
+    samples = []
+    for i, (m1, m2) in enumerate(pairs):
+        q1, q2 = q_all[2 * i], q_all[2 * i + 1]
+        delta_r = float(np.abs(m2.rewards - m1.rewards).max())
+        delta_p = float(np.abs(m2.transitions - m1.transitions).sum(axis=2).max())
+        lhs = float(np.abs(q2 - q1).max())
+        v_sup = float(np.abs(soft_values(q1, mu)).max())
+        rhs = (delta_r + gamma * v_sup * delta_p) / (1.0 - gamma)
+        samples.append((lhs, rhs, delta_r, delta_p))
+
+    return _check_samples("fixed_point_sensitivity", samples, tol=4 * solver_tol)
+
+
+def _check_q_value_bounds(seed, n=1000, solver_tol=1e-9):
+    rng = _rng(seed, "q_value_bounds")
+    s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
+    rewards, transitions = _random_mdp_batch(rng, n, s_dim, a_dim)
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
+    q_bound = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
+    v_bound = (1.0 + mu * math.log(a_dim)) / (1.0 - gamma)
+    samples = []
+    for q in q_all:
+        q_sup, v_sup = float(np.abs(q).max()), float(np.abs(soft_values(q, mu)).max())
+        samples.append((max(q_sup - q_bound, v_sup - v_bound), 0.0, q_sup, v_sup))
+    return _check_samples("q_value_bounds", samples, tol=solver_tol)
+
+
+def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):
+    rng = _rng(seed, "surrogate_gap_range")
+    s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
+    rewards, transitions = _random_mdp_batch(rng, n, s_dim, a_dim)
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
+    policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))
+    q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
+    gap_cap = 2.0 * q_max + mu * math.log(a_dim)
+    samples = []
+    for q, pi in zip(q_all, policies):
+        gaps = surrogate_gap(q, pi, mu)
+        lo, hi = float(gaps.min()), float(gaps.max())
+        samples.append((max(-lo, hi - gap_cap), 0.0, lo, hi))
+    return _check_samples("surrogate_gap_range", samples, tol=1e-8)
+
+
+def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):
+    rng = _rng(seed, "occupancy_mismatch_bound")
+    s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
+    rewards, transitions = _random_mdp_batch(rng, n, s_dim, a_dim)
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
+    rho = np.full(s_dim, 1.0 / s_dim)
+    q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
+    gap_cap = 2.0 * q_max + mu * math.log(a_dim)
+
+    samples = []
+    for i in range(n):
+        mdp = TabularMdp(rewards[i], transitions[i], gamma, rho, mu)
+        pi = rng.dirichlet(np.ones(a_dim), size=s_dim)
+        pi_star = soft_policy(q_all[i], mu)
+        gaps = surrogate_gap(q_all[i], pi, mu)
+        d_star = occupancy(mdp, pi_star)
+        d_tilde = occupancy(mdp, pi)
+        occ_err = float(d_star @ gaps - d_tilde @ gaps) / (1.0 - gamma)
+        l1 = float(np.abs(d_star - d_tilde).sum())
+        samples.append((abs(occ_err), gap_cap * l1 / (1.0 - gamma)))
+
+    return _check_samples("occupancy_mismatch_bound", samples, tol=1e-8)
+
+
+def _check_occupancy_policy_sensitivity(seed):
+    def sampler(rng):
+        s, a = 5, 3
+        mdp = random_mdp(s, a, gamma=float(rng.uniform(0.5, 0.95)),
+                         mu=0.2, rng=rng)
+        pi1 = rng.dirichlet(np.ones(a), size=s)
+        pi2 = rng.dirichlet(np.ones(a), size=s)
+        return mdp, pi1, pi2
+
+    def lhs(s):
+        mdp, pi1, pi2 = s
+        return float(np.abs(occupancy(mdp, pi1) - occupancy(mdp, pi2)).sum())
+
+    def rhs(s):
+        mdp, pi1, pi2 = s
+        gap = float(np.abs(pi1 - pi2).sum(axis=1).max())
+        return mdp.gamma / (1.0 - mdp.gamma) * gap
+
+    return check_inequality("occupancy_policy_sensitivity", lhs, rhs,
+                            sampler, n=1000, tol=1e-10, seed=seed)
+
+
+def _check_performance_difference(seed, n=200):
+    def sampler(rng):
+        mdp = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=rng)
+        pi = rng.dirichlet(np.ones(3), size=4)
+        pi_prime = rng.dirichlet(np.ones(3), size=4)
+        return mdp, pi, pi_prime
+
+    def lhs(s):
+        mdp, pi, pi_prime = s
+        _, v = policy_eval(mdp, pi)
+        _, v_prime = policy_eval(mdp, pi_prime)
+        return float(mdp.rho @ (v_prime - v))
+
+    def rhs(s):
+        mdp, pi, pi_prime = s
+        q_pi, v_pi = policy_eval(mdp, pi)
+        with np.errstate(divide="ignore"):
+            log_pi = np.where(pi > 0.0, np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
+        adv = q_pi - mdp.mu * log_pi - v_pi[:, None]
+        d_prime = occupancy(mdp, pi_prime)
+        kl_rows = np.array(
+            [kl_div(pi_prime[s_], pi[s_]) for s_ in range(mdp.n_states)]
+        )
+        inner = (pi_prime * adv).sum(axis=1) - mdp.mu * kl_rows
+        return float(d_prime @ inner) / (1.0 - mdp.gamma)
+
+    return check_identity("performance_difference", lhs, rhs, sampler,
+                          n=n, tol=1e-7, seed=seed)
+
+
+STACKED_CHECKS = (
+    "_check_lse_lipschitz",
+    "_check_softmax_drift",
+    "_check_operator_drift",
+    "_check_fixed_point_sensitivity",
+    "_check_q_value_bounds",
+    "_check_surrogate_gap_range",
+    "_check_occupancy_mismatch_bound",
+    "_check_occupancy_policy_sensitivity",
+    "_check_performance_difference",
+)
