@@ -24,7 +24,7 @@ from .errors import (
     SupportMismatch,
 )
 from .scheduler import ScheduleConfig, _schedule_columns
-from .simplex import SUM_TOL, SimplexVec, as_probs, kl_div, truncate
+from .simplex import SUM_TOL, SimplexVec, _truncate_rows, as_probs, kl_div, truncate
 from .trace import RunTrace
 
 
@@ -33,8 +33,9 @@ def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float) -> np.ndarray
 
     logits = logp - eta * g, minus the row max, exp, divided by the row
     sum (traces and reports depend on this order bit for bit); with
-    eps > 0 only rows below the floor go through truncate. g includes
-    the regularizer; eta is one step size or a (..., 1) column of them.
+    eps > 0 the rows below the floor go through truncate's row kernel in one
+    call (callers check the iterates). g includes the regularizer; eta is
+    one step size or a (..., 1) column of them.
     """
     logits = logp - eta * g
     logits -= logits.max(axis=-1, keepdims=True)
@@ -42,8 +43,8 @@ def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float) -> np.ndarray
     x = w / w.sum(axis=-1, keepdims=True)
     if eps > 0.0 and (x < eps).any():
         rows = x.reshape(-1, x.shape[-1])  # a view: writes land in x
-        for i in np.flatnonzero((rows < eps).any(axis=1)):
-            rows[i] = truncate(rows[i], eps).probs
+        low = np.flatnonzero((rows < eps).any(axis=1))
+        rows[low] = _truncate_rows(rows[low], np.full(low.size, float(eps)))
     return x
 
 

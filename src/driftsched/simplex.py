@@ -76,16 +76,20 @@ def as_probs(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _row_neg_entropy(p: np.ndarray) -> np.ndarray:
+    """Sum of p log p over the last axis, 0 log 0 = 0: neg_entropy of each row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return terms.sum(axis=-1)
+
+
 def neg_entropy(x) -> float:
     """Sum of x_i log x_i, with the 0 log 0 = 0 convention.
 
     Lies in [-log K, 0]: minimized at the uniform vector, maximized at
     vertices.
     """
-    p = as_probs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return float(terms.sum())
+    return float(_row_neg_entropy(np.ravel(as_probs(x))))
 
 
 def kl_div(x, y) -> float:
@@ -110,6 +114,22 @@ def bregman_neg_entropy(x, y) -> float:
     grad = 1.0 + np.log(q[mask])
     inner = float((grad * (p[mask] - q[mask])).sum())
     return neg_entropy(p) - neg_entropy(q) - inner
+
+
+def _row_divergence(p: np.ndarray, q: np.ndarray, bregman: bool = False) -> np.ndarray:
+    """kl_div (or bregman_neg_entropy) of each row pair of two (m, K) arrays, with
+    its bits. A row with a zero coordinate goes through the 1-D function, which
+    sums compacted: for K >= 8 a sum with zeros in place can differ."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if bregman:
+            out = (_row_neg_entropy(p) - _row_neg_entropy(q)
+                   - ((1.0 + np.log(q)) * (p - q)).sum(axis=-1))
+        else:
+            out = (p * np.log(p / q)).sum(axis=-1)
+    one = bregman_neg_entropy if bregman else kl_div
+    for i in np.flatnonzero(~((p > 0.0) & (q > 0.0)).all(axis=-1)):
+        out[i] = one(p[i], q[i])
+    return out
 
 
 def _row_lse(a: np.ndarray):
@@ -161,6 +181,43 @@ def softmax(q, mu: float) -> SimplexVec:
     return SimplexVec(p / p.sum(), 0.0)
 
 
+def _truncate_rows(p: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """truncate of each row of an (m, K) array, row i at floor eps[i], written
+    into p. A pass sums the free mass of the rows of one free count at a time,
+    compacted to (rows, free), so each sum has the 1-D sum's bits."""
+    k = p.shape[-1]
+    bad = (eps <= 0.0) | (eps > 1.0 / k + SUM_TOL)
+    if bad.any():
+        raise InvalidEpsilon(f"floor {eps[bad][0]} outside (0, 1/{k}]")
+    touched = np.flatnonzero(~(p >= eps[:, None]).all(axis=-1))
+    if not touched.size:
+        return p
+    x, e = p[touched], eps[touched, None]  # the rows truncate changes, and their floors
+    fixed = x < e
+    live = fixed.any(axis=-1)  # rows with coordinates newly below the floor
+    last = np.ones(len(x), dtype=bool)  # rows that end with the renormalization
+    while live.any():
+        n_fixed = fixed.sum(axis=-1)
+        remaining = 1.0 - e[:, 0] * n_fixed
+        # all fixed, or no mass left: only reachable at eps ~ 1/K, where the answer is
+        # uniform, so the row's every coordinate stays fixed at 1/K
+        flat = (n_fixed == k) | (remaining <= 0.0)
+        if flat.any():
+            fixed[flat], e[flat], last[flat] = True, 1.0 / k, False
+        x = np.where(fixed, e, x)
+        scale, rescaled = np.ones(len(x)), live & ~flat
+        for n in set(n_fixed[rescaled].tolist()):
+            rows = rescaled & (n_fixed == n)
+            scale[rows] = remaining[rows] / x[rows][~fixed[rows]].reshape(-1, k - n).sum(axis=-1)
+        x = np.where(fixed, x, x * scale[:, None])
+        low = (x < e) & ~fixed
+        fixed |= low
+        live = low.any(axis=-1)
+    x[last] /= x[last].sum(axis=-1, keepdims=True)
+    p[touched] = x
+    return p
+
+
 def truncate(x, eps: float) -> SimplexVec:
     """Project onto the floored simplex {y : y_i >= eps, sum y = 1}.
 
@@ -169,24 +226,5 @@ def truncate(x, eps: float) -> SimplexVec:
     grows, so at most K passes are needed. Inputs already above the
     floor are returned unchanged.
     """
-    p = as_probs(x).copy()
-    k = p.size
-    if eps <= 0.0 or eps > 1.0 / k + SUM_TOL:
-        raise InvalidEpsilon(f"floor {eps} outside (0, 1/{k}]")
-    if (p >= eps).all():
-        return SimplexVec(p, eps)
-    fixed = np.zeros(k, dtype=bool)
-    for _ in range(k):
-        low = (p < eps) & ~fixed
-        if not low.any():
-            break
-        fixed |= low
-        p[fixed] = eps
-        free = ~fixed
-        remaining = 1.0 - eps * fixed.sum()
-        if not free.any() or remaining <= 0.0:
-            # only reachable at eps ~ 1/K, where the answer is uniform
-            p = np.full(k, 1.0 / k)
-            return SimplexVec(p, eps)
-        p[free] *= remaining / p[free].sum()
-    return SimplexVec(p / p.sum(), eps)
+    p = np.array(as_probs(x), dtype=float)
+    return SimplexVec(_truncate_rows(p.reshape(1, -1), np.array([eps])).reshape(p.shape), eps)

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     SingularSystem,
 )
-from .simplex import _row_lse, _row_softmax, as_probs
+from .simplex import _row_lse, _row_neg_entropy, _row_softmax, as_probs
 
 PATTERNS = ("steady", "abrupt", "linear", "periodic", "mixed")
 
@@ -46,30 +46,10 @@ class TabularMdp:
     r_max: float = 1.0
 
     def __post_init__(self):
-        r = np.asarray(self.rewards, dtype=float)
-        p = np.asarray(self.transitions, dtype=float)
-        rho = as_probs(self.rho)
-        object.__setattr__(self, "rewards", r)
-        object.__setattr__(self, "transitions", p)
-        object.__setattr__(self, "rho", rho)
-        if r.ndim != 2:
-            raise ShapeMismatch("rewards must be S x A")
-        s, a = r.shape
-        if p.shape != (s, a, s):
-            raise ShapeMismatch(f"transitions must be {(s, a, s)}, got {p.shape}")
-        if rho.shape != (s,):
-            raise ShapeMismatch("rho must have one entry per state")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        # each check is written so that NaN fails it
-        if not self.mu > 0.0:
-            raise NonPositiveTemperature("mu must be positive")
-        if not (np.abs(r) <= self.r_max + ROW_TOL).all():
-            raise ValueError(f"|rewards| exceed r_max={self.r_max}")
-        if not (p >= -ROW_TOL).all():
-            raise ValueError("transition probabilities must be nonnegative")
-        if not (np.abs(p.sum(axis=2) - 1.0) <= ROW_TOL).all():
-            raise ValueError("each transition row must sum to 1")
+        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
+        object.__setattr__(self, "transitions", np.asarray(self.transitions, dtype=float))
+        object.__setattr__(self, "rho", as_probs(self.rho))
+        _validate_mdp(self.rewards, self.transitions, self.gamma, self.rho, self.mu, self.r_max)
 
     @property
     def n_states(self) -> int:
@@ -90,11 +70,44 @@ class TabularMdp:
         return (self.r_max + self.mu * math.log(self.n_actions)) / (1.0 - self.gamma)
 
 
-def soft_values(q: np.ndarray, mu: float) -> np.ndarray:
-    """Rowwise temperature log-sum-exp: V(s) = mu log sum_a exp(Q(s,a)/mu)."""
-    if mu <= 0.0:
+def _validate_mdp(r, p, gamma, rho, mu, r_max, stacked=False) -> None:
+    """TabularMdp's rules, on one MDP or (stacked) on (n, S, A) rewards and
+    (n, S, A, S) transitions, with rho (S,) or (n, S) and gamma and mu one
+    number or one per entry; each check is written so that NaN fails it."""
+    if r.ndim != 2 + stacked:
+        raise ShapeMismatch("rewards must be S x A")
+    s, a = r.shape[-2:]
+    if p.shape != r.shape + (s,):
+        raise ShapeMismatch(f"transitions must be {(s, a, s)}, got {p.shape[stacked:]}")
+    if rho.shape not in ((s,), r.shape[:-1]):
+        raise ShapeMismatch("rho must have one entry per state")
+    holds = np.all if stacked else bool
+    if not holds((0.0 < gamma) & (gamma < 1.0)):
+        raise ValueError("gamma must lie in (0, 1)")
+    if not holds(mu > 0.0):
+        raise NonPositiveTemperature("mu must be positive")
+    if not (np.abs(r) <= r_max + ROW_TOL).all():
+        raise ValueError(f"|rewards| exceed r_max={r_max}")
+    if not (p >= -ROW_TOL).all():
+        raise ValueError("transition probabilities must be nonnegative")
+    if not (np.abs(p.sum(axis=-1) - 1.0) <= ROW_TOL).all():
+        raise ValueError("each transition row must sum to 1")
+
+
+def _per_entry(x, ndim: int):
+    """One number as is, or an (n,) column shaped to broadcast over (n, ...) arrays of ndim axes."""
+    return x.reshape((-1,) + (1,) * (ndim - 1)) if getattr(x, "ndim", 0) else x
+
+
+def soft_values(q: np.ndarray, mu) -> np.ndarray:
+    """Rowwise temperature log-sum-exp: V(s) = mu log sum_a exp(Q(s,a)/mu).
+
+    An (n, S, A) stack of tables may take one mu per table, an (n,) column.
+    """
+    if (mu <= 0.0).any() if getattr(mu, "ndim", 0) else mu <= 0.0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
-    return mu * _row_lse(np.asarray(q, dtype=float) / mu)
+    q = np.asarray(q, dtype=float)
+    return _per_entry(mu, q.ndim - 1) * _row_lse(q / _per_entry(mu, q.ndim))
 
 
 def soft_bellman_apply(mdp: TabularMdp, q: np.ndarray) -> np.ndarray:
@@ -102,17 +115,18 @@ def soft_bellman_apply(mdp: TabularMdp, q: np.ndarray) -> np.ndarray:
 
     (TQ)(s,a) = r(s,a) + gamma * sum_s' P(s'|s,a) V(s') with V the
     rowwise log-sum-exp of Q at temperature mu; an _MdpStack backs up
-    its (n, S, A) stack of tables.
+    its (n, S, A) stack of tables, with gamma and mu per entry if it has them.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != mdp.rewards.shape:
         raise ShapeMismatch(f"Q must be {mdp.rewards.shape}, got {q.shape}")
-    v = soft_values(q, mdp.mu)
-    return mdp.rewards + mdp.gamma * (mdp.transitions @ v[..., None, :, None])[..., 0]
+    v = soft_values(q, mdp.mu)[..., None, :, None]
+    return mdp.rewards + _per_entry(mdp.gamma, 3) * (mdp.transitions @ v)[..., 0]
 
 
 class _MdpStack(NamedTuple):
-    """Same-shaped MDPs sharing gamma, mu and r_max: rewards (n, S, A), P (n, S, A, S)."""
+    """Same-shaped MDPs sharing r_max: rewards (n, S, A), P (n, S, A, S); gamma
+    and mu are one number, or (n,) columns, one per entry, for soft_bellman_apply."""
 
     rewards: np.ndarray
     transitions: np.ndarray
@@ -159,18 +173,11 @@ def soft_policy(q: np.ndarray, mu: float) -> np.ndarray:
     return pi / pi.sum(axis=-1, keepdims=True)
 
 
-def _policy_entropy_terms(pi: np.ndarray) -> np.ndarray:
-    """Rowwise sum of pi log pi with 0 log 0 = 0 (negative entropy)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(pi > 0.0, pi * np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
-    return t.sum(axis=-1)
-
-
 def _evaluate(mdp: TabularMdp | _MdpStack, pi: np.ndarray):
     """(Q^pi, V^pi) of pi: V solves (I - gamma P_pi) V = sum_a pi (r - mu log pi)
     directly, and Q = r + gamma P V; a stack solves its n systems in one call."""
     p_pi = np.einsum("...sa,...saz->...sz", pi, mdp.transitions)
-    per_state = (pi * mdp.rewards).sum(axis=-1) - mdp.mu * _policy_entropy_terms(pi)
+    per_state = (pi * mdp.rewards).sum(axis=-1) - mdp.mu * _row_neg_entropy(pi)
     lhs = np.eye(p_pi.shape[-1]) - mdp.gamma * p_pi
     v = np.linalg.solve(lhs, per_state[..., None])[..., 0]
     return mdp.rewards + mdp.gamma * (mdp.transitions @ v[..., None, :, None])[..., 0], v
@@ -206,7 +213,7 @@ def _soft_returns(rewards, transitions, rho, gamma, mu, pi) -> np.ndarray:
     """J of each entry of a (..., S, A) policy stack, with the MDP arrays and
     gamma, mu given per entry; entry i has soft_return's bits for entry i."""
     d = _occupancies(transitions, rho, gamma, pi)
-    per_state = (pi * rewards).sum(axis=-1) - mu[..., None] * _policy_entropy_terms(pi)
+    per_state = (pi * rewards).sum(axis=-1) - mu[..., None] * _row_neg_entropy(pi)
     # a (1, S) @ (S, 1) matmul per entry keeps the 1-D dot's bits; einsum does not
     return (d[..., None, :] @ per_state[..., :, None])[..., 0, 0] / (1.0 - gamma)
 
@@ -243,8 +250,8 @@ def surrogate_gap(q_star: np.ndarray, pi: np.ndarray, mu: float) -> np.ndarray:
 def _surrogate_gap(q_star, pi, pi_star, mu: float) -> np.ndarray:
     """surrogate_gap given pi_star = soft_policy(q_star, mu); pi may be a
     (..., S, A) stack of policies."""
-    f = -(q_star * pi).sum(axis=-1) + mu * _policy_entropy_terms(pi)
-    f_star = -(q_star * pi_star).sum(axis=-1) + mu * _policy_entropy_terms(pi_star)
+    f = -(q_star * pi).sum(axis=-1) + mu * _row_neg_entropy(pi)
+    f_star = -(q_star * pi_star).sum(axis=-1) + mu * _row_neg_entropy(pi_star)
     return f - f_star
 
 

@@ -7,12 +7,12 @@ Tolerances are absolute and include solver-propagated slack where fixed
 points are involved: those come from softmdp.solve_soft_q, on a stack of
 MDPs where a check needs many, and satisfy ||TQ - Q|| <= solver_tol.
 
-Nine checks draw all samples in order, then evaluate them in one stacked
-call per kernel (per K for lse_lipschitz and softmax_drift), with each
-sample's own bits. The rest go one sample at a time: the entropy, KL and
-truncate kernels take one vector, soft_backup_contraction draws gamma and
-mu per sample, and one merged squared_drift_conversion solve would share
-a stopping test and move bits. Every report comes from _worst's loop.
+Fifteen checks draw all samples in order, then evaluate them in one stacked
+call per kernel (one group per vector length or (S, A) shape where it varies),
+with each sample's own bits. Their MDP samplers draw arrays, which TabularMdp's
+rules check once per stack; a TabularMdp or SimplexVec is built only to describe
+the worst case. squared_drift_conversion solves one sequence at a time: a merged
+solve would share a stopping test and move bits. _worst scans every report.
 """
 
 from __future__ import annotations
@@ -29,16 +29,17 @@ from .omd import (ExplicitConstants, _check_iterates as _validate_rows, _row_dot
                   bound_rhs, proxy_bound_rhs, run_dynamic, run_dynamic_many)
 from .scheduler import ScheduleConfig, offline_lambda
 from .simplex import (
+    _row_divergence,
     _row_lse,
+    _row_neg_entropy,
     _row_softmax,
-    bregman_neg_entropy,
-    kl_div,
-    neg_entropy,
+    _truncate_rows,
     softmax,
     truncate,
 )
 from .softmdp import (
     _MdpStack,
+    _validate_mdp,
     _evaluate,
     _occupancies,
     _surrogate_gap,
@@ -101,18 +102,18 @@ def _draw(name, sampler, n, seed) -> list:
         raise SamplerFailure(f"{name}: sampler raised {exc!r}") from exc
 
 
-def _worst(name, samples, lhs, rhs, tol, violation) -> CheckReport:
-    """Report over samples with lhs and rhs columns: the worst case is the first
-    of largest violation(lhs, rhs); a NaN is never picked (all NaN: -inf)."""
+def _worst(name, samples, lhs, rhs, tol, violation, describe=None) -> CheckReport:
+    """Report over samples with lhs and rhs columns: the worst case is the first of
+    largest violation(lhs, rhs), a NaN counting as +inf (a failure), named by the
+    repr of describe(sample) (default: the sample)."""
     if not samples:
         raise ValueError("need at least one sample")
-    worst, worst_sample = -math.inf, None
-    for sample, a, b in zip(samples, lhs, rhs):
-        v = violation(float(a), float(b))
-        if v > worst:
-            worst, worst_sample = v, sample
-    return CheckReport(name=name, samples=len(samples), max_violation=worst,
-                       tolerance=tol, worst_case=_describe(worst_sample))
+    v = violation(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    v[np.isnan(v)] = math.inf
+    i = int(np.argmax(v))
+    worst = samples[i] if describe is None else describe(samples[i])
+    return CheckReport(name=name, samples=len(samples), max_violation=float(v[i]),
+                       tolerance=tol, worst_case=_describe(worst))
 
 
 def _gap(a, b):
@@ -127,14 +128,16 @@ def check_identity(name, lhs_fn, rhs_fn, sampler, n: int, tol: float,
                    seed: int = 0) -> CheckReport:
     """max |lhs - rhs| over n seeded samples against tol."""
     samples = _draw(name, sampler, n, seed)
-    return _worst(name, samples, map(lhs_fn, samples), map(rhs_fn, samples), tol, _gap)
+    return _worst(name, samples, [lhs_fn(s) for s in samples], [rhs_fn(s) for s in samples],
+                  tol, _gap)
 
 
 def check_inequality(name, lhs_fn, rhs_fn, sampler, n: int, tol: float,
                      seed: int = 0) -> CheckReport:
     """max (lhs - rhs) over n seeded samples; passes when <= tol."""
     samples = _draw(name, sampler, n, seed)
-    return _worst(name, samples, map(lhs_fn, samples), map(rhs_fn, samples), tol, _excess)
+    return _worst(name, samples, [lhs_fn(s) for s in samples], [rhs_fn(s) for s in samples],
+                  tol, _excess)
 
 
 def _check_samples(name, samples, tol: float) -> CheckReport:
@@ -147,63 +150,77 @@ def _check_samples(name, samples, tol: float) -> CheckReport:
 # simplex geometry
 
 
-def _dirichlet_point(rng, k=None) -> np.ndarray:
-    k = k or int(rng.integers(2, 33))
-    return rng.dirichlet(np.ones(k))
+def _per_shape(samples, columns_of):
+    """lhs and rhs columns over tuple samples whose array shapes vary: columns_of
+    gets each part of the samples whose first part has one shape, stacked ((m, ...)
+    arrays, (m,) floats), and returns their lhs and rhs."""
+    groups = {}
+    for i, sample in enumerate(samples):
+        groups.setdefault(sample[0].shape, []).append(i)
+    lhs, rhs = np.empty(len(samples)), np.empty(len(samples))
+    for members in groups.values():
+        lhs[members], rhs[members] = columns_of(*map(np.stack, zip(*(samples[i] for i in members))))
+    return lhs, rhs
 
 
-def _check_entropy_range(seed):
-    def sampler(rng):
-        return _dirichlet_point(rng)
-
-    def lhs(x):
-        h = neg_entropy(x)
-        return max(h - 0.0, -math.log(x.size) - h)
-
-    return check_inequality("entropy_range", lhs, lambda x: 0.0, sampler,
-                            n=2000, tol=1e-12, seed=seed)
+def _softmax_rows(z, mu):
+    """softmax of each row at its temperature, with the checks SimplexVec makes."""
+    p = _row_softmax(z / mu[:, None])
+    p = p / p.sum(axis=-1, keepdims=True)
+    _validate_rows(p, 0.0)
+    return p
 
 
-def _check_entropy_grad_bound(seed):
-    def sampler(rng):
+def _check_entropy_range(seed, n=2000):
+    def columns(x):
+        h = _row_neg_entropy(x)
+        return np.maximum(h - 0.0, -math.log(x.shape[-1]) - h), np.zeros(len(x))
+
+    samples = _draw("entropy_range", lambda rng: rng.dirichlet(np.ones(int(rng.integers(2, 33)))),
+                    n, seed)
+    return _worst("entropy_range", samples, *_per_shape([(x,) for x in samples], columns),
+                  1e-12, _excess)
+
+
+def _check_entropy_grad_bound(seed, n=2000):
+    def sampler(rng):  # a point and the floor to truncate it at
         k = int(rng.integers(2, 33))
         eps = float(rng.uniform(1e-6, 1.0 / k))
-        return truncate(rng.dirichlet(np.ones(k)), eps)
+        return rng.dirichlet(np.ones(k)), eps
 
-    def lhs(x):
-        return float(np.abs(1.0 + np.log(x.probs)).max())
+    def columns(x, eps):
+        x = _truncate_rows(x, eps)
+        _validate_rows(x, eps[:, None])  # SimplexVec's checks on each truncated row
+        return np.abs(1.0 + np.log(x)).max(axis=-1), [1.0 + abs(math.log(e)) for e in eps]
 
-    def rhs(x):
-        return 1.0 + abs(math.log(x.epsilon_floor))
-
-    return check_inequality("entropy_grad_bound", lhs, rhs, sampler,
-                            n=2000, tol=1e-12, seed=seed)
+    samples = _draw("entropy_grad_bound", sampler, n, seed)
+    return _worst("entropy_grad_bound", samples, *_per_shape(samples, columns), 1e-12,
+                  _excess, describe=lambda s: truncate(*s))
 
 
-def _check_bregman_equals_kl(seed):
+def _check_bregman_equals_kl(seed, n=1000):
     def sampler(rng):
         k = int(rng.integers(2, 9))
         return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
 
-    return check_identity(
-        "bregman_equals_kl",
-        lambda s: bregman_neg_entropy(s[0], s[1]),
-        lambda s: kl_div(s[0], s[1]),
-        sampler, n=1000, tol=1e-10, seed=seed,
-    )
+    def columns(x, y):
+        return _row_divergence(x, y, bregman=True), _row_divergence(x, y)
+
+    samples = _draw("bregman_equals_kl", sampler, n, seed)
+    return _worst("bregman_equals_kl", samples, *_per_shape(samples, columns), 1e-10, _gap)
 
 
-def _check_pinsker(seed):
+def _check_pinsker(seed, n=2000):
     def sampler(rng):
         k = int(rng.integers(2, 17))
         return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
 
-    return check_inequality(
-        "pinsker_strong_convexity",
-        lambda s: 0.5 * float(np.abs(s[0] - s[1]).sum()) ** 2,
-        lambda s: kl_div(s[0], s[1]),
-        sampler, n=2000, tol=1e-12, seed=seed,
-    )
+    def columns(x, y):
+        return 0.5 * np.abs(x - y).sum(axis=-1) ** 2, _row_divergence(x, y)
+
+    name = "pinsker_strong_convexity"
+    samples = _draw(name, sampler, n, seed)
+    return _worst(name, samples, *_per_shape(samples, columns), 1e-12, _excess)
 
 
 def _vector_pair(rng):
@@ -212,44 +229,22 @@ def _vector_pair(rng):
     return rng.uniform(-10, 10, k), rng.uniform(-10, 10, k), mu
 
 
-def _per_k(samples, columns_of):
-    """lhs and rhs columns over (x, y, mu) samples whose K varies.
-
-    columns_of(x, y, mu) gets the (m, K) rows and the m temperatures of
-    the samples of one K, and returns their lhs and rhs.
-    """
-    groups = {}
-    for i, (x, _, _) in enumerate(samples):
-        groups.setdefault(x.size, []).append(i)
-    lhs, rhs = np.empty(len(samples)), np.empty(len(samples))
-    for members in groups.values():
-        x, y, mu = (np.stack([samples[i][j] for i in members]) for j in range(3))
-        lhs[members], rhs[members] = columns_of(x, y, mu)
-    return lhs, rhs
-
-
 def _check_lse_lipschitz(seed, n=2000):
     def columns(x, y, mu):
         lse = lambda z: mu * _row_lse(z / mu[:, None])  # log_sum_exp of each row
         return np.abs(lse(x) - lse(y)), np.abs(x - y).max(axis=-1)
 
     samples = _draw("lse_lipschitz", _vector_pair, n, seed)
-    return _worst("lse_lipschitz", samples, *_per_k(samples, columns), 1e-10, _excess)
+    return _worst("lse_lipschitz", samples, *_per_shape(samples, columns), 1e-10, _excess)
 
 
 def _check_softmax_drift(seed, n=2000):
-    def probs(z, mu):  # softmax, with the checks SimplexVec makes on each row
-        p = _row_softmax(z / mu[:, None])
-        p = p / p.sum(axis=-1, keepdims=True)
-        _validate_rows(p, 0.0)
-        return p
-
     def columns(x, y, mu):
-        return (np.abs(probs(x, mu) - probs(y, mu)).sum(axis=-1),
+        return (np.abs(_softmax_rows(x, mu) - _softmax_rows(y, mu)).sum(axis=-1),
                 np.abs(x - y).max(axis=-1) / mu)
 
     samples = _draw("softmax_drift", _vector_pair, n, seed)
-    return _worst("softmax_drift", samples, *_per_k(samples, columns), 1e-10, _excess)
+    return _worst("softmax_drift", samples, *_per_shape(samples, columns), 1e-10, _excess)
 
 
 def _check_softmax_jacobian_tight(seed):
@@ -377,41 +372,52 @@ def _random_mdp_batch(rng, n, s, a, r_max=1.0):
     return rewards, transitions
 
 
-def _check_soft_backup_contraction(seed):
+def _mdp_draw(rng, s, a):
+    """The rewards and transitions random_mdp(s, a, rng=rng) draws, in its order."""
+    return rng.uniform(-1.0, 1.0, size=(s, a)), rng.dirichlet(np.ones(s), size=(s, a))
+
+
+def _as_mdp(rewards, transitions, gamma, mu) -> TabularMdp:
+    """The TabularMdp random_mdp builds from its draws."""
+    s = rewards.shape[0]
+    return TabularMdp(rewards, transitions, gamma, np.full(s, 1.0 / s), mu)
+
+
+def _mdp_stack(rewards, transitions, gamma, mu) -> _MdpStack:
+    """The _MdpStack of (n, S, A) draws, checked once by TabularMdp's rules;
+    gamma and mu are one number or one per entry."""
+    s = rewards.shape[1]
+    _validate_mdp(rewards, transitions, gamma, np.full(s, 1.0 / s), mu, 1.0, stacked=True)
+    return _MdpStack(rewards, transitions, gamma, mu)
+
+
+def _check_soft_backup_contraction(seed, n=1000):
     def sampler(rng):
         s, a = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-        mdp = random_mdp(s, a, gamma=float(rng.uniform(0.5, 0.99)),
-                         mu=float(rng.uniform(0.05, 1.0)), rng=rng)
-        scale = mdp.q_bound()
-        q1 = rng.uniform(-scale, scale, size=(s, a))
-        q2 = rng.uniform(-scale, scale, size=(s, a))
-        return mdp, q1, q2
+        gamma, mu = float(rng.uniform(0.5, 0.99)), float(rng.uniform(0.05, 1.0))
+        rewards, transitions = _mdp_draw(rng, s, a)
+        scale = _MdpStack(rewards, transitions, gamma, mu).q_bound()
+        return (rewards, transitions, gamma, mu, rng.uniform(-scale, scale, size=(s, a)),
+                rng.uniform(-scale, scale, size=(s, a)))
 
-    return check_inequality(
-        "soft_backup_contraction",
-        lambda s: float(np.abs(soft_bellman_apply(s[0], s[1])
-                               - soft_bellman_apply(s[0], s[2])).max()),
-        lambda s: s[0].gamma * float(np.abs(s[1] - s[2]).max()),
-        sampler, n=1000, tol=1e-10, seed=seed,
-    )
+    def columns(rewards, transitions, gamma, mu, q1, q2):
+        mdp = _mdp_stack(rewards, transitions, gamma, mu)
+        return (_sup(soft_bellman_apply(mdp, q1) - soft_bellman_apply(mdp, q2)),
+                gamma * _sup(q1 - q2))
+
+    name = "soft_backup_contraction"
+    samples = _draw(name, sampler, n, seed)
+    return _worst(name, samples, *_per_shape(samples, columns), 1e-10, _excess,
+                  describe=lambda s: (_as_mdp(*s[:4]), *s[4:]))
 
 
-def _perturbed_pair(rng, s=5, a=3, gamma=0.9, mu=0.2):
-    """Two MDPs a random convex mix apart, as consecutive drift steps."""
-    m1 = random_mdp(s, a, gamma=gamma, mu=mu, rng=rng)
-    r_alt = rng.uniform(-1.0, 1.0, size=(s, a))
-    p_alt = rng.dirichlet(np.ones(s), size=(s, a))
+def _perturbed_pair(rng, s=5, a=3):
+    """Rewards and transitions of two MDPs a random convex mix apart, as
+    consecutive drift steps: (r1, p1, r2, p2)."""
+    r1, p1 = _mdp_draw(rng, s, a)
+    r_alt, p_alt = _mdp_draw(rng, s, a)
     w = float(rng.uniform(0.0, 1.0))
-    rewards = (1 - w) * m1.rewards + w * r_alt
-    transitions = (1 - w) * m1.transitions + w * p_alt
-    m2 = TabularMdp(rewards, transitions, gamma, m1.rho, mu, m1.r_max)
-    return m1, m2
-
-
-def _stack(mdps) -> _MdpStack:
-    """The _MdpStack of TabularMdps that share gamma and mu."""
-    return _MdpStack(np.stack([m.rewards for m in mdps]),
-                     np.stack([m.transitions for m in mdps]), mdps[0].gamma, mdps[0].mu)
+    return r1, p1, (1 - w) * r1 + w * r_alt, (1 - w) * p1 + w * p_alt
 
 
 def _sup(x):
@@ -425,27 +431,34 @@ def _model_drift(m1: _MdpStack, m2: _MdpStack):
 
 
 def _check_operator_drift(seed, n=1000):
+    gamma, mu = 0.9, 0.2
+
     def sampler(rng):
-        m1, m2 = _perturbed_pair(rng)
-        scale = m1.q_bound()
-        q = rng.uniform(-scale, scale, size=m1.rewards.shape)
-        return m1, m2, q
+        r1, p1, r2, p2 = _perturbed_pair(rng)
+        scale = _MdpStack(r1, p1, gamma, mu).q_bound()
+        return r1, p1, r2, p2, rng.uniform(-scale, scale, size=r1.shape)
 
     samples = _draw("operator_drift_bound", sampler, n, seed)
-    m1s, m2s, q = zip(*samples)
-    m1, m2, q = _stack(m1s), _stack(m2s), np.stack(q)
+    r1, p1, r2, p2, q = map(np.stack, zip(*samples))
+    m1, m2 = _mdp_stack(r1, p1, gamma, mu), _mdp_stack(r2, p2, gamma, mu)
     lhs = _sup(soft_bellman_apply(m2, q) - soft_bellman_apply(m1, q))
     delta_r, delta_p = _model_drift(m1, m2)
-    rhs = delta_r + m1.gamma * _sup(soft_values(q, m1.mu)) * delta_p
-    return _worst("operator_drift_bound", samples, lhs, rhs, 1e-10, _excess)
+    rhs = delta_r + gamma * _sup(soft_values(q, mu)) * delta_p
+    return _worst("operator_drift_bound", samples, lhs, rhs, 1e-10, _excess, lambda x: (
+        _as_mdp(*x[:2], gamma, mu), _as_mdp(*x[2:4], gamma, mu), x[4]))
 
 
 def _check_fixed_point_sensitivity(seed, n=1000, solver_tol=1e-10):
     rng = _rng(seed, "fixed_point_sensitivity")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
-    m1s, m2s = zip(*(_perturbed_pair(rng, s_dim, a_dim, gamma, mu) for _ in range(n)))
-    q1, q2 = np.split(solve_soft_q(_stack(m1s + m2s), solver_tol), 2)
-    delta_r, delta_p = _model_drift(_stack(m1s), _stack(m2s))
+    pairs = [_perturbed_pair(rng, s_dim, a_dim) for _ in range(n)]
+    # every first MDP, then every second one; the two halves are views
+    rewards, transitions = (np.stack([x[j] for x in pairs] + [x[j + 2] for x in pairs])
+                            for j in (0, 1))
+    m1 = _mdp_stack(rewards[:n], transitions[:n], gamma, mu)
+    m2 = _mdp_stack(rewards[n:], transitions[n:], gamma, mu)
+    q1, q2 = np.split(solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol), 2)
+    delta_r, delta_p = _model_drift(m1, m2)
     rhs = (delta_r + gamma * _sup(soft_values(q1, mu)) * delta_p) / (1.0 - gamma)
     samples = list(zip(_sup(q2 - q1).tolist(), rhs.tolist(), delta_r.tolist(), delta_p.tolist()))
     return _check_samples("fixed_point_sensitivity", samples, tol=4 * solver_tol)
@@ -518,8 +531,7 @@ def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
 
-    for i in range(n):  # TabularMdp validates each drawn MDP
-        TabularMdp(rewards[i], transitions[i], gamma, rho, mu)
+    _validate_mdp(rewards, transitions, gamma, rho, mu, 1.0, stacked=True)
     policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))  # the numbers of n draws of (S, A)
     pi_star = soft_policy(q_all, mu)
     gaps = _surrogate_gap(q_all, policies, pi_star, mu)
@@ -533,26 +545,25 @@ def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):
 
 
 def _check_occupancy_policy_sensitivity(seed, n=1000):
+    s, a, mu = 5, 3, 0.2
+
     def sampler(rng):
-        s, a = 5, 3
-        mdp = random_mdp(s, a, gamma=float(rng.uniform(0.5, 0.95)),
-                         mu=0.2, rng=rng)
-        pi1 = rng.dirichlet(np.ones(a), size=s)
-        pi2 = rng.dirichlet(np.ones(a), size=s)
-        return mdp, pi1, pi2
+        gamma = float(rng.uniform(0.5, 0.95))
+        rewards, transitions = _mdp_draw(rng, s, a)
+        return (rewards, transitions, gamma, rng.dirichlet(np.ones(a), size=s),
+                rng.dirichlet(np.ones(a), size=s))
 
     name = "occupancy_policy_sensitivity"
     samples = _draw(name, sampler, n, seed)
-    mdps, pi1, pi2 = zip(*samples)
-    gamma = np.array([m.gamma for m in mdps])
-    pi1, pi2 = np.stack(pi1), np.stack(pi2)
-    d1, d2 = _occupancies(np.stack([m.transitions for m in mdps]),
-                          np.stack([m.rho for m in mdps]), gamma, np.stack([pi1, pi2]))
+    rewards, transitions, gamma, pi1, pi2 = map(np.stack, zip(*samples))
+    mdp = _mdp_stack(rewards, transitions, gamma, mu)
+    d1, d2 = _occupancies(mdp.transitions, np.full((n, s), 1.0 / s), gamma, np.stack([pi1, pi2]))
     rhs = gamma / (1.0 - gamma) * np.abs(pi1 - pi2).sum(axis=-1).max(axis=-1)
-    return _worst(name, samples, np.abs(d1 - d2).sum(axis=-1), rhs, 1e-10, _excess)
+    return _worst(name, samples, np.abs(d1 - d2).sum(axis=-1), rhs, 1e-10, _excess,
+                  describe=lambda x: (_as_mdp(*x[:3], mu), *x[3:]))
 
 
-def _check_fenchel_young_gap(seed):
+def _check_fenchel_young_gap(seed, n=1000):
     def sampler(rng):
         a = int(rng.integers(2, 9))
         mu = float(rng.uniform(0.05, 2.0))
@@ -560,42 +571,38 @@ def _check_fenchel_young_gap(seed):
         pi_row = rng.dirichlet(np.ones(a))
         return q_row, pi_row, mu
 
-    def lhs(s):
-        q_row, pi_row, mu = s
-        f = lambda p: float(-(q_row @ p) + mu * neg_entropy(p))
-        pi_star = softmax(q_row, mu).probs
-        return f(pi_row) - f(pi_star)
+    def columns(q, pi, mu):
+        f = lambda p: -_row_dots(q, p) + mu * _row_neg_entropy(p)
+        pi_star = _softmax_rows(q, mu)
+        return f(pi) - f(pi_star), mu * _row_divergence(pi, pi_star)
 
-    def rhs(s):
-        q_row, pi_row, mu = s
-        return mu * kl_div(pi_row, softmax(q_row, mu).probs)
-
-    return check_identity("fenchel_young_gap", lhs, rhs, sampler,
-                          n=1000, tol=1e-10, seed=seed)
+    samples = _draw("fenchel_young_gap", sampler, n, seed)
+    return _worst("fenchel_young_gap", samples, *_per_shape(samples, columns), 1e-10, _gap)
 
 
 def _check_performance_difference(seed, n=200):
+    s, a, gamma, mu = 4, 3, 0.9, 0.2
+
     def sampler(rng):
-        mdp = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=rng)
-        pi = rng.dirichlet(np.ones(3), size=4)
-        pi_prime = rng.dirichlet(np.ones(3), size=4)
-        return mdp, pi, pi_prime
+        rewards, transitions = _mdp_draw(rng, s, a)
+        return (rewards, transitions, rng.dirichlet(np.ones(a), size=s),
+                rng.dirichlet(np.ones(a), size=s))
 
     name = "performance_difference"
     samples = _draw(name, sampler, n, seed)
-    mdps, pi, pi_prime = zip(*samples)
-    mdp, pi, pi_prime = _stack(mdps), np.stack(pi), np.stack(pi_prime)
-    rho = np.stack([m.rho for m in mdps])
+    rewards, transitions, pi, pi_prime = map(np.stack, zip(*samples))
+    mdp = _mdp_stack(rewards, transitions, gamma, mu)
+    rho = np.full((n, s), 1.0 / s)
     (q_pi, _), (v_pi, v_prime) = _evaluate(mdp, np.stack([pi, pi_prime]))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_pi = np.where(pi > 0.0, np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
-        # kl_div of each row: its masked entries add +0.0, which keeps the 3-term sum's bits
-        kl_rows = np.where(pi_prime > 0.0, pi_prime * np.log(pi_prime / pi), 0.0).sum(axis=-1)
-    adv = q_pi - mdp.mu * log_pi - v_pi[..., None]
-    d_prime = _occupancies(mdp.transitions, rho, np.float64(mdp.gamma), pi_prime)
-    inner = (pi_prime * adv).sum(axis=-1) - mdp.mu * kl_rows
-    rhs = _row_dots(d_prime, inner) / (1.0 - mdp.gamma)
-    return _worst(name, samples, _row_dots(rho, v_prime - v_pi), rhs, 1e-7, _gap)
+    kl_rows = _row_divergence(pi_prime.reshape(-1, a), pi.reshape(-1, a)).reshape(n, s)
+    adv = q_pi - mu * log_pi - v_pi[..., None]
+    d_prime = _occupancies(transitions, rho, np.float64(gamma), pi_prime)
+    inner = (pi_prime * adv).sum(axis=-1) - mu * kl_rows
+    rhs = _row_dots(d_prime, inner) / (1.0 - gamma)
+    return _worst(name, samples, _row_dots(rho, v_prime - v_pi), rhs, 1e-7, _gap,
+                  describe=lambda x: (_as_mdp(x[0], x[1], gamma, mu), *x[2:]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""The numpy log-sum-exp and softmax kernels against scipy, bit for bit.
+"""The row kernels against their references, bit for bit: log-sum-exp and
+softmax against scipy, and the negative-entropy, divergence and truncation
+row kernels against the library's 1-D functions.
 
 scipy is a test-only oracle here: the library itself must not import it.
 """
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -16,7 +19,10 @@ from scipy import special
 
 import driftsched
 from driftsched import log_sum_exp, soft_policy, soft_values, softmax
-from driftsched.simplex import _row_lse, _row_softmax
+from driftsched.errors import InvalidEpsilon, SupportMismatch
+from driftsched.simplex import (_row_divergence, _row_lse, _row_neg_entropy, _row_softmax,
+                                _truncate_rows, bregman_neg_entropy, kl_div, neg_entropy,
+                                truncate)
 
 HUGE = np.finfo(float).max
 # a small pool makes ties at the row maximum common
@@ -100,3 +106,125 @@ def test_import_does_not_load_scipy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def reference_neg_entropy(p):
+    """neg_entropy as a 1-D sum of p log p with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return float(terms.sum())
+
+
+def reference_truncate(x, eps):
+    """truncate of one vector, a pass at a time over its coordinates."""
+    p = np.array(x, dtype=float)
+    k = p.size
+    if (p >= eps).all():
+        return p
+    fixed = np.zeros(k, dtype=bool)
+    for _ in range(k):
+        low = (p < eps) & ~fixed
+        if not low.any():
+            break
+        fixed |= low
+        p[fixed] = eps
+        free = ~fixed
+        remaining = 1.0 - eps * fixed.sum()
+        if not free.any() or remaining <= 0.0:
+            return np.full(k, 1.0 / k)
+        p[free] *= remaining / p[free].sum()
+    return p / p.sum()
+
+
+# rows of probabilities with exact zeros and tiny entries; K >= 8 rows take
+# numpy's unrolled pairwise sum, where a masked sum and a compacted one can differ
+WEIGHTS = st.one_of(st.just(0.0), st.sampled_from((1e-300, 1e-17, 0.5, 1.0)),
+                    st.floats(1e-12, 1.0))
+
+
+def prob_rows(min_k=1, max_k=40):
+    @st.composite
+    def rows(draw):
+        k = draw(st.integers(min_k, max_k))
+        w = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), k), elements=WEIGHTS))
+        w[w.sum(axis=-1) == 0.0] = 1.0
+        return w / w.sum(axis=-1, keepdims=True)
+    return rows()
+
+
+@settings(max_examples=300, deadline=None)
+@given(prob_rows())
+@example(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]))
+def test_row_neg_entropy_matches_a_1d_sum(p):
+    ours = _row_neg_entropy(p)
+    assert [x.hex() for x in ours.tolist()] == [reference_neg_entropy(row).hex() for row in p]
+    assert [x.hex() for x in ours.tolist()] == [neg_entropy(row).hex() for row in p]
+
+
+@st.composite
+def prob_pairs(draw):
+    """(p, q) rows with supp(p) inside supp(q); q may have zeros of its own."""
+    p = draw(prob_rows())
+    q = draw(hnp.arrays(np.float64, p.shape, elements=WEIGHTS))
+    q = np.where(p > 0.0, q + p, q)
+    return p, q / q.sum(axis=-1, keepdims=True)
+
+
+NINE = np.linspace(1.0, 2.0, 9) / 13.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(prob_pairs())
+# nine free coordinates, and a zero in p and in q (the 1-D fallback)
+@example((np.array([np.full(9, 1.0 / 9), np.r_[0.0, np.full(8, 1.0 / 8)]]),
+          np.array([NINE, np.r_[0.0, NINE[1:] / NINE[1:].sum()]])))
+def test_row_divergence_matches_the_1d_functions(pq):
+    p, q = pq
+    for bregman, one in ((False, kl_div), (True, bregman_neg_entropy)):
+        ours = _row_divergence(p, q, bregman)
+        assert [x.hex() for x in ours.tolist()] == [one(a, b).hex() for a, b in zip(p, q)]
+
+
+def test_row_divergence_refuses_a_support_mismatch():
+    p = np.array([[0.5, 0.5], [0.5, 0.5]])
+    q = np.array([[0.5, 0.5], [1.0, 0.0]])
+    for bregman in (False, True):
+        with pytest.raises(SupportMismatch):
+            _row_divergence(p, q, bregman)
+
+
+@settings(max_examples=400, deadline=None)
+@given(prob_rows(), st.data())
+# eps at 1/K: every row goes uniform; a K = 12 row with most entries free
+@example(np.array([[0.0, 0.1, 0.2, 0.7]]), [1.0])
+@example(np.array([np.r_[1e-9, np.full(11, (1.0 - 1e-9) / 11)]]), [0.5])
+def test_truncate_rows_matches_a_1d_truncation(p, fractions):
+    k = p.shape[-1]
+    if not isinstance(fractions, list):
+        fractions = fractions.draw(st.lists(
+            st.one_of(st.just(1.0), st.floats(1e-9, 1.0)), min_size=len(p), max_size=len(p)))
+    eps = np.array(fractions) / k
+    ours = _truncate_rows(p.copy(), eps)
+    for row, e, out in zip(p, eps, ours):
+        assert out.tobytes() == reference_truncate(row, float(e)).tobytes()
+        assert out.tobytes() == truncate(row, float(e)).probs.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 8, 12, 16, 32])
+def test_truncate_rows_on_dirichlet_rows(k):
+    # with 8 or more free coordinates a sum over the row with zeros at the
+    # fixed ones differs from the compacted sum on about half of these rows
+    rng = np.random.default_rng(k)
+    p = rng.dirichlet(np.ones(k), size=300)
+    eps = rng.uniform(0.1, 1.0, 300) / k
+    ours = _truncate_rows(p.copy(), eps)
+    for row, e, out in zip(p, eps, ours):
+        assert out.tobytes() == reference_truncate(row, float(e)).tobytes()
+        assert out.tobytes() == truncate(row, float(e)).probs.tobytes()
+
+
+def test_truncate_rows_checks_every_floor():
+    p = np.full((3, 4), 0.25)
+    for bad in (0.0, -1.0, 0.26):
+        with pytest.raises(InvalidEpsilon, match=f"floor {bad} outside"):
+            _truncate_rows(p.copy(), np.array([0.1, bad, 0.2]))

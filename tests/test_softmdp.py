@@ -73,6 +73,30 @@ class TestTabularMdp:
         with pytest.raises(NonPositiveTemperature):
             replace(goal_chain_mdp(), mu=math.nan)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("rewards", lambda r: r + 2.0), ("transitions", lambda p: p * 0.9),
+        ("transitions", lambda p: np.where(p == p.max(), -0.5, p)), ("gamma", lambda g: 1.0),
+        ("gamma", lambda g: math.nan), ("mu", lambda m: 0.0), ("mu", lambda m: math.nan),
+    ])
+    def test_stack_rules_are_the_table_rules(self, field, bad):
+        # one bad entry of a stack fails as that entry fails alone
+        from driftsched.softmdp import _validate_mdp
+
+        good = [random_mdp(3, 2, gamma=0.8, mu=0.3, rng=np.random.default_rng(i))
+                for i in range(3)]
+        fields = {"rewards": [m.rewards for m in good],
+                  "transitions": [m.transitions for m in good],
+                  "gamma": [0.8] * 3, "mu": [0.3] * 3}
+        fields[field][1] = bad(fields[field][1])
+        with pytest.raises(Exception) as alone:
+            TabularMdp(fields["rewards"][1], fields["transitions"][1], fields["gamma"][1],
+                       good[1].rho, fields["mu"][1])
+        arrays = {k: np.stack(v) for k, v in fields.items()}
+        with pytest.raises(type(alone.value)) as stacked:
+            _validate_mdp(arrays["rewards"], arrays["transitions"], arrays["gamma"],
+                          good[0].rho, arrays["mu"], 1.0, stacked=True)
+        assert str(stacked.value) == str(alone.value)
+
 
 class TestSoftBellman:
     def test_single_state_step(self):
@@ -103,6 +127,25 @@ class TestSoftBellman:
                     mp.mpf(m.transitions[s, a, s2]) * v_next[s2] for s2 in range(3)
                 )
                 assert got[s, a] == pytest.approx(float(want), abs=1e-12)
+
+    def test_per_entry_gamma_and_mu(self):
+        # a stack with one gamma and mu per table backs up each table as it alone would
+        from driftsched.softmdp import _MdpStack
+
+        rng = np.random.default_rng(11)
+        mdps = [random_mdp(4, 3, gamma=float(rng.uniform(0.5, 0.99)),
+                           mu=float(rng.uniform(0.05, 1.0)), rng=rng) for _ in range(6)]
+        q = rng.uniform(-5, 5, (6, 4, 3))
+        gamma, mu = np.array([m.gamma for m in mdps]), np.array([m.mu for m in mdps])
+        stack = _MdpStack(np.stack([m.rewards for m in mdps]),
+                          np.stack([m.transitions for m in mdps]), gamma, mu)
+        tq = soft_bellman_apply(stack, q)
+        v = soft_values(q, mu)
+        for i, m in enumerate(mdps):
+            assert tq[i].tobytes() == soft_bellman_apply(m, q[i]).tobytes()
+            assert v[i].tobytes() == soft_values(q[i], m.mu).tobytes()
+        with pytest.raises(NonPositiveTemperature):
+            soft_values(q, np.r_[mu[:5], 0.0])
 
     def test_contraction(self):
         rng = np.random.default_rng(5)

@@ -127,21 +127,28 @@ class TestWorstSample:
         r = _worst("t", ["a", "b", "c", "d"], [1.0, 3.0, 2.0, 3.0], [0.0] * 4, 0.0, _excess)
         assert r.max_violation == 3.0 and r.worst_case == "'b'" and r.samples == 4
 
-    def test_nan_never_picked(self):
+    def test_nan_counts_as_inf(self):
         from driftsched.verify import _excess, _worst
 
         nan = float("nan")
-        r = _worst("t", ["a", "b", "c"], [nan, -2.0, nan], [0.0, 0.0, 0.0], 0.0, _excess)
-        assert r.max_violation == -2.0 and r.worst_case == "'b'"
-        r = _worst("t", ["a", "b"], np.array([1.0, 1.0]), np.array([nan, 0.5]), 0.0, _excess)
-        assert r.max_violation == 0.5 and r.worst_case == "'b'"
+        r = _worst("t", ["a", "b", "c"], [-1.0, nan, np.inf], [0.0, 0.0, 0.0], 0.0, _excess)
+        assert r.max_violation == np.inf and r.worst_case == "'b'" and not r.passed
+        r = _worst("t", ["a", "b"], np.array([1.0, 1.0]), np.array([0.5, nan]), 0.0, _excess)
+        assert r.max_violation == np.inf and r.worst_case == "'b'" and not r.passed
 
     def test_all_nan(self):
         from driftsched.verify import _excess, _worst
 
         nan = float("nan")
         r = _worst("t", ["a", "b"], [nan, nan], [0.0, nan], 0.0, _excess)
-        assert r.max_violation == -np.inf and r.worst_case == "None"
+        assert r.max_violation == np.inf and r.worst_case == "'a'" and not r.passed
+
+    def test_worst_case_described_from_the_sample(self):
+        from driftsched.verify import _excess, _worst
+
+        r = _worst("t", [(1, 2), (3, 4)], [0.0, 1.0], [0.0, 0.0], 0.0, _excess,
+                   describe=lambda s: s[0] + s[1])
+        assert r.worst_case == "7"
 
     def test_identity_records_absolute_gap(self):
         from driftsched.verify import _gap, _worst
@@ -179,6 +186,63 @@ class TestStackedChecks:
         monkeypatch.setattr(verify, "_row_softmax", off_simplex)
         with pytest.raises(ValueError, match="floor"):
             verify._check_softmax_drift(0, n=5)
+
+
+# SHA-256 of `driftsched verify --seed N --json` stdout, measured before the
+# per-vector and soft-backup checks were stacked (numpy 2.4.6, Python 3.11.7)
+GOLDEN_DIGESTS = {
+    0: "c773e7aa143889e6d6cbb330b4e37a5ab5533f61ca240a03f46ef9e79b349995",
+    1: "24df566b65e613317e7d7a8200395a4b4879b17e7659e396731673e60e4446d9",
+    3: "d8fb72388cb524d599e40b1908fa7444f52dc8f32d10e072ac961d68dc1de3fd",
+    7: "651e3186e5920cfff2989b903ca762f3869406128366c31f834bc788207ba1cc",
+    4242: "6f699ea9f75c9388b4c9d04f9af8defbb29e90b77dba04b9c7c25e257d83ce08",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
+def test_verify_json_keeps_its_bytes(seed, capsys):
+    import hashlib
+
+    from driftsched.cli import main
+
+    assert main(["verify", "--seed", str(seed), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[seed]
+
+
+class TestStackValidation:
+    """Each soft-MDP check applies TabularMdp's rules once to its stack of draws."""
+
+    @pytest.mark.parametrize("check", [
+        "_check_soft_backup_contraction", "_check_operator_drift",
+        "_check_fixed_point_sensitivity", "_check_occupancy_policy_sensitivity",
+        "_check_performance_difference",
+    ])
+    def test_a_bad_draw_is_refused(self, check, monkeypatch):
+        from driftsched import verify
+
+        draw = verify._mdp_draw
+
+        def off_simplex(rng, s, a):
+            rewards, transitions = draw(rng, s, a)
+            return rewards, transitions * 1.001
+
+        monkeypatch.setattr(verify, "_mdp_draw", off_simplex)
+        with pytest.raises(ValueError, match="each transition row must sum to 1"):
+            getattr(verify, check)(0, n=5)
+
+    def test_occupancy_mismatch_refuses_a_bad_draw(self, monkeypatch):
+        from driftsched import verify
+
+        batch = verify._random_mdp_batch
+
+        def out_of_range(*args):
+            rewards, transitions = batch(*args)
+            return 2.0 * rewards, transitions
+
+        monkeypatch.setattr(verify, "_random_mdp_batch", out_of_range)
+        with pytest.raises(ValueError, match="exceed r_max"):
+            verify._check_occupancy_mismatch_bound(0, n=5)
 
 
 class TestStreamDrawOrder:

@@ -3,8 +3,9 @@
 The library draws each check's samples in order and evaluates them in
 one stacked call per kernel. These are the forms it replaced: each
 sample's left- and right-hand side computed on its own, through the
-public one-table kernels, and scanned by check_inequality /
-check_identity or _check_samples. A stacked check's report must equal
+public one-vector and one-table kernels with every drawn MDP built as
+a TabularMdp, and scanned by check_inequality / check_identity or
+_check_samples. A stacked check's report must equal
 its reference's on every seed.
 """
 
@@ -14,7 +15,14 @@ import math
 
 import numpy as np
 
-from driftsched.simplex import kl_div, log_sum_exp, softmax
+from driftsched.simplex import (
+    bregman_neg_entropy,
+    kl_div,
+    log_sum_exp,
+    neg_entropy,
+    softmax,
+    truncate,
+)
 from driftsched.softmdp import (
     _MdpStack,
     TabularMdp,
@@ -29,12 +37,65 @@ from driftsched.softmdp import (
 )
 from driftsched.verify import (
     _check_samples,
-    _perturbed_pair,
     _random_mdp_batch,
     _rng,
     check_identity,
     check_inequality,
 )
+
+
+def _check_entropy_range(seed):
+    def lhs(x):
+        h = neg_entropy(x)
+        return max(h - 0.0, -math.log(x.size) - h)
+
+    def sampler(rng):
+        return rng.dirichlet(np.ones(int(rng.integers(2, 33))))
+
+    return check_inequality("entropy_range", lhs, lambda x: 0.0, sampler,
+                            n=2000, tol=1e-12, seed=seed)
+
+
+def _check_entropy_grad_bound(seed):
+    def sampler(rng):
+        k = int(rng.integers(2, 33))
+        eps = float(rng.uniform(1e-6, 1.0 / k))
+        return truncate(rng.dirichlet(np.ones(k)), eps)
+
+    def lhs(x):
+        return float(np.abs(1.0 + np.log(x.probs)).max())
+
+    def rhs(x):
+        return 1.0 + abs(math.log(x.epsilon_floor))
+
+    return check_inequality("entropy_grad_bound", lhs, rhs, sampler,
+                            n=2000, tol=1e-12, seed=seed)
+
+
+def _check_bregman_equals_kl(seed):
+    def sampler(rng):
+        k = int(rng.integers(2, 9))
+        return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+
+    return check_identity(
+        "bregman_equals_kl",
+        lambda s: bregman_neg_entropy(s[0], s[1]),
+        lambda s: kl_div(s[0], s[1]),
+        sampler, n=1000, tol=1e-10, seed=seed,
+    )
+
+
+def _check_pinsker(seed):
+    def sampler(rng):
+        k = int(rng.integers(2, 17))
+        return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+
+    return check_inequality(
+        "pinsker_strong_convexity",
+        lambda s: 0.5 * float(np.abs(s[0] - s[1]).sum()) ** 2,
+        lambda s: kl_div(s[0], s[1]),
+        sampler, n=2000, tol=1e-12, seed=seed,
+    )
 
 
 def _check_lse_lipschitz(seed):
@@ -64,6 +125,37 @@ def _check_softmax_drift(seed):
         lambda s: float(np.abs(s[0] - s[1]).max()) / s[2],
         sampler, n=2000, tol=1e-10, seed=seed,
     )
+
+
+def _check_soft_backup_contraction(seed):
+    def sampler(rng):
+        s, a = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        mdp = random_mdp(s, a, gamma=float(rng.uniform(0.5, 0.99)),
+                         mu=float(rng.uniform(0.05, 1.0)), rng=rng)
+        scale = mdp.q_bound()
+        q1 = rng.uniform(-scale, scale, size=(s, a))
+        q2 = rng.uniform(-scale, scale, size=(s, a))
+        return mdp, q1, q2
+
+    return check_inequality(
+        "soft_backup_contraction",
+        lambda s: float(np.abs(soft_bellman_apply(s[0], s[1])
+                               - soft_bellman_apply(s[0], s[2])).max()),
+        lambda s: s[0].gamma * float(np.abs(s[1] - s[2]).max()),
+        sampler, n=1000, tol=1e-10, seed=seed,
+    )
+
+
+def _perturbed_pair(rng, s=5, a=3, gamma=0.9, mu=0.2):
+    """Two MDPs a random convex mix apart, as consecutive drift steps."""
+    m1 = random_mdp(s, a, gamma=gamma, mu=mu, rng=rng)
+    r_alt = rng.uniform(-1.0, 1.0, size=(s, a))
+    p_alt = rng.dirichlet(np.ones(s), size=(s, a))
+    w = float(rng.uniform(0.0, 1.0))
+    rewards = (1 - w) * m1.rewards + w * r_alt
+    transitions = (1 - w) * m1.transitions + w * p_alt
+    m2 = TabularMdp(rewards, transitions, gamma, m1.rho, mu, m1.r_max)
+    return m1, m2
 
 
 def _check_operator_drift(seed):
@@ -186,6 +278,28 @@ def _check_occupancy_policy_sensitivity(seed):
                             sampler, n=1000, tol=1e-10, seed=seed)
 
 
+def _check_fenchel_young_gap(seed):
+    def sampler(rng):
+        a = int(rng.integers(2, 9))
+        mu = float(rng.uniform(0.05, 2.0))
+        q_row = rng.uniform(-5, 5, a)
+        pi_row = rng.dirichlet(np.ones(a))
+        return q_row, pi_row, mu
+
+    def lhs(s):
+        q_row, pi_row, mu = s
+        f = lambda p: float(-(q_row @ p) + mu * neg_entropy(p))
+        pi_star = softmax(q_row, mu).probs
+        return f(pi_row) - f(pi_star)
+
+    def rhs(s):
+        q_row, pi_row, mu = s
+        return mu * kl_div(pi_row, softmax(q_row, mu).probs)
+
+    return check_identity("fenchel_young_gap", lhs, rhs, sampler,
+                          n=1000, tol=1e-10, seed=seed)
+
+
 def _check_performance_difference(seed, n=200):
     def sampler(rng):
         mdp = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=rng)
@@ -217,6 +331,10 @@ def _check_performance_difference(seed, n=200):
 
 
 STACKED_CHECKS = (
+    "_check_entropy_range",
+    "_check_entropy_grad_bound",
+    "_check_bregman_equals_kl",
+    "_check_pinsker",
     "_check_lse_lipschitz",
     "_check_softmax_drift",
     "_check_operator_drift",
@@ -225,5 +343,7 @@ STACKED_CHECKS = (
     "_check_surrogate_gap_range",
     "_check_occupancy_mismatch_bound",
     "_check_occupancy_policy_sensitivity",
+    "_check_soft_backup_contraction",
+    "_check_fenchel_young_gap",
     "_check_performance_difference",
 )
