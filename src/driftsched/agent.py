@@ -12,6 +12,9 @@ the TD learner's depends on its own errors (closed loop).
 from __future__ import annotations
 
 import math
+from functools import reduce
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -19,7 +22,6 @@ from .errors import (AlignmentError, BoundaryIterate, LengthMismatch,
                      NonFiniteGradient, ShapeMismatch)
 from .omd import _check_floor, _check_iterates, _mirror_step
 from .scheduler import ProxyState, ScheduleConfig, _schedule_columns, next_lambda
-from .simplex import _row_lse, _row_softmax
 from .softmdp import (
     _soft_returns,
     _surrogate_gap,
@@ -171,57 +173,61 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
         for b, cfg in enumerate(cfgs)]
 
 
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """Row-wise cdf = p.cumsum(); cdf /= cdf[-1], as Generator.choice builds it."""
-    cdf = p.cumsum(axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf
+def _choice(p, u: float) -> int:
+    """Generator.choice(len(p), p=p) for its uniform u: the count of cdf <= u,
+    cdf = p.cumsum(); cdf /= cdf[-1] as choice builds it (0 for a NaN cdf)."""
+    cdf = list(accumulate(p))
+    last, a = cdf[-1], 0
+    while a < len(cdf) and cdf[a] / last <= u:
+        a += 1
+    return a
 
 
-def _choose(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Generator.choice's cdf.searchsorted(u, side="right") per row: the count of cdf <= u."""
-    return (cdf <= u).sum(axis=1)
+def _row_sum(row) -> float:
+    """A list's sum with the bits of a (B, A) array's row sum: numpy adds fewer than
+    8 entries left to right, more pairwise, as a 1-D np.add.reduce does."""
+    return reduce(add, row, 0.0) if len(row) < 8 else float(np.add.reduce(row))
 
 
-def _mdp_tables(mdps) -> tuple:
-    """Stacked (rewards, gamma, start cdf) of a list of MDPs, the transition cdf
-    of each distinct transition array, and the index k of each MDP's cdf.
+def _td_step(q, s, u_act, u_next, alpha, learn_rate, mdps, log_ties) -> tuple:
+    """One sampled soft-TD transition for every learner b, on Python floats.
 
-    MDPs that share a transition array (generate_sequence's without
-    transition drift) share its cdf.
-    """
-    arrays = {}
-    k = np.array([arrays.setdefault(id(m.transitions), (len(arrays), m.transitions))[0]
-                  for m in mdps])
-    return (np.stack([m.rewards for m in mdps]), np.array([m.gamma for m in mdps]),
-            np.stack([_cdf(m.rho) for m in mdps]),
-            np.stack([_cdf(p) for _, p in arrays.values()]), k)
-
-
-def _td_transition(q, rows, s, u_act, u_next, alpha, learn_rate, tables, m, k):
-    """One sampled soft-TD transition for every row b of the (B, S, A) table q.
-
-    Row b, in state s[b] of the stacked MDP m[b] whose transition cdf is
-    next_cdf[k[b]], draws a ~ softmax(q[b, s] / alpha[b]) with u_act[b] and s'
-    with u_next[b] (alpha and the uniforms are (B, 1) columns), moves
-    q[b, s, a] in place towards r + gamma * LSE(q[b, s'], alpha[b]) and
-    returns (a, s', r, delta).
-    """
-    rewards, gamma, next_cdf = tables
-    probs = _row_softmax(q[rows, s] / alpha)  # renormalized as soft_policy does
-    a = _choose(_cdf(probs / probs.sum(axis=-1, keepdims=True)), u_act)
-    s_next = _choose(next_cdf[k, s, a], u_next)
-    r = rewards[m, s, a]
-    target = r + gamma[m] * (alpha[:, 0] * _row_lse(q[rows, s_next] / alpha))
-    delta = target - q[rows, s, a]
-    q[rows, s, a] += learn_rate * delta
-    return a, s_next, r, delta
-
-
-def _check_td_errors(deltas: np.ndarray) -> None:
-    """Fail a run whose TD errors overflowed, where Generator.choice would have."""
-    if not np.isfinite(deltas).all():
-        raise ValueError("TD errors are not finite: the learner diverged")
+    In state s[b] of MDP mdps[b], learner b draws a ~ softmax(q[b][s] /
+    alpha[b]) with u_act[b] and s' with u_next[b], moves q[b][s][a] towards
+    r + gamma alpha[b] LSE(q[b][s'] / alpha[b]) and returns (s', delta) lists,
+    with the bits soft_policy, Generator.choice and _row_lse give on (B, A)
+    rows (log_ties[n - 1] is np.log(n)). A non-finite TD error raises at once."""
+    width, shifted = len(q[0][0]), []
+    for qb, sb, al in zip(q, s, alpha):
+        x = [v / al for v in qb[sb]]
+        top = max(x)
+        shifted += [v - top for v in x]
+    e = np.exp(shifted).tolist()
+    moves, shifted = [], []
+    for j, (qb, sb, al, mb, u, w) in enumerate(zip(q, s, alpha, mdps, u_act, u_next)):
+        tot = _row_sum(e[j * width:j * width + width])
+        p = [v / tot for v in e[j * width:j * width + width]]
+        tot = _row_sum(p)  # renormalized, as soft_policy does
+        a = _choice([v / tot for v in p], u)
+        # the one place a step reads its MDP: a reward, gamma and a transition row
+        r, g = mb.rewards.item(sb, a), float(mb.gamma)
+        s_next = _choice(mb.transitions[sb, a].tolist(), w)
+        x = [v / al for v in qb[s_next]]
+        top = max(x)  # _row_lse: the entries tied at the max enter as log(ties)
+        shifted += [(-math.inf if v == top else v) - top for v in x]
+        moves.append((a, r, g, s_next, top, x.count(top)))
+    z = np.exp(shifted).tolist()
+    log1p = np.log1p([_row_sum(z[j * width:j * width + width]) / mv[-1]
+                      for j, mv in enumerate(moves)]).tolist()
+    delta = []
+    for qb, sb, al, (a, r, g, _, top, ties), l1 in zip(q, s, alpha, moves, log1p):
+        # a non-finite LSE would take _row_lse's fallback, as non-finite
+        d = r + g * (al * (l1 + log_ties[ties - 1] + top)) - qb[sb][a]
+        if not math.isfinite(d):
+            raise ValueError("TD errors are not finite: the learner diverged")
+        qb[sb][a] += learn_rate * d
+        delta.append(d)
+    return [mv[3] for mv in moves], delta
 
 
 def _score_snapshots(snaps, runs, eval_col) -> None:
@@ -252,12 +258,17 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
 
     Learner b's trace is td_train(seqs[b], cfgs[b], ..., seed=seeds[b])
     bit for bit, whatever shares the run: its generator draws at once
-    every uniform of td_train's reset, action and next-state choices,
-    and each step is one _td_transition on the shared (B, S, A) table.
-    An eval step only stores each learner's softmax policy; the stored
-    policies are scored EVAL_CHUNK at a time in stacked solves, as each
-    chunk fills and for the rest after the last step. All learners share
-    the horizon, the (S, A) shape and the knobs.
+    every uniform of td_train's reset, action and next-state choices, and
+    each step is one _td_step for all learners, on Python floats with the
+    tables as lists, as a step costs numpy calls, not arithmetic. Numpy
+    stays where the bits need it: one exp over all learners' action rows
+    and one over their LSE rows, one log1p, sums of 8 or more entries. A
+    step reads a reward and a transition row of each learner's MDP, so no
+    table is stacked or made lists (a drifting run has one a step). An
+    eval step stores each learner's softmax policy; the stored policies
+    are scored EVAL_CHUNK at a time in stacked solves, as each chunk fills
+    and for the rest after the last step. All learners share the horizon,
+    the (S, A) shape and the knobs.
     """
     if not len(seqs) == len(cfgs) == len(seeds) >= 1:
         raise LengthMismatch("seqs, cfgs and seeds must be nonempty and equally long")
@@ -270,54 +281,47 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     runs = [made[id(seq)] for seq in seqs]  # a spec that learners share is built once
     if len(runs[0][0]) < 1 or len({len(mdps) for mdps, _, _ in runs}) > 1:
         raise LengthMismatch("every learner needs the same horizon, at least 1")
-    index = {}  # one table entry per distinct MDP object, in order of first use
-    m_idx = np.array([[index.setdefault(id(m), len(index)) for m in mdps]
-                      for mdps, _, _ in runs]).T.copy()
-    distinct = list({id(m): m for mdps, _, _ in runs for m in mdps}.values())
-    if len({m.rewards.shape for m in distinct}) > 1:
+    if len({m.rewards.shape for mdps, _, _ in runs for m in mdps}) > 1:
         raise ShapeMismatch("every MDP needs the same (S, A)")
-    rewards, gamma, start_cdf, next_cdf, k = _mdp_tables(distinct)
-    tables, k_idx = (rewards, gamma, next_cdf), k[m_idx]
+    log_ties = np.log(np.arange(1.0, runs[0][0][0].rewards.shape[1] + 1)).tolist()
 
-    (horizon, n_learners), rows = m_idx.shape, np.arange(len(runs))
-    draws = np.empty((2 * horizon + math.ceil(horizon / episode_len), n_learners, 1))
+    horizon, n_learners = len(runs[0][0]), len(runs)
+    draws = np.empty((2 * horizon + math.ceil(horizon / episode_len), n_learners))
     for b, sd in enumerate(seeds):
-        draws[:, b, 0] = np.random.default_rng(sd).random(len(draws))
-    alpha = np.array([[next_lambda(c, ProxyState(), 0.0)[0]] for c in cfgs])
-    q_rank = np.array([math.ceil(c.quantile_q * batch_size) - 1 for c in cfgs])
-    q = np.zeros((n_learners,) + distinct[0].rewards.shape)
+        draws[:, b] = np.random.default_rng(sd).random(len(draws))
+    alpha = [next_lambda(c, ProxyState(), 0.0)[0] for c in cfgs]
+    q_rank = [math.ceil(c.quantile_q * batch_size) - 1 for c in cfgs]
+    q = [np.zeros_like(runs[0][0][0].rewards).tolist() for _ in runs]
     proxies = [ProxyState()] * n_learners
-    lam_hist, ema_hist = [alpha[:, 0].copy()], [np.zeros(n_learners)]
-    deltas = np.zeros((n_learners, batch_size))
+    lam_hist, ema_hist, batch = [alpha.copy()], [[0.0] * n_learners], []
     eval_col = np.full((horizon, n_learners), np.nan)
     snaps = []  # (step, learner, policy) awaiting a stacked evaluation
-    # a diverging learner overflows before _check_td_errors names it
+    # an overflowed table holds an inf until a TD error that is not finite raises
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            # draws[i] resets, if t starts an episode
-            m, i = m_idx[t], 2 * t + t // episode_len
-            if t % episode_len == 0:
-                s = _choose(start_cdf[m], draws[i])
-            _, s, _, deltas[:, t % batch_size] = _td_transition(
-                q, rows, s, draws[i + 1], draws[i + 2], alpha, learn_rate, tables, m, k_idx[t])
+            now, i = [run[0][t] for run in runs], 2 * t + t // episode_len
+            if t % episode_len == 0:  # draws[i] resets
+                s = [_choice(m.rho.tolist(), u) for m, u in zip(now, draws[i].tolist())]
+            u_act, u_next = draws[i + 1:i + 3].tolist()
+            s, delta = _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties)
+            batch.append(delta)
             if (t + 1) % batch_size == 0:
-                _check_td_errors(deltas)
-                raw = np.sort(np.abs(deltas), axis=1)[rows, q_rank]
-                for b, cfg in enumerate(cfgs):
-                    alpha[b, 0], proxies[b] = next_lambda(cfg, proxies[b], float(raw[b]))
-                lam_hist.append(alpha[:, 0].copy())
-                ema_hist.append(np.array([p.ema_value for p in proxies]))
+                for b, (cfg, errors) in enumerate(zip(cfgs, zip(*batch))):
+                    raw = sorted(map(abs, errors))[q_rank[b]]
+                    alpha[b], proxies[b] = next_lambda(cfg, proxies[b], raw)
+                batch.clear()
+                lam_hist.append(alpha.copy())
+                ema_hist.append([p.ema_value for p in proxies])
             if (t + 1) % eval_every == 0:
-                snaps += [(t, b, soft_policy(q[b], alpha[b, 0])) for b in rows]
+                snaps += [(t, b, soft_policy(q_b, alpha[b])) for b, q_b in enumerate(np.array(q))]
                 while len(snaps) >= EVAL_CHUNK:
                     _score_snapshots(snaps[:EVAL_CHUNK], runs, eval_col)
                     del snaps[:EVAL_CHUNK]
     if snaps:
         _score_snapshots(snaps, runs, eval_col)
-    _check_td_errors(deltas)  # the steps after the last full batch
     # step t recorded lambda before and the proxy after that step's update
     steps = np.arange(horizon)
-    lam_col = np.array(lam_hist)[steps // batch_size]
+    lam_col = np.array(lam_hist, dtype=float)[steps // batch_size]
     proxy_col = np.array(ema_hist)[(steps + 1) // batch_size]
 
     # the constant columns are read-only broadcasts: no memory per trace

@@ -251,8 +251,8 @@ def _cells_job(args):
                                cfg.learn_rate)
     results = []
     for (name, _, _, pattern, seed), trace in zip(cells, traces):
-        trace.columns["pattern"] = np.asarray([pattern] * len(trace), dtype=object)
-        trace.columns["seed"] = np.full(len(trace), seed)
+        trace.columns["pattern"] = np.broadcast_to(np.array(pattern, dtype=object), len(trace))
+        trace.columns["seed"] = np.broadcast_to(np.array(seed), len(trace))
         trace.meta.update({"method": name, "pattern": pattern, "seed": seed,
                            "task": cfg.task_name})
         path = os.path.join(out_dir, f"trace_{name}_{pattern}_seed{seed}.csv")

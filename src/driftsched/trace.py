@@ -34,8 +34,15 @@ def _format_cell(v) -> str:
 
 
 def _format_column(col: np.ndarray) -> list:
-    """_format_cell of every entry of a column slice, via .tolist()."""
+    """_format_cell of each entry of a column slice; a broadcast or run of float bits once."""
+    if col.strides == (0,) and len(col) > 1:
+        return _format_column(col[:1]) * len(col)
     if col.dtype.kind == "f":
+        bits = col.astype(np.float64, copy=False).view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        if len(starts) < len(col):  # runs of equal bits: format each run's value once
+            cells = np.array(_format_column(col[starts]), dtype=object)
+            return np.repeat(cells, np.diff(np.append(starts, len(col)))).tolist()
         return ["" if v != v else repr(v) for v in col.tolist()]
     if col.dtype.kind in "iu":
         return [str(v) if -10**15 < v < 10**15 else repr(float(v)) for v in col.tolist()]

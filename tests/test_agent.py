@@ -1,9 +1,14 @@
 import functools
 import math
+import operator
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from driftsched import (
     AlignmentError,
@@ -22,7 +27,7 @@ from driftsched import (
     td_train,
     td_train_many,
 )
-from driftsched.agent import _cdf, _td_transition
+from driftsched.agent import _choice, _row_sum, _td_step
 from driftsched.simplex import kl_div
 
 
@@ -186,38 +191,118 @@ def one_state_mdp(r=1.0, gamma=0.5, mu=1.0):
 
 
 def one_learner_step(q, m, alpha, learn_rate, rng):
-    """One _td_transition of a single learner, in state 0, on the one MDP m."""
-    zero = np.zeros(1, dtype=np.intp)
-    tables = (m.rewards[None], np.array([m.gamma]), _cdf(m.transitions)[None])
-    u = rng.random((2, 1))
-    return _td_transition(q[None], zero, zero, u[:1], u[1:], np.array([[alpha]]),
-                          learn_rate, tables, zero, zero)
+    """One _td_step of a single learner with table q (nested lists), in state 0,
+    on the one MDP m."""
+    u_act, u_next = rng.random(2).tolist()
+    return _td_step([q], [0], [u_act], [u_next], [alpha], learn_rate, [m], [0.0])
 
 
 class TestTdStep:
-    """The TD step kernel, _td_transition, on a one-state learner."""
+    """The TD step kernel, _td_step, on a one-state learner."""
 
     def test_zero_learn_rate(self):
-        q = np.zeros((1, 1))
-        _, _, _, delta = one_learner_step(q, one_state_mdp(), 0.3, 0.0,
-                                          np.random.default_rng(0))
-        assert q[0, 0] == 0.0
+        q = [[0.0]]
+        _, delta = one_learner_step(q, one_state_mdp(), 0.3, 0.0,
+                                    np.random.default_rng(0))
+        assert q[0][0] == 0.0
         assert delta[0] == pytest.approx(1.0)
 
     def test_scalar_convergence(self):
         # single state and action: the smoothed target collapses to the
         # plain backup and q approaches r / (1 - gamma) = 2
         m = one_state_mdp(r=1.0, gamma=0.5)
-        q, rng = np.zeros((1, 1)), np.random.default_rng(0)
+        q, rng = [[0.0]], np.random.default_rng(0)
         for _ in range(200):
-            _, _, _, delta = one_learner_step(q, m, 0.4, 0.2, rng)
-        assert q[0, 0] == pytest.approx(2.0, abs=1e-3)
+            _, delta = one_learner_step(q, m, 0.4, 0.2, rng)
+        assert q[0][0] == pytest.approx(2.0, abs=1e-3)
         assert abs(delta[0]) <= 1e-3
 
     def test_requires_positive_temperature(self):
         # the learner's temperature is its schedule's, and a schedule refuses 0
         with pytest.raises(ValueError, match="fixed_value must be positive"):
             td_train(steady_goal_spec(10), ScheduleConfig(mode="fixed", fixed_value=0.0))
+
+
+# a small pool makes ties common; huge entries overflow sums, tiny ones are subnormal
+STEP_VALUES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 0.1, 2.5, 1e16, -1e16, 1e300, -1e300,
+                     np.finfo(float).max, 1e-300, 5e-324)),
+    st.floats(-1e308, 1e308),
+    st.floats(0.0, 1.0),
+)
+
+
+def step_rows(min_len, max_len):
+    """(B, n) arrays, one learner a row, as the step's row functions see them."""
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(min_len, max_len)),
+                      elements=STEP_VALUES)
+
+
+class TestStepNumpyFacts:
+    """The numpy facts _td_step rests on, over rows of 1-16 entries: plain float
+    arithmetic has a row sum's bits below 8 entries, a 1-D sum has a stacked
+    row's, and exp, log1p and log of a flat list have a stacked call's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(step_rows(1, 7))
+    @example(np.full((2, 3), -0.0))
+    @example(np.array([[1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]))
+    def test_short_rows_sum_left_to_right(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = x.sum(axis=-1)
+        for row, total in zip(x.tolist(), want.tolist()):
+            left_to_right = functools.reduce(operator.add, row, 0.0)
+            assert np.float64(left_to_right).tobytes() == np.float64(total).tobytes()
+            assert np.float64(_row_sum(row)).tobytes() == np.float64(total).tobytes()
+
+    def test_eight_entries_sum_pairwise(self):
+        # why a wide row stays with numpy: its pairwise sum adds the ones to
+        # each other before they meet 1e16, while left to right each 1 rounds away
+        row = [1e16] + [1.0] * 7
+        assert functools.reduce(operator.add, row, 0.0) == 1e16
+        assert np.array([row]).sum(axis=-1)[0] == _row_sum(row) == 1e16 + 6
+
+    @settings(max_examples=400, deadline=None)
+    @given(step_rows(1, 16))
+    @example(np.array([[1e16] + [1.0] * 15, [1e-300] * 16]))
+    @example(np.full((3, 9), 2.5))
+    def test_one_row_sum_has_the_stacked_bits(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = x.sum(axis=-1)
+            for b, row in enumerate(x):
+                assert np.add.reduce(row).tobytes() == want[b].tobytes()
+                assert np.float64(_row_sum(row.tolist())).tobytes() == want[b].tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(step_rows(1, 16))
+    @example(np.array([[0.0, -np.inf, np.nan, -745.2, -708.4, 1e-300]]))
+    def test_flat_calls_have_the_stacked_bits(self, x):
+        with np.errstate(all="ignore"):
+            flat = x.ravel().tolist()
+            assert np.exp(flat).tobytes() == np.exp(x).tobytes()
+            # the step's exp arguments are shifted rows, at most 0
+            assert np.exp([-abs(v) for v in flat]).tobytes() == np.exp(-np.abs(x)).tobytes()
+            assert np.log1p([abs(v) for v in flat]).tobytes() == np.log1p(np.abs(x)).tobytes()
+            col = np.abs(x[:, :1])
+            assert np.log1p(col[:, 0].tolist()).tobytes() == np.log1p(col)[:, 0].tobytes()
+
+    @pytest.mark.parametrize("n_learners", [1, 2, 4, 12])
+    def test_log_table_has_the_stacked_bits(self, n_learners):
+        # _td_step reads log(ties) from one table instead of a (B, 1) call
+        table = np.log(np.arange(1.0, 17.0))
+        counts = np.random.default_rng(n_learners).integers(1, 17, (50, n_learners, 1))
+        for col in counts.astype(float):
+            assert np.log(col)[:, 0].tobytes() == table[col[:, 0].astype(int) - 1].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((0.0, 1e-300, 1e-17, 0.3, 1.0, 7.0)), min_size=1, max_size=16)
+       .filter(lambda w: sum(w) > 0), st.integers(0, 2**32 - 1))
+def test_choice_matches_generator_choice(weights, seed):
+    p = np.array(weights) / sum(weights)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [int(rng_a.choice(len(p), p=p)) for _ in range(20)]
+    assert [_choice(p.tolist(), u) for u in rng_b.random(20).tolist()] == want
 
 
 class TestTdTrain:
@@ -742,13 +827,11 @@ class TestTdLockstep:
     """td_train_many equals the per-learner reference loop bit for bit."""
 
     def test_predrawn_uniforms_match_choice(self):
-        from driftsched.agent import _choose
-
         p = np.array([0.2, 0.5, 0.3])
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         want = [rng_a.choice(3, p=p) for _ in range(1000)]
-        got = _choose(np.tile(_cdf(p), (1000, 1)), rng_b.random((1000, 1)))
-        assert np.array_equal(got, want)
+        got = [_choice(p.tolist(), u) for u in rng_b.random(1000).tolist()]
+        assert got == want
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("n_learners", [1, 4, 12])
@@ -834,18 +917,20 @@ class TestTdLockstep:
             td_train_many([spec] * 2, [ONLINE_TD, FIXED_TD], [1, 2], batch_size, 50, 25,
                           learn_rate=10.0)
 
-    def test_shared_transitions_share_one_cdf(self):
-        from driftsched.agent import _mdp_tables
-        from driftsched.softmdp import generate_sequence
-
-        spec = SoftMdpSequence(
-            base=random_mdp(6, 3, rng=np.random.default_rng(5)), pattern="periodic",
-            horizon=90, drift=DriftSpec(period=20, amplitude=0.5), seed=1)
-        mdps = generate_sequence(spec)
-        assert len({id(m) for m in mdps}) > 10
-        rewards, _, _, next_cdf, k = _mdp_tables(mdps)
-        assert rewards.shape == (90, 6, 3) and next_cdf.shape == (1, 6, 3, 6)
-        assert (k == 0).all()
+    @pytest.mark.parametrize("n_actions", [8, 9, 16])
+    def test_wide_action_rows(self, n_actions):
+        # rows of 8 or more actions take numpy's pairwise sums in the step
+        base = random_mdp(6, n_actions, gamma=0.9, mu=0.2,
+                          rng=np.random.default_rng([n_actions, 3]))
+        drift = DriftSpec(change_times=(70,), magnitude=0.5, period=40, amplitude=0.4,
+                          transition_drift=True)
+        runs = [(SoftMdpSequence(base=base, pattern=pattern, horizon=160, drift=drift,
+                                 seed=i), cfg, 20 + i)
+                for i, (pattern, cfg) in enumerate([("steady", ONLINE_TD), ("abrupt", FIXED_TD),
+                                                    ("periodic", ONLINE_TD)])]
+        knobs = (10, 40, 17, 0.3)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
 
     def test_mixed_horizons_and_shapes_rejected(self):
         from driftsched import LengthMismatch, ShapeMismatch
@@ -858,3 +943,28 @@ class TestTdLockstep:
         with pytest.raises(ShapeMismatch):
             td_train_many([[goal_chain_mdp()] * 20, [random_mdp(5, 4)] * 20],
                           [FIXED_TD] * 2, [0, 1])
+
+
+class TestTdMemory:
+    """A run with its own table at every step keeps its tracemalloc peak: the
+    step reads its MDP's tables a row at a time, and neither stacks them nor
+    turns them into lists (as lists the rewards would add about 5 MB here,
+    the transitions about 35 MB)."""
+
+    # peaks measured with numpy 2.4.6 and Python 3.11.7: 25,864,790 B when
+    # the step ran on one (B, S, A) array with stacked reward and cdf tables,
+    # 9,572,841 B with the step on lists reading its MDP's rows
+    PEAK_B = 9_572_841
+
+    def test_peak_with_a_table_per_step(self):
+        base = random_mdp(12, 4, gamma=0.9, mu=0.2, rng=np.random.default_rng(3))
+        spec = SoftMdpSequence(base=base, pattern="periodic", horizon=2000, seed=0,
+                               drift=DriftSpec(period=2000, amplitude=0.4,
+                                               transition_drift=True))
+        tracemalloc.start()
+        try:
+            td_train_many([spec] * 4, [ONLINE_TD, FIXED_TD] * 2, [0, 1, 2, 3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.PEAK_B

@@ -96,6 +96,37 @@ class TestCsvFormatting:
         assert rows[1:] == reference_csv_rows(tr)
         assert rows[1][list(tr.columns).index("flag")] in ("1.0", "0.0")
 
+    def test_repeats_and_broadcasts_match_cell_formatting(self, tmp_path):
+        # to_csv formats a broadcast column, and each run of equal float bits,
+        # once; -0.0 and 0.0 keep their own text and every NaN bit pattern writes ""
+        import csv
+
+        rng = np.random.default_rng(1)
+        n = 2500
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+        pool = np.array([0.0, -0.0, np.nan, -np.nan, payload_nan, 1.5, np.inf, -np.inf,
+                         5e-324, 1e16])
+        tr = RunTrace(columns={
+            "t": np.arange(1, n + 1),
+            "runs": np.repeat(rng.choice(pool, n // 10 + 1), 10)[:n],
+            "mixed": rng.choice(pool, n),
+            "strided": np.repeat(rng.choice(pool, n), 3).reshape(-1, 2)[:n, 1],
+            "f32": np.repeat(rng.random(n // 5 + 1).astype(np.float32), 5)[:n],
+            "flat": np.broadcast_to(0.25, n),
+            "flat_nan": np.broadcast_to(np.nan, n),
+            "flat_neg_zero": np.broadcast_to(-0.0, n),
+            "seed": np.broadcast_to(np.array(7), n),
+            "pattern": np.broadcast_to(np.array("a,b", dtype=object), n),
+        })
+        assert tr.column("strided").strides == (16,)
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert rows[1:] == reference_csv_rows(tr)
+        assert {row[2] for row in rows[1:]} == {"0.0", "-0.0", "", "1.5", "inf", "-inf",
+                                                "5e-324", "1e+16"}
+
     def test_infinities_round_trip(self, tmp_path):
         vals = np.array([np.inf, -np.inf, 1.5, np.nan])
         tr = RunTrace(columns={"t": np.arange(1, 5), "x": vals,
