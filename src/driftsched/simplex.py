@@ -194,15 +194,6 @@ def _truncate_rows(p: np.ndarray, eps: np.ndarray) -> np.ndarray:
         return p
     x, e = p[touched], eps[touched, None]  # the rows truncate changes, and their floors
     fixed = x < e
-    n = fixed.sum(axis=-1)
-    if 0 < n[0] < k and (n == n[0]).all():  # lean pass: one free count, so no groups
-        x, free = np.where(fixed, e, x), ~fixed
-        part = x[free].reshape(-1, k - n[0])
-        part *= (1.0 - e * n[0]) / part.sum(axis=-1, keepdims=True)
-        if (part >= e).all():  # else the rescaled rows need more passes
-            x[free] = part.ravel()
-            p[touched] = x / x.sum(axis=-1, keepdims=True)
-            return p
     live = fixed.any(axis=-1)  # rows with coordinates newly below the floor
     last = np.ones(len(x), dtype=bool)  # rows that end with the renormalization
     while live.any():

@@ -176,22 +176,6 @@ class TestTruncate:
         with pytest.raises(InvalidEpsilon):
             truncate(probs(0.5, 0.5), 0.0)
 
-    @pytest.mark.parametrize("k", [3, 8, 12, 16])
-    def test_small_calls_match_the_pass_loop(self, k):
-        # calls of one to three rows, as the mirror step makes: many share one
-        # free count and end in the lean pass, some need a second pass or mix
-        # free counts; each row has the bits of the 1-D pass loop
-        from driftsched.simplex import _truncate_rows
-        from test_row_kernels import reference_truncate
-
-        rng = np.random.default_rng(k)
-        for _ in range(300):
-            m = int(rng.integers(1, 4))
-            p = rng.dirichlet(np.full(k, 0.3), size=m)
-            eps = rng.uniform(0.05, 1.0, m) / k
-            for row, e, out in zip(p, eps, _truncate_rows(p.copy(), eps)):
-                assert out.tobytes() == reference_truncate(row, e).tobytes()
-
     def test_matches_euclidean_projection_k2(self):
         # exhaustive KKT solve of min ||y - x||^2 on the floored 2-simplex:
         # the feasible set is the segment y_1 in [eps, 1-eps], so the
