@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (AlignmentError, BoundaryIterate, LengthMismatch,
                      NonFiniteGradient, ShapeMismatch)
 from .omd import _check_floor, _check_iterates, _mirror_step
-from .scheduler import ProxyState, ScheduleConfig, _schedule_columns, next_lambda
+from .scheduler import ProxyState, ScheduleConfig, _ema, _schedule_columns, next_lambda
 from .softmdp import (
     _soft_returns,
     _surrogate_gap,
@@ -132,7 +132,8 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
     horizon, n = len(chain), len(cfgs)
     lam, eta, ema = np.empty((3, n, horizon))
     for b, cfg in enumerate(cfgs):
-        lam[b], eta[b], ema[b] = _schedule_columns(cfg, reading, alpha)
+        lam[b], eta[b], proxy = _schedule_columns(cfg, reading, alpha)
+        ema[b] = proxy if cfg.mode == "online" else _ema(reading, cfg.ema_beta)
 
     played = np.empty((n, horizon, n_states, n_actions))
     x = np.full((n, n_states, n_actions), 1.0 / n_actions)
@@ -144,7 +145,7 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
         g = -q_star + mdp_t.mu * (1.0 + logp) + lam[:, t, None, None] * (1.0 + logp)
         if not np.isfinite(g).all():
             raise NonFiniteGradient("gradient contains NaN or infinity")
-        x = _mirror_step(logp, g, eta[:, t, None, None], eps)
+        _mirror_step(logp, g, eta[:, t, None, None], eps, x)
     _check_iterates(played, eps)
 
     flat = played.reshape(n * horizon, n_states, n_actions)  # entry b * horizon + t

@@ -28,24 +28,24 @@ from .simplex import SUM_TOL, SimplexVec, _truncate_rows, as_probs, kl_div, trun
 from .trace import RunTrace
 
 
-def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float) -> np.ndarray:
-    """Row-wise multiplicative-weights step on (..., K) arrays.
+def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float, out: np.ndarray) -> np.ndarray:
+    """Row-wise multiplicative-weights step on (..., K) arrays, written into out.
 
-    logits = logp - eta * g, minus the row max, exp, divided by the row
-    sum (traces and reports depend on this order bit for bit); with
-    eps > 0 the rows below the floor go through truncate's row kernel in one
-    call (callers check the iterates). g includes the regularizer; eta is
-    one step size or a (..., 1) column of them.
+    logits = logp - eta * g, minus the row max, exp, divided by the row sum
+    (traces and reports depend on this order bit for bit); g holds the
+    regularized gradient and is overwritten. With eps > 0 the rows below the
+    floor go through truncate's row kernel in one call, indexed through out
+    itself, so a strided out keeps them (callers check the iterates).
     """
-    logits = logp - eta * g
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    x = w / w.sum(axis=-1, keepdims=True)
-    if eps > 0.0 and (x < eps).any():
-        rows = x.reshape(-1, x.shape[-1])  # a view: writes land in x
-        low = np.flatnonzero((rows < eps).any(axis=1))
-        rows[low] = _truncate_rows(rows[low], np.full(low.size, float(eps)))
-    return x
+    np.multiply(eta, g, g)
+    np.subtract(logp, g, g)
+    np.subtract(g, np.maximum.reduce(g, -1, keepdims=True), g)
+    np.exp(g, g)
+    np.divide(g, np.add.reduce(g, -1, keepdims=True), out)
+    if eps > 0.0 and np.minimum.reduce(out, None) < eps:
+        low = np.minimum.reduce(out, -1) < eps
+        out[low] = _truncate_rows(out[low], np.full(np.count_nonzero(low), float(eps)))
+    return out
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,18 +169,20 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float,
     lam, eta, proxy = np.empty((3, n, horizon))
     for b, cfg in enumerate(cfgs):
         alpha[b, 1:] = np.abs(np.diff(us[b], axis=0)).sum(axis=1)
-        lam[b], eta[b], ema = _schedule_columns(cfg, alpha[b])
-        proxy[b] = ema if cfg.mode == "online" else alpha[b]
+        lam[b], eta[b], proxy[b] = _schedule_columns(cfg, alpha[b])
 
     xs = np.empty((n, horizon + 1, k))
     xs[:, 0] = start
-    for t in range(horizon):
-        x = xs[:, t]
-        if eps == 0.0 and not (x > 0.0).all():
+    # a round steps views of round t's (B, K) rows on two buffers, x_{t+1} straight into xs
+    logp, g = np.empty((2, n, k))
+    rows = xs.swapaxes(0, 1)
+    for x, x_next, grad, lam_t, eta_t in zip(rows, rows[1:], grads.swapaxes(0, 1),
+                                             lam.T[..., None], eta.T[..., None]):
+        if eps == 0.0 and not np.minimum.reduce(x, None) > 0.0:
             raise BoundaryIterate("entropy gradient needs all coordinates > 0")
-        logp = np.log(x)
-        xs[:, t + 1] = _mirror_step(logp, grads[:, t] + lam[:, t, None] * (1.0 + logp),
-                                    eta[:, t, None], eps)
+        np.log(x, logp)
+        np.multiply(lam_t, np.add(logp, 1.0, g), g)
+        _mirror_step(logp, np.add(grad, g, g), eta_t, eps, x_next)
     _check_iterates(xs, eps)
     inc = _row_dots(grads, xs[:, :horizon]) - _row_dots(grads, us)
 

@@ -146,14 +146,22 @@ def next_lambda(cfg: ScheduleConfig, proxy: ProxyState, raw: float,
     return oracle_lambda(drift, cfg), proxy
 
 
+def _ema(reading, beta: float) -> np.ndarray:
+    """ema_value after each round of a reading column, by update_proxy's recurrence."""
+    ema = np.asarray(reading, dtype=float).tolist()
+    for t in range(1, len(ema)):
+        ema[t] = beta * ema[t - 1] + (1.0 - beta) * ema[t]
+    return np.array(ema, dtype=float)
+
+
 def _schedule_columns(cfg: ScheduleConfig, reading, drift=None) -> tuple:
     """next_lambda and eta_from_lambda over whole columns at once.
 
     reading[t] is round t's proxy reading and drift[t] its true drift
     (reading itself if drift is None), as an open-loop carrier knows them
-    before round 1. Returns the (lambda, eta, EMA) columns, the EMA being
-    the proxy's ema_value after each round. Every entry has the per-round
-    rules' bits: the EMA is their float recurrence, np.cumsum adds in
+    before round 1. Returns the (lambda, eta, proxy) columns: the proxy is
+    the readings' _ema in online mode, which alone reads it, else the
+    readings. Every entry has the per-round rules' bits: np.cumsum adds in
     sequence like the running sum, fmax and fmin drop a NaN as the scalar
     clip does, and the envelope keeps eta_prev unless c * lambda exceeds
     it. Negative readings and oracle drifts raise as next_lambda does.
@@ -161,10 +169,7 @@ def _schedule_columns(cfg: ScheduleConfig, reading, drift=None) -> tuple:
     reading = np.asarray(reading, dtype=float)
     if (reading < 0.0).any():
         raise NegativeError("proxy reading must be nonnegative")
-    ema, beta = reading.tolist(), cfg.ema_beta
-    for t in range(1, len(ema)):
-        ema[t] = beta * ema[t - 1] + (1.0 - beta) * ema[t]
-    ema = np.array(ema, dtype=float)
+    proxy = reading
     if cfg.mode == "fixed":
         lam = np.full(reading.shape, cfg.fixed_value, dtype=float)
     elif cfg.mode == "oracle":
@@ -173,9 +178,10 @@ def _schedule_columns(cfg: ScheduleConfig, reading, drift=None) -> tuple:
             raise ValueError("drift must be nonnegative")
         lam = np.sqrt(cfg.c1 * drift / cfg.c2)
     else:
+        proxy = _ema(reading, cfg.ema_beta)
         raw = math.sqrt(cfg.c1 / cfg.c2) * np.sqrt(
-            np.cumsum(ema) / np.arange(1, len(ema) + 1))
+            np.cumsum(proxy) / np.arange(1, len(proxy) + 1))
         lam = np.fmin(cfg.lambda_max, np.fmax(cfg.lambda_min, raw))
     step = cfg.c * lam
     eta = np.maximum.accumulate(np.where(step > 0.0, step, 0.0))
-    return lam, eta, ema
+    return lam, eta, proxy

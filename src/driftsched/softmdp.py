@@ -145,8 +145,10 @@ def solve_soft_q(mdp: TabularMdp | _MdpStack, tol: float = 1e-9,
     Returns TQ once ||TQ - Q|| <= tol*(1-gamma) in sup norm, so that
     ||T(TQ) - TQ|| <= tol. Past the first step the iterates are policy
     values, each at least a sweep closer to Q*, so value iteration's sweep
-    bound caps the steps; a nearby warm start takes fewer. A stack is one
-    chain with one stopping test over the stack.
+    bound caps the steps; a nearby warm start takes fewer. An (n, S, A)
+    stack is one chain with one stopping test. A (C, L, S, A) stack is C
+    chains: each stops on its own test, with the bits it gets alone, and
+    leaves the stack (the step cap reads all of q_init).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -157,10 +159,18 @@ def solve_soft_q(mdp: TabularMdp | _MdpStack, tol: float = 1e-9,
     target = tol * (1.0 - mdp.gamma)
     max_steps = 16 + math.ceil(
         math.log(target / (2.0 * (mdp.q_bound() + reach) + 1e-12)) / math.log(mdp.gamma))
+    chains = (1, 2, 3) if q.ndim == 4 else None  # the axes of one chain's test
+    out, live = (np.empty_like(q), np.arange(len(q))) if chains else (None, None)
     for _ in range(max(max_steps, 1)):
         q_next = soft_bellman_apply(mdp, q)
-        if np.abs(q_next - q).max() <= target:
+        done = np.abs(q_next - q).max(chains) <= target
+        if chains is None and done:
             return q_next
+        if chains and done.any():
+            out[live[done]], live, q = q_next[done], live[~done], q[~done]
+            if not live.size:
+                return out
+            mdp = mdp._replace(rewards=mdp.rewards[~done], transitions=mdp.transitions[~done])
         q, _ = _evaluate(mdp, soft_policy(q, mdp.mu))
     raise NoConvergence(f"soft policy iteration did not reach {target} in {max_steps} steps")
 

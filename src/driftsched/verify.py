@@ -7,12 +7,11 @@ Tolerances are absolute and include solver-propagated slack where fixed
 points are involved: those come from softmdp.solve_soft_q, on a stack of
 MDPs where a check needs many, and satisfy ||TQ - Q|| <= solver_tol.
 
-Fifteen checks draw all samples in order, then evaluate them in one stacked
-call per kernel (one group per vector length or (S, A) shape where it varies),
-with each sample's own bits. Their MDP samplers draw arrays, which TabularMdp's
-rules check once per stack; a TabularMdp or SimplexVec is built only to describe
-the worst case. squared_drift_conversion solves one sequence at a time: a merged
-solve would share a stopping test and move bits. _worst scans every report.
+Sixteen checks draw all samples in order, then evaluate them in one stacked
+call per kernel (one group per vector length or (S, A) shape where it varies,
+one solver chain per sequence), with each sample's own bits. Their MDP samplers
+draw arrays, which TabularMdp's rules check once per stack; a TabularMdp or
+SimplexVec is built only to describe the worst case. _worst scans every report.
 """
 
 from __future__ import annotations
@@ -482,30 +481,27 @@ def _check_squared_drift_conversion(seed, n_sequences=100, steps=12,
     rng = _rng(seed, "squared_drift_conversion")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
     patterns = ("abrupt", "linear", "periodic", "mixed")
-    samples = []
-    total_pairs = 0
+    seqs = []
     for i in range(n_sequences):
         base = random_mdp(s_dim, a_dim, gamma=gamma, mu=mu, rng=rng)
-        pattern = patterns[i % len(patterns)]
         drift = DriftSpec(
             change_times=(max(2, steps // 3), max(3, 2 * steps // 3)),
             magnitude=0.5, period=max(2, steps // 2), amplitude=0.4,
             transition_drift=bool(i % 2),
         )
-        spec = SoftMdpSequence(base=base, pattern=pattern, horizon=steps,
-                               drift=drift, seed=int(rng.integers(1 << 31)))
-        seq = generate_sequence(spec)
-        rewards = np.stack([m.rewards for m in seq])
-        transitions = np.stack([m.transitions for m in seq])
-        q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
-        drifts = np.abs(np.diff(q_all, axis=0)).max(axis=(1, 2))
-        q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
-        samples.append((float((drifts ** 2).sum()),
-                        float(2.0 * q_max * drifts.sum())))
-        total_pairs += steps - 1
-
+        seqs.append(generate_sequence(SoftMdpSequence(
+            base=base, pattern=patterns[i % len(patterns)], horizon=steps, drift=drift,
+            seed=int(rng.integers(1 << 31)))))
+    # one chain per sequence, each with its own stopping test
+    rewards, transitions = (np.array([[getattr(m, f) for m in seq] for seq in seqs])
+                            for f in ("rewards", "transitions"))
+    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
+    drifts = np.abs(np.diff(q_all, axis=1)).max(axis=(2, 3))
+    q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
+    samples = list(zip((drifts ** 2).sum(axis=1).tolist(),
+                       (2.0 * q_max * drifts.sum(axis=1)).tolist()))
     report = _check_samples("squared_drift_conversion", samples, tol=1e-6)
-    return replace(report, samples=total_pairs)
+    return replace(report, samples=n_sequences * (steps - 1))
 
 
 def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):

@@ -55,7 +55,8 @@ def md_step(state: OmdState, g, eta: float, eps: float) -> OmdState:
     p = state.x.probs
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-    x_new = SimplexVec(_mirror_step(logp, g, eta, eps), max(eps, 0.0))
+    x_new = SimplexVec(_mirror_step(logp, g.copy(), eta, eps, np.empty_like(g)),
+                       max(eps, 0.0))
     return OmdState(x=x_new, eta_prev=max(state.eta_prev, eta), t=state.t + 1)
 
 

@@ -22,6 +22,7 @@ from driftsched import (
     run_dynamic,
     run_dynamic_many,
 )
+import omd_reference
 from omd_reference import LinearLoss, OmdState, md_step, regularized_grad
 
 MD_UNIFORM2_G10 = (0.26894142136999512075, 0.73105857863000487925)
@@ -408,6 +409,31 @@ class TestMdStepOperationOrder:
             got = md_step(OmdState(x=SimplexVec(p)), g, eta, eps).x.probs
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("shape", [(6, 5), (4, 3, 4)])
+    def test_writes_rows_through_a_strided_view(self, shape):
+        # out is one round's slice of a (B, T, ...) history, as xs[:, t + 1] is in
+        # run_dynamic_many; at the planner's (B, S, A) shape no reshape can view it.
+        # Rows that the floor truncates land in it beside rows it leaves alone
+        from driftsched.omd import _mirror_step
+
+        rng = np.random.default_rng(11)
+        k, eps = shape[-1], 0.02
+        p = rng.dirichlet(np.ones(k), size=shape[:-1])
+        g = rng.uniform(-1.0, 1.0, shape)
+        g[::2] *= 80.0  # every other stream's rows fall below the floor
+        eta = rng.uniform(0.1, 1.0, shape[:-1] + (1,))
+        history = np.full((shape[0], 3) + shape[1:], np.nan)
+        out = history[:, 1]
+        assert not out.flags.c_contiguous
+        _mirror_step(np.log(p), g.copy(), eta, eps, out)
+        assert np.isnan(history[:, 0]).all() and np.isnan(history[:, 2]).all()
+        floored = 0
+        for i in np.ndindex(*shape[:-1]):
+            want = md_step(OmdState(x=SimplexVec(p[i])), g[i], float(eta[i][0]), eps).x.probs
+            assert np.array_equal(out[i], want)
+            floored += bool((np.abs(want - eps) < 1e-15).any())
+        assert 0 < floored < out[..., 0].size  # truncated and untouched rows in one call
+
 
 MIXED_MODES = ("fixed", "oracle", "online")
 # online with ema_beta 0.9 runs the EMA fold that schedule_for's ema_beta 0 skips
@@ -428,13 +454,16 @@ class TestRunDynamicMany:
     """run_dynamic_many repeats the per-round loop of every stream bit for bit."""
 
     @pytest.mark.parametrize("given_x0", [False, True])
-    @pytest.mark.parametrize("floor", ["zero", "small", "active"])
+    @pytest.mark.parametrize("floor", ["zero", "small", "active", "mixed"])
     @pytest.mark.parametrize("k", [2, 5, 16])
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_matches_per_stream_loop(self, n, k, floor, given_x0):
         eps, g_scale = {"zero": (0.0, 3.0), "small": (1e-6, 1.0),
-                        "active": (0.9 / k, 60.0)}[floor]
+                        "active": (0.9 / k, 60.0), "mixed": (0.5 / k, 60.0)}[floor]
         grads, us, losses = batch_of_streams(n, k, 90, g_scale)
+        if floor == "mixed":  # odd streams stay off the floor: rows of one round differ
+            grads[1::2] /= 600.0
+            losses = [[LinearLoss(g) for g in grads[b]] for b in range(n)]
         # a drawn start, which the active floor truncates, or the uniform default
         x0 = SimplexVec(np.random.default_rng(k).dirichlet(np.ones(k))) if given_x0 else None
         cfgs = [MIXED_SCHEDULES[b % 4] for b in range(n)]
@@ -446,8 +475,12 @@ class TestRunDynamicMany:
             # the stream alone gives the same trace as inside the batch
             alone = run_dynamic_many(grads[b:b + 1], us[b:b + 1], cfgs[b:b + 1], eps, x0)[0]
             assert_matches_reference(alone, want)
+        # (B, T): stream b's iterate of round t has a coordinate at the floor
+        at_floor = np.array([(np.abs(tr.iterates - eps) < 1e-15).any(axis=-1) for tr in traces])
         if floor == "active":
-            assert any((np.abs(tr.iterates - eps) < 1e-15).any() for tr in traces)
+            assert at_floor.any()
+        if floor == "mixed" and n > 1:  # a round with rows on and off the floor
+            assert (at_floor.any(axis=0) & ~at_floor.all(axis=0)).any()
 
     def test_shared_start_point(self):
         grads, us, losses = batch_of_streams(3, 4, 60, 1.0)
@@ -505,6 +538,30 @@ class TestRunDynamicMany:
         with pytest.raises(BoundaryIterate):
             run_dynamic_many(grads, us, [schedule_for("fixed")] * 2, 0.0,
                              x0=SimplexVec.vertex(2, 0))
+
+    def test_boundary_iterate_at_the_reference_round(self, monkeypatch):
+        # without a floor, a coordinate that underflows to 0 stops the batch at the
+        # first round whose iterate has it, as the per-round loop stops its stream
+        from driftsched import omd
+
+        grads, us, losses = batch_of_streams(3, 4, 12, 1.0)
+        for b, spike in enumerate((9, 6, 8)):  # exp(-0.2 * 1e4) underflows to 0
+            grads[b, spike, b] = 1e4
+            losses[b][spike] = LinearLoss(grads[b, spike])
+        cfgs = [schedule_for("fixed")] * 3
+
+        def steps_until_boundary(module, run):
+            calls, real = [], module._mirror_step
+            monkeypatch.setattr(module, "_mirror_step", lambda *a: calls.append(1) or real(*a))
+            with pytest.raises(BoundaryIterate):
+                run()
+            monkeypatch.undo()
+            return len(calls)
+
+        per_stream = [steps_until_boundary(omd_reference, lambda: reference_run_dynamic(
+            losses[b], us[b], cfgs[b], 0.0)) for b in range(3)]
+        assert per_stream == [10, 7, 9]  # the spike's round, plus one
+        assert steps_until_boundary(omd, lambda: run_dynamic_many(grads, us, cfgs, 0.0)) == 7
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,7 +17,7 @@ from driftsched import (
     td_quantile_proxy,
     update_proxy,
 )
-from driftsched.scheduler import MODES, _schedule_columns
+from driftsched.scheduler import MODES, _ema, _schedule_columns
 
 
 def cfg(**kw):
@@ -263,9 +263,25 @@ class TestScheduleColumns:
         readings, drift = columns
         got = _schedule_columns(c, np.array(readings),
                                 None if drift is None else np.array(drift))
-        for ours, want in zip(got, per_round_columns(c, readings, drift)):
+        lam, eta, ema = per_round_columns(c, readings, drift)
+        # the proxy column: the EMA where the online rule reads it, else the readings
+        proxy = ema if c.mode == "online" else np.array(readings, dtype=float)
+        for ours, want in zip(got, (lam, eta, proxy)):
             assert ours.dtype == want.dtype and ours.shape == want.shape
             assert ours.tobytes() == want.tobytes()
+        # the planner records the EMA in every mode
+        assert _ema(readings, c.ema_beta).tobytes() == ema.tobytes()
+
+    @pytest.mark.parametrize("mode", ["fixed", "oracle"])
+    def test_no_ema_where_nothing_reads_it(self, mode, monkeypatch):
+        from driftsched import scheduler
+
+        def ema(*args):
+            raise AssertionError("the EMA ran in a mode that does not read it")
+
+        monkeypatch.setattr(scheduler, "_ema", ema)
+        readings = np.array([0.0, 0.5, 0.25])
+        assert _schedule_columns(cfg(mode=mode), readings)[2].tobytes() == readings.tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_negative_reading_raises_as_next_lambda_does(self, mode):

@@ -247,6 +247,95 @@ class TestSolveSoftQ:
         assert len(steps) == cap
 
 
+
+def drifting_chains(n_chains, steps=5, seed=6):
+    """(C, L, S, A) rewards and (C, L, S, A, S) transitions: C drifting
+    sequences of L random 5x3 MDPs at gamma 0.9, mu 0.2."""
+    rng = np.random.default_rng(seed)
+    drift = DriftSpec(change_times=(2, 3), magnitude=0.5, period=2, amplitude=0.4,
+                      transition_drift=True)
+    seqs = [generate_sequence(SoftMdpSequence(
+        base=random_mdp(5, 3, gamma=0.9, mu=0.2, rng=rng), pattern="mixed",
+        horizon=steps, drift=drift, seed=c)) for c in range(n_chains)]
+    return tuple(np.array([[getattr(m, f) for m in seq] for seq in seqs])
+                 for f in ("rewards", "transitions"))
+
+
+def count_backups(monkeypatch):
+    """The shapes of the tables soft_bellman_apply backs up, one per call."""
+    from driftsched import softmdp
+
+    shapes, real = [], softmdp.soft_bellman_apply
+    monkeypatch.setattr(softmdp, "soft_bellman_apply",
+                        lambda mdp, q: shapes.append(q.shape) or real(mdp, q))
+    return shapes
+
+
+class TestChainedSolve:
+    """A (C, L, S, A) stack is C chains, each with its own stopping test."""
+
+    def test_each_chain_has_its_own_bits(self, monkeypatch):
+        from driftsched.softmdp import _MdpStack
+
+        rewards, transitions = drifting_chains(4)
+        # warm, cold and far starts: the chains need different step counts
+        solved = solve_soft_q(_MdpStack(rewards[0], transitions[0], 0.9, 0.2), 1e-9)
+        q_init = np.stack([solved, np.zeros_like(solved), np.full_like(solved, 300.0),
+                           np.full_like(solved, -40.0)])
+        shapes = count_backups(monkeypatch)
+        alone, steps = [], []
+        for c in range(4):
+            alone.append(solve_soft_q(_MdpStack(rewards[c], transitions[c], 0.9, 0.2),
+                                      1e-9, q_init=q_init[c]))
+            steps.append(len(shapes))
+            shapes.clear()
+        assert len(set(steps)) > 1
+        chained = solve_soft_q(_MdpStack(rewards, transitions, 0.9, 0.2), 1e-9, q_init=q_init)
+        for c in range(4):
+            assert chained[c].tobytes() == alone[c].tobytes()
+        # a chain leaves the stack once it stops; the stack runs until the last one does
+        assert [shape[0] for shape in shapes] == [
+            sum(n > i for n in steps) for i in range(max(steps))]
+
+    def test_one_stuck_chain_raises(self, monkeypatch):
+        from driftsched import softmdp
+        from driftsched.softmdp import _MdpStack
+
+        rewards, transitions = drifting_chains(3)
+        stack = _MdpStack(rewards, transitions, 0.9, 0.2)
+        solve_soft_q(stack, 1e-9)
+        real = softmdp._evaluate
+
+        def stuck(mdp, pi):  # the last chain never moves off Q = 0, no fixed point
+            q, v = real(mdp, pi)
+            q[-1] = 0.0
+            return q, v
+
+        monkeypatch.setattr(softmdp, "_evaluate", stuck)
+        with pytest.raises(NoConvergence):
+            solve_soft_q(stack, 1e-9)
+
+    def test_three_dimensional_stack_shares_one_test(self, monkeypatch):
+        from driftsched.softmdp import _MdpStack
+
+        rewards, transitions = (x[0] for x in drifting_chains(1))
+        warm = solve_soft_q(_MdpStack(rewards[:1], transitions[:1], 0.9, 0.2), 1e-9)
+        q_init = np.concatenate([warm, np.zeros_like(rewards[1:])])
+        shapes = count_backups(monkeypatch)
+        steps = []
+        for i in range(len(rewards)):
+            solve_soft_q(_MdpStack(rewards[i:i + 1], transitions[i:i + 1], 0.9, 0.2), 1e-9,
+                         q_init=q_init[i:i + 1])
+            steps.append(len(shapes))
+            shapes.clear()
+        assert len(set(steps)) > 1
+        shared = solve_soft_q(_MdpStack(rewards, transitions, 0.9, 0.2), 1e-9, q_init=q_init)
+        assert len(shapes) == max(steps) and len(set(shapes)) == 1
+        # the same as a stack of one chain
+        one_chain = solve_soft_q(_MdpStack(rewards[None], transitions[None], 0.9, 0.2), 1e-9,
+                                 q_init=q_init[None])
+        assert shared.tobytes() == one_chain[0].tobytes()
+
 def value_iteration(m, tol, q):
     """Plain soft value iteration with its own max-shifted log-sum-exp."""
     while True:

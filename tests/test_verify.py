@@ -176,6 +176,17 @@ class TestStackedChecks:
         assert ours.to_dict() == ref.to_dict()
         assert_same_report(ours, ref)
 
+    @pytest.mark.parametrize("seed,n_sequences,steps", [
+        (0, 1, 3), (1, 3, 4), (3, 7, 5), (7, 10, 12), (4242, 6, 20), (2, 13, 7)])
+    def test_squared_drift_one_chain_per_sequence(self, seed, n_sequences, steps):
+        # one chained solve of all sequences reports what a solve per sequence does
+        from driftsched.verify import _check_squared_drift_conversion
+
+        ours = _check_squared_drift_conversion(seed, n_sequences, steps)
+        ref = verify_reference._check_squared_drift_conversion(seed, n_sequences, steps)
+        assert_same_report(ours, ref)
+        assert ours.samples == n_sequences * (steps - 1)
+
     def test_softmax_drift_checks_rows_on_the_simplex(self, monkeypatch):
         from driftsched import verify
 

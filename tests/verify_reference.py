@@ -6,12 +6,15 @@ sample's left- and right-hand side computed on its own, through the
 public one-vector and one-table kernels with every drawn MDP built as
 a TabularMdp, and scanned by check_inequality / check_identity or
 _check_samples. A stacked check's report must equal
-its reference's on every seed.
+its reference's on every seed. _check_squared_drift_conversion solves
+each sequence in its own call, where the library solves them all as the
+chains of one call.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +28,10 @@ from driftsched.simplex import (
 )
 from driftsched.softmdp import (
     _MdpStack,
+    DriftSpec,
+    SoftMdpSequence,
     TabularMdp,
+    generate_sequence,
     occupancy,
     policy_eval,
     random_mdp,
@@ -216,6 +222,37 @@ def _check_q_value_bounds(seed, n=1000, solver_tol=1e-9):
     return _check_samples("q_value_bounds", samples, tol=solver_tol)
 
 
+def _check_squared_drift_conversion(seed, n_sequences=100, steps=12,
+                                    solver_tol=1e-9):
+    rng = _rng(seed, "squared_drift_conversion")
+    s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
+    patterns = ("abrupt", "linear", "periodic", "mixed")
+    samples = []
+    total_pairs = 0
+    for i in range(n_sequences):
+        base = random_mdp(s_dim, a_dim, gamma=gamma, mu=mu, rng=rng)
+        pattern = patterns[i % len(patterns)]
+        drift = DriftSpec(
+            change_times=(max(2, steps // 3), max(3, 2 * steps // 3)),
+            magnitude=0.5, period=max(2, steps // 2), amplitude=0.4,
+            transition_drift=bool(i % 2),
+        )
+        spec = SoftMdpSequence(base=base, pattern=pattern, horizon=steps,
+                               drift=drift, seed=int(rng.integers(1 << 31)))
+        seq = generate_sequence(spec)
+        rewards = np.stack([m.rewards for m in seq])
+        transitions = np.stack([m.transitions for m in seq])
+        q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
+        drifts = np.abs(np.diff(q_all, axis=0)).max(axis=(1, 2))
+        q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
+        samples.append((float((drifts ** 2).sum()),
+                        float(2.0 * q_max * drifts.sum())))
+        total_pairs += steps - 1
+
+    report = _check_samples("squared_drift_conversion", samples, tol=1e-6)
+    return replace(report, samples=total_pairs)
+
+
 def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):
     rng = _rng(seed, "surrogate_gap_range")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
@@ -340,6 +377,7 @@ STACKED_CHECKS = (
     "_check_operator_drift",
     "_check_fixed_point_sensitivity",
     "_check_q_value_bounds",
+    "_check_squared_drift_conversion",
     "_check_surrogate_gap_range",
     "_check_occupancy_mismatch_bound",
     "_check_occupancy_policy_sensitivity",
