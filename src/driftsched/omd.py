@@ -27,8 +27,11 @@ from .scheduler import ScheduleConfig, _schedule_columns
 from .simplex import SUM_TOL, SimplexVec, _truncate_rows, as_probs, kl_div, truncate
 from .trace import RunTrace
 
+CHUNK = 64  # rounds of gradient and comparator rows a lockstep block reads at a time
 
-def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float, out: np.ndarray) -> np.ndarray:
+
+def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float, out: np.ndarray,
+                 pads=None) -> np.ndarray:
     """Row-wise multiplicative-weights step on (..., K) arrays, written into out.
 
     logits = logp - eta * g, minus the row max, exp, divided by the row sum
@@ -36,15 +39,31 @@ def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float, out: np.ndarr
     regularized gradient and is overwritten. With eps > 0 the rows below the
     floor go through truncate's row kernel in one call, indexed through out
     itself, so a strided out keeps them (callers check the iterates).
+
+    pads = (pad, real, ks) steps a (B, W) block whose row b is a stream of
+    K = ks[b] <= W, zero past K (pad masks those entries, real the others).
+    Their logits are set to -inf, so they stay 0 and only append +0.0 to
+    the row sum, which keeps the unpadded row's bits at W = 8 floor(K/8) + 7
+    (numpy adds fewer than 8 entries left to right, more with 8 accumulators
+    and then a left-to-right tail). The floor reads real entries only and
+    truncates one K at a time.
     """
     np.multiply(eta, g, g)
     np.subtract(logp, g, g)
+    pad, real, ks = pads or (None, True, None)
+    if pad is not None:
+        np.copyto(g, -np.inf, where=pad)
     np.subtract(g, np.maximum.reduce(g, -1, keepdims=True), g)
     np.exp(g, g)
     np.divide(g, np.add.reduce(g, -1, keepdims=True), out)
-    if eps > 0.0 and np.minimum.reduce(out, None) < eps:
-        low = np.minimum.reduce(out, -1) < eps
-        out[low] = _truncate_rows(out[low], np.full(np.count_nonzero(low), float(eps)))
+    if eps > 0.0 and np.minimum.reduce(out, None, initial=np.inf, where=real) < eps:
+        low = np.minimum.reduce(out, -1, initial=np.inf, where=real) < eps
+        if ks is None:
+            out[low] = _truncate_rows(out[low], np.full(np.count_nonzero(low), float(eps)))
+        else:
+            for k in set(ks[low].tolist()):
+                rows = np.flatnonzero(low & (ks == k))
+                out[rows, :k] = _truncate_rows(out[rows, :k], np.full(len(rows), float(eps)))
     return out
 
 
@@ -63,11 +82,12 @@ def _check_floor(eps: float, k: int) -> None:
         raise InvalidEpsilon(f"floor {eps} outside [0, 1/{k}]")
 
 
-def _check_iterates(x: np.ndarray, eps: float) -> None:
-    """Every row of x sums to 1 within SUM_TOL and sits at or above the floor."""
+def _check_iterates(x: np.ndarray, eps: float, real=True) -> None:
+    """Every row of x sums to 1 within SUM_TOL and sits at or above the floor
+    on its real entries (zero pads add nothing to the sum)."""
     if (np.abs(x.sum(axis=-1) - 1.0) > SUM_TOL).any():
         raise ValueError("an iterate's probabilities do not sum to 1")
-    if (x < eps - SUM_TOL).any():
+    if ((x < eps - SUM_TOL) & real).any():
         raise ValueError(f"an iterate has a coordinate below floor {eps}")
 
 
@@ -166,30 +186,34 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float,
 
     # the schedule sees only the comparator drift, known before round 1
     alpha = np.zeros((n, horizon))
+    for b in range(n):
+        alpha[b, 1:] = np.abs(np.diff(us[b], axis=0)).sum(axis=1)
+    return _run_lockstep(lambda t, c: (grads[:, t:t + c], us[:, t:t + c]), alpha, cfgs, eps,
+                         np.broadcast_to(start, (n, k)), np.full(n, k),
+                         [np.abs(g).max() for g in grads], np.empty((n, horizon + 1, k)))
+
+
+def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, xs=None) -> list[RunTrace]:
+    """run_dynamic_many's traces, for a (B, W) block of streams of K = ks[b] <= W.
+
+    Stream b is zero-padded to the width W of its start row start[b]
+    (_mirror_step describes the padded step). rows(t, c) returns the (B, c, W)
+    gradients and comparators of rounds t + 1 .. t + c; _lockstep_rounds
+    reads them CHUNK rounds at a time. alpha is the (B, T) drift column, which
+    the schedule reads before round 1, and g_bounds the streams' max |g|.
+    With xs, a (B, T + 1, W) array, each trace carries its iterates.
+    """
+    n, horizon = alpha.shape
     lam, eta, proxy = np.empty((3, n, horizon))
     for b, cfg in enumerate(cfgs):
-        alpha[b, 1:] = np.abs(np.diff(us[b], axis=0)).sum(axis=1)
         lam[b], eta[b], proxy[b] = _schedule_columns(cfg, alpha[b])
-
-    xs = np.empty((n, horizon + 1, k))
-    xs[:, 0] = start
-    # a round steps views of round t's (B, K) rows on two buffers, x_{t+1} straight into xs
-    logp, g = np.empty((2, n, k))
-    rows = xs.swapaxes(0, 1)
-    for x, x_next, grad, lam_t, eta_t in zip(rows, rows[1:], grads.swapaxes(0, 1),
-                                             lam.T[..., None], eta.T[..., None]):
-        if eps == 0.0 and not np.minimum.reduce(x, None) > 0.0:
-            raise BoundaryIterate("entropy gradient needs all coordinates > 0")
-        np.log(x, logp)
-        np.multiply(lam_t, np.add(logp, 1.0, g), g)
-        _mirror_step(logp, np.add(grad, g, g), eta_t, eps, x_next)
-    _check_iterates(xs, eps)
-    inc = _row_dots(grads, xs[:, :horizon]) - _row_dots(grads, us)
+    inc, firsts = _lockstep_rounds(rows, lam, eta, eps, start, ks, xs)
 
     traces = []
     for b, cfg in enumerate(cfgs):
+        k = int(ks[b])
         try:
-            d_psi_start = kl_div(us[b, 0], start)
+            d_psi_start = kl_div(firsts[b, :k], start[b, :k])
         except SupportMismatch:
             d_psi_start = math.inf
         columns = {
@@ -204,7 +228,7 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float,
         meta = {
             "k": k,
             "eps": eps,
-            "g_bound": float(np.abs(grads[b]).max()),
+            "g_bound": float(g_bounds[b]),
             "c": cfg.c,
             "lambda_min": cfg.lambda_min,
             "lambda_max": cfg.lambda_max,
@@ -213,8 +237,51 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float,
             "cfg_c2": cfg.c2,
             "d_psi_start": d_psi_start,  # divergence from x_1 to the first comparator
         }
-        traces.append(RunTrace(columns=columns, meta=meta, iterates=xs[b, :horizon]))
+        iterates = None if xs is None else xs[b, :horizon, :k]
+        traces.append(RunTrace(columns=columns, meta=meta, iterates=iterates))
     return traces
+
+
+def _lockstep_rounds(rows, lam, eta, eps, start, ks, xs):
+    """The (B, T) regret increments of _run_lockstep's rounds, and each
+    stream's first comparator.
+
+    Rows are read CHUNK rounds at a time, and only one chunk of iterates is
+    held unless xs keeps them all, so a block needs no (B, T, W) array.
+    """
+    n, horizon = lam.shape
+    width = start.shape[1]
+    real = np.arange(width) < ks[:, None]
+    pads = None if real.all() else (~real, real, ks)
+    where = real if pads else True  # the real entries of a round's (B, W) rows
+    block = np.empty((n, min(CHUNK, horizon) + 1, width)) if xs is None else xs
+    block[:, 0] = start
+    inc = np.empty((n, horizon))
+    # a round steps views of round t's (B, W) rows on two buffers, x_{t+1} straight into
+    # the block; pads make -inf logs and NaN logits, which _mirror_step sets back to -inf
+    logp, g = np.empty((2, n, width))
+    lam_rows, eta_rows = lam.T[..., None], eta.T[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(0, horizon, CHUNK):
+            grads, us = rows(t, min(CHUNK, horizon - t))
+            c = grads.shape[1]
+            xc = xs[:, t:t + c + 1] if xs is not None else block[:, :c + 1]
+            if not t:
+                firsts = us[:, 0].copy()
+            steps = xc.swapaxes(0, 1)
+            for x, x_next, grad, lam_t, eta_t in zip(steps, steps[1:], grads.swapaxes(0, 1),
+                                                     lam_rows[t:t + c], eta_rows[t:t + c]):
+                if eps == 0.0 and not np.minimum.reduce(x, None, initial=np.inf,
+                                                        where=where) > 0.0:
+                    raise BoundaryIterate("entropy gradient needs all coordinates > 0")
+                np.log(x, logp)
+                np.multiply(lam_t, np.add(logp, 1.0, g), g)
+                _mirror_step(logp, np.add(grad, g, g), eta_t, eps, x_next, pads)
+            _check_iterates(xc, eps, real[:, None])
+            inc[:, t:t + c] = _row_dots(grads, xc[:, :c]) - _row_dots(grads, us)
+            if xs is None:
+                block[:, 0] = block[:, c]
+    return inc, firsts
 
 
 def bound_rhs(trace: RunTrace, consts: ExplicitConstants) -> float:

@@ -147,8 +147,17 @@ def next_lambda(cfg: ScheduleConfig, proxy: ProxyState, raw: float,
 
 
 def _ema(reading, beta: float) -> np.ndarray:
-    """ema_value after each round of a reading column, by update_proxy's recurrence."""
-    ema = np.asarray(reading, dtype=float).tolist()
+    """ema_value after each round of a reading column, by update_proxy's recurrence.
+
+    At beta = 0 a round's value is 0.0 * previous + reading, which is the
+    reading itself unless a reading is infinite or NaN (0 * inf is NaN) or
+    -0.0 (+0.0 + -0.0 is +0.0); such columns, any with a sign bit set, and
+    beta != 0 run the loop.
+    """
+    reading = np.asarray(reading, dtype=float)
+    if beta == 0.0 and np.isfinite(reading).all() and not np.signbit(reading).any():
+        return reading.copy()
+    ema = reading.tolist()
     for t in range(1, len(ema)):
         ema[t] = beta * ema[t - 1] + (1.0 - beta) * ema[t]
     return np.array(ema, dtype=float)

@@ -12,6 +12,8 @@ call per kernel (one group per vector length or (S, A) shape where it varies,
 one solver chain per sequence), with each sample's own bits. Their MDP samplers
 draw arrays, which TabularMdp's rules check once per stack; a TabularMdp or
 SimplexVec is built only to describe the worst case. _worst scans every report.
+The two regret checks run their mirror-descent streams in one lockstep pass
+per width class of K, with rows redrawn a chunk of rounds at a time.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SamplerFailure
-from .omd import (ExplicitConstants, _check_iterates as _validate_rows, _row_dots,
-                  bound_rhs, proxy_bound_rhs, run_dynamic, run_dynamic_many)
+from .omd import (CHUNK, ExplicitConstants, _check_iterates as _validate_rows, _row_dots,
+                  _run_lockstep, bound_rhs, proxy_bound_rhs, run_dynamic)
 from .scheduler import ScheduleConfig, offline_lambda
 from .simplex import (
     _row_divergence,
@@ -33,6 +35,7 @@ from .simplex import (
     _row_neg_entropy,
     _row_softmax,
     _truncate_rows,
+    SimplexVec,
     softmax,
     truncate,
 )
@@ -605,19 +608,31 @@ def _check_performance_difference(seed, n=200):
 # regret bound batteries
 
 
+def _gradient_rows(rng, rows, k, g_bound=1.0):
+    """(rows, K) uniform gradients; draws of c rows in turn give the rows of one draw."""
+    return rng.uniform(-g_bound, g_bound, (rows, k))
+
+
 def _piecewise_stream(rng, k, horizon, g_bound=1.0, min_switches=1,
                       max_switches=5):
-    """(T, K) gradients and comparators that switch a few times.
+    """(T, K) gradients, then the switch times (rounds in 2..T) and the
+    comparator points of a stream that switches a few times.
 
     The one (T, K) draw gives the same numbers, and leaves rng in the
-    same state, as T draws of K.
+    same state, as T draws of K. The comparator of round t is
+    _comparators(times, points, t).
     """
-    grads = rng.uniform(-g_bound, g_bound, (horizon, k))
+    grads = _gradient_rows(rng, horizon, k, g_bound)
     n_switch = int(rng.integers(min_switches, max_switches + 1))
     times = np.sort(rng.choice(np.arange(2, horizon + 1), size=n_switch,
                                replace=False))
     points = np.array([rng.dirichlet(np.ones(k)) for _ in range(n_switch + 1)])
-    return grads, points[np.searchsorted(times, np.arange(1, horizon + 1), side="right")]
+    return grads, times, points
+
+
+def _comparators(times, points, rounds):
+    """The comparator rows of the given rounds: points[j] after j switches."""
+    return points[np.searchsorted(times, rounds, side="right")]
 
 
 def _tight_tradeoff_instance(horizon=1000):
@@ -636,35 +651,52 @@ def _tight_tradeoff_instance(horizon=1000):
     return grads, comparators, cfg, 0.25
 
 
-def _redraw(k, snapshots, horizon):
-    """(B, T, K) gradients and comparators of one piecewise stream per generator."""
-    grads = np.empty((len(snapshots), horizon, k))
-    comparators = np.empty_like(grads)
-    for j, snapshot in enumerate(snapshots):
-        grads[j], comparators[j] = _piecewise_stream(snapshot, k, horizon)
-    return grads, comparators
-
-
-def _per_stream(rng, n_streams, horizon, results_of):
+def _per_stream(rng, n_streams, horizon, eps, results_of):
     """One result for each of n_streams piecewise streams, in stream order.
 
-    Each stream draws its K, then its gradients and comparators, from
-    rng. results_of(k, grads, comparators) takes the (B, T, K) arrays of
-    all streams of one K and returns a result per stream. A group is
-    redrawn from copies of rng taken before each of its streams' draws:
-    the numbers are those of the in-order draw, and only one group's
-    arrays are held at a time.
+    Each stream draws its K, then its gradients, switch times and points,
+    from rng. A first pass makes these draws in order and keeps each
+    stream's K, a copy of rng taken before its gradients, its max |g|, its
+    switch times and its points. The streams of one width class W(K) =
+    8 floor(K/8) + 7 then run as one omd._run_lockstep block, zero-padded
+    to W, which keeps each stream's bits. Its gradient rows are redrawn from
+    the copies and its comparator rows rebuilt from the switches, CHUNK
+    rounds at a time, so no (B, T, K) array is held. The drift is nonzero
+    only at a switch, where it is |points[j+1] - points[j]|.sum(), the
+    per-round drift's bits. results_of(ks, g_bounds, run) takes a class's
+    Ks and max |g| and run(cfgs), which runs the class once under the given
+    schedules and returns its traces, and returns a result per stream.
     """
-    groups = {}
+    classes = {}
     for i in range(n_streams):
         k = int(rng.integers(2, 17))
-        groups.setdefault(k, []).append((i, copy.deepcopy(rng)))
-        _piecewise_stream(rng, k, horizon)
+        snapshot = copy.deepcopy(rng)
+        grads, times, points = _piecewise_stream(rng, k, horizon)
+        classes.setdefault(8 * (k // 8) + 7, []).append(
+            (i, k, snapshot, float(np.abs(grads).max()), times, points))
     results = [None] * n_streams
-    for k, members in groups.items():
-        indices, snapshots = zip(*members)
-        # no name here holds the arrays: they are freed when results_of returns
-        for i, result in zip(indices, results_of(k, *_redraw(k, snapshots, horizon))):
+    for width, members in classes.items():
+        indices, ks, snapshots, g_bounds, times, points = zip(*members)
+        n = len(members)
+        alpha, start = np.zeros((n, horizon)), np.zeros((n, width))
+        uniform = {k: truncate(SimplexVec.uniform(k), eps).probs for k in set(ks)}
+        for j, k in enumerate(ks):
+            alpha[j, times[j] - 1] = np.abs(np.diff(points[j], axis=0)).sum(axis=1)
+            start[j, :k] = uniform[k]
+
+        grads, us = np.zeros((2, n, min(CHUNK, horizon), width))  # pads stay 0
+
+        def rows(t, c):
+            rounds = np.arange(t + 1, t + c + 1)
+            for j, k in enumerate(ks):
+                grads[j, :c, :k] = _gradient_rows(snapshots[j], c, k)
+                us[j, :c, :k] = _comparators(times[j], points[j], rounds)
+            return grads[:, :c], us[:, :c]
+
+        def run(cfgs):
+            return _run_lockstep(rows, alpha, cfgs, eps, start, np.array(ks), g_bounds)
+
+        for i, result in zip(indices, results_of(ks, g_bounds, run)):
             results[i] = result
     return results
 
@@ -686,11 +718,12 @@ def _check_tradeoff_bounds(seed, n_streams=100, horizon=1000, c2_factor=1.0):
         return ((measured, bound_rhs(trace, scaled), k),
                 (measured, proxy_bound_rhs(trace, consts, k), k))
 
-    def group_samples(k, grads, comparators):
-        traces = run_dynamic_many(grads, comparators, [online_cfg] * len(grads), 1e-6)
-        return [samples(trace, online_cfg, k) for trace in traces]
+    def class_samples(ks, g_bounds, run):
+        return [samples(trace, online_cfg, k)
+                for k, trace in zip(ks, run([online_cfg] * len(ks)))]
 
-    pairs = _per_stream(_rng(seed, "tradeoff_streams"), n_streams, horizon, group_samples)
+    pairs = _per_stream(_rng(seed, "tradeoff_streams"), n_streams, horizon, 1e-6,
+                        class_samples)
     grads, comparators, cfg, eps = _tight_tradeoff_instance(horizon)
     tight, _ = samples(run_dynamic(grads, comparators, cfg, eps), cfg, 2)
 
@@ -706,19 +739,19 @@ def _check_oracle_schedule_bound(seed, n_streams=50, horizon=500):
     cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
                          lambda_max=1.0, mode="oracle")
 
-    def group_samples(k, grads, comparators):
-        consts = [ExplicitConstants.derive(cfg, float(np.abs(g).max()), k, eps, lambda1=0.0)
-                  for g in grads]
-        traces = run_dynamic_many(grads, comparators,
-                                  [replace(cfg, c1=c.c1, c2=c.c2) for c in consts], eps)
+    def class_samples(ks, g_bounds, run):
+        consts = [ExplicitConstants.derive(cfg, g, k, eps, lambda1=0.0)
+                  for k, g in zip(ks, g_bounds)]
+        traces = run([replace(cfg, c1=c.c1, c2=c.c2) for c in consts])
         samples = []
-        for c, trace in zip(consts, traces):
+        for c, k, trace in zip(consts, ks, traces):
             alphas = trace.column("alpha")
             rhs = c.c0 + 2.0 * math.sqrt(c.c1 * c.c2) * float(np.sqrt(alphas[1:]).sum())
             samples.append((float(trace.column("regret_cum")[-1]), rhs, k))
         return samples
 
-    samples = _per_stream(_rng(seed, "oracle_streams"), n_streams, horizon, group_samples)
+    samples = _per_stream(_rng(seed, "oracle_streams"), n_streams, horizon, eps,
+                          class_samples)
     return _check_samples("oracle_schedule_bound", samples, tol=1e-8)
 
 

@@ -564,6 +564,54 @@ class TestRunDynamicMany:
         assert steps_until_boundary(omd, lambda: run_dynamic_many(grads, us, cfgs, 0.0)) == 7
 
 
+class TestLockstepWidthClasses:
+    """omd._run_lockstep on blocks of streams of different K, zero-padded to
+    their width class 8 floor(K/8) + 7, as the regret checks run them."""
+
+    KS = [2, 3, 7, 5, 8, 12, 15, 9, 16, 16]  # all three classes: W = 7, 15 and 23
+
+    @pytest.mark.parametrize("keep_iterates", [False, True])
+    @pytest.mark.parametrize("floor", ["small", "active"])
+    def test_matches_per_stream_runs(self, floor, keep_iterates):
+        from driftsched import truncate
+        from driftsched.omd import CHUNK, _run_lockstep
+
+        eps, g_scale = {"small": (1e-6, 1.0), "active": (0.02, 60.0)}[floor]
+        horizon = 2 * CHUNK + 13  # a last, shorter chunk
+        streams = [drifting_stream(7 * b, k, horizon, g_scale) for b, k in enumerate(self.KS)]
+        cfgs = [MIXED_SCHEDULES[b % 4] for b in range(len(self.KS))]
+        rounds_at_floor = {}  # (W, round) -> the Ks with an iterate on the floor there
+        for width in (7, 15, 23):
+            members = [b for b, k in enumerate(self.KS) if 8 * (k // 8) + 7 == width]
+            ks = np.array([self.KS[b] for b in members])
+            n = len(members)
+            grads, us = np.zeros((2, n, horizon, width))
+            start, alpha = np.zeros((n, width)), np.zeros((n, horizon))
+            for j, b in enumerate(members):
+                k = ks[j]
+                grads[j, :, :k], us[j, :, :k] = streams[b][0], np.array(streams[b][1])
+                start[j, :k] = truncate(SimplexVec.uniform(k), eps).probs
+                alpha[j, 1:] = np.abs(np.diff(us[j, :, :k], axis=0)).sum(axis=1)
+            xs = np.empty((n, horizon + 1, width)) if keep_iterates else None
+            traces = _run_lockstep(lambda t, c: (grads[:, t:t + c], us[:, t:t + c]), alpha,
+                                   [cfgs[b] for b in members], eps, start, ks,
+                                   np.abs(grads).max(axis=(1, 2)), xs)
+            for j, (b, tr) in enumerate(zip(members, traces)):
+                alone = run_dynamic(*streams[b], cfgs[b], eps)
+                for name in alone.columns:
+                    assert tr.column(name).tobytes() == alone.column(name).tobytes(), name
+                assert tr.meta == alone.meta
+                if not keep_iterates:
+                    assert tr.iterates is None
+                    continue
+                assert tr.iterates.tobytes() == alone.iterates.tobytes()
+                assert not xs[j, :, ks[j]:].any()  # the pads stay 0
+                for t in np.flatnonzero((np.abs(tr.iterates - eps) < 1e-15).any(axis=1)):
+                    rounds_at_floor.setdefault((width, t), set()).add(int(ks[j]))
+        if floor == "active" and keep_iterates:  # one step truncated rows of different K
+            assert any(len(floored) > 1 for floored in rounds_at_floor.values())
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 32), st.data())
 def test_stacked_dot_matches_row_dots_bitwise(n, horizon, k, data):

@@ -228,3 +228,69 @@ def test_truncate_rows_checks_every_floor():
     for bad in (0.0, -1.0, 0.26):
         with pytest.raises(InvalidEpsilon, match=f"floor {bad} outside"):
             _truncate_rows(p.copy(), np.array([0.1, bad, 0.2]))
+
+
+def class_width(k):
+    """The width of the regret checks' lockstep blocks that hold streams of K."""
+    return 8 * (k // 8) + 7
+
+
+def padded(rows, width, fill=0.0):
+    out = np.full((len(rows), width), fill)
+    out[:, :rows.shape[1]] = rows
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 25))
+def test_pads_at_the_class_width_keep_the_row_bits(k):
+    # numpy sums fewer than 8 entries left to right, more with 8 accumulators and
+    # then a left-to-right tail: pads up to 8 floor(K/8) + 7 only lengthen that
+    # tail by +0.0, where a wider pad (K = 5 at 15) would change the bracketing
+    from driftsched.omd import _row_dots
+
+    rng = np.random.default_rng(k)
+    w = class_width(k)
+    u = rng.dirichlet(np.ones(k), size=1400)
+    g = rng.uniform(-1.0, 1.0, (1400, k))
+    logits = rng.uniform(-50.0, 0.0, (1400, k))  # the max reads -inf pads
+    for ours, want in [
+        (np.maximum.reduce(padded(logits, w, -np.inf), -1), np.maximum.reduce(logits, -1)),
+        (np.add.reduce(padded(u, w), -1), np.add.reduce(u, -1)),
+        (_row_dots(padded(g, w), padded(u, w)), _row_dots(g, u)),
+        (np.abs(np.diff(padded(u, w), axis=0)).sum(axis=1),
+         np.abs(np.diff(u, axis=0)).sum(axis=1)),
+    ]:
+        assert_bits_equal(ours, want)
+
+
+@pytest.mark.parametrize("width,ks", [(7, [2, 3, 5, 7, 4, 6]), (15, [8, 9, 12, 15, 11, 14]),
+                                      (23, [16, 16, 16])])
+def test_mirror_step_on_a_padded_block_keeps_each_row(width, ks):
+    # a (B, W) block of streams of K <= W, zero-padded: every row takes the step
+    # it takes alone, below the floor too, and its pads stay 0
+    from driftsched.omd import _mirror_step
+
+    rng = np.random.default_rng(width)
+    ks = np.array(ks * 4)
+    eps = 0.02
+    real = np.arange(width) < ks[:, None]
+    p = np.zeros((len(ks), width))
+    g = np.full((len(ks), width), np.nan)  # pads: lam (log 0 + 1) + 0 is -inf or NaN
+    rows = []
+    for b, k in enumerate(ks):
+        p[b, :k] = truncate(rng.dirichlet(np.ones(k)), eps).probs
+        g[b, :k] = rng.uniform(-1.0, 1.0, k) * (80.0 if b % 3 else 1.0)
+        rows.append((np.log(p[b, :k]), g[b, :k].copy()))
+    eta = rng.uniform(0.1, 1.0, (len(ks), 1))
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    out = _mirror_step(logp, g, eta, eps, np.empty_like(p), (~real, real, ks))
+    floored = set()
+    for b, (k, (logp_b, g_b)) in enumerate(zip(ks, rows)):
+        want = _mirror_step(logp_b[None], g_b[None], eta[b:b + 1], eps, np.empty((1, k)))[0]
+        assert out[b, :k].tobytes() == want.tobytes()
+        assert not out[b, k:].any()
+        if (np.abs(want - eps) < 1e-15).any():
+            floored.add(int(k))
+    assert len(floored) > 1 or width == 23  # rows of two Ks truncated in one step
+    assert floored

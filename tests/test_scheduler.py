@@ -272,6 +272,26 @@ class TestScheduleColumns:
         # the planner records the EMA in every mode
         assert _ema(readings, c.ema_beta).tobytes() == ema.tobytes()
 
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    @pytest.mark.parametrize("readings", [
+        [0.5, 0.0, 2.0, 1e-300, 3.0],
+        [0.5, -0.0, 2.0],  # +0.0 * 0.5 + -0.0 is +0.0
+        [-0.0, -0.0, 1.0],
+        [-0.0],
+        [0.5, np.inf, 2.0, 1.0],  # 0 * inf is NaN from the next round on
+        [0.5, np.nan, 2.0],
+        [np.inf],
+    ])
+    def test_ema_equals_the_recurrence(self, readings, beta):
+        # the unrolled update_proxy recurrence, which _ema skips at beta = 0
+        want = list(readings)
+        for t in range(1, len(want)):
+            want[t] = beta * want[t - 1] + (1.0 - beta) * want[t]
+        got = _ema(np.array(readings), beta)
+        assert got.tobytes() == np.array(want).tobytes()
+        readings = np.array(readings)
+        assert not np.shares_memory(_ema(readings, beta), readings)
+
     @pytest.mark.parametrize("mode", ["fixed", "oracle"])
     def test_no_ema_where_nothing_reads_it(self, mode, monkeypatch):
         from driftsched import scheduler

@@ -259,11 +259,12 @@ class TestStackValidation:
 class TestStreamDrawOrder:
     @pytest.mark.parametrize("seed,k", [(0, 2), (1, 9), (2, 16)])
     def test_one_draw_equals_per_round_draws(self, seed, k):
-        from driftsched.verify import _piecewise_stream
+        from driftsched.verify import _comparators, _piecewise_stream
 
         horizon, g_bound = 300, 1.0
         rng = np.random.default_rng(seed)
-        grads, comparators = _piecewise_stream(rng, k, horizon, g_bound)
+        grads, times, points = _piecewise_stream(rng, k, horizon, g_bound)
+        comparators = _comparators(times, points, np.arange(1, horizon + 1))
 
         # T draws of K, then the switch times and comparators drawn after them
         ref = np.random.default_rng(seed)
@@ -283,6 +284,45 @@ class TestStreamDrawOrder:
         assert np.array_equal(comparators, np.array(us))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("seed,k", [(0, 2), (1, 9), (2, 16)])
+    def test_chunks_rebuild_the_stream(self, seed, k):
+        # the regret checks redraw a stream's gradient rows from a copy of rng c
+        # rows at a time, and rebuild its comparators from the switches
+        from driftsched.omd import CHUNK as c
+        from driftsched.verify import _comparators, _gradient_rows, _piecewise_stream
+
+        horizon = 300
+        assert horizon % c  # a last, shorter chunk
+        rng = np.random.default_rng(seed)
+        snapshot = np.random.default_rng(seed)
+        grads, times, points = _piecewise_stream(rng, k, horizon)
+        chunks = [(t, min(c, horizon - t)) for t in range(0, horizon, c)]
+        rows = np.vstack([_gradient_rows(snapshot, n, k) for _, n in chunks])
+        assert rows.tobytes() == grads.tobytes()
+        comparators = _comparators(times, points, np.arange(1, horizon + 1))
+        rebuilt = np.vstack([_comparators(times, points, np.arange(t + 1, t + n + 1))
+                             for t, n in chunks])
+        assert rebuilt.tobytes() == comparators.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_switches_rebuild_the_drift(self, seed):
+        # a class block schedules on the drift column run_dynamic_many takes
+        # from the comparators' diff rows
+        from driftsched import ScheduleConfig
+        from driftsched.verify import _comparators, _per_stream, _piecewise_stream
+
+        def alphas(ks, g_bounds, run):
+            return [tr.column("alpha") for tr in run([ScheduleConfig(mode="fixed")] * len(ks))]
+
+        horizon, rng = 300, np.random.default_rng(seed)
+        k = int(rng.integers(2, 17))  # _per_stream draws K, then the stream
+        _, times, points = _piecewise_stream(rng, k, horizon)
+        comparators = _comparators(times, points, np.arange(1, horizon + 1))
+        want = np.concatenate(([0.0], np.abs(np.diff(comparators, axis=0)).sum(axis=1)))
+        [alpha] = _per_stream(np.random.default_rng(seed), 1, horizon, 1e-6, alphas)
+        assert alpha.tobytes() == want.tobytes()
+        assert np.count_nonzero(alpha) == len(times)
+
 
 def reference_tradeoff_reports(seed, n_streams, horizon, c2_factor=1.0):
     """The trade-off check as a per-stream loop: each stream drawn, then run
@@ -291,7 +331,7 @@ def reference_tradeoff_reports(seed, n_streams, horizon, c2_factor=1.0):
 
     from driftsched import ExplicitConstants, ScheduleConfig, bound_rhs, proxy_bound_rhs
     from driftsched import run_dynamic
-    from driftsched.verify import (_check_samples, _piecewise_stream, _rng,
+    from driftsched.verify import (_check_samples, _comparators, _piecewise_stream, _rng,
                                    _tight_tradeoff_instance)
 
     rng = _rng(seed, "tradeoff_streams")
@@ -301,7 +341,8 @@ def reference_tradeoff_reports(seed, n_streams, horizon, c2_factor=1.0):
     for i in range(n_streams + 1):
         if i < n_streams:
             k = int(rng.integers(2, 17))
-            grads, comparators = _piecewise_stream(rng, k, horizon)
+            grads, times, points = _piecewise_stream(rng, k, horizon)
+            comparators = _comparators(times, points, np.arange(1, horizon + 1))
             cfg, eps = online_cfg, 1e-6
         else:
             k = 2
@@ -327,7 +368,7 @@ def reference_oracle_report(seed, n_streams, horizon):
     from dataclasses import replace
 
     from driftsched import ExplicitConstants, ScheduleConfig, run_dynamic
-    from driftsched.verify import _check_samples, _piecewise_stream, _rng
+    from driftsched.verify import _check_samples, _comparators, _piecewise_stream, _rng
 
     rng = _rng(seed, "oracle_streams")
     eps = 1e-6
@@ -336,7 +377,8 @@ def reference_oracle_report(seed, n_streams, horizon):
     samples = []
     for _ in range(n_streams):
         k = int(rng.integers(2, 17))
-        grads, comparators = _piecewise_stream(rng, k, horizon)
+        grads, times, points = _piecewise_stream(rng, k, horizon)
+        comparators = _comparators(times, points, np.arange(1, horizon + 1))
         consts = ExplicitConstants.derive(cfg, float(np.abs(grads).max()), k, eps,
                                           lambda1=0.0)
         trace = run_dynamic(grads, comparators, replace(cfg, c1=consts.c1, c2=consts.c2),
@@ -354,7 +396,7 @@ def assert_same_report(ours, ref):
 
 
 class TestLockstepRegretChecks:
-    """The regret checks run their streams one K group at a time and still
+    """The regret checks run their streams one width class at a time and still
     report what a per-stream loop reports."""
 
     @pytest.mark.parametrize("seed,c2_factor", [(0, 1.0), (1, 1.0), (2, 1.0), (0, 0.5)])
@@ -375,9 +417,35 @@ class TestLockstepRegretChecks:
         assert_same_report(ours, reference_oracle_report(seed, 40, 120))
         assert ours.samples == 40
 
+    @pytest.mark.parametrize("check", ["tradeoff", "oracle"])
+    def test_every_width_class_runs(self, check, monkeypatch):
+        # K = 16 is the one K of the widest class, W = 23
+        from driftsched import verify
+
+        blocks, real = [], verify._run_lockstep
+
+        def recorded(rows, alpha, cfgs, eps, start, ks, *rest):
+            blocks.append((start.shape[1], sorted(ks.tolist())))
+            return real(rows, alpha, cfgs, eps, start, ks, *rest)
+
+        monkeypatch.setattr(verify, "_run_lockstep", recorded)
+        seed, n, horizon = 5, 30, 90
+        if check == "tradeoff":
+            ours = verify._check_tradeoff_bounds(seed, n_streams=n, horizon=horizon)
+            refs = reference_tradeoff_reports(seed, n, horizon)
+        else:
+            ours = [verify._check_oracle_schedule_bound(seed, n_streams=n, horizon=horizon)]
+            refs = [reference_oracle_report(seed, n, horizon)]
+        for a, b in zip(ours, refs):
+            assert_same_report(a, b)
+        assert sorted(w for w, _ in blocks) == [7, 15, 23]
+        assert all(8 * (k // 8) + 7 == w for w, ks in blocks for k in ks)
+        assert 16 in dict(blocks)[23] and sum(len(ks) for _, ks in blocks) == n
+
     def test_tradeoff_holds_one_group_at_a_time(self):
         # gradients, comparators and iterates of all 100 streams at once
-        # come to 21 MB on seed 0; one K group at a time stays under 6 MB
+        # come to 21 MB on seed 0; one width class at a time, with its rows
+        # read CHUNK rounds at a time, stays under 6 MB
         import tracemalloc
 
         from driftsched.verify import _check_tradeoff_bounds
@@ -385,6 +453,19 @@ class TestLockstepRegretChecks:
         tracemalloc.start()
         try:
             _check_tradeoff_bounds(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+    def test_oracle_holds_one_class_at_a_time(self):
+        import tracemalloc
+
+        from driftsched.verify import _check_oracle_schedule_bound
+
+        tracemalloc.start()
+        try:
+            _check_oracle_schedule_bound(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
