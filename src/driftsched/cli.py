@@ -230,8 +230,14 @@ def build_sequence_spec(cfg: ExperimentConfig, pattern: str,
 
 
 def _atomic_write(path: str, writer) -> None:
+    """writer(path + ".tmp"), then rename it to path; a writer that raises leaves no .tmp."""
     tmp = path + ".tmp"
-    writer(tmp)
+    try:
+        writer(tmp)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 

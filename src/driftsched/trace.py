@@ -4,7 +4,11 @@ A RunTrace is a bag of equal-length columns plus free-form metadata.
 Optimization runs emit the core columns (t, lambda, eta, alpha, proxy,
 regret_inc, regret_cum); learner runs add eval_return, regret_rl_inc,
 pattern and seed. CSV output is deterministic: the first line stamps
-the library version, the second carries the metadata as sorted JSON.
+the library version, the second carries the metadata as sorted JSON,
+the third is the header. Each CSV_CHUNK-row slice is formatted column
+by column (_format_column), quoted as csv's minimal quoting would quote
+it, and written as one string of \r\n-ended rows, so csv.reader reads
+the file back.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +24,8 @@ import numpy as np
 from ._version import __version__
 
 CORE_COLUMNS = ("t", "lambda", "eta", "alpha", "proxy", "regret_inc", "regret_cum")
-CSV_CHUNK = 1024  # rows formatted per column slice; keeps peak memory flat
+CSV_CHUNK = 1024  # rows formatted and written per column slice; keeps peak memory flat
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _format_cell(v) -> str:
@@ -47,6 +53,27 @@ def _format_column(col: np.ndarray) -> list:
     if col.dtype.kind in "iu":
         return [str(v) if -10**15 < v < 10**15 else repr(float(v)) for v in col.tolist()]
     return [_format_cell(v) for v in col]  # bool and object columns
+
+
+def _quote(cell: str) -> str:
+    """csv's minimal quoting: a cell holding , " \\r or \\n in quotes, its quotes doubled."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
+
+
+def _csv_cells(col: np.ndarray) -> list:
+    """_format_column of a column slice, its string and object cells quoted; a broadcast once."""
+    if col.dtype.kind in "biuf":  # number text holds nothing to quote
+        return _format_column(col)
+    if col.strides == (0,) and len(col) > 1:
+        return _csv_cells(col[:1]) * len(col)
+    return list(map(_quote, _format_column(col)))
+
+
+def _csv_rows(cells: list) -> str:
+    """The rows zip(*cells) as CSV text, each ended by \\r\\n; csv writes a lone empty cell '""'."""
+    if len(cells) == 1:
+        cells = [['""' if c == "" else c for c in cells[0]]]
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 def _json_scalar(v):
@@ -96,11 +123,10 @@ class RunTrace:
         with open(path, "w", newline="") as fh:
             fh.write(f"# driftsched={__version__}\n")
             fh.write(f"# meta={meta}\n")
-            writer = csv.writer(fh)
-            writer.writerow(names)
+            fh.write(_csv_rows([[_quote(n)] for n in names]))
             for i in range(0, len(self), CSV_CHUNK):
-                writer.writerows(zip(*(
-                    _format_column(self.columns[n][i:i + CSV_CHUNK]) for n in names)))
+                fh.write(_csv_rows([_csv_cells(self.columns[n][i:i + CSV_CHUNK])
+                                    for n in names]))
 
     @staticmethod
     def from_csv(path) -> "RunTrace":

@@ -18,7 +18,6 @@ per width class of K, with rows redrawn a chunk of rounds at a time.
 
 from __future__ import annotations
 
-import copy
 import math
 import zlib
 from dataclasses import dataclass, field, replace
@@ -670,7 +669,8 @@ def _per_stream(rng, n_streams, horizon, eps, results_of):
     classes = {}
     for i in range(n_streams):
         k = int(rng.integers(2, 17))
-        snapshot = copy.deepcopy(rng)
+        snapshot = np.random.Generator(type(rng.bit_generator)())
+        snapshot.bit_generator.state = rng.bit_generator.state
         grads, times, points = _piecewise_stream(rng, k, horizon)
         classes.setdefault(8 * (k // 8) + 7, []).append(
             (i, k, snapshot, float(np.abs(grads).max()), times, points))

@@ -301,6 +301,44 @@ def test_parse_config_mutated_readme_config(data):
         pass
 
 
+def golden_run_config(name, out_dir):
+    """Two-cell configs whose run output is pinned: TD traces longer than
+    two CSV_CHUNKs, and a random-task planner run with one job per pattern."""
+    if name == "td_goal_chain":
+        doc = base_config(out_dir, horizon=2100)
+        doc["task"]["patterns"] = ["abrupt"]
+        doc["task"]["drift"]["change_times"] = [1000]
+        return doc
+    return {
+        "task": {"kind": "random", "n_states": 4, "n_actions": 3,
+                 "patterns": ["abrupt", "periodic"],
+                 "drift": {"change_times": [30], "magnitude": 0.5, "period": 20,
+                           "amplitude": 0.4, "transition_drift": True}},
+        "methods": [{"name": "adaptive_planner", "agent": "planner",
+                     "schedule": {"mode": "online"}}],
+        "seeds": [0], "horizon": 60,
+        "output_dir": str(out_dir),
+    }
+
+
+GOLDEN_RUN_DIGESTS = {
+    "td_goal_chain": {
+        "summary.csv": "d57222a76bfa48e891d893df63aa169d0ed195c021c18da363a98759deb40183",
+        "trace_adaptive_td_abrupt_seed0.csv":
+            "315c1a23ba9eb0918abc42b8a8c82d90e7ca08562fc2ae89e88b0e0b111e155d",
+        "trace_fixed_td_abrupt_seed0.csv":
+            "77ce5a5e667ef2555b2b928b5312bcf0960a820fe48b448dec5fd31334ec9e43",
+    },
+    "random_planner": {
+        "summary.csv": "dcec9cabbe43a142d2f954ace2d263181210c96577bf53b1d16eacbcde50f99c",
+        "trace_adaptive_planner_abrupt_seed0.csv":
+            "8779a099435def25dc8f401947f2bdd4042976e1429bc1d22a2b8c4294b8d4e4",
+        "trace_adaptive_planner_periodic_seed0.csv":
+            "1d5601c242f189141dd296692d1c6bdac527d918899535e4492f49fd8beffd8f",
+    },
+}
+
+
 class TestRunCommand:
     def test_minimal_run(self, tmp_path):
         out = tmp_path / "out"
@@ -491,6 +529,43 @@ class TestRunCommand:
         assert names == sorted(p.name for p in (tmp_path / "j2").iterdir())
         for name in names:
             assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("config", sorted(GOLDEN_RUN_DIGESTS))
+    def test_run_keeps_its_bytes(self, tmp_path, config, jobs):
+        # every file a run writes, pinned by SHA-256, version line included
+        import hashlib
+
+        doc = golden_run_config(config, tmp_path / "out")
+        assert main(["run", write_config(tmp_path, doc), "--jobs", str(jobs)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "out").iterdir()}
+        assert digests == GOLDEN_RUN_DIGESTS[config]
+
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+
+        def partial(p):
+            with open(p, "w") as fh:
+                fh.write("# driftsched=")
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            cli._atomic_write(str(path), partial)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_disk_full_run_leaves_no_tmp_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+
+        def disk_full(trace, p):
+            with open(p, "w") as fh:
+                fh.write("# driftsched=")
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(RunTrace, "to_csv", disk_full)
+        assert main(["run", write_config(tmp_path, base_config(out, horizon=200))]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_summary_schema_and_values(self, tmp_path):
         out = tmp_path / "out"

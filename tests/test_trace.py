@@ -1,8 +1,15 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftsched import RunTrace
 from driftsched._version import __version__
+from driftsched.trace import CSV_CHUNK
+from trace_reference import reference_to_csv
 
 
 def small_trace():
@@ -169,3 +176,89 @@ class TestCsvFormatting:
         back = RunTrace.from_csv(tmp_path / "td.csv")
         assert back.meta["batch_size"] == 10
         assert np.array_equal(back.column("lambda"), tr.column("lambda"))
+
+
+NASTY_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e15 - 1, 1e15, -1e15, 1e16, 0.25]),
+    # NaN of every payload and either sign
+    st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(
+        lambda p: np.array([(p[0] << 63) | (0x7FF << 52) | p[1]], np.uint64).view(np.float64)[0]),
+)
+INT64_EDGES = st.one_of(
+    st.sampled_from([10**15 - 1, 10**15, 10**15 + 1, -(10**15 - 1), -10**15, -10**15 - 1, 0]),
+    st.integers(-2**63, 2**63 - 1),
+)
+CSV_TEXT = st.text(st.one_of(st.sampled_from(list('ab ,"\r\n\t')),
+                           st.characters(exclude_categories=["Cs"])),  # UTF-8 encodable
+                   max_size=5)
+FLOAT32S = st.floats(width=32, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+OBJECT_CELLS = st.one_of(CSV_TEXT, NASTY_FLOATS, INT64_EDGES, st.booleans(),
+                         INT64_EDGES.map(np.int64), FLOAT32S.map(np.float32))
+# a kind of column and the pool of values its entries are drawn from
+POOLS = {
+    "f64": NASTY_FLOATS, "f32": FLOAT32S, "runs": NASTY_FLOATS, "i64": INT64_EDGES,
+    "u64": st.integers(0, 2**64 - 1), "bool": st.booleans(), "obj": OBJECT_CELLS,
+    "str": CSV_TEXT, "flat_f64": NASTY_FLOATS, "flat_i64": INT64_EDGES, "flat_obj": CSV_TEXT,
+}
+
+
+def pooled_column(kind, pool, n, rng):
+    """An n-entry column of the given kind, its entries drawn from pool."""
+    if kind.startswith("flat_"):
+        dtype = {"flat_f64": np.float64, "flat_i64": np.int64, "flat_obj": object}[kind]
+        return np.broadcast_to(np.array(pool[0], dtype=dtype), n)
+    dtype = {"f64": np.float64, "f32": np.float32, "runs": np.float64, "i64": np.int64,
+             "u64": np.uint64, "bool": bool, "obj": object, "str": str}[kind]
+    values = np.empty(len(pool), dtype=object)
+    values[:] = pool
+    picks = values[rng.integers(0, len(pool), n)]
+    if kind == "runs":  # runs of equal bits, some runs crossing a chunk edge
+        picks = np.repeat(picks, 7)[:n]
+    return np.array(picks.tolist(), dtype=dtype)
+
+
+@st.composite
+def traces(draw):
+    n = draw(st.one_of(st.integers(0, 4), st.sampled_from(
+        [k * CSV_CHUNK + d for k in (1, 2) for d in (-1, 0, 1)])))
+    names = draw(st.lists(CSV_TEXT, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(sorted(POOLS)))
+        pool = draw(st.lists(POOLS[kind], min_size=1, max_size=6))
+        columns[name] = pooled_column(kind, pool, n, rng)
+    return RunTrace(columns=columns, meta={"seed": 3})
+
+
+def written_bytes(write, trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write(trace, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+class TestCsvWriterBytes:
+    """to_csv writes exactly the bytes of the csv.writer form it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(traces())
+    @example(RunTrace(columns={}))
+    @example(RunTrace(columns={
+        'a,"b"': np.asarray(["x,y", 'say "hi"', "two\nlines", "cr\r", ""], dtype=object),
+        "pattern": np.broadcast_to(np.array('p,"q"', dtype=object), 5),
+        "t": np.arange(1, 6),
+    }))
+    def test_matches_reference_writer(self, trace):
+        assert written_bytes(RunTrace.to_csv, trace) == written_bytes(reference_to_csv, trace)
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+    def test_one_empty_column(self, n):
+        # csv writes a row of one empty cell as "", so it reads back as a row
+        tr = RunTrace(columns={"": np.full(n, np.nan)})
+        data = written_bytes(RunTrace.to_csv, tr)
+        assert data == written_bytes(reference_to_csv, tr)
+        assert data.split(b"\n", 2)[2] == b'""\r\n' * (n + 1)
