@@ -2,7 +2,6 @@
 
 from ._version import __version__
 from .errors import (
-    AlignmentError,
     BoundaryIterate,
     ConfigError,
     EmptyBatch,
@@ -54,14 +53,10 @@ from .softmdp import (
     DriftSpec,
     SoftMdpSequence,
     TabularMdp,
-    decoy_mdp,
     generate_sequence,
     goal_chain_mdp,
     occupancy,
-    policy_eval,
     random_mdp,
-    sequence_from_json,
-    sequence_to_json,
     soft_bellman_apply,
     soft_policy,
     soft_return,
@@ -72,10 +67,9 @@ from .softmdp import (
 from .agent import (
     planner_run,
     planner_run_many,
-    rl_dynamic_regret,
     td_train,
     td_train_many,
 )
-from .metrics import EvalCurve, auc, drop_ratio, n_auc, recovery_time, smooth_evals
+from .metrics import EvalCurve, auc, drop_ratio, recovery_time
 from .trace import RunTrace
 from .verify import CheckReport, check_identity, check_inequality, run_suite

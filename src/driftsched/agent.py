@@ -18,8 +18,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import (AlignmentError, BoundaryIterate, LengthMismatch,
-                     NonFiniteGradient, ShapeMismatch)
+from .errors import BoundaryIterate, LengthMismatch, NonFiniteGradient, ShapeMismatch
 from .omd import _check_floor, _check_iterates, _mirror_step
 from .scheduler import ProxyState, ScheduleConfig, _ema, _schedule_columns, next_lambda
 from .softmdp import (
@@ -336,15 +335,3 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
         "batch_size": batch_size, "eval_every": eval_every,
         "episode_len": episode_len, "learn_rate": learn_rate, "mu": mdps[0].mu,
     }) for b, ((mdps, pattern, seq_seed), seed) in enumerate(zip(runs, seeds))]
-
-
-def rl_dynamic_regret(trace: RunTrace, seq, tol: float = 1e-9) -> float:
-    """Sum over rounds of J_t(pi_t^opt) - J_t(pi_t) from stored policies."""
-    mdps = _materialize(seq)[0]
-    if trace.policies is None or len(trace.policies) != len(mdps):
-        raise AlignmentError("trace does not carry one policy per sequence step")
-    j_played = _soft_returns_of(mdps, trace.policies).tolist()
-    total = 0.0
-    for (mdp_t, q_star), j_t in zip(_solved_tables(mdps, tol), j_played):
-        total += float(mdp_t.rho @ soft_values(q_star, mdp_t.mu)) - j_t
-    return total

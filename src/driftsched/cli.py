@@ -413,6 +413,9 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         return 0
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:  # a repeat would run into the same directory and double its rows
+        raise ConfigError(f"--values repeats {', '.join(repeated)}")
     cfgs = []  # every value is checked before the first one runs
     for text in values:
         doc = json.loads(json.dumps(base_doc))

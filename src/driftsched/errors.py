@@ -53,10 +53,6 @@ class InvalidSpec(ValueError):
     """Drift specification is internally inconsistent."""
 
 
-class AlignmentError(ValueError):
-    """Trace and MDP sequence are not aligned step-for-step."""
-
-
 class TooShort(ValueError):
     """Curve has fewer than two points, so the integral is undefined."""
 

@@ -1,8 +1,7 @@
 """Evaluation metrics over return-versus-steps curves.
 
-Area under the curve, baseline-normalized AUC, the drop-area ratio of a
-drifting run against its steady counterpart, and normalized recovery
-time after abrupt changes.
+Area under the curve, the drop-area ratio of a drifting run against its
+steady counterpart, and normalized recovery time after abrupt changes.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ def auc(curve: EvalCurve) -> float:
     return float(np.trapezoid(curve.returns, curve.steps))
 
 
-def n_auc(curve: EvalCurve, baseline: EvalCurve) -> float:
-    """AUC normalized by a baseline curve's AUC."""
-    base = auc(baseline)
-    if base == 0.0:
-        raise ZeroBaseline("baseline curve has zero area")
-    return auc(curve) / base
-
-
 def drop_ratio(ns_curve: EvalCurve, steady_curve: EvalCurve) -> float:
     """Fraction of steady-run area lost under drift: 1 - AUC_ns / AUC_steady.
 
@@ -65,23 +56,6 @@ def drop_ratio(ns_curve: EvalCurve, steady_curve: EvalCurve) -> float:
     if base == 0.0:
         raise ZeroBaseline("steady curve has zero area")
     return 1.0 - auc(ns_curve) / base
-
-
-def smooth_evals(curve: EvalCurve, window: int) -> EvalCurve:
-    """Trailing moving average of the returns; steps are unchanged.
-
-    Off by default everywhere; available for noisy curves before the
-    recovery test.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window == 1:
-        return curve
-    rets = curve.returns
-    out = np.empty_like(rets)
-    for i in range(rets.size):
-        out[i] = rets[max(0, i - window + 1):i + 1].mean()
-    return EvalCurve(curve.steps, out)
 
 
 def recovery_time(curve: EvalCurve, change_points, window: int = 5,

@@ -24,7 +24,7 @@ from .errors import (
     SupportMismatch,
 )
 from .scheduler import ScheduleConfig, _schedule_columns
-from .simplex import SUM_TOL, SimplexVec, _truncate_rows, as_probs, kl_div, truncate
+from .simplex import SUM_TOL, _truncate_rows, as_probs, kl_div
 from .trace import RunTrace
 
 CHUNK = 64  # rounds of gradient and comparator rows a lockstep block reads at a time
@@ -131,8 +131,7 @@ class ExplicitConstants:
         )
 
 
-def run_dynamic(grads, comparators, cfg: ScheduleConfig, eps: float,
-                x0: SimplexVec | None = None) -> RunTrace:
+def run_dynamic(grads, comparators, cfg: ScheduleConfig, eps: float) -> RunTrace:
     """Run mirror descent against a drifting comparator sequence.
 
     grads is the (T, K) array of loss gradients; comparators holds T
@@ -141,27 +140,25 @@ def run_dynamic(grads, comparators, cfg: ScheduleConfig, eps: float,
     """
     grads = np.ascontiguousarray(grads, dtype=float)
     us = np.array([as_probs(u) for u in comparators], dtype=float)
-    return run_dynamic_many(grads[None], us[None], [cfg], eps, x0)[0]
+    return run_dynamic_many(grads[None], us[None], [cfg], eps)[0]
 
 
-def run_dynamic_many(grads, comparators, cfgs, eps: float,
-                     x0: SimplexVec | None = None) -> list[RunTrace]:
+def run_dynamic_many(grads, comparators, cfgs, eps: float) -> list[RunTrace]:
     """Run B mirror-descent streams of one shape in lockstep.
 
     grads and comparators are (B, T, K): stream b has loss gradients
     grads[b] and comparators (points of the K-simplex) comparators[b].
     cfgs holds the B schedules; every stream shares the floor eps and
-    the start x0. Per round: drift alpha_t = ||u_t - u_{t-1}||_1 (zero
-    at t=1) is the schedule's proxy reading and true drift, the step size
-    follows the monotone envelope, the regret increment <g_t, x_t> -
-    <g_t, u_t> is recorded, and the iterate is updated on the regularized
-    gradient. Each trace equals the one its stream gives alone, bit for
+    starts at the uniform point. Per round: drift alpha_t = ||u_t -
+    u_{t-1}||_1 (zero at t=1) is the schedule's proxy reading and true
+    drift, the step size follows the monotone envelope, the regret
+    increment <g_t, x_t> - <g_t, u_t> is recorded, and the iterate is
+    updated on the regularized gradient. Each trace equals the one its stream gives alone, bit for
     bit. The drift column is known before round 1, so each stream's
     schedule is one array pass (scheduler._schedule_columns, which
-    equals iterated next_lambda bit for bit).
-
-    The default start is uniform, which keeps the initial Bregman
-    distance to any comparator at most log K.
+    equals iterated next_lambda bit for bit). The uniform start keeps
+    the initial Bregman distance to any comparator at most log K; it lies
+    on every floor eps <= 1/K, so truncation would leave its bits.
     """
     grads = np.asarray(grads, dtype=float)
     us = np.asarray(comparators, dtype=float)
@@ -178,18 +175,13 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float,
         raise NonFiniteGradient("gradient contains NaN or infinity")
     k = grads.shape[2]
     _check_floor(eps, k)
-    if x0 is None:
-        x0 = SimplexVec.uniform(k)
-    start = truncate(x0, eps).probs if eps > 0.0 else as_probs(x0)
-    if start.shape != (k,):
-        raise ShapeMismatch(f"start point {start.shape}, want {(k,)}")
 
     # the schedule sees only the comparator drift, known before round 1
     alpha = np.zeros((n, horizon))
     for b in range(n):
         alpha[b, 1:] = np.abs(np.diff(us[b], axis=0)).sum(axis=1)
     return _run_lockstep(lambda t, c: (grads[:, t:t + c], us[:, t:t + c]), alpha, cfgs, eps,
-                         np.broadcast_to(start, (n, k)), np.full(n, k),
+                         np.full((n, k), 1.0 / k), np.full(n, k),
                          [np.abs(g).max() for g in grads], np.empty((n, horizon + 1, k)))
 
 

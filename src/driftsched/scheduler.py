@@ -45,19 +45,23 @@ class ScheduleConfig:
     def __post_init__(self):
         # an int value would reach a trace as "1" where a float writes "1.0"
         for name in (f.name for f in fields(self) if f.type == "float"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # each range check is written so that NaN fails it
         for name in ("c1", "c2", "c", "lambda_min"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.lambda_max < self.lambda_min:
+        if not self.lambda_max >= self.lambda_min:
             raise ValueError("lambda_max must be >= lambda_min")
         if not 0.0 < self.quantile_q <= 1.0:
             raise ValueError("quantile_q must lie in (0, 1]")
         if not 0.0 <= self.ema_beta < 1.0:
             raise ValueError("ema_beta must lie in [0, 1)")
-        if self.mode == "fixed" and self.fixed_value <= 0.0:
+        if self.mode == "fixed" and not self.fixed_value > 0.0:
             raise ValueError("fixed_value must be positive in fixed mode")
 
 

@@ -1,9 +1,10 @@
 """Probability-simplex geometry.
 
 Negative entropy, KL/Bregman divergence, temperature log-sum-exp and
-softmax, plus truncation to the floored simplex {x : x_i >= eps}. All
-functions are pure and accept either a :class:`SimplexVec` or a plain
-array-like of probabilities.
+softmax, plus truncation to the floored simplex {x : x_i >= eps}. The
+public functions are pure and accept either a :class:`SimplexVec` or a
+plain array-like of probabilities; the row kernel _truncate_rows writes
+into its input.
 """
 
 from __future__ import annotations

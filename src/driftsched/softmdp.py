@@ -9,7 +9,6 @@ variation budgets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -92,6 +91,8 @@ def _validate_mdp(r, p, gamma, rho, mu, r_max, stacked=False) -> None:
         raise ValueError("transition probabilities must be nonnegative")
     if not (np.abs(p.sum(axis=-1) - 1.0) <= ROW_TOL).all():
         raise ValueError("each transition row must sum to 1")
+    if not ((rho >= -ROW_TOL).all() and (np.abs(rho.sum(axis=-1) - 1.0) <= ROW_TOL).all()):
+        raise ValueError("rho must be a distribution over the states")
 
 
 def _per_entry(x, ndim: int):
@@ -193,15 +194,6 @@ def _evaluate(mdp: TabularMdp | _MdpStack, pi: np.ndarray):
     return mdp.rewards + mdp.gamma * (mdp.transitions @ v[..., None, :, None])[..., 0], v
 
 
-def policy_eval(mdp: TabularMdp, pi: np.ndarray):
-    """Entropy-augmented values (Q, V) of a fixed policy by one direct solve:
-    V(s) = sum_a pi(a|s) (Q(s,a) - mu log pi(a|s)), Q(s,a) = r + gamma E[V(s')]."""
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != mdp.rewards.shape:
-        raise ShapeMismatch(f"policy must be {mdp.rewards.shape}")
-    return _evaluate(mdp, pi)
-
-
 def _occupancies(transitions, rho, gamma, pi) -> np.ndarray:
     """(..., S) occupancies of (..., S, A) policies, gamma one per entry:
     each entry solves (I - gamma P_pi^T) d = (1-gamma) rho in one stacked call."""
@@ -277,8 +269,9 @@ class DriftSpec:
     configuration and an alternate one: r_t = (1-w_t) r_base + w_t r_alt
     (and likewise for transition rows when transition_drift is set),
     which keeps rewards in range and makes per-step variation computable
-    in closed form. The alternate endpoint is seeded unless given
-    explicitly; jitter adds seeded uniform noise to it.
+    in closed form. The alternate endpoint is drawn from the seed, with
+    reward_alt in place of its rewards if given; jitter adds seeded
+    uniform noise to its rewards.
     """
 
     change_times: tuple = ()
@@ -288,7 +281,6 @@ class DriftSpec:
     reward_drift: bool = True
     transition_drift: bool = False
     reward_alt: np.ndarray | None = None
-    transition_alt: np.ndarray | None = None
     jitter: float = 0.0
 
 
@@ -296,11 +288,12 @@ class DriftSpec:
 class SoftMdpSequence:
     """Generator spec for a time-indexed MDP sequence; deterministic in seed.
 
-    Unless the drift gives it, the alternate endpoint is drawn from
-    default_rng(seed). A base that random_mdp draws from default_rng
-    with the same seed is that endpoint (random_mdp's default generator
-    is default_rng(0), and seed defaults to 0), so the sequence never
-    drifts: seed the base differently, as the CLI does with [seed, 1017].
+    The alternate endpoint is drawn from default_rng(seed), its rewards
+    replaced by the drift's reward_alt if given. A base that random_mdp
+    draws from default_rng with the same seed is that endpoint (random_mdp's
+    default generator is default_rng(0), and seed defaults to 0), so the
+    sequence never drifts: seed the base differently, as the CLI does with
+    [seed, 1017].
     """
 
     base: TabularMdp
@@ -367,10 +360,6 @@ def _alternate_endpoints(spec: SoftMdpSequence):
             raise InvalidSpec("reward_alt has the wrong shape")
         if (np.abs(r_alt) > base.r_max + ROW_TOL).any():
             raise InvalidSpec("reward_alt exceeds r_max")
-    if d.transition_alt is not None:
-        p_alt = np.asarray(d.transition_alt, dtype=float)
-        if p_alt.shape != base.transitions.shape:
-            raise InvalidSpec("transition_alt has the wrong shape")
     if d.jitter > 0.0:
         noise = rng.uniform(-d.jitter, d.jitter, size=r_alt.shape)
         r_alt = np.clip(r_alt + noise, -base.r_max, base.r_max)
@@ -428,64 +417,7 @@ def variation_budget(seq) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# serialization and stock tasks
-
-
-def sequence_to_json(spec: SoftMdpSequence) -> str:
-    d = spec.drift
-    doc = {
-        "n_states": spec.base.n_states,
-        "n_actions": spec.base.n_actions,
-        "gamma": spec.base.gamma,
-        "mu": spec.base.mu,
-        "r_max": spec.base.r_max,
-        "rho": spec.base.rho.tolist(),
-        "rewards": spec.base.rewards.tolist(),
-        "transitions": spec.base.transitions.tolist(),
-        "pattern": spec.pattern,
-        "horizon": spec.horizon,
-        "seed": spec.seed,
-        "drift": {
-            "change_times": list(d.change_times),
-            "magnitude": d.magnitude,
-            "period": d.period,
-            "amplitude": d.amplitude,
-            "reward_drift": d.reward_drift,
-            "transition_drift": d.transition_drift,
-            "reward_alt": None if d.reward_alt is None else np.asarray(d.reward_alt).tolist(),
-            "transition_alt": None if d.transition_alt is None else np.asarray(d.transition_alt).tolist(),
-            "jitter": d.jitter,
-        },
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def sequence_from_json(text: str) -> SoftMdpSequence:
-    doc = json.loads(text)
-    base = TabularMdp(
-        rewards=np.asarray(doc["rewards"]),
-        transitions=np.asarray(doc["transitions"]),
-        gamma=doc["gamma"],
-        rho=np.asarray(doc["rho"]),
-        mu=doc["mu"],
-        r_max=doc["r_max"],
-    )
-    dd = doc["drift"]
-    drift = DriftSpec(
-        change_times=tuple(dd["change_times"]),
-        magnitude=dd["magnitude"],
-        period=dd["period"],
-        amplitude=dd["amplitude"],
-        reward_drift=dd["reward_drift"],
-        transition_drift=dd["transition_drift"],
-        reward_alt=None if dd["reward_alt"] is None else np.asarray(dd["reward_alt"]),
-        transition_alt=None if dd["transition_alt"] is None else np.asarray(dd["transition_alt"]),
-        jitter=dd["jitter"],
-    )
-    return SoftMdpSequence(
-        base=base, pattern=doc["pattern"], horizon=doc["horizon"],
-        drift=drift, seed=doc["seed"],
-    )
+# stock tasks
 
 
 def random_mdp(n_states: int, n_actions: int, gamma: float = 0.9,
@@ -497,30 +429,6 @@ def random_mdp(n_states: int, n_actions: int, gamma: float = 0.9,
     transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     rho = np.full(n_states, 1.0 / n_states)
     return TabularMdp(rewards, transitions, gamma, rho, mu, r_max)
-
-
-def decoy_mdp(n_states: int = 5, n_actions: int = 3, gamma: float = 0.9,
-              mu: float = 0.2, drifted: bool = False, good_reward: float = 0.6,
-              decoy_reward: float = 0.3, gem_reward: float = 1.0) -> TabularMdp:
-    """Uniform-hop task whose drift hides a better action behind a decoy.
-
-    Every action moves to a uniformly random next state, so returns are
-    governed purely by per-state action choice. In the base
-    configuration state s rewards action s mod A with good_reward. The
-    drifted configuration demotes that action to decoy_reward and pays
-    gem_reward on action (s+1) mod A; a learner that stops exploring
-    keeps the decoy, so post-change discovery is temperature-gated.
-    """
-    rewards = np.zeros((n_states, n_actions))
-    for s in range(n_states):
-        if drifted:
-            rewards[s, s % n_actions] = decoy_reward
-            rewards[s, (s + 1) % n_actions] = gem_reward
-        else:
-            rewards[s, s % n_actions] = good_reward
-    transitions = np.full((n_states, n_actions, n_states), 1.0 / n_states)
-    rho = np.full(n_states, 1.0 / n_states)
-    return TabularMdp(rewards, transitions, gamma, rho, mu, r_max=1.0)
 
 
 def goal_chain_mdp(n_states: int = 5, gamma: float = 0.9, mu: float = 0.2,

@@ -2,13 +2,13 @@
 
 A RunTrace is a bag of equal-length columns plus free-form metadata.
 Optimization runs emit the core columns (t, lambda, eta, alpha, proxy,
-regret_inc, regret_cum); learner runs add eval_return, regret_rl_inc,
-pattern and seed. CSV output is deterministic: the first line stamps
-the library version, the second carries the metadata as sorted JSON,
-the third is the header. Each CSV_CHUNK-row slice is formatted column
-by column (_format_column), quoted as csv's minimal quoting would quote
-it, and written as one string of \r\n-ended rows, so csv.reader reads
-the file back.
+regret_inc, regret_cum); learner runs add eval_return and regret_rl_inc,
+and the CLI adds pattern and seed. CSV output is deterministic: the
+first line stamps the library version, the second carries the metadata
+as sorted JSON, the third is the header. Each CSV_CHUNK-row slice is
+formatted column by column (_format_column), quoted as csv's minimal
+quoting would quote it, and written as one string of \r\n-ended rows,
+so csv.reader reads the file back.
 """
 
 from __future__ import annotations

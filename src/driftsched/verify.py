@@ -34,7 +34,6 @@ from .simplex import (
     _row_neg_entropy,
     _row_softmax,
     _truncate_rows,
-    SimplexVec,
     softmax,
     truncate,
 )
@@ -679,10 +678,9 @@ def _per_stream(rng, n_streams, horizon, eps, results_of):
         indices, ks, snapshots, g_bounds, times, points = zip(*members)
         n = len(members)
         alpha, start = np.zeros((n, horizon)), np.zeros((n, width))
-        uniform = {k: truncate(SimplexVec.uniform(k), eps).probs for k in set(ks)}
         for j, k in enumerate(ks):
             alpha[j, times[j] - 1] = np.abs(np.diff(points[j], axis=0)).sum(axis=1)
-            start[j, :k] = uniform[k]
+            start[j, :k] = 1.0 / k  # the uniform point, on every floor eps <= 1/K
 
         grads, us = np.zeros((2, n, min(CHUNK, horizon), width))  # pads stay 0
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from driftsched import (
-    AlignmentError,
     DriftSpec,
     ExplicitConstants,
     ProxyState,
@@ -21,7 +20,6 @@ from driftsched import (
     goal_chain_mdp,
     planner_run,
     random_mdp,
-    rl_dynamic_regret,
     soft_policy,
     solve_soft_q,
     td_train,
@@ -81,18 +79,12 @@ class TestPlanner:
         inc = tr.column("regret_rl_inc")
         assert inc[-50:].mean() < inc[:50].mean()
 
-    def test_rl_dynamic_regret_matches_trace(self):
-        spec = abrupt_goal_spec(50, (25,), seed=2)
-        tr = planner_run(spec, ScheduleConfig(mode="online"))
-        total = rl_dynamic_regret(tr, spec, tol=1e-9)
-        assert total == pytest.approx(tr.column("regret_rl_inc").sum(), abs=1e-6)
-
     @pytest.mark.parametrize("change", [{"gamma": 0.95}, {"mu": 0.5}])
     def test_gamma_or_mu_change_solves_again(self, change):
         # equal rewards and transitions, but Q* depends on gamma and mu too
         from dataclasses import replace
 
-        from driftsched.softmdp import soft_return, soft_values
+        from driftsched.softmdp import soft_values
 
         m = random_mdp(6, 3, rng=np.random.default_rng(0))
         seq = [m, replace(m, **change)]
@@ -101,8 +93,6 @@ class TestPlanner:
         tr = planner_run(seq, ScheduleConfig(mode="fixed", fixed_value=0.3))
         assert tr.column("eval_return") + tr.column("regret_rl_inc") == pytest.approx(
             j_star, abs=1e-7)
-        want = sum(j - soft_return(mdp, pi) for j, mdp, pi in zip(j_star, seq, tr.policies))
-        assert rl_dynamic_regret(tr, seq) == pytest.approx(want, abs=1e-7)
 
     def test_start_change_reuses_the_solve_not_j_star(self, monkeypatch):
         # Q* does not depend on rho, but J* = rho . V* does
@@ -125,25 +115,6 @@ class TestPlanner:
         assert tr.column("eval_return") + tr.column("regret_rl_inc") == pytest.approx(
             j_star, abs=1e-12)
         assert tr.column("alpha")[1] == 0.0 and not tr.state_alphas[1].any()
-
-    def test_rl_dynamic_regret_zero_for_optimal_play(self):
-        spec = steady_goal_spec(20)
-        from driftsched.softmdp import generate_sequence
-        from driftsched.trace import RunTrace
-
-        mdps = generate_sequence(spec)
-        pis = [soft_policy(solve_soft_q(m, 1e-10), m.mu) for m in mdps]
-        trace = RunTrace(columns={"t": np.arange(1, 21)}, policies=pis)
-        assert rl_dynamic_regret(trace, spec, tol=1e-10) == pytest.approx(
-            0.0, abs=20 * 1e-6
-        )
-
-    def test_alignment_error(self):
-        spec = steady_goal_spec(10)
-        tr = planner_run(spec, ScheduleConfig(mode="online"))
-        tr.policies = tr.policies[:-1]
-        with pytest.raises(AlignmentError):
-            rl_dynamic_regret(tr, spec)
 
     def test_oracle_schedule_statewise_bound(self):
         # per-state optimization-layer regret against the drifting softmax

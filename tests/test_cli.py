@@ -658,6 +658,17 @@ class TestSweepCommand:
         assert "config error: horizon" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/sweep_*"))
 
+    def test_repeated_value_rejected_before_any_run(self, tmp_path, capsys):
+        # a repeat would run twice into one directory and write its rows twice
+        doc = base_config(tmp_path / "out", horizon=200)
+        doc["task"]["patterns"] = ["steady"]
+        doc["methods"] = doc["methods"][:1]
+        out = tmp_path / "sweep"
+        assert main(["sweep", write_config(tmp_path, doc), "--param", "learn_rate",
+                     "--values", "0.1,0.2,0.1", "--out", str(out)]) == 2
+        assert "config error: --values repeats 0.1" in capsys.readouterr().err
+        assert not out.exists() and not list(tmp_path.glob("**/sweep_*"))
+
 
 class TestVerifyCommand:
     def test_json_output(self, capsys):

@@ -8,9 +8,7 @@ from driftsched import (
     ZeroBaseline,
     auc,
     drop_ratio,
-    n_auc,
     recovery_time,
-    smooth_evals,
 )
 
 
@@ -49,30 +47,6 @@ class TestAuc:
             auc(curve([5], [1.0]))
 
 
-class TestNormalizedAuc:
-    def test_self_is_one(self):
-        c = curve([0, 10, 20], [1, 4, 2])
-        assert n_auc(c, c) == 1.0
-
-    def test_doubled_returns(self):
-        c = curve([0, 10, 20], [1, 4, 2])
-        d = curve([0, 10, 20], [2, 8, 4])
-        assert n_auc(d, c) == pytest.approx(2.0)
-
-    def test_zero_baseline(self):
-        z = curve([0, 10], [0.0, 0.0])
-        with pytest.raises(ZeroBaseline):
-            n_auc(curve([0, 10], [1, 1]), z)
-
-    def test_scale_invariance(self):
-        c = curve([0, 10, 20], [1, 4, 2])
-        d = curve([0, 10, 20], [2, 3, 1])
-        k = 7.3
-        ck = curve([0, 10, 20], k * np.array([1, 4, 2.0]))
-        dk = curve([0, 10, 20], k * np.array([2, 3, 1.0]))
-        assert n_auc(dk, ck) == pytest.approx(n_auc(d, c))
-
-
 class TestDropRatio:
     def test_identical_zero(self):
         c = curve([0, 10, 20], [1, 4, 2])
@@ -87,6 +61,10 @@ class TestDropRatio:
         steady = curve([0, 10], [1.0, 1.0])
         better = curve([0, 10], [1.06, 1.06])
         assert drop_ratio(better, steady) == pytest.approx(-0.06)
+
+    def test_zero_baseline(self):
+        with pytest.raises(ZeroBaseline):
+            drop_ratio(curve([0, 10], [1, 1]), curve([0, 10], [0.0, 0.0]))
 
     def test_scale_invariance(self):
         steady = curve([0, 10, 20], [2, 3, 4])
@@ -142,26 +120,6 @@ class TestRecoveryTime:
             changes = sorted(rng.choice(np.arange(100, 2900), size=3, replace=False))
             got = recovery_time(curve(steps, rets), changes, window=5, total_steps=3000)
             assert 0.0 <= got <= 1.0
-
-
-class TestSmoothing:
-    def test_window_one_is_identity(self):
-        c = curve([0, 10, 20], [1, 5, 2])
-        assert smooth_evals(c, 1) is c
-
-    def test_trailing_mean(self):
-        c = curve([0, 10, 20, 30], [4.0, 0.0, 2.0, 4.0])
-        s = smooth_evals(c, 2)
-        assert list(s.returns) == [4.0, 2.0, 1.0, 3.0]
-        assert np.array_equal(s.steps, c.steps)
-
-    def test_flattens_noise_before_recovery(self):
-        steps = np.arange(0, 501, 50.0)
-        rets = np.array([1, 1, 1, 1, 1, 0.2, 1.2, 0.2, 1.2, 0.2, 1.2])
-        raw = recovery_time(curve(steps, rets), [250], window=3, total_steps=500)
-        smoothed = recovery_time(smooth_evals(curve(steps, rets), 4), [250],
-                                 window=3, total_steps=500)
-        assert smoothed >= raw  # averaging hides the single lucky spike
 
 
 class TestFromTrace:

@@ -262,7 +262,7 @@ class TestBounds:
             assert measured <= proxy_bound_rhs(tr, consts, k) + 1e-8
 
 
-def reference_run_dynamic(losses, comparators, cfg, eps, x0=None):
+def reference_run_dynamic(losses, comparators, cfg, eps):
     """Per-round loop: one LinearLoss, SimplexVec and md_step per round, with
     the per-mode schedule rule written out."""
     from driftsched import (ProxyState, eta_from_lambda, kl_div, online_lambda,
@@ -270,7 +270,7 @@ def reference_run_dynamic(losses, comparators, cfg, eps, x0=None):
 
     comparators = [np.asarray(u, dtype=float) for u in comparators]
     k = losses[0].grad.size
-    x0 = SimplexVec.uniform(k) if x0 is None else x0
+    x0 = SimplexVec.uniform(k)
     state = OmdState(x=truncate(x0, eps) if eps > 0.0 else x0)
     cols = {name: [] for name in ("t", "lambda", "eta", "alpha", "proxy", "regret_inc")}
     iterates = []
@@ -382,9 +382,10 @@ class TestRunDynamicMatchesPerRoundLoop:
             run_dynamic(np.zeros((2, 3)), [np.array([0.5, 0.5])] * 2, sched, 1e-6)
 
     def test_boundary_iterate_without_floor(self):
+        grads = np.zeros((3, 2))
+        grads[0, 0] = 1e4  # exp(-0.1 * 1e4) underflows to 0: round 2 starts on a face
         with pytest.raises(BoundaryIterate):
-            run_dynamic(np.zeros((3, 2)), [np.array([0.5, 0.5])] * 3,
-                        constant_schedule(0.1), 0.0, x0=SimplexVec.vertex(2, 0))
+            run_dynamic(grads, [np.array([0.5, 0.5])] * 3, constant_schedule(0.1), 0.0)
 
 
 class TestMdStepOperationOrder:
@@ -453,27 +454,24 @@ def batch_of_streams(n, k, horizon, g_scale):
 class TestRunDynamicMany:
     """run_dynamic_many repeats the per-round loop of every stream bit for bit."""
 
-    @pytest.mark.parametrize("given_x0", [False, True])
     @pytest.mark.parametrize("floor", ["zero", "small", "active", "mixed"])
     @pytest.mark.parametrize("k", [2, 5, 16])
     @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_matches_per_stream_loop(self, n, k, floor, given_x0):
+    def test_matches_per_stream_loop(self, n, k, floor):
         eps, g_scale = {"zero": (0.0, 3.0), "small": (1e-6, 1.0),
                         "active": (0.9 / k, 60.0), "mixed": (0.5 / k, 60.0)}[floor]
         grads, us, losses = batch_of_streams(n, k, 90, g_scale)
         if floor == "mixed":  # odd streams stay off the floor: rows of one round differ
             grads[1::2] /= 600.0
             losses = [[LinearLoss(g) for g in grads[b]] for b in range(n)]
-        # a drawn start, which the active floor truncates, or the uniform default
-        x0 = SimplexVec(np.random.default_rng(k).dirichlet(np.ones(k))) if given_x0 else None
         cfgs = [MIXED_SCHEDULES[b % 4] for b in range(n)]
-        traces = run_dynamic_many(grads, us, cfgs, eps, x0)
+        traces = run_dynamic_many(grads, us, cfgs, eps)
         assert len(traces) == n
         for b, tr in enumerate(traces):
-            want = reference_run_dynamic(losses[b], us[b], cfgs[b], eps, x0)
+            want = reference_run_dynamic(losses[b], us[b], cfgs[b], eps)
             assert_matches_reference(tr, want)
             # the stream alone gives the same trace as inside the batch
-            alone = run_dynamic_many(grads[b:b + 1], us[b:b + 1], cfgs[b:b + 1], eps, x0)[0]
+            alone = run_dynamic_many(grads[b:b + 1], us[b:b + 1], cfgs[b:b + 1], eps)[0]
             assert_matches_reference(alone, want)
         # (B, T): stream b's iterate of round t has a coordinate at the floor
         at_floor = np.array([(np.abs(tr.iterates - eps) < 1e-15).any(axis=-1) for tr in traces])
@@ -482,19 +480,10 @@ class TestRunDynamicMany:
         if floor == "mixed" and n > 1:  # a round with rows on and off the floor
             assert (at_floor.any(axis=0) & ~at_floor.all(axis=0)).any()
 
-    def test_shared_start_point(self):
-        grads, us, losses = batch_of_streams(3, 4, 60, 1.0)
-        x0 = SimplexVec(np.array([0.1, 0.2, 0.3, 0.4]))
-        cfgs = [schedule_for(mode) for mode in MIXED_MODES]
-        for b, tr in enumerate(run_dynamic_many(grads, us, cfgs, 1e-6, x0=x0)):
-            assert_matches_reference(tr, reference_run_dynamic(losses[b], us[b], cfgs[b],
-                                                               1e-6, x0=x0))
-
     @pytest.mark.parametrize("change,error", [
         (lambda a: {**a, "grads": a["grads"][:, :, :2]}, ShapeMismatch),
         (lambda a: {**a, "grads": a["grads"][..., None]}, ShapeMismatch),
         (lambda a: {**a, "comparators": a["comparators"][:, :, :2]}, ShapeMismatch),
-        (lambda a: {**a, "x0": SimplexVec.uniform(2)}, ShapeMismatch),
         (lambda a: {**a, "grads": a["grads"][:, :5]}, LengthMismatch),
         (lambda a: {**a, "grads": a["grads"][:, :0], "comparators": a["comparators"][:, :0]},
          LengthMismatch),
@@ -516,7 +505,7 @@ class TestRunDynamicMany:
         monkeypatch.setattr(omd, "_mirror_step", no_round)
         grads, us, _ = batch_of_streams(3, 3, 20, 1.0)
         args = {"grads": grads, "comparators": us, "eps": 1e-6,
-                "cfgs": [schedule_for(mode) for mode in MIXED_MODES], "x0": None}
+                "cfgs": [schedule_for(mode) for mode in MIXED_MODES]}
         with pytest.raises(error):
             run_dynamic_many(**change(args))
 
@@ -535,9 +524,9 @@ class TestRunDynamicMany:
 
     def test_boundary_iterate_without_floor(self):
         grads, us, _ = batch_of_streams(2, 2, 5, 1.0)
+        grads[1, 0, 0] = 1e4  # exp(-0.2 * 1e4) underflows to 0: round 2 starts on a face
         with pytest.raises(BoundaryIterate):
-            run_dynamic_many(grads, us, [schedule_for("fixed")] * 2, 0.0,
-                             x0=SimplexVec.vertex(2, 0))
+            run_dynamic_many(grads, us, [schedule_for("fixed")] * 2, 0.0)
 
     def test_boundary_iterate_at_the_reference_round(self, monkeypatch):
         # without a floor, a coordinate that underflows to 0 stops the batch at the

@@ -44,6 +44,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg(lambda_min=2.0, lambda_max=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["c1", "c2", "c", "lambda_min", "lambda_max",
+                                      "quantile_q", "ema_beta", "fixed_value"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_rejected(self, mode, name, bad):
+        # a NaN c once wrote an all-zero eta column and a NaN lambda_min a zero lambda
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cfg(mode=mode, **{name: bad})
+
     def test_bad_mode(self):
         for mode in ("sometimes", "offline"):  # offline_lambda runs as a fixed schedule
             with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -16,14 +15,10 @@ from driftsched import (
     ShapeMismatch,
     SoftMdpSequence,
     TabularMdp,
-    decoy_mdp,
     generate_sequence,
     goal_chain_mdp,
     occupancy,
-    policy_eval,
     random_mdp,
-    sequence_from_json,
-    sequence_to_json,
     soft_bellman_apply,
     soft_policy,
     soft_return,
@@ -31,6 +26,7 @@ from driftsched import (
     solve_soft_q,
     variation_budget,
 )
+from driftsched.softmdp import _evaluate
 
 
 def single_state_mdp(r=1.0, gamma=0.5, mu=1.0, n_actions=1):
@@ -72,6 +68,26 @@ class TestTabularMdp:
     def test_nan_mu_rejected(self):
         with pytest.raises(NonPositiveTemperature):
             replace(goal_chain_mdp(), mu=math.nan)
+
+    @pytest.mark.parametrize("rho", [
+        [2.0, -0.5, -0.5], [0.5, 0.5, 0.5], [0.5, 0.5, -1e-9],
+        [math.nan, 0.5, 0.5], [1.0, 0.0, math.nan], [math.inf, 0.0, 0.0],
+    ])
+    def test_rho_must_be_a_distribution(self, rho):
+        from driftsched.softmdp import _validate_mdp
+
+        m = random_mdp(3, 2)
+        with pytest.raises(ValueError, match="rho"):
+            replace(m, rho=np.array(rho))
+        stack = np.stack([m.rho, np.array(rho)])  # one bad entry fails the stack
+        with pytest.raises(ValueError, match="rho"):
+            _validate_mdp(np.stack([m.rewards] * 2), np.stack([m.transitions] * 2),
+                          m.gamma, stack, m.mu, 1.0, stacked=True)
+
+    def test_rho_within_rounding_accepted(self):
+        m = random_mdp(3, 2)
+        rho = np.array([0.5 + 1e-12, 0.5, -1e-12])
+        assert np.array_equal(replace(m, rho=rho).rho, rho)
 
     @pytest.mark.parametrize("field,bad", [
         ("rewards", lambda r: r + 2.0), ("transitions", lambda p: p * 0.9),
@@ -197,7 +213,7 @@ class TestSolveSoftQ:
             tq = soft_bellman_apply(m1, q)
             if np.abs(tq - q).max() <= target:
                 break
-            q, _ = policy_eval(m1, soft_policy(q, m1.mu))
+            q, _ = _evaluate(m1, soft_policy(q, m1.mu))
             newton += 1
         steps = []
         real = softmdp.soft_bellman_apply
@@ -382,7 +398,7 @@ class TestSoftPolicy:
 class TestPolicyEval:
     def test_deterministic_scalar(self):
         m = single_state_mdp(r=1.0, gamma=0.5, mu=1.0)
-        q, v = policy_eval(m, np.ones((1, 1)))
+        q, v = _evaluate(m, np.ones((1, 1)))
         assert q[0, 0] == pytest.approx(2.0, abs=1e-9)
         assert v[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -390,7 +406,7 @@ class TestPolicyEval:
         n_actions, gamma, mu = 4, 0.6, 0.5
         m = random_mdp(3, n_actions, gamma=gamma, mu=mu)
         m = TabularMdp(np.zeros((3, n_actions)), m.transitions, gamma, m.rho, mu)
-        _, v = policy_eval(m, np.full((3, n_actions), 0.25))
+        _, v = _evaluate(m, np.full((3, n_actions), 0.25))
         assert np.allclose(v, mu * math.log(n_actions) / (1 - gamma), atol=1e-9)
 
     def test_soft_optimality_consistency(self):
@@ -399,7 +415,7 @@ class TestPolicyEval:
             m = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=rng)
             tol = 1e-10
             q_star = solve_soft_q(m, tol)
-            _, v = policy_eval(m, soft_policy(q_star, m.mu))
+            _, v = _evaluate(m, soft_policy(q_star, m.mu))
             assert np.abs(v - soft_values(q_star, m.mu)).max() <= 2 * tol * 10
 
 
@@ -420,7 +436,7 @@ class TestPolicyEval:
         q_want = np.linalg.solve(np.eye(n_states * n_actions) - m.gamma * follow, rhs)
         q_want = q_want.reshape(n_states, n_actions)
         v_want = (pi * (q_want - m.mu * log_pi)).sum(axis=1)
-        q, v = policy_eval(m, pi)
+        q, v = _evaluate(m, pi)
         scale = m.v_bound()
         assert np.abs(q - q_want).max() <= 1e-12 * scale
         assert np.abs(v - v_want).max() <= 1e-12 * scale
@@ -429,15 +445,11 @@ class TestPolicyEval:
         from driftsched import softmdp
 
         def no_sweeps(*args):
-            raise AssertionError("policy_eval applied the Bellman backup")
+            raise AssertionError("_evaluate applied the Bellman backup")
 
         monkeypatch.setattr(softmdp, "soft_bellman_apply", no_sweeps)
         m = random_mdp(6, 3, rng=np.random.default_rng(2))
-        policy_eval(m, np.full((6, 3), 1 / 3))
-
-    def test_policy_shape_checked(self):
-        with pytest.raises(ShapeMismatch):
-            policy_eval(random_mdp(4, 3), np.full((4, 2), 0.5))
+        _evaluate(m, np.full((6, 3), 1 / 3))
 
 
 class TestOccupancy:
@@ -479,7 +491,7 @@ class TestSoftReturn:
         for _ in range(20):
             m = random_mdp(5, 3, gamma=0.9, mu=0.2, rng=rng)
             pi = rng.dirichlet(np.ones(3), size=5)
-            _, v = policy_eval(m, pi)
+            _, v = _evaluate(m, pi)
             assert soft_return(m, pi) == pytest.approx(float(m.rho @ v), abs=1e-6)
 
 
@@ -593,15 +605,17 @@ class TestGenerateSequence:
         assert len({id(m) for m in seq}) == 2
 
     def test_each_step_is_the_mixture_at_its_weight(self):
+        from driftsched.softmdp import _alternate_endpoints
+
         base = random_mdp(4, 3, rng=np.random.default_rng(0))
-        rng = np.random.default_rng(9)
-        r_alt = rng.uniform(-1.0, 1.0, size=(4, 3))
-        p_alt = rng.dirichlet(np.ones(4), size=(4, 3))
+        r_alt = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4, 3))
         spec = SoftMdpSequence(
             base=base, pattern="abrupt", horizon=20, seed=5,
             drift=DriftSpec(change_times=(7,), magnitude=0.7, transition_drift=True,
-                            reward_alt=r_alt, transition_alt=p_alt),
+                            reward_alt=r_alt),
         )
+        r_given, p_alt = _alternate_endpoints(spec)
+        assert np.array_equal(r_given, r_alt)
         for t, m in enumerate(generate_sequence(spec), start=1):
             w = 0.7 if t >= 7 else 0.0
             assert np.array_equal(m.rewards, (1.0 - w) * base.rewards + w * r_alt)
@@ -683,25 +697,6 @@ class TestSolvedSequenceDrift:
             assert np.abs(tables[i] - tables[i - 1]).max() <= cap + 4 * tol
 
 
-class TestSerialization:
-    def test_roundtrip_replay(self):
-        spec = SoftMdpSequence(
-            base=goal_chain_mdp(goal_reward=0.7),
-            pattern="abrupt", horizon=25,
-            drift=DriftSpec(change_times=(10,), jitter=0.02,
-                            reward_alt=goal_chain_mdp(goal=0).rewards),
-            seed=13,
-        )
-        text = sequence_to_json(spec)
-        json.loads(text)  # valid JSON document
-        replay = sequence_from_json(text)
-        a = generate_sequence(spec)
-        b = generate_sequence(replay)
-        for ma, mb in zip(a, b):
-            assert np.array_equal(ma.rewards, mb.rewards)
-            assert np.array_equal(ma.transitions, mb.transitions)
-
-
 class TestStockTasks:
     def test_goal_chain_moves(self):
         m = goal_chain_mdp(5)
@@ -709,10 +704,3 @@ class TestStockTasks:
         # left from state 2 lands in 1, right lands in 3
         assert m.transitions[2, 0, 1] == 1.0
         assert m.transitions[2, 2, 3] == 1.0
-
-    def test_decoy_rewards(self):
-        base = decoy_mdp()
-        drifted = decoy_mdp(drifted=True)
-        assert base.rewards[0, 0] == 0.6
-        assert drifted.rewards[0, 0] == 0.3
-        assert drifted.rewards[0, 1] == 1.0

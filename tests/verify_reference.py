@@ -28,12 +28,12 @@ from driftsched.simplex import (
 )
 from driftsched.softmdp import (
     _MdpStack,
+    _evaluate,
     DriftSpec,
     SoftMdpSequence,
     TabularMdp,
     generate_sequence,
     occupancy,
-    policy_eval,
     random_mdp,
     soft_bellman_apply,
     soft_policy,
@@ -346,13 +346,13 @@ def _check_performance_difference(seed, n=200):
 
     def lhs(s):
         mdp, pi, pi_prime = s
-        _, v = policy_eval(mdp, pi)
-        _, v_prime = policy_eval(mdp, pi_prime)
+        _, v = _evaluate(mdp, pi)
+        _, v_prime = _evaluate(mdp, pi_prime)
         return float(mdp.rho @ (v_prime - v))
 
     def rhs(s):
         mdp, pi, pi_prime = s
-        q_pi, v_pi = policy_eval(mdp, pi)
+        q_pi, v_pi = _evaluate(mdp, pi)
         with np.errstate(divide="ignore"):
             log_pi = np.where(pi > 0.0, np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
         adv = q_pi - mdp.mu * log_pi - v_pi[:, None]
