@@ -12,6 +12,8 @@ the TD learner's depends on its own errors (closed loop).
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from functools import reduce
 from itertools import accumulate
 from operator import add
@@ -183,41 +185,52 @@ def _choice(p, u: float) -> int:
     return a
 
 
-def _row_sum(row) -> float:
-    """A list's sum with the bits of a (B, A) array's row sum: numpy adds fewer than
-    8 entries left to right, more pairwise, as a 1-D np.add.reduce does."""
-    return reduce(add, row, 0.0) if len(row) < 8 else float(np.add.reduce(row))
+def _row_sum(width: int):
+    """The sum of a width-entry list with the bits of a (B, A) array's row sum: numpy adds
+    fewer than 8 entries left to right, more pairwise, as a 1-D np.add.reduce does."""
+    return ((lambda row: reduce(add, row, 0.0)) if width < 8
+            else (lambda row: float(np.add.reduce(row))))
 
 
-def _td_step(q, s, u_act, u_next, alpha, learn_rate, mdps, log_ties) -> tuple:
+def _cached_row(mdp, s: int, a: int) -> tuple:
+    """(reward, cdf) of row (s, a), the cdf normalized as Generator.choice builds it and
+    made nondecreasing, so that bisect_right(cdf, u) is _choice's count for any finite row."""
+    cdf = list(accumulate(mdp.transitions[s, a].tolist()))
+    return mdp.rewards.item(s, a), array("d", accumulate([v / cdf[-1] for v in cdf], max))
+
+
+def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> tuple:
     """One sampled soft-TD transition for every learner b, on Python floats.
 
-    In state s[b] of MDP mdps[b], learner b draws a ~ softmax(q[b][s] /
-    alpha[b]) with u_act[b] and s' with u_next[b], moves q[b][s][a] towards
-    r + gamma alpha[b] LSE(q[b][s'] / alpha[b]) and returns (s', delta) lists,
-    with the bits soft_policy, Generator.choice and _row_lse give on (B, A)
-    rows (log_ties[n - 1] is np.log(n)). A non-finite TD error raises at once."""
+    In state s[b] of now[b] = (MDP, row cache or None, gamma), learner b draws
+    a ~ softmax(q[b][s] / alpha[b]) with u_act[b] and s' with u_next[b], moves q[b][s][a]
+    towards r + gamma alpha[b] LSE(q[b][s'] / alpha[b]) and returns (s', delta) lists,
+    with the bits soft_policy, Generator.choice and _row_lse give on (B, A) rows
+    (log_ties[n - 1] is np.log(n), row_sum is _row_sum(A)). A non-finite TD error raises."""
     width, shifted = len(q[0][0]), []
     for qb, sb, al in zip(q, s, alpha):
-        x = [v / al for v in qb[sb]]
-        top = max(x)
-        shifted += [v - top for v in x]
+        top = max(qb[sb]) / al  # max(v / al): dividing by al > 0 keeps the order
+        shifted += [v / al - top for v in qb[sb]]
     e = np.exp(shifted).tolist()
     moves, shifted = [], []
-    for j, (qb, sb, al, mb, u, w) in enumerate(zip(q, s, alpha, mdps, u_act, u_next)):
-        tot = _row_sum(e[j * width:j * width + width])
+    for j, (qb, sb, al, (mb, rows, g), u, w) in enumerate(zip(q, s, alpha, now, u_act, u_next)):
+        tot = row_sum(e[j * width:j * width + width])
         p = [v / tot for v in e[j * width:j * width + width]]
-        tot = _row_sum(p)  # renormalized, as soft_policy does
+        tot = row_sum(p)  # renormalized, as soft_policy does
         a = _choice([v / tot for v in p], u)
-        # the one place a step reads its MDP: a reward, gamma and a transition row
-        r, g = mb.rewards.item(sb, a), float(mb.gamma)
-        s_next = _choice(mb.transitions[sb, a].tolist(), w)
+        if rows is None:  # no cache: read the reward and transition row
+            r, s_next = mb.rewards.item(sb, a), _choice(mb.transitions[sb, a].tolist(), w)
+        else:  # a row's first visit caches it
+            row = rows[sb * width + a]
+            if row is None:
+                row = rows[sb * width + a] = _cached_row(mb, sb, a)
+            r, s_next = row[0], bisect_right(row[1], w)
         x = [v / al for v in qb[s_next]]
         top = max(x)  # _row_lse: the entries tied at the max enter as log(ties)
         shifted += [(-math.inf if v == top else v) - top for v in x]
         moves.append((a, r, g, s_next, top, x.count(top)))
     z = np.exp(shifted).tolist()
-    log1p = np.log1p([_row_sum(z[j * width:j * width + width]) / mv[-1]
+    log1p = np.log1p([row_sum(z[j * width:j * width + width]) / mv[-1]
                       for j, mv in enumerate(moves)]).tolist()
     delta = []
     for qb, sb, al, (a, r, g, _, top, ties), l1 in zip(q, s, alpha, moves, log1p):
@@ -256,19 +269,18 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
                   episode_len: int = 20, learn_rate: float = 0.1) -> list:
     """Train B independent soft-TD learners in lockstep; one RunTrace each.
 
-    Learner b's trace is td_train(seqs[b], cfgs[b], ..., seed=seeds[b])
-    bit for bit, whatever shares the run: its generator draws at once
-    every uniform of td_train's reset, action and next-state choices, and
-    each step is one _td_step for all learners on Python floats, tables as
-    lists. That beats (B, S, A) numpy rows only while numpy calls, not
-    arithmetic, are a step's cost: its loops grow with B*A (learners times
-    actions), so past a B*A of about 16 to 24 numpy rows step faster. Numpy
-    stays where the bits need it: one exp over all learners' action rows
-    and one over their LSE rows, one log1p, sums of 8 or more entries. A
-    step reads a reward and a transition row of each learner's MDP, so no
-    table is stacked or made lists (a drifting run has one a step). Each
-    eval step's softmax policies are stored and scored EVAL_CHUNK at a time
-    in stacked solves. All learners share the horizon, the (S, A) shape and the knobs.
+    Learner b's trace is td_train(seqs[b], cfgs[b], ..., seed=seeds[b]) bit
+    for bit, whatever shares the run: its generator draws at once every
+    uniform of td_train's reset, action and next-state choices, and each step
+    is one _td_step for all learners on Python floats, tables as lists, with
+    numpy only for one exp over all action rows, one over all LSE rows, one
+    log1p and sums of 8 or more entries. The learners on a sequence share its
+    row cache: once an MDP is current two steps in a row, the first visit of
+    each (s, a) caches its reward and Generator.choice's cdf, which later
+    visits bisect. A new MDP drops the cache, and one current for a step is
+    read a row at a time, so no table is stacked or made lists. Eval steps'
+    policies are scored EVAL_CHUNK at a time in stacked solves. All learners
+    share the horizon, the (S, A) shape and the knobs.
     """
     if not len(seqs) == len(cfgs) == len(seeds) >= 1:
         raise LengthMismatch("seqs, cfgs and seeds must be nonempty and equally long")
@@ -283,9 +295,9 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
         raise LengthMismatch("every learner needs the same horizon, at least 1")
     if len({m.rewards.shape for mdps, _, _ in runs for m in mdps}) > 1:
         raise ShapeMismatch("every MDP needs the same (S, A)")
-    log_ties = np.log(np.arange(1.0, runs[0][0][0].rewards.shape[1] + 1)).tolist()
-
-    horizon, n_learners = len(runs[0][0]), len(runs)
+    (n_states, width), horizon, n_learners = runs[0][0][0].rewards.shape, len(runs[0][0]), len(runs)
+    log_ties, row_sum = np.log(np.arange(1.0, width + 1)).tolist(), _row_sum(width)
+    held = dict.fromkeys(made, (None, None, 0.0))  # each sequence's (M_t, row cache or None, gamma)
     draws = np.empty((2 * horizon + math.ceil(horizon / episode_len), n_learners))
     for b, sd in enumerate(seeds):
         draws[:, b] = np.random.default_rng(sd).random(len(draws))
@@ -299,11 +311,16 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     # an overflowed table holds an inf until a TD error that is not finite raises
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            now, i = [run[0][t] for run in runs], 2 * t + t // episode_len
+            for key, (mdps, _, _) in made.items():  # an MDP current two steps in a row gets a cache
+                if held[key][0] is not mdps[t] or held[key][1] is None:
+                    cache = [None] * (n_states * width) if t and mdps[t - 1] is mdps[t] else None
+                    held[key] = (mdps[t], cache, float(mdps[t].gamma))
+                    now = [held[id(seq)] for seq in seqs]
+            i = 2 * t + t // episode_len
             if t % episode_len == 0:  # draws[i] resets
-                s = [_choice(m.rho.tolist(), u) for m, u in zip(now, draws[i].tolist())]
+                s = [_choice(m.rho.tolist(), u) for (m, _, _), u in zip(now, draws[i].tolist())]
             u_act, u_next = draws[i + 1:i + 3].tolist()
-            s, delta = _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties)
+            s, delta = _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum)
             batch.append(delta)
             if (t + 1) % batch_size == 0:
                 for b, (cfg, errors) in enumerate(zip(cfgs, zip(*batch))):

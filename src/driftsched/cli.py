@@ -59,7 +59,7 @@ _METHOD = {
 _DRIFT = {
     "change_times": (list, [], lambda v: all(_fits(t, int) for t in v), "a list of integers"),
     "magnitude": (float, 1.0, *_UNIT),
-    "period": (int, 0),
+    "period": (int, 0, lambda v: v >= 0, ">= 0"),
     "amplitude": (float, 0.0, *_UNIT),
     "reward_drift": (bool, True),
     "transition_drift": (bool, False),

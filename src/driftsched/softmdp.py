@@ -283,6 +283,14 @@ class DriftSpec:
     reward_alt: np.ndarray | None = None
     jitter: float = 0.0
 
+    def __post_init__(self):
+        ints = (self.period, *self.change_times)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0 for v in ints):
+            raise InvalidSpec(f"period and change times must be ints >= 0, got {ints}")
+        for name, top in (("magnitude", 1), ("amplitude", 1), ("jitter", np.finfo(float).max)):
+            if not 0 <= getattr(self, name) <= top:  # NaN fails every range
+                raise InvalidSpec(f"{name} {getattr(self, name)} outside [0, {top:g}]")
+
 
 @dataclass(frozen=True)
 class SoftMdpSequence:
@@ -311,34 +319,23 @@ class SoftMdpSequence:
 
 def _weight_path(spec: SoftMdpSequence) -> np.ndarray:
     d = spec.drift
-    t_axis = np.arange(1, spec.horizon + 1)
-    if not 0.0 <= d.magnitude <= 1.0:
-        raise InvalidSpec(f"magnitude {d.magnitude} outside [0, 1]")
-    if not 0.0 <= d.amplitude <= 1.0:
-        raise InvalidSpec(f"amplitude {d.amplitude} outside [0, 1]")
+    t_axis, flips = np.arange(1, spec.horizon + 1), np.zeros(spec.horizon)
     for tc in d.change_times:
         if not 2 <= tc <= spec.horizon:
             raise InvalidSpec(f"change time {tc} outside [2, horizon]")
+        flips[tc - 1:] += 1.0
     if spec.pattern == "steady":
         return np.zeros(spec.horizon)
     if spec.pattern == "abrupt":
-        flips = np.zeros(spec.horizon)
-        for tc in d.change_times:
-            flips[tc - 1:] += 1.0
         return d.magnitude * (flips % 2.0)
     if spec.pattern == "linear":
-        if spec.horizon == 1:
-            return np.zeros(1)
-        return d.magnitude * (t_axis - 1) / (spec.horizon - 1)
+        return d.magnitude * (t_axis - 1) / max(spec.horizon - 1, 1)
     if d.period < 2:
         raise InvalidSpec("periodic patterns need period >= 2")
     periodic = d.amplitude * 0.5 * (1.0 - np.cos(2.0 * np.pi * (t_axis - 1) / d.period))
     if spec.pattern == "periodic":
         return periodic
     # mixed: abrupt square wave on top of the periodic path
-    flips = np.zeros(spec.horizon)
-    for tc in d.change_times:
-        flips[tc - 1:] += 1.0
     w = d.magnitude * (flips % 2.0) + periodic
     if (w > 1.0 + 1e-12).any():
         raise InvalidSpec("mixed magnitude + amplitude exceed 1")

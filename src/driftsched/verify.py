@@ -658,9 +658,9 @@ def _per_stream(rng, n_streams, horizon, eps, results_of):
     switch times and its points. The streams of one width class W(K) =
     8 floor(K/8) + 7 then run as one omd._run_lockstep block, zero-padded
     to W, which keeps each stream's bits. Its gradient rows are redrawn from
-    the copies and its comparator rows rebuilt from the switches, CHUNK
-    rounds at a time, so no (B, T, K) array is held. The drift is nonzero
-    only at a switch, where it is |points[j+1] - points[j]|.sum(), the
+    the copies and its comparator rows gathered in one call from its switch
+    counts, CHUNK rounds at a time, so no (B, T, K) array is held. The drift is
+    nonzero only at a switch, where it is |points[j+1] - points[j]|.sum(), the
     per-round drift's bits. results_of(ks, g_bounds, run) takes a class's
     Ks and max |g| and run(cfgs), which runs the class once under the given
     schedules and returns its traces, and returns a result per stream.
@@ -676,20 +676,20 @@ def _per_stream(rng, n_streams, horizon, eps, results_of):
     results = [None] * n_streams
     for width, members in classes.items():
         indices, ks, snapshots, g_bounds, times, points = zip(*members)
-        n = len(members)
+        n, most = len(members), max(map(len, times))
         alpha, start = np.zeros((n, horizon)), np.zeros((n, width))
+        switched, stops = np.zeros((n, horizon), np.int8), np.zeros((n, most + 1, width))
         for j, k in enumerate(ks):
             alpha[j, times[j] - 1] = np.abs(np.diff(points[j], axis=0)).sum(axis=1)
             start[j, :k] = 1.0 / k  # the uniform point, on every floor eps <= 1/K
-
-        grads, us = np.zeros((2, n, min(CHUNK, horizon), width))  # pads stay 0
+            switched[j, times[j] - 1], stops[j, :len(points[j]), :k] = 1, points[j]
+        switched = switched.cumsum(axis=1, dtype=np.int8)  # [j, t - 1]: switches by t, <= 5
+        grads = np.zeros((n, min(CHUNK, horizon), width))  # pads stay 0
 
         def rows(t, c):
-            rounds = np.arange(t + 1, t + c + 1)
             for j, k in enumerate(ks):
                 grads[j, :c, :k] = _gradient_rows(snapshots[j], c, k)
-                us[j, :c, :k] = _comparators(times[j], points[j], rounds)
-            return grads[:, :c], us[:, :c]
+            return grads[:, :c], stops[np.arange(n)[:, None], switched[:, t:t + c]]
 
         def run(cfgs):
             return _run_lockstep(rows, alpha, cfgs, eps, start, np.array(ks), g_bounds)

@@ -1,8 +1,10 @@
+import bisect
 import functools
 import math
 import operator
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from driftsched import (
     td_train,
     td_train_many,
 )
-from driftsched.agent import _choice, _row_sum, _td_step
+from driftsched.agent import _cached_row, _choice, _row_sum, _td_step
 from driftsched.simplex import kl_div
 
 
@@ -161,11 +163,12 @@ def one_state_mdp(r=1.0, gamma=0.5, mu=1.0):
                       np.array([1.0]), mu, r_max=1.0)
 
 
-def one_learner_step(q, m, alpha, learn_rate, rng):
+def one_learner_step(q, m, alpha, learn_rate, rng, cache=None):
     """One _td_step of a single learner with table q (nested lists), in state 0,
-    on the one MDP m."""
+    on the one MDP m, reading its row directly or through the row cache given."""
     u_act, u_next = rng.random(2).tolist()
-    return _td_step([q], [0], [u_act], [u_next], [alpha], learn_rate, [m], [0.0])
+    return _td_step([q], [0], [u_act], [u_next], [alpha], learn_rate,
+                    [(m, cache, float(m.gamma))], [0.0], _row_sum(1))
 
 
 class TestTdStep:
@@ -178,13 +181,14 @@ class TestTdStep:
         assert q[0][0] == 0.0
         assert delta[0] == pytest.approx(1.0)
 
-    def test_scalar_convergence(self):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_scalar_convergence(self, cached):
         # single state and action: the smoothed target collapses to the
         # plain backup and q approaches r / (1 - gamma) = 2
         m = one_state_mdp(r=1.0, gamma=0.5)
-        q, rng = [[0.0]], np.random.default_rng(0)
+        q, rng, cache = [[0.0]], np.random.default_rng(0), [None] if cached else None
         for _ in range(200):
-            _, delta = one_learner_step(q, m, 0.4, 0.2, rng)
+            _, delta = one_learner_step(q, m, 0.4, 0.2, rng, cache)
         assert q[0][0] == pytest.approx(2.0, abs=1e-3)
         assert abs(delta[0]) <= 1e-3
 
@@ -224,14 +228,14 @@ class TestStepNumpyFacts:
         for row, total in zip(x.tolist(), want.tolist()):
             left_to_right = functools.reduce(operator.add, row, 0.0)
             assert np.float64(left_to_right).tobytes() == np.float64(total).tobytes()
-            assert np.float64(_row_sum(row)).tobytes() == np.float64(total).tobytes()
+            assert np.float64(_row_sum(len(row))(row)).tobytes() == np.float64(total).tobytes()
 
     def test_eight_entries_sum_pairwise(self):
         # why a wide row stays with numpy: its pairwise sum adds the ones to
         # each other before they meet 1e16, while left to right each 1 rounds away
         row = [1e16] + [1.0] * 7
         assert functools.reduce(operator.add, row, 0.0) == 1e16
-        assert np.array([row]).sum(axis=-1)[0] == _row_sum(row) == 1e16 + 6
+        assert np.array([row]).sum(axis=-1)[0] == _row_sum(len(row))(row) == 1e16 + 6
 
     @settings(max_examples=400, deadline=None)
     @given(step_rows(1, 16))
@@ -242,7 +246,7 @@ class TestStepNumpyFacts:
             want = x.sum(axis=-1)
             for b, row in enumerate(x):
                 assert np.add.reduce(row).tobytes() == want[b].tobytes()
-                assert np.float64(_row_sum(row.tolist())).tobytes() == want[b].tobytes()
+                assert np.float64(_row_sum(len(row))(row.tolist())).tobytes() == want[b].tobytes()
 
     @settings(max_examples=400, deadline=None)
     @given(step_rows(1, 16))
@@ -257,6 +261,20 @@ class TestStepNumpyFacts:
             col = np.abs(x[:, :1])
             assert np.log1p(col[:, 0].tolist()).tobytes() == np.log1p(col)[:, 0].tobytes()
 
+    @settings(max_examples=400, deadline=None)
+    @given(step_rows(1, 16), st.one_of(st.floats(1e-300, 1e300), st.sampled_from((0.05, 1.0))))
+    @example(np.array([[-1e-320, 1e-320, 0.0, -0.0]]), 3.0)
+    @example(np.array([[1e300, 2e300, -np.inf]]), 1e-10)
+    def test_policy_shift_divides_the_max(self, x, al):
+        # _td_step shifts a policy row by max(v) / al, not by max(v / al): the
+        # two agree but in a zero's sign, which exp maps to 1.0 either way
+        with np.errstate(all="ignore"):
+            for row in x.tolist():
+                by_entry = [v / al for v in row]
+                want = np.exp([v - max(by_entry) for v in by_entry])
+                got = np.exp([v / al - max(row) / al for v in row])
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n_learners", [1, 2, 4, 12])
     def test_log_table_has_the_stacked_bits(self, n_learners):
         # _td_step reads log(ties) from one table instead of a (B, 1) call
@@ -266,14 +284,50 @@ class TestStepNumpyFacts:
             assert np.log(col)[:, 0].tobytes() == table[col[:, 0].astype(int) - 1].tobytes()
 
 
+def cached_draw(row, u):
+    """The step's draw of s' from a cached row: bisect_right on its stored cdf."""
+    mdp = SimpleNamespace(transitions=np.array([[row]]), rewards=np.zeros((1, 1)))
+    return bisect.bisect_right(_cached_row(mdp, 0, 0)[1], u)
+
+
+def cdf_boundaries(row):
+    """Each entry of the row's cdf normalized as Generator.choice builds it, and
+    its neighbours, kept in [0, 1)."""
+    cdf = np.cumsum(row)
+    cdf /= cdf[-1]
+    near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
+    return near[(near >= 0.0) & (near < 1.0)].tolist()
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from((0.0, 1e-300, 1e-17, 0.3, 1.0, 7.0)), min_size=1, max_size=16)
-       .filter(lambda w: sum(w) > 0), st.integers(0, 2**32 - 1))
+@given(st.lists(st.sampled_from((0.0, 5e-324, 1e-310, 1e-300, 1e-17, 0.3, 1.0, 7.0)),
+                min_size=1, max_size=16).filter(lambda w: sum(w) > 0), st.integers(0, 2**32 - 1))
+@example([5e-324, 0.0, 1.0], 0)
+@example([0.3, 0.0, 0.0, 1e-310, 0.3], 1)
 def test_choice_matches_generator_choice(weights, seed):
+    # _choice and a cached row's bisect draw, on rows with zeros and subnormals
     p = np.array(weights) / sum(weights)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     want = [int(rng_a.choice(len(p), p=p)) for _ in range(20)]
-    assert [_choice(p.tolist(), u) for u in rng_b.random(20).tolist()] == want
+    us = rng_b.random(20).tolist()
+    assert [_choice(p.tolist(), u) for u in us] == want
+    assert [cached_draw(p.tolist(), u) for u in us] == want
+    cdf = np.cumsum(p) / np.cumsum(p)[-1]
+    for u in cdf_boundaries(p):  # choice's searchsorted at u on and beside each cdf entry
+        want = int(np.searchsorted(cdf, u, side="right"))
+        assert cached_draw(p.tolist(), u) == _choice(p.tolist(), u) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((0.0, -1e-11, -5e-324, 1e-300, 0.2, 0.5)), min_size=2,
+                max_size=16).filter(lambda w: sum(w) > 0.1))
+@example([0.5, -1e-11, 0.5])
+def test_cached_draw_on_a_cdf_that_steps_down(weights):
+    # tiny negatives pass TabularMdp (>= -ROW_TOL), so a cdf can step down, which
+    # Generator.choice refuses; the cached draw still counts as _choice does
+    p = np.array(weights) / sum(weights)
+    for u in cdf_boundaries(p) + [0.25, 0.5, 0.999]:
+        assert cached_draw(p.tolist(), u) == _choice(p.tolist(), u)
 
 
 class TestTdTrain:
@@ -834,6 +888,52 @@ class TestTdLockstep:
         assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
                                  runs, knobs)
 
+    def test_mdp_back_after_a_gap(self):
+        # a's rows are cached for its first 30 steps, dropped for b's and cached again
+        a = random_mdp(6, 3, rng=np.random.default_rng(1))
+        b = random_mdp(6, 3, gamma=0.8, rng=np.random.default_rng(2))
+        runs = [([a] * 30 + [b] * 30 + [a] * 30, cfg, seed)
+                for cfg, seed in ((ONLINE_TD, 0), (FIXED_TD, 1))]
+        knobs = (6, 15, 11, 0.2)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    def test_equal_but_distinct_copies(self):
+        # the cache follows the object: an equal copy at every step is read directly
+        a = random_mdp(6, 3, rng=np.random.default_rng(3))
+        copies = [replace(a) for _ in range(60)]
+        lists = [copies, [a] * 20 + copies[:20] + [a] * 20, [a, replace(a), replace(a)] * 20]
+        runs = [(mdps, cfg, seed) for mdps, cfg, seed in
+                zip(lists, (ONLINE_TD, FIXED_TD, ONLINE_TD), (4, 5, 6))]
+        knobs = (5, 12, 8, 0.3)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    def test_shared_spec_beside_an_alternating_list(self):
+        spec = abrupt_goal_spec(200, (90,), seed=1)
+        a, b = goal_chain_mdp(goal_reward=0.6), goal_chain_mdp(goal=0, goal_reward=1.0)
+        runs = [(spec, ONLINE_TD, 3), ([a, b] * 100, FIXED_TD, 4), (spec, FIXED_TD, 5)]
+        knobs = (10, 40, 25, 0.25)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    def test_row_cache_fills_each_row_once_per_shared_mdp(self, monkeypatch):
+        # learners on one spec share its cache; an MDP that is new at every
+        # step, or alternates, is never cached
+        from driftsched import agent
+
+        filled = []
+        fill = agent._cached_row
+        monkeypatch.setattr(agent, "_cached_row",
+                            lambda m, s, a: filled.append((id(m), s, a)) or fill(m, s, a))
+        spec = steady_goal_spec(400)
+        a, b = goal_chain_mdp(goal_reward=0.6), goal_chain_mdp(goal=0, goal_reward=1.0)
+        td_train_many([spec, [a, b] * 200, spec, [replace(a) for _ in range(400)]],
+                      [ONLINE_TD, FIXED_TD] * 2, [0, 1, 2, 3], 10, 50, 25)
+        assert len(filled) == len(set(filled)) <= 5 * 3
+        assert len({m for m, _, _ in filled}) == 1
+        assert {id(a), id(b)}.isdisjoint(m for m, _, _ in filled)
+
     @pytest.mark.parametrize("horizon", [1, 31, 33])
     def test_horizons_off_the_eval_chunk(self, horizon):
         # eval_every 1 stores 3 policies a step: chunks fill mid-run and a
@@ -917,15 +1017,19 @@ class TestTdLockstep:
 
 
 class TestTdMemory:
-    """A run with its own table at every step keeps its tracemalloc peak: the
-    step reads its MDP's tables a row at a time, and neither stacks them nor
+    """A run keeps its tracemalloc peak. With its own table at every step, the
+    step reads that table a row at a time and neither stacks the tables nor
     turns them into lists (as lists the rewards would add about 5 MB here,
-    the transitions about 35 MB)."""
+    the transitions about 35 MB). On a steady task the row cache holds at most
+    one table's rows a sequence, shared by the learners on it."""
 
     # peaks measured with numpy 2.4.6 and Python 3.11.7: 25,864,790 B when
     # the step ran on one (B, S, A) array with stacked reward and cdf tables,
     # 9,572,841 B with the step on lists reading its MDP's rows
     PEAK_B = 9_572_841
+    # the steady task: 1,225,420 B reading each row from the table, 1,529,114 B
+    # with a row cache per sequence (its two 60 x 4 x 60 tables hold 230,400 B)
+    PEAK_CACHED_B = 1_529_114
 
     def test_peak_with_a_table_per_step(self):
         base = random_mdp(12, 4, gamma=0.9, mu=0.2, rng=np.random.default_rng(3))
@@ -939,3 +1043,17 @@ class TestTdMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * self.PEAK_B
+
+    def test_peak_with_row_caches(self):
+        # four learners on two specs: a cache per learner would break the bound
+        specs = [SoftMdpSequence(base=random_mdp(60, 4, gamma=0.9, mu=0.2,
+                                                 rng=np.random.default_rng([seed, 3])),
+                                 pattern="steady", horizon=2000, seed=seed) for seed in (0, 1)]
+        tracemalloc.start()
+        try:
+            td_train_many([specs[0], specs[0], specs[1], specs[1]], [ONLINE_TD, FIXED_TD] * 2,
+                          [0, 1, 2, 3], eval_every=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.PEAK_CACHED_B

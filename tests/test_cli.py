@@ -159,6 +159,8 @@ class TestParseConfig:
         (("task", "n_actions"), 3.0, "task.n_actions"),
         (("task", "drift", "period"), 8.5, "task.drift.period"),
         (("task", "drift", "period"), True, "task.drift.period"),
+        (("task", "drift", "period"), -1, "task.drift.period"),
+        (("task", "drift", "jitter"), math.nan, "task.drift.jitter"),
         (("task", "drift", "magnitude"), "x", "task.drift.magnitude"),
         (("task", "drift", "magnitude"), 1.5, "task.drift.magnitude"),
         (("task", "drift", "amplitude"), math.nan, "task.drift.amplitude"),

@@ -580,6 +580,22 @@ class TestGenerateSequence:
             generate_sequence(self.base_spec(
                 "mixed", change_times=(5,), magnitude=0.8, period=6, amplitude=0.5))
 
+    @pytest.mark.parametrize("drift_kw", [
+        {"jitter": -0.5}, {"jitter": math.nan}, {"jitter": math.inf},
+        {"change_times": (2.5,)}, {"change_times": (True,)}, {"period": 3.5},
+        {"period": True}, {"period": -1}, {"magnitude": math.nan}, {"amplitude": 1.5},
+    ])
+    def test_drift_spec_refused_at_construction(self, drift_kw):
+        with pytest.raises(InvalidSpec):
+            DriftSpec(**drift_kw)
+
+    def test_drift_spec_takes_numpy_ints(self):
+        drift = DriftSpec(change_times=(np.int64(5), np.int32(9)), period=np.int64(4))
+        seq = generate_sequence(SoftMdpSequence(
+            base=random_mdp(4, 3, rng=np.random.default_rng(0)), pattern="mixed",
+            horizon=12, drift=drift, seed=5))
+        assert len(seq) == 12
+
     def test_change_time_beyond_horizon(self):
         with pytest.raises(InvalidSpec):
             generate_sequence(self.base_spec("abrupt", change_times=(25,)))
