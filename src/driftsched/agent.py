@@ -25,12 +25,11 @@ from .omd import _check_floor, _check_iterates, _mirror_step
 from .scheduler import ProxyState, ScheduleConfig, _ema, _schedule_columns, next_lambda
 from .softmdp import (
     _soft_returns,
+    _solved_chain,
     _surrogate_gap,
     SoftMdpSequence,
     generate_sequence,
     soft_policy,
-    soft_values,
-    solve_soft_q,
 )
 from .trace import RunTrace
 
@@ -42,26 +41,6 @@ def _materialize(seq) -> tuple:
     if isinstance(seq, SoftMdpSequence):
         return generate_sequence(seq), seq.pattern, seq.seed
     return list(seq), "custom", 0
-
-
-def _solved_tables(mdps, tol: float):
-    """Yield (M_t, Q*_t), solving once per flat segment, warm-started.
-
-    A step repeats the previous MDP when it is the same object (as
-    generate_sequence gives for a repeated drift weight) or, for
-    user-supplied lists, when its rewards, transitions, gamma and mu are
-    all equal: Q* depends on nothing else.
-    """
-    prev, q_star = None, None
-    for mdp_t in mdps:
-        repeat = prev is not None and (mdp_t is prev or (
-            mdp_t.gamma == prev.gamma and mdp_t.mu == prev.mu
-            and np.array_equal(mdp_t.rewards, prev.rewards)
-            and np.array_equal(mdp_t.transitions, prev.transitions)))
-        if not repeat:
-            q_star = solve_soft_q(mdp_t, tol, q_init=q_star)
-        prev = mdp_t
-        yield mdp_t, q_star
 
 
 def _soft_returns_of(mdps, policies) -> np.ndarray:
@@ -96,8 +75,8 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
     0 at t = 1) depend on the solved chain alone, never on the policies
     played. So it runs in three passes, with each schedule's lambda and eta
     columns computed by one _schedule_columns pass after the first:
-    - the chain: one walk of _solved_tables records Q*_t, its soft-optimal
-      policy pi*_t and soft values V*_t (once per solve: a reused solve
+    - the chain: _solved_chain's Q*_t, soft-optimal policy pi*_t and soft values
+      V*_t (one soft pass per solve, the next solve's first step; a reused solve
       reuses them, reads 0 and drifts 0) and J*_t = rho_t . V*_t;
     - the mirror steps: one step a round on the (B, S, A) stack of
       policies, every row on the gradient -Q*_t(s,.) + mu (1 + log pi_s) +
@@ -116,18 +95,12 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
     n_states, n_actions = mdps[0].rewards.shape
     _check_floor(eps, n_actions)
 
-    chain, reading, drift_rows = [], [], []  # chain: (M_t, Q*_t, pi*_t, V*_t)
-    for mdp_t, q_star in _solved_tables(mdps, tol):
-        if chain and q_star is chain[-1][1]:  # |x - x| = 0: no reading, no drift
-            chain.append((mdp_t,) + chain[-1][1:])
-            reading.append(0.0)
-            drift_rows.append(np.zeros(n_states))
-            continue
-        pi_star = soft_policy(q_star, mdp_t.mu)
-        q_prev, pi_prev = chain[-1][1:3] if chain else (q_star, pi_star)  # 0 at t = 1
-        reading.append(float(np.abs(q_star - q_prev).max()) / mdp_t.mu)
-        drift_rows.append(np.abs(pi_star - pi_prev).sum(axis=1))
-        chain.append((mdp_t, q_star, pi_star, soft_values(q_star, mdp_t.mu)))
+    chain = list(_solved_chain(mdps, tol))  # (M_t, Q*_t, pi*_t, V*_t)
+    reading, drift_rows = [0.0], [np.zeros(n_states)]  # 0 at t = 1
+    for (_, q_prev, pi_prev, _), (mdp_t, q_star, pi_star, _) in zip(chain, chain[1:]):
+        reused = q_star is q_prev  # |x - x| = 0: no reading, no drift
+        reading.append(0.0 if reused else float(np.abs(q_star - q_prev).max()) / mdp_t.mu)
+        drift_rows.append(np.zeros(n_states) if reused else np.abs(pi_star - pi_prev).sum(axis=1))
     state_alphas = np.vstack(drift_rows)
     alpha = state_alphas.max(axis=1)
     horizon, n = len(chain), len(cfgs)

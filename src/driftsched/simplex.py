@@ -148,17 +148,25 @@ def _row_lse(a: np.ndarray):
         return np.full(a.shape[:-1], -np.inf)[()]
     if a.ndim == 0:
         a = a[None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _row_exp(a)[1]
+    return out[..., 0] if out.ndim > 1 else out[0]
+
+
+def _row_exp(a: np.ndarray) -> tuple:
+    """(exp(a - max), _row_lse(a)) over the last axis of a nonempty float array, keeping
+    that axis; call it under an np.errstate that ignores divide, invalid and over."""
     a_max = a.max(axis=-1, keepdims=True)
     tied = a == a_max
     m = tied.sum(axis=-1, keepdims=True, dtype=a.dtype)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
-        s = s / m  # scipy keeps s where s == 0; +0.0 / m is +0.0 all the same
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
-    return out[..., 0] if out.ndim > 1 else out[0]
+    e = np.exp(a - a_max)
+    # a tied exp(0) = 1, zeroed, is scipy's exp(-inf) = +0.0, and +0.0 / m is +0.0 too
+    s = np.where(tied, 0.0, e).sum(axis=-1, keepdims=True) / m
+    out = np.log1p(s) + np.log(m) + a_max
+    finite = np.isfinite(out)
+    if not finite.all():
+        out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
+    return e, out
 
 
 def _row_softmax(x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Non-stationary tabular soft MDPs.
 
-Solvers for the temperature-smoothed Bellman operator, soft-optimal
-policies, discounted occupancies and entropy-augmented returns, plus a
-deterministic drift generator that produces time-indexed MDP sequences
-(steady / abrupt / linear / periodic / mixed) with closed-form
-variation budgets.
+One fixed-point solver for the temperature-smoothed Bellman operator, whose
+Newton steps and solve chains share one soft pass of values and policy per
+table; soft-optimal policies, discounted occupancies and entropy-augmented
+returns; and a deterministic drift generator of time-indexed MDP sequences
+(steady / abrupt / linear / periodic / mixed) with closed-form variation budgets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     SingularSystem,
 )
-from .simplex import _row_lse, _row_neg_entropy, _row_softmax, as_probs
+from .simplex import _row_exp, _row_lse, _row_neg_entropy, _row_softmax, as_probs
 
 PATTERNS = ("steady", "abrupt", "linear", "periodic", "mixed")
 
@@ -121,8 +121,21 @@ def soft_bellman_apply(mdp: TabularMdp, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != mdp.rewards.shape:
         raise ShapeMismatch(f"Q must be {mdp.rewards.shape}, got {q.shape}")
-    v = soft_values(q, mdp.mu)[..., None, :, None]
-    return mdp.rewards + _per_entry(mdp.gamma, 3) * (mdp.transitions @ v)[..., 0]
+    return _backup(mdp, soft_values(q, mdp.mu))
+
+
+def _backup(mdp, v: np.ndarray) -> np.ndarray:
+    """r + gamma P v: the soft backup of the table whose soft values are v."""
+    return mdp.rewards + _per_entry(mdp.gamma, 3) * (
+        mdp.transitions @ v[..., None, :, None])[..., 0]  # unnamed, P v is freed before the sum
+
+
+def _soft_pass(q: np.ndarray, mu) -> tuple:
+    """(soft_values(q, mu), soft_policy(q, mu)) bit for bit from one pass over Q / mu, mu one
+    number or one per (n, S, A) entry; a Q not finite needs _row_exp's np.errstate."""
+    e, lse = _row_exp(q / _per_entry(mu, q.ndim))
+    e /= e.sum(axis=-1, keepdims=True)
+    return _per_entry(mu, q.ndim - 1) * lse[..., 0], e / e.sum(axis=-1, keepdims=True)
 
 
 class _MdpStack(NamedTuple):
@@ -143,37 +156,63 @@ def solve_soft_q(mdp: TabularMdp | _MdpStack, tol: float = 1e-9,
     replaces Q by the exact value Q^pi of pi = softmax(Q/mu) (Geist,
     Scherrer & Pietquin, "A Theory of Regularized MDPs", ICML 2019).
 
-    Returns TQ once ||TQ - Q|| <= tol*(1-gamma) in sup norm, so that
-    ||T(TQ) - TQ|| <= tol. Past the first step the iterates are policy
-    values, each at least a sweep closer to Q*, so value iteration's sweep
-    bound caps the steps; a nearby warm start takes fewer. An (n, S, A)
-    stack is one chain with one stopping test. A (C, L, S, A) stack is C
-    chains: each stops on its own test, with the bits it gets alone, and
-    leaves the stack (the step cap reads all of q_init).
+    Returns TQ once ||TQ - Q|| <= tol*(1-gamma) in sup norm (tol finite and > 0),
+    so that ||T(TQ) - TQ|| <= tol; a step takes TQ and pi from one shared pass over
+    the rows of Q. Past the first step the iterates are policy values, each at least
+    a sweep closer to Q*, so value iteration's sweep bound caps the steps; a nearby
+    warm start takes fewer. An (n, S, A) stack is one chain with one stopping test.
+    A (C, L, S, A) stack is C chains: each stops on its own test, with its bits
+    alone, and leaves the stack (the step cap reads all of q_init).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    return _solve(mdp, tol, q_init)
+
+
+def _solve(mdp, tol, q_init, first=None) -> np.ndarray:
+    """solve_soft_q, its first step on first = _soft_pass(q_init, mdp.mu) if given."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     q = np.zeros_like(mdp.rewards) if q_init is None else np.asarray(q_init, dtype=float)
     reach = float(np.abs(q).max(initial=0.0))
     if not math.isfinite(reach):
         raise ValueError("q_init must be finite")
+    if q.shape != mdp.rewards.shape:
+        raise ShapeMismatch(f"Q must be {mdp.rewards.shape}, got {q.shape}")
     target = tol * (1.0 - mdp.gamma)
     max_steps = 16 + math.ceil(
         math.log(target / (2.0 * (mdp.q_bound() + reach) + 1e-12)) / math.log(mdp.gamma))
     chains = (1, 2, 3) if q.ndim == 4 else None  # the axes of one chain's test
     out, live = (np.empty_like(q), np.arange(len(q))) if chains else (None, None)
-    for _ in range(max(max_steps, 1)):
-        q_next = soft_bellman_apply(mdp, q)
-        done = np.abs(q_next - q).max(chains) <= target
-        if chains is None and done:
-            return q_next
-        if chains and done.any():
-            out[live[done]], live, q = q_next[done], live[~done], q[~done]
-            if not live.size:
-                return out
-            mdp = mdp._replace(rewards=mdp.rewards[~done], transitions=mdp.transitions[~done])
-        q, _ = _evaluate(mdp, soft_policy(q, mdp.mu))
+    eye = np.eye(q.shape[-2])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max(max_steps, 1)):
+            v, pi = first or _soft_pass(q, mdp.mu)
+            q_next, v, first = _backup(mdp, v), None, None  # no v at _evaluate's peak memory
+            done = np.abs(q_next - q).max(chains) <= target
+            if chains is None and done:
+                return q_next
+            if chains and done.any():
+                out[live[done]], live, pi = q_next[done], live[~done], pi[~done]
+                if not live.size:
+                    return out
+                mdp = mdp._replace(rewards=mdp.rewards[~done], transitions=mdp.transitions[~done])
+            q, _ = _evaluate(mdp, pi, eye)
     raise NoConvergence(f"soft policy iteration did not reach {target} in {max_steps} steps")
+
+
+def _solved_chain(mdps, tol: float):
+    """Yield (M_t, Q*_t, pi*_t, V*_t), solving once per flat segment, warm-started.
+    A step that is the previous MDP (the same object, or equal rewards, transitions,
+    gamma and mu: Q* depends on nothing else) yields its arrays again. pi*_t and V*_t
+    are one _soft_pass of Q*_t, the next solve's first step if mu is unchanged."""
+    q_star = first = None
+    for prev, mdp_t in zip([None, *mdps], mdps):
+        if prev is None or not (mdp_t is prev or (
+                mdp_t.gamma == prev.gamma and mdp_t.mu == prev.mu
+                and np.array_equal(mdp_t.rewards, prev.rewards)
+                and np.array_equal(mdp_t.transitions, prev.transitions))):
+            q_star = _solve(mdp_t, tol, q_star, first if first and mdp_t.mu == prev.mu else None)
+            first = _soft_pass(q_star, mdp_t.mu)  # Q* is finite: no np.errstate needed
+        yield mdp_t, q_star, first[1], first[0]
 
 
 def soft_policy(q: np.ndarray, mu: float) -> np.ndarray:
@@ -184,14 +223,14 @@ def soft_policy(q: np.ndarray, mu: float) -> np.ndarray:
     return pi / pi.sum(axis=-1, keepdims=True)
 
 
-def _evaluate(mdp: TabularMdp | _MdpStack, pi: np.ndarray):
+def _evaluate(mdp: TabularMdp | _MdpStack, pi: np.ndarray, eye: np.ndarray | None = None):
     """(Q^pi, V^pi) of pi: V solves (I - gamma P_pi) V = sum_a pi (r - mu log pi)
-    directly, and Q = r + gamma P V; a stack solves its n systems in one call."""
+    directly, I = eye if given, and Q = r + gamma P V; a stack solves its n systems at once."""
     p_pi = np.einsum("...sa,...saz->...sz", pi, mdp.transitions)
     per_state = (pi * mdp.rewards).sum(axis=-1) - mdp.mu * _row_neg_entropy(pi)
-    lhs = np.eye(p_pi.shape[-1]) - mdp.gamma * p_pi
+    lhs = (np.eye(p_pi.shape[-1]) if eye is None else eye) - mdp.gamma * p_pi
     v = np.linalg.solve(lhs, per_state[..., None])[..., 0]
-    return mdp.rewards + mdp.gamma * (mdp.transitions @ v[..., None, :, None])[..., 0], v
+    return _backup(mdp, v), v
 
 
 def _occupancies(transitions, rho, gamma, pi) -> np.ndarray:

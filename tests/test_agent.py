@@ -44,6 +44,31 @@ def steady_goal_spec(horizon, seed=0):
                            horizon=horizon, drift=DriftSpec(), seed=seed)
 
 
+def count_solves(monkeypatch):
+    """Live counts of softmdp._solve calls and of the soft passes made inside
+    them (Newton steps) and outside them (the pass of each solved Q*_t)."""
+    from driftsched import softmdp
+
+    calls, inside = {"solves": 0, "in_solves": 0, "of_solved": 0}, []
+    real_solve, real_pass = softmdp._solve, softmdp._soft_pass
+
+    def solve(*a, **k):
+        calls["solves"] += 1
+        inside.append(1)
+        try:
+            return real_solve(*a, **k)
+        finally:
+            inside.pop()
+
+    def soft_pass(*a):
+        calls["in_solves" if inside else "of_solved"] += 1
+        return real_pass(*a)
+
+    monkeypatch.setattr(softmdp, "_solve", solve)
+    monkeypatch.setattr(softmdp, "_soft_pass", soft_pass)
+    return calls
+
+
 class TestPlanner:
     def test_first_round_lambda_at_floor(self):
         cfg = ScheduleConfig(mode="online")
@@ -100,18 +125,14 @@ class TestPlanner:
         # Q* does not depend on rho, but J* = rho . V* does
         from dataclasses import replace
 
-        from driftsched import agent
         from driftsched.softmdp import soft_values
 
         m = random_mdp(6, 3, rng=np.random.default_rng(0))
         seq = [m, replace(m, rho=np.eye(6)[2])]
         v_star = soft_values(solve_soft_q(m, 1e-9), m.mu)
-        solves = []
-        real = agent.solve_soft_q
-        monkeypatch.setattr(agent, "solve_soft_q",
-                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        calls = count_solves(monkeypatch)
         tr = planner_run(seq, ScheduleConfig(mode="fixed", fixed_value=0.3))
-        assert len(solves) == 1
+        assert calls["solves"] == 1
         j_star = [float(mdp.rho @ v_star) for mdp in seq]
         assert abs(j_star[1] - j_star[0]) > 0.1
         assert tr.column("eval_return") + tr.column("regret_rl_inc") == pytest.approx(
@@ -455,8 +476,7 @@ class TestPlannerMatchesPerStateLoop:
     @pytest.mark.parametrize("mode,eps", [("online", 1e-6), ("oracle", 1e-6),
                                           ("fixed", 0.0), ("online", 0.05)])
     def test_columns_and_policies(self, pattern, mode, eps):
-        from driftsched.agent import _solved_tables
-        from driftsched.softmdp import generate_sequence
+        from driftsched.softmdp import _solved_chain, generate_sequence
 
         spec = drifting_random_spec(pattern)
         cfg = ScheduleConfig(mode=mode, fixed_value=0.3)
@@ -464,7 +484,7 @@ class TestPlannerMatchesPerStateLoop:
 
         state = RefPlannerState(policy=np.full((30, 4), 0.25))
         policies, records = [], []
-        for mdp, q in _solved_tables(generate_sequence(spec), 1e-9):
+        for mdp, q, _, _ in _solved_chain(generate_sequence(spec), 1e-9):
             policies.append(state.policy)
             state, rec = reference_planner_step(state, mdp, q, cfg, eps)
             records.append(rec)
@@ -495,14 +515,9 @@ class TestPlannerMatchesPerStateLoop:
             planner_run(drifting_random_spec("abrupt", horizon=5), ScheduleConfig(), eps=eps)
 
     def test_one_soft_policy_per_round(self, monkeypatch):
-        from driftsched import agent
-
-        calls = []
-        real = agent.soft_policy
-        monkeypatch.setattr(agent, "soft_policy",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        calls = count_solves(monkeypatch)
         tr = planner_run(drifting_random_spec("periodic", horizon=12), ScheduleConfig())
-        assert len(calls) == len(tr) == 12
+        assert calls["of_solved"] == len(tr) == 12
 
 
 def reference_solve(mdp, tol, q):
@@ -636,49 +651,36 @@ class TestPlannerRunMany:
     def test_one_solve_chain_for_every_schedule(self, monkeypatch):
         from driftsched import planner_run_many, softmdp
 
-        sweeps = []
-        real = softmdp.soft_bellman_apply
-        monkeypatch.setattr(softmdp, "soft_bellman_apply",
-                            lambda *a: sweeps.append(1) or real(*a))
+        passes = []
+        real = softmdp._soft_pass
+        monkeypatch.setattr(softmdp, "_soft_pass", lambda *a: passes.append(1) or real(*a))
         spec = drifting_random_spec("periodic", horizon=20)
         planner_run(spec, PLANNER_SCHEDULES["online"])
-        one = len(sweeps)
-        sweeps.clear()
+        one = len(passes)
+        passes.clear()
         planner_run_many(spec, list(PLANNER_SCHEDULES.values()))
-        assert one > 20 and len(sweeps) == one
+        assert one > 20 and len(passes) == one
 
     def test_newton_steps_per_solve(self, monkeypatch):
         # value iteration took about 170 sweeps a round on this chain
-        from driftsched import agent, softmdp
-
-        steps, solves = [], []
-        real_apply, real_solve = softmdp.soft_bellman_apply, agent.solve_soft_q
-        monkeypatch.setattr(softmdp, "soft_bellman_apply",
-                            lambda *a: steps.append(1) or real_apply(*a))
-        monkeypatch.setattr(agent, "solve_soft_q",
-                            lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+        calls = count_solves(monkeypatch)
         planner_run(drifting_random_spec("periodic", horizon=20), PLANNER_SCHEDULES["online"])
-        assert len(solves) == 20
-        assert len(steps) <= 10 * len(solves)
+        assert calls["solves"] == 20
+        # a step is one soft pass; a solve's first step is the last solve's pass of Q*
+        steps = calls["in_solves"] + calls["of_solved"] - 1
+        assert steps <= 10 * calls["solves"]
 
     @pytest.mark.parametrize("pattern,solves", [("periodic", 12), ("abrupt", 2)])
     def test_table_terms_once_per_solve(self, monkeypatch, pattern, solves):
-        from driftsched import agent, planner_run_many
+        from driftsched import planner_run_many
 
-        calls = {"soft_policy": 0, "soft_values": 0, "solve_soft_q": 0}
-        for name in calls:
-            real = getattr(agent, name)
-
-            def counted(*a, _name=name, _real=real, **k):
-                calls[_name] += 1
-                return _real(*a, **k)
-
-            monkeypatch.setattr(agent, name, counted)
+        calls = count_solves(monkeypatch)
         traces = planner_run_many(drifting_random_spec(pattern, horizon=12),
                                   list(PLANNER_SCHEDULES.values()))
         assert len(traces) == 3
-        # J*_t is rho_t . soft_values; a reused solve reuses pi* and V*
-        assert calls == {"soft_policy": solves, "soft_values": solves, "solve_soft_q": solves}
+        # pi*_t and V*_t (J*_t is rho_t . V*_t) are one pass of Q*_t; a reused
+        # solve reuses them
+        assert (calls["solves"], calls["of_solved"]) == (solves, solves)
 
     def test_no_per_round_evaluation(self, monkeypatch):
         from driftsched import agent, planner_run_many, softmdp
@@ -739,7 +741,7 @@ class TestPlannerRunMany:
             raise AssertionError("ran a round")
 
         monkeypatch.setattr(agent, "_mirror_step", no_rounds)
-        monkeypatch.setattr(agent, "solve_soft_q", no_rounds)
+        monkeypatch.setattr(agent, "_solved_chain", no_rounds)
         spec = drifting_random_spec("abrupt", horizon=5)
         with pytest.raises(LengthMismatch):
             planner_run_many(spec, [])

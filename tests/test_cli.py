@@ -304,13 +304,29 @@ def test_parse_config_mutated_readme_config(data):
 
 
 def golden_run_config(name, out_dir):
-    """Two-cell configs whose run output is pinned: TD traces longer than
-    two CSV_CHUNKs, and a random-task planner run with one job per pattern."""
+    """Configs whose run output is pinned: TD traces longer than two
+    CSV_CHUNKs, a random-task planner run with one job per pattern, and
+    the benchmark's planner_drift cells on a short horizon."""
     if name == "td_goal_chain":
         doc = base_config(out_dir, horizon=2100)
         doc["task"]["patterns"] = ["abrupt"]
         doc["task"]["drift"]["change_times"] = [1000]
         return doc
+    if name == "drifting_planners":
+        return {
+            "task": {"kind": "random", "n_states": 30, "n_actions": 4,
+                     "gamma": 0.9, "mu": 0.2, "patterns": ["periodic", "abrupt"],
+                     "drift": {"change_times": [20], "magnitude": 1.0, "period": 10,
+                               "amplitude": 0.5, "reward_drift": True,
+                               "transition_drift": True}},
+            "methods": [{"name": "adaptive_planner", "agent": "planner",
+                         "schedule": {"mode": "online", "lambda_min": 0.05,
+                                      "lambda_max": 1.0}},
+                        {"name": "fixed_planner", "agent": "planner",
+                         "schedule": {"mode": "fixed", "fixed_value": 0.1}}],
+            "seeds": [7], "horizon": 40, "eps": 1e-6, "solver_tol": 1e-9,
+            "output_dir": str(out_dir),
+        }
     return {
         "task": {"kind": "random", "n_states": 4, "n_actions": 3,
                  "patterns": ["abrupt", "periodic"],
@@ -324,6 +340,17 @@ def golden_run_config(name, out_dir):
 
 
 GOLDEN_RUN_DIGESTS = {
+    "drifting_planners": {
+        "summary.csv": "1b6306f7188526d8c32ec42bab4c2d42cffaa7f0804aa45ff202554b012587ae",
+        "trace_adaptive_planner_abrupt_seed7.csv":
+            "f3139c21d0a05e31470b31f0faa73e41350e4a6801f401a2336dca24de43c186",
+        "trace_adaptive_planner_periodic_seed7.csv":
+            "4859f7778c01fd4f0c427886d4ba52107985b3563487e1d6bcba54bd6d7c2dbf",
+        "trace_fixed_planner_abrupt_seed7.csv":
+            "7057a3b9e88f5a886533121a8855ba18d3829540f1edbd0241600749441b53ef",
+        "trace_fixed_planner_periodic_seed7.csv":
+            "59ecfb405c20f7de9ef0cf24c3e0c87882895c7e8955a5b2983611c7edac69a5",
+    },
     "td_goal_chain": {
         "summary.csv": "d57222a76bfa48e891d893df63aa169d0ed195c021c18da363a98759deb40183",
         "trace_adaptive_td_abrupt_seed0.csv":

@@ -23,6 +23,7 @@ from driftsched.errors import InvalidEpsilon, SupportMismatch
 from driftsched.simplex import (_row_divergence, _row_lse, _row_neg_entropy, _row_softmax,
                                 _truncate_rows, bregman_neg_entropy, kl_div, neg_entropy,
                                 truncate)
+from driftsched.softmdp import _soft_pass
 
 HUGE = np.finfo(float).max
 # a small pool makes ties at the row maximum common
@@ -89,6 +90,33 @@ def test_public_functions_keep_scipy_values(q, mu):
         assert log_sum_exp(q, mu) == float(mu * special.logsumexp(q / mu))
         p = special.softmax(q / mu)
         assert_bits_equal(softmax(q, mu).probs, p / p.sum())
+
+
+TEMPERATURES = st.one_of(st.sampled_from((5e-324, 1e-300, 0.2, 1.0, 1e300, HUGE)),
+                         st.floats(min_value=5e-324, allow_infinity=False))
+
+
+@settings(max_examples=600, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=5),
+                  elements=ELEMENTS), TEMPERATURES,
+       st.none() | st.lists(TEMPERATURES, min_size=5, max_size=5))
+# ties at the max, huge and tiny entries, and rows that take the fallback
+@example(np.array([[2.0, 2.0, 1.0], [0.0, -0.0, -0.0], [5e-324, 0.0, -5e-324]]), 0.2, None)
+@example(np.array([[HUGE, -HUGE], [1e308, 1e308], [-HUGE, -HUGE]]), 1e-3, None)
+@example(np.array([[np.inf, 1.0], [np.nan, 0.0], [-np.inf, -np.inf], [np.inf, -np.inf]]),
+         1.0, None)
+@example(np.array([[[1.0, 1.0]], [[HUGE, 0.5]], [[np.nan, 1.0]]]), 1.0, [0.2, 1e-300, 3.0])
+def test_soft_pass_is_soft_values_and_soft_policy(q, mu, mus):
+    # an (n, S, A) stack takes one mu or, given mus, one per entry
+    if q.ndim == 3 and mus is not None:
+        mu = np.array(mus[:len(q)])
+    with np.errstate(all="ignore"):
+        v, pi = _soft_pass(q, mu)
+        assert_bits_equal(v, soft_values(q, mu))
+        if np.ndim(mu):
+            assert_bits_equal(pi, np.stack([soft_policy(qi, mi) for qi, mi in zip(q, mu)]))
+        else:
+            assert_bits_equal(pi, soft_policy(q, mu))
 
 
 def test_empty_rows_give_minus_inf():

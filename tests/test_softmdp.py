@@ -201,6 +201,16 @@ class TestSolveSoftQ:
         with pytest.raises(ValueError):
             solve_soft_q(single_state_mdp(), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_tol_not_finite_and_positive_refused(self, tol):
+        # NaN and inf used to reach math.ceil: a bare ValueError or OverflowError
+        from driftsched import ScheduleConfig, planner_run_many
+
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solve_soft_q(single_state_mdp(), tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            planner_run_many([single_state_mdp()] * 2, [ScheduleConfig()], tol=tol)
+
     def test_warm_start_steps_from_the_given_table(self, monkeypatch):
         from driftsched import softmdp
 
@@ -216,13 +226,13 @@ class TestSolveSoftQ:
             q, _ = _evaluate(m1, soft_policy(q, m1.mu))
             newton += 1
         steps = []
-        real = softmdp.soft_bellman_apply
-        monkeypatch.setattr(softmdp, "soft_bellman_apply",
+        real = softmdp._soft_pass
+        monkeypatch.setattr(softmdp, "_soft_pass",
                             lambda *a: steps.append(1) or real(*a))
         warm = solve_soft_q(m1, 1e-9, q_init=q_init)
         assert np.array_equal(warm, tq)  # T of the last iterate
         n_warm = len(steps)
-        assert n_warm == newton + 1  # one backup per step, plus the final test
+        assert n_warm == newton + 1  # one soft pass per step, plus the final test
         steps.clear()
         cold = solve_soft_q(m1, 1e-9)
         assert 0 < n_warm < len(steps)
@@ -251,12 +261,12 @@ class TestSolveSoftQ:
 
         m = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=np.random.default_rng(5))
         steps = []
-        real = softmdp.soft_bellman_apply
-        monkeypatch.setattr(softmdp, "soft_bellman_apply",
+        real = softmdp._soft_pass
+        monkeypatch.setattr(softmdp, "_soft_pass",
                             lambda *a: steps.append(1) or real(*a))
         # a step that never moves: Q stays at 0, which is no fixed point
         monkeypatch.setattr(softmdp, "_evaluate",
-                            lambda mdp, pi: (np.zeros_like(mdp.rewards), None))
+                            lambda mdp, pi, eye: (np.zeros_like(mdp.rewards), None))
         with pytest.raises(NoConvergence):
             solve_soft_q(m, 1e-9)
         cap = math.ceil(math.log(1e-9 * 0.1 / (2 * m.q_bound() + 1e-12)) / math.log(0.9)) + 16
@@ -277,13 +287,13 @@ def drifting_chains(n_chains, steps=5, seed=6):
                  for f in ("rewards", "transitions"))
 
 
-def count_backups(monkeypatch):
-    """The shapes of the tables soft_bellman_apply backs up, one per call."""
+def count_passes(monkeypatch):
+    """The shapes of the tables that get a soft pass, one per Newton step."""
     from driftsched import softmdp
 
-    shapes, real = [], softmdp.soft_bellman_apply
-    monkeypatch.setattr(softmdp, "soft_bellman_apply",
-                        lambda mdp, q: shapes.append(q.shape) or real(mdp, q))
+    shapes, real = [], softmdp._soft_pass
+    monkeypatch.setattr(softmdp, "_soft_pass",
+                        lambda q, mu: shapes.append(q.shape) or real(q, mu))
     return shapes
 
 
@@ -298,7 +308,7 @@ class TestChainedSolve:
         solved = solve_soft_q(_MdpStack(rewards[0], transitions[0], 0.9, 0.2), 1e-9)
         q_init = np.stack([solved, np.zeros_like(solved), np.full_like(solved, 300.0),
                            np.full_like(solved, -40.0)])
-        shapes = count_backups(monkeypatch)
+        shapes = count_passes(monkeypatch)
         alone, steps = [], []
         for c in range(4):
             alone.append(solve_soft_q(_MdpStack(rewards[c], transitions[c], 0.9, 0.2),
@@ -322,8 +332,8 @@ class TestChainedSolve:
         solve_soft_q(stack, 1e-9)
         real = softmdp._evaluate
 
-        def stuck(mdp, pi):  # the last chain never moves off Q = 0, no fixed point
-            q, v = real(mdp, pi)
+        def stuck(mdp, pi, eye):  # the last chain never moves off Q = 0, no fixed point
+            q, v = real(mdp, pi, eye)
             q[-1] = 0.0
             return q, v
 
@@ -337,7 +347,7 @@ class TestChainedSolve:
         rewards, transitions = (x[0] for x in drifting_chains(1))
         warm = solve_soft_q(_MdpStack(rewards[:1], transitions[:1], 0.9, 0.2), 1e-9)
         q_init = np.concatenate([warm, np.zeros_like(rewards[1:])])
-        shapes = count_backups(monkeypatch)
+        shapes = count_passes(monkeypatch)
         steps = []
         for i in range(len(rewards)):
             solve_soft_q(_MdpStack(rewards[i:i + 1], transitions[i:i + 1], 0.9, 0.2), 1e-9,
@@ -351,6 +361,79 @@ class TestChainedSolve:
         one_chain = solve_soft_q(_MdpStack(rewards[None], transitions[None], 0.9, 0.2), 1e-9,
                                  q_init=q_init[None])
         assert shared.tobytes() == one_chain[0].tobytes()
+
+
+def reference_chain(mdps, tol):
+    """(M_t, Q*_t, pi*_t, V*_t) along mdps: per distinct step solve_soft_q from
+    the last Q*, then soft_policy and soft_values; a repeat reuses the step."""
+    rows = []
+    for m in mdps:
+        if rows and (m is rows[-1][0] or (
+                m.gamma == rows[-1][0].gamma and m.mu == rows[-1][0].mu
+                and np.array_equal(m.rewards, rows[-1][0].rewards)
+                and np.array_equal(m.transitions, rows[-1][0].transitions))):
+            rows.append((m,) + rows[-1][1:])
+            continue
+        q = solve_soft_q(m, tol, q_init=rows[-1][1] if rows else None)
+        rows.append((m, q, soft_policy(q, m.mu), soft_values(q, m.mu)))
+    return rows
+
+
+def user_list_with_a_mu_change():
+    """Five random 5x3 MDPs, each a drift step from the last, at mu 0.2 and from the
+    fourth on at mu 0.5, with an equal but distinct copy after the second and after
+    the fifth: seven steps."""
+    rng = np.random.default_rng(8)
+    base, alt = random_mdp(5, 3, rng=rng), random_mdp(5, 3, rng=rng)
+    steps = [replace(base, rewards=(1 - w) * base.rewards + w * alt.rewards,
+                     transitions=(1 - w) * base.transitions + w * alt.transitions,
+                     mu=0.2 if i < 3 else 0.5)
+             for i, w in enumerate((0.0, 0.1, 0.3, 0.35, 0.6))]
+    copy = [replace(m, rewards=m.rewards.copy(), transitions=m.transitions.copy())
+            for m in steps]
+    return steps[:2] + [copy[1]] + steps[2:] + [copy[4]]
+
+
+class TestSolvedChain:
+    """_solved_chain against one solve_soft_q, soft_policy and soft_values per distinct step."""
+
+    # every case starts cold; "one_step" is nothing but the cold start
+    @pytest.mark.parametrize("case", ["spec", "mu_change", "one_step"])
+    def test_matches_the_reference_path(self, case):
+        from driftsched.softmdp import _solved_chain
+
+        if case == "spec":
+            mdps = generate_sequence(SoftMdpSequence(
+                base=random_mdp(6, 3, rng=np.random.default_rng(3)), pattern="mixed",
+                horizon=14, seed=4, drift=DriftSpec(change_times=(5, 9), magnitude=0.5,
+                                                    period=4, amplitude=0.4,
+                                                    transition_drift=True)))
+        else:
+            mdps = user_list_with_a_mu_change()[:1 if case == "one_step" else None]
+        got, want = list(_solved_chain(mdps, 1e-9)), reference_chain(mdps, 1e-9)
+        assert len(got) == len(want) == len(mdps)
+        for t, (step, ref) in enumerate(zip(got, want)):
+            assert step[0] is mdps[t]
+            for ours, theirs in zip(step[1:], ref[1:]):
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+            # a reused solve yields the same arrays again
+            reused = t > 0 and ref[1] is want[t - 1][1]
+            assert all((a is b) == reused for a, b in zip(step[1:], got[t - 1][1:] if t else ()))
+        if case == "spec":
+            assert sum(ref[1] is not want[t - 1][1] for t, ref in enumerate(want) if t) > 5
+
+    def test_equal_copies_reuse_the_solve(self, monkeypatch):
+        from driftsched import softmdp
+
+        mdps = user_list_with_a_mu_change()
+        solves = []
+        real = softmdp._solve
+        monkeypatch.setattr(softmdp, "_solve", lambda *a: solves.append(a[0]) or real(*a))
+        got = list(softmdp._solved_chain(mdps, 1e-9))
+        # the copies at steps 3 and 7 are equal to the step before, not the same object
+        assert solves == [m for i, m in enumerate(mdps) if i not in (2, 6)]
+        assert got[2][1] is got[1][1] and got[6][3] is got[5][3]
+
 
 def value_iteration(m, tol, q):
     """Plain soft value iteration with its own max-shifted log-sum-exp."""
