@@ -36,14 +36,14 @@ class SimplexVec:
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
         k = p.size
-        if self.epsilon_floor < 0.0 or self.epsilon_floor > 1.0 / k + SUM_TOL:
+        if not 0.0 <= self.epsilon_floor <= 1.0 / k + SUM_TOL:  # NaN fails each check
             raise InvalidEpsilon(
                 f"epsilon_floor {self.epsilon_floor} outside [0, 1/{k}]"
             )
-        if abs(p.sum() - 1.0) > SUM_TOL:
+        if not abs(p.sum() - 1.0) <= SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         floor = max(0.0, self.epsilon_floor)
-        if (p < floor - SUM_TOL).any():
+        if not (p >= floor - SUM_TOL).all():
             raise ValueError(f"coordinate below floor {floor}: {p.min()!r}")
 
     @property
@@ -177,14 +177,14 @@ def _row_softmax(x: np.ndarray) -> np.ndarray:
 
 def log_sum_exp(q, mu: float) -> float:
     """mu * log sum_a exp(q_a / mu), computed via the max-shift trick."""
-    if mu <= 0.0:
+    if not mu > 0.0:  # NaN fails
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
     return float(mu * _row_lse(np.asarray(q, dtype=float).ravel() / mu))
 
 
 def softmax(q, mu: float) -> SimplexVec:
     """Temperature softmax exp(q_i/mu) / sum_j exp(q_j/mu), max-shifted."""
-    if mu <= 0.0:
+    if not mu > 0.0:  # NaN fails
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
     p = _row_softmax(np.asarray(q, dtype=float) / mu)
     return SimplexVec(p / p.sum(), 0.0)

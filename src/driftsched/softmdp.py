@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     InvalidSpec,
+    LengthMismatch,
     NoConvergence,
     NonPositiveTemperature,
     ShapeMismatch,
@@ -66,13 +67,13 @@ class TabularMdp:
 
     def v_bound(self) -> float:
         """Sup-norm bound on the induced soft state values."""
-        return (self.r_max + self.mu * math.log(self.n_actions)) / (1.0 - self.gamma)
+        return (self.r_max + self.mu * math.log(self.rewards.shape[-1])) / (1.0 - self.gamma)
 
 
 def _validate_mdp(r, p, gamma, rho, mu, r_max, stacked=False) -> None:
-    """TabularMdp's rules, on one MDP or (stacked) on (n, S, A) rewards and
-    (n, S, A, S) transitions, with rho (S,) or (n, S) and gamma and mu one
-    number or one per entry; each check is written so that NaN fails it."""
+    """TabularMdp's rules, on one MDP or (stacked) on (n, S, A) rewards and (n, S, A, S)
+    transitions, with rho (S,) or (n, S) and gamma and mu one number or one per entry;
+    each check fails on NaN, and P is read by reductions, with no temporary of its size."""
     if r.ndim != 2 + stacked:
         raise ShapeMismatch("rewards must be S x A")
     s, a = r.shape[-2:]
@@ -85,11 +86,13 @@ def _validate_mdp(r, p, gamma, rho, mu, r_max, stacked=False) -> None:
         raise ValueError("gamma must lie in (0, 1)")
     if not holds(mu > 0.0):
         raise NonPositiveTemperature("mu must be positive")
-    if not (np.abs(r) <= r_max + ROW_TOL).all():
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
+    if not -r_max - ROW_TOL <= r.min(initial=0.0) <= r.max(initial=0.0) <= r_max + ROW_TOL:
         raise ValueError(f"|rewards| exceed r_max={r_max}")
-    if not (p >= -ROW_TOL).all():
+    if not p.min(initial=0.0) >= -ROW_TOL:
         raise ValueError("transition probabilities must be nonnegative")
-    if not (np.abs(p.sum(axis=-1) - 1.0) <= ROW_TOL).all():
+    if not np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0) <= ROW_TOL:
         raise ValueError("each transition row must sum to 1")
     if not ((rho >= -ROW_TOL).all() and (np.abs(rho.sum(axis=-1) - 1.0) <= ROW_TOL).all()):
         raise ValueError("rho must be a distribution over the states")
@@ -105,7 +108,7 @@ def soft_values(q: np.ndarray, mu) -> np.ndarray:
 
     An (n, S, A) stack of tables may take one mu per table, an (n,) column.
     """
-    if (mu <= 0.0).any() if getattr(mu, "ndim", 0) else mu <= 0.0:
+    if not np.all(mu > 0.0):  # NaN fails
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
     q = np.asarray(q, dtype=float)
     return _per_entry(mu, q.ndim - 1) * _row_lse(q / _per_entry(mu, q.ndim))
@@ -139,15 +142,21 @@ def _soft_pass(q: np.ndarray, mu) -> tuple:
 
 
 class _MdpStack(NamedTuple):
-    """Same-shaped MDPs sharing r_max: rewards (n, S, A), P (n, S, A, S); gamma
-    and mu are one number, or (n,) columns, one per entry, for soft_bellman_apply."""
+    """Same-shaped MDPs: rewards (n, S, A), P (n, S, A, S); gamma, mu and r_max one
+    number or (n,) columns, one per entry, and rho (S,) or (n, S). A plan's stack
+    (see _plan) holds every field per entry."""
 
     rewards: np.ndarray
     transitions: np.ndarray
     gamma: float
     mu: float
     r_max: float = 1.0
-    q_bound = TabularMdp.q_bound
+    rho: np.ndarray | None = None
+    q_bound, v_bound = TabularMdp.q_bound, TabularMdp.v_bound
+
+    def at(self, i):
+        """A plan stack's entry i (views and numbers), or the stack of an index list's entries."""
+        return _MdpStack(*(x[i] for x in self))
 
 
 def solve_soft_q(mdp: TabularMdp | _MdpStack, tol: float = 1e-9,
@@ -199,25 +208,26 @@ def _solve(mdp, tol, q_init, first=None) -> np.ndarray:
     raise NoConvergence(f"soft policy iteration did not reach {target} in {max_steps} steps")
 
 
-def _solved_chain(mdps, tol: float):
-    """Yield (M_t, Q*_t, pi*_t, V*_t), solving once per flat segment, warm-started.
-    A step that is the previous MDP (the same object, or equal rewards, transitions,
-    gamma and mu: Q* depends on nothing else) yields its arrays again. pi*_t and V*_t
-    are one _soft_pass of Q*_t, the next solve's first step if mu is unchanged."""
+def _solved_chain(stack: _MdpStack, path, tol: float):
+    """Yield (Q*_t, pi*_t, V*_t) along a plan, solving once per flat segment, warm-started.
+    A step on the previous step's entry, or on one equal in rewards, transitions, gamma
+    and mu (Q* depends on nothing else), yields its arrays again. pi*_t and V*_t are one
+    _soft_pass of Q*_t, the next solve's first step if mu is unchanged."""
     q_star = first = None
-    for prev, mdp_t in zip([None, *mdps], mdps):
-        if prev is None or not (mdp_t is prev or (
-                mdp_t.gamma == prev.gamma and mdp_t.mu == prev.mu
-                and np.array_equal(mdp_t.rewards, prev.rewards)
-                and np.array_equal(mdp_t.transitions, prev.transitions))):
-            q_star = _solve(mdp_t, tol, q_star, first if first and mdp_t.mu == prev.mu else None)
-            first = _soft_pass(q_star, mdp_t.mu)  # Q* is finite: no np.errstate needed
-        yield mdp_t, q_star, first[1], first[0]
+    r, p, gamma, mu = stack.rewards, stack.transitions, stack.gamma, stack.mu
+    for prev, i in zip([None, *path], path):
+        if prev is None or not (i == prev or (
+                gamma[i] == gamma[prev] and mu[i] == mu[prev]
+                and np.array_equal(r[i], r[prev]) and np.array_equal(p[i], p[prev]))):
+            warm = first if first and mu[i] == mu[prev] else None
+            q_star = _solve(stack.at(i), tol, q_star, warm)
+            first = _soft_pass(q_star, mu[i])  # Q* is finite: no np.errstate needed
+        yield q_star, first[1], first[0]
 
 
 def soft_policy(q: np.ndarray, mu: float) -> np.ndarray:
     """Rowwise softmax of Q at temperature mu; returns an S x A policy."""
-    if mu <= 0.0:
+    if not mu > 0.0:  # NaN fails
         raise NonPositiveTemperature(f"temperature must be > 0, got {mu}")
     pi = _row_softmax(np.asarray(q, dtype=float) / mu)
     return pi / pi.sum(axis=-1, keepdims=True)
@@ -233,14 +243,15 @@ def _evaluate(mdp: TabularMdp | _MdpStack, pi: np.ndarray, eye: np.ndarray | Non
     return _backup(mdp, v), v
 
 
-def _occupancies(transitions, rho, gamma, pi) -> np.ndarray:
-    """(..., S) occupancies of (..., S, A) policies, gamma one per entry:
+def _occupancies(mdp: TabularMdp | _MdpStack, pi: np.ndarray) -> np.ndarray:
+    """(..., S) occupancies of (..., S, A) policies on an MDP or on a stack's entries:
     each entry solves (I - gamma P_pi^T) d = (1-gamma) rho in one stacked call."""
-    lhs = np.einsum("...sa,...saz->...sz", pi, transitions).swapaxes(-1, -2)
+    gamma = np.asarray(mdp.gamma)
+    lhs = np.einsum("...sa,...saz->...sz", pi, mdp.transitions).swapaxes(-1, -2)
     lhs *= -gamma[..., None, None]  # I - gamma P_pi^T in place: the same bits, one buffer
     lhs += np.eye(lhs.shape[-1])
     try:
-        d = np.linalg.solve(lhs, ((1.0 - gamma)[..., None] * rho)[..., None])[..., 0]
+        d = np.linalg.solve(lhs, ((1.0 - gamma)[..., None] * mdp.rho)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - gamma<1 prevents this
         raise SingularSystem(str(exc)) from exc
     total = d.sum(axis=-1)
@@ -250,13 +261,14 @@ def _occupancies(transitions, rho, gamma, pi) -> np.ndarray:
     return d
 
 
-def _soft_returns(rewards, transitions, rho, gamma, mu, pi) -> np.ndarray:
-    """J of each entry of a (..., S, A) policy stack, with the MDP arrays and
-    gamma, mu given per entry; entry i has soft_return's bits for entry i."""
-    d = _occupancies(transitions, rho, gamma, pi)
-    per_state = (pi * rewards).sum(axis=-1) - mu[..., None] * _row_neg_entropy(pi)
+def _soft_returns(mdp: TabularMdp | _MdpStack, pi: np.ndarray) -> np.ndarray:
+    """J of each entry of a (..., S, A) policy stack on an MDP or on a stack's
+    entries, gamma and mu one per entry; entry i has soft_return's bits for entry i."""
+    d = _occupancies(mdp, pi)
+    mu = np.asarray(mdp.mu)[..., None]
+    per_state = (pi * mdp.rewards).sum(axis=-1) - mu * _row_neg_entropy(pi)
     # a (1, S) @ (S, 1) matmul per entry keeps the 1-D dot's bits; einsum does not
-    return (d[..., None, :] @ per_state[..., :, None])[..., 0, 0] / (1.0 - gamma)
+    return (d[..., None, :] @ per_state[..., :, None])[..., 0, 0] / (1.0 - np.asarray(mdp.gamma))
 
 
 def occupancy(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
@@ -264,8 +276,7 @@ def occupancy(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
 
     Solves d = (1-gamma) rho + gamma (P^pi)^T d; the result sums to 1.
     """
-    return _occupancies(mdp.transitions, mdp.rho, np.float64(mdp.gamma),
-                        np.asarray(pi, dtype=float))
+    return _occupancies(mdp, np.asarray(pi, dtype=float))
 
 
 def soft_return(mdp: TabularMdp, pi: np.ndarray) -> float:
@@ -273,8 +284,7 @@ def soft_return(mdp: TabularMdp, pi: np.ndarray) -> float:
 
     J = 1/(1-gamma) * E_{s~d, a~pi}[r(s,a) - mu log pi(a|s)].
     """
-    return float(_soft_returns(mdp.rewards, mdp.transitions, mdp.rho, np.float64(mdp.gamma),
-                               np.float64(mdp.mu), np.asarray(pi, dtype=float)))
+    return float(_soft_returns(mdp, np.asarray(pi, dtype=float)))
 
 
 def surrogate_gap(q_star: np.ndarray, pi: np.ndarray, mu: float) -> np.ndarray:
@@ -402,31 +412,57 @@ def _alternate_endpoints(spec: SoftMdpSequence):
     return r_alt, p_alt
 
 
-def generate_sequence(spec: SoftMdpSequence) -> list:
-    """Materialize the per-step MDPs M_1..M_T described by the spec.
+def _mix(base: np.ndarray, alt: np.ndarray, weights, drifts: bool) -> np.ndarray:
+    """(1 - w) base + w alt per weight, an entry at a time (no temporary of the stack's
+    size), or a read-only broadcast of base for a part that does not drift."""
+    out = np.broadcast_to(base, (len(weights),) + base.shape)
+    if drifts:
+        out = np.empty(out.shape)
+        for entry, wt in zip(out, weights):
+            np.add((1.0 - wt) * base, wt * alt, out=entry)
+    return out
 
-    M_t depends on t only through the mixing weight w_t, so each distinct
-    weight is mixed and validated once and its MDP object repeats at
-    every step with that weight.
+
+def _plan(seq) -> tuple:
+    """(stack, path) of a SoftMdpSequence or an MDP list: the _MdpStack of its distinct
+    MDPs, every field per entry, in order of first step, and path[t], step t's entry.
+
+    A list has an entry per distinct object. M_t of a spec depends on t only through
+    the weight w_t: an entry per distinct weight, mixed by _mix and checked once as a stack.
     """
-    base = spec.base
-    w = _weight_path(spec)
-    r_alt, p_alt = _alternate_endpoints(spec)
-    by_weight = {}
-    for wt in w:
-        if wt not in by_weight:
-            r_t = base.rewards
-            p_t = base.transitions
-            if spec.drift.reward_drift:
-                r_t = (1.0 - wt) * base.rewards + wt * r_alt
-            if spec.drift.transition_drift:
-                p_t = (1.0 - wt) * base.transitions + wt * p_alt
-            by_weight[wt] = replace(base, rewards=r_t, transitions=p_t)
-    return [by_weight[wt] for wt in w]
+    spec = isinstance(seq, SoftMdpSequence)
+    steps = _weight_path(seq).tolist() if spec else list(seq)
+    index = {}
+    path = [index.setdefault(k if spec else id(k), len(index)) for k in steps]
+    if not spec:
+        if not steps:
+            raise LengthMismatch("a sequence needs at least one MDP")
+        if len({m.rewards.shape for m in steps}) > 1:
+            raise ShapeMismatch("every MDP of a sequence needs the same (S, A)")
+        mdps = {id(m): m for m in steps}.values()
+        return _MdpStack(*(np.array([getattr(m, f) for m in mdps])
+                           for f in _MdpStack._fields)), path
+    base, drift, n = seq.base, seq.drift, len(index)
+    r_alt, p_alt = _alternate_endpoints(seq)
+    r = _mix(base.rewards, r_alt, list(index), drift.reward_drift)
+    p = _mix(base.transitions, p_alt, list(index), drift.transition_drift)
+    _validate_mdp(r, p, base.gamma, base.rho, base.mu, base.r_max, stacked=True)
+    return _MdpStack(r, p, *(np.full(n, x) for x in (base.gamma, base.mu, base.r_max)),
+                     np.broadcast_to(base.rho, (n,) + base.rho.shape)), path
+
+
+def generate_sequence(spec: SoftMdpSequence) -> list:
+    """Materialize the per-step MDPs M_1..M_T described by the spec: one MDP per
+    entry of its _plan, the same object at every step on that entry."""
+    stack, path = _plan(spec)
+    mdps = [replace(spec.base, rewards=r, transitions=p)
+            for r, p in zip(stack.rewards, stack.transitions)]
+    return [mdps[i] for i in path]
 
 
 def variation_budget(seq) -> tuple:
-    """Per-step reward/transition variation and the weighted total budget.
+    """Per-step reward/transition variation and the weighted total budget
+    of an MDP list or a spec, read from its _plan.
 
     Returns (delta_r, delta_p, b_total) where delta_r[t] is the sup-norm
     reward change and delta_p[t] the worst-row l1 transition change from
@@ -434,22 +470,13 @@ def variation_budget(seq) -> tuple:
     b_total = sum_t (delta_r + gamma * V_max * delta_p) with
     V_max = (r_max + mu log A) / (1 - gamma).
     """
-    seq = list(seq)
-    if not seq:
-        raise ShapeMismatch("empty sequence")
-    first = seq[0]
-    t_len = len(seq)
-    delta_r = np.zeros(t_len)
-    delta_p = np.zeros(t_len)
-    for i in range(1, t_len):
-        a, b = seq[i - 1], seq[i]
-        if a.rewards.shape != b.rewards.shape:
-            raise ShapeMismatch("sequence mixes MDP sizes")
-        delta_r[i] = np.abs(b.rewards - a.rewards).max()
-        delta_p[i] = np.abs(b.transitions - a.transitions).sum(axis=2).max()
-    v_max = first.v_bound()
-    b_total = float((delta_r + first.gamma * v_max * delta_p).sum())
-    return delta_r, delta_p, b_total
+    stack, path = _plan(seq)
+    delta_r, delta_p = np.zeros(len(path)), np.zeros(len(path))
+    for t, (i, j) in enumerate(zip(path, path[1:]), start=1):
+        delta_r[t] = np.abs(stack.rewards[j] - stack.rewards[i]).max()
+        delta_p[t] = np.abs(stack.transitions[j] - stack.transitions[i]).sum(axis=-1).max()
+    first = stack.at(path[0])
+    return delta_r, delta_p, float((delta_r + first.gamma * first.v_bound() * delta_p).sum())
 
 
 # ---------------------------------------------------------------------------

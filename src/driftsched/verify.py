@@ -42,11 +42,11 @@ from .softmdp import (
     _validate_mdp,
     _evaluate,
     _occupancies,
+    _plan,
     _surrogate_gap,
     DriftSpec,
     SoftMdpSequence,
     TabularMdp,
-    generate_sequence,
     random_mdp,
     soft_bellman_apply,
     soft_policy,
@@ -384,11 +384,11 @@ def _as_mdp(rewards, transitions, gamma, mu) -> TabularMdp:
 
 
 def _mdp_stack(rewards, transitions, gamma, mu) -> _MdpStack:
-    """The _MdpStack of (n, S, A) draws, checked once by TabularMdp's rules;
-    gamma and mu are one number or one per entry."""
-    s = rewards.shape[1]
-    _validate_mdp(rewards, transitions, gamma, np.full(s, 1.0 / s), mu, 1.0, stacked=True)
-    return _MdpStack(rewards, transitions, gamma, mu)
+    """The _MdpStack of (n, S, A) draws with random_mdp's uniform rho, checked once by
+    TabularMdp's rules; gamma and mu are one number or one per entry."""
+    rho = np.full(rewards.shape[1], 1.0 / rewards.shape[1])
+    _validate_mdp(rewards, transitions, gamma, rho, mu, 1.0, stacked=True)
+    return _MdpStack(rewards, transitions, gamma, mu, 1.0, rho)
 
 
 def _check_soft_backup_contraction(seed, n=1000):
@@ -482,20 +482,17 @@ def _check_squared_drift_conversion(seed, n_sequences=100, steps=12,
     rng = _rng(seed, "squared_drift_conversion")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
     patterns = ("abrupt", "linear", "periodic", "mixed")
-    seqs = []
-    for i in range(n_sequences):
+    rewards = np.empty((n_sequences, steps, s_dim, a_dim))
+    transitions = np.empty(rewards.shape + (s_dim,))
+    for i in range(n_sequences):  # one chain per sequence, each with its own stopping test
         base = random_mdp(s_dim, a_dim, gamma=gamma, mu=mu, rng=rng)
-        drift = DriftSpec(
-            change_times=(max(2, steps // 3), max(3, 2 * steps // 3)),
-            magnitude=0.5, period=max(2, steps // 2), amplitude=0.4,
-            transition_drift=bool(i % 2),
-        )
-        seqs.append(generate_sequence(SoftMdpSequence(
+        drift = DriftSpec(change_times=(max(2, steps // 3), max(3, 2 * steps // 3)),
+                          magnitude=0.5, period=max(2, steps // 2), amplitude=0.4,
+                          transition_drift=bool(i % 2))
+        stack, path = _plan(SoftMdpSequence(
             base=base, pattern=patterns[i % len(patterns)], horizon=steps, drift=drift,
-            seed=int(rng.integers(1 << 31)))))
-    # one chain per sequence, each with its own stopping test
-    rewards, transitions = (np.array([[getattr(m, f) for m in seq] for seq in seqs])
-                            for f in ("rewards", "transitions"))
+            seed=int(rng.integers(1 << 31))))
+        rewards[i], transitions[i] = stack.rewards[path], stack.transitions[path]
     q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
     drifts = np.abs(np.diff(q_all, axis=1)).max(axis=(2, 3))
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
@@ -522,18 +519,15 @@ def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):
 def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):
     rng = _rng(seed, "occupancy_mismatch_bound")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
-    rewards, transitions = _random_mdp_batch(rng, n, s_dim, a_dim)
-    q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
-    rho = np.full(s_dim, 1.0 / s_dim)
+    mdp = _mdp_stack(*_random_mdp_batch(rng, n, s_dim, a_dim), gamma, mu)
+    q_all = solve_soft_q(mdp, solver_tol)
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
 
-    _validate_mdp(rewards, transitions, gamma, rho, mu, 1.0, stacked=True)
     policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))  # the numbers of n draws of (S, A)
     pi_star = soft_policy(q_all, mu)
     gaps = _surrogate_gap(q_all, policies, pi_star, mu)
-    d_star, d_tilde = _occupancies(transitions, rho, np.float64(gamma),
-                                   np.stack([pi_star, policies]))
+    d_star, d_tilde = _occupancies(mdp, np.stack([pi_star, policies]))
     occ_err = (_row_dots(d_star, gaps) - _row_dots(d_tilde, gaps)) / (1.0 - gamma)
     l1 = np.abs(d_star - d_tilde).sum(axis=-1)
     samples = [(abs(e), gap_cap * l / (1.0 - gamma))
@@ -554,7 +548,7 @@ def _check_occupancy_policy_sensitivity(seed, n=1000):
     samples = _draw(name, sampler, n, seed)
     rewards, transitions, gamma, pi1, pi2 = map(np.stack, zip(*samples))
     mdp = _mdp_stack(rewards, transitions, gamma, mu)
-    d1, d2 = _occupancies(mdp.transitions, np.full((n, s), 1.0 / s), gamma, np.stack([pi1, pi2]))
+    d1, d2 = _occupancies(mdp, np.stack([pi1, pi2]))
     rhs = gamma / (1.0 - gamma) * np.abs(pi1 - pi2).sum(axis=-1).max(axis=-1)
     return _worst(name, samples, np.abs(d1 - d2).sum(axis=-1), rhs, 1e-10, _excess,
                   describe=lambda x: (_as_mdp(*x[:3], mu), *x[3:]))
@@ -589,16 +583,15 @@ def _check_performance_difference(seed, n=200):
     samples = _draw(name, sampler, n, seed)
     rewards, transitions, pi, pi_prime = map(np.stack, zip(*samples))
     mdp = _mdp_stack(rewards, transitions, gamma, mu)
-    rho = np.full((n, s), 1.0 / s)
     (q_pi, _), (v_pi, v_prime) = _evaluate(mdp, np.stack([pi, pi_prime]))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_pi = np.where(pi > 0.0, np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
     kl_rows = _row_divergence(pi_prime.reshape(-1, a), pi.reshape(-1, a)).reshape(n, s)
     adv = q_pi - mu * log_pi - v_pi[..., None]
-    d_prime = _occupancies(transitions, rho, np.float64(gamma), pi_prime)
+    d_prime = _occupancies(mdp, pi_prime)
     inner = (pi_prime * adv).sum(axis=-1) - mu * kl_rows
     rhs = _row_dots(d_prime, inner) / (1.0 - gamma)
-    return _worst(name, samples, _row_dots(rho, v_prime - v_pi), rhs, 1e-7, _gap,
+    return _worst(name, samples, _row_dots(mdp.rho, v_prime - v_pi), rhs, 1e-7, _gap,
                   describe=lambda x: (_as_mdp(x[0], x[1], gamma, mu), *x[2:]))
 
 

@@ -28,6 +28,7 @@ from driftsched import (
     td_train_many,
 )
 from driftsched.agent import _cached_row, _choice, _row_sum, _td_step
+from driftsched.softmdp import _plan
 from driftsched.simplex import kl_div
 
 
@@ -186,10 +187,11 @@ def one_state_mdp(r=1.0, gamma=0.5, mu=1.0):
 
 def one_learner_step(q, m, alpha, learn_rate, rng, cache=None):
     """One _td_step of a single learner with table q (nested lists), in state 0,
-    on the one MDP m, reading its row directly or through the row cache given."""
+    on the one MDP m (entry 0 of its plan's stack), reading its row directly or
+    through the row cache given."""
     u_act, u_next = rng.random(2).tolist()
     return _td_step([q], [0], [u_act], [u_next], [alpha], learn_rate,
-                    [(m, cache, float(m.gamma))], [0.0], _row_sum(1))
+                    [(_plan([m])[0], 0, cache, float(m.gamma))], [0.0], _row_sum(1))
 
 
 class TestTdStep:
@@ -307,8 +309,8 @@ class TestStepNumpyFacts:
 
 def cached_draw(row, u):
     """The step's draw of s' from a cached row: bisect_right on its stored cdf."""
-    mdp = SimpleNamespace(transitions=np.array([[row]]), rewards=np.zeros((1, 1)))
-    return bisect.bisect_right(_cached_row(mdp, 0, 0)[1], u)
+    stack = SimpleNamespace(transitions=np.array([[[row]]]), rewards=np.zeros((1, 1, 1)))
+    return bisect.bisect_right(_cached_row(stack, 0, 0, 0)[1], u)
 
 
 def cdf_boundaries(row):
@@ -476,7 +478,7 @@ class TestPlannerMatchesPerStateLoop:
     @pytest.mark.parametrize("mode,eps", [("online", 1e-6), ("oracle", 1e-6),
                                           ("fixed", 0.0), ("online", 0.05)])
     def test_columns_and_policies(self, pattern, mode, eps):
-        from driftsched.softmdp import _solved_chain, generate_sequence
+        from driftsched.softmdp import _plan, _solved_chain, generate_sequence
 
         spec = drifting_random_spec(pattern)
         cfg = ScheduleConfig(mode=mode, fixed_value=0.3)
@@ -484,7 +486,7 @@ class TestPlannerMatchesPerStateLoop:
 
         state = RefPlannerState(policy=np.full((30, 4), 0.25))
         policies, records = [], []
-        for mdp, q, _, _ in _solved_chain(generate_sequence(spec), 1e-9):
+        for mdp, (q, _, _) in zip(generate_sequence(spec), _solved_chain(*_plan(spec), 1e-9)):
             policies.append(state.policy)
             state, rec = reference_planner_step(state, mdp, q, cfg, eps)
             records.append(rec)
@@ -924,17 +926,23 @@ class TestTdLockstep:
         # step, or alternates, is never cached
         from driftsched import agent
 
-        filled = []
+        filled, stacks = [], {}
         fill = agent._cached_row
-        monkeypatch.setattr(agent, "_cached_row",
-                            lambda m, s, a: filled.append((id(m), s, a)) or fill(m, s, a))
+
+        def counted(m, i, s, a):
+            filled.append((id(m), i, s, a))
+            stacks[id(m), i] = m
+            return fill(m, i, s, a)
+
+        monkeypatch.setattr(agent, "_cached_row", counted)
         spec = steady_goal_spec(400)
         a, b = goal_chain_mdp(goal_reward=0.6), goal_chain_mdp(goal=0, goal_reward=1.0)
         td_train_many([spec, [a, b] * 200, spec, [replace(a) for _ in range(400)]],
                       [ONLINE_TD, FIXED_TD] * 2, [0, 1, 2, 3], 10, 50, 25)
         assert len(filled) == len(set(filled)) <= 5 * 3
-        assert len({m for m, _, _ in filled}) == 1
-        assert {id(a), id(b)}.isdisjoint(m for m, _, _ in filled)
+        assert len({(m, i) for m, i, _, _ in filled}) == 1
+        # the one cached entry is the steady spec's: its plan has one entry, the lists 2 and 400
+        assert [len(m.rewards) for m in stacks.values()] == [1]
 
     @pytest.mark.parametrize("horizon", [1, 31, 33])
     def test_horizons_off_the_eval_chunk(self, horizon):

@@ -47,6 +47,15 @@ class TestSimplexVec:
         with pytest.raises(InvalidEpsilon):
             SimplexVec(probs(0.5, 0.5), epsilon_floor=0.6)
 
+    @pytest.mark.parametrize("vals,floor", [
+        ((math.nan, math.nan), 0.0), ((0.5, math.nan), 0.0), ((math.nan, 1.0), 0.0),
+        ((0.5, 0.5), math.nan),
+    ])
+    def test_nan_rejected(self, vals, floor):
+        # the sum and floor checks are written so that NaN fails them
+        with pytest.raises(ValueError):
+            SimplexVec(probs(*vals), epsilon_floor=floor)
+
     def test_normalized(self):
         x = SimplexVec.normalized([2.0, 6.0])
         assert np.allclose(x.probs, [0.25, 0.75])

@@ -17,16 +17,18 @@ from driftsched import (
     TabularMdp,
     generate_sequence,
     goal_chain_mdp,
+    log_sum_exp,
     occupancy,
     random_mdp,
     soft_bellman_apply,
     soft_policy,
     soft_return,
     soft_values,
+    softmax,
     solve_soft_q,
     variation_budget,
 )
-from driftsched.softmdp import _evaluate
+from driftsched.softmdp import _evaluate, surrogate_gap
 
 
 def single_state_mdp(r=1.0, gamma=0.5, mu=1.0, n_actions=1):
@@ -68,6 +70,12 @@ class TestTabularMdp:
     def test_nan_mu_rejected(self):
         with pytest.raises(NonPositiveTemperature):
             replace(goal_chain_mdp(), mu=math.nan)
+
+    @pytest.mark.parametrize("r_max", [math.inf, -math.inf, math.nan])
+    def test_r_max_must_be_finite(self, r_max):
+        # solve_soft_q's step cap takes a log of the Q bound, which needs a finite r_max
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            replace(goal_chain_mdp(), r_max=r_max)
 
     @pytest.mark.parametrize("rho", [
         [2.0, -0.5, -0.5], [0.5, 0.5, 0.5], [0.5, 0.5, -1e-9],
@@ -395,30 +403,35 @@ def user_list_with_a_mu_change():
 
 
 class TestSolvedChain:
-    """_solved_chain against one solve_soft_q, soft_policy and soft_values per distinct step."""
+    """_solved_chain along a plan against one solve_soft_q, soft_policy and soft_values
+    per distinct step."""
 
     # every case starts cold; "one_step" is nothing but the cold start
     @pytest.mark.parametrize("case", ["spec", "mu_change", "one_step"])
     def test_matches_the_reference_path(self, case):
-        from driftsched.softmdp import _solved_chain
+        from driftsched.softmdp import _plan, _solved_chain
 
         if case == "spec":
-            mdps = generate_sequence(SoftMdpSequence(
+            seq = SoftMdpSequence(
                 base=random_mdp(6, 3, rng=np.random.default_rng(3)), pattern="mixed",
                 horizon=14, seed=4, drift=DriftSpec(change_times=(5, 9), magnitude=0.5,
                                                     period=4, amplitude=0.4,
-                                                    transition_drift=True)))
+                                                    transition_drift=True))
+            mdps = generate_sequence(seq)
         else:
-            mdps = user_list_with_a_mu_change()[:1 if case == "one_step" else None]
-        got, want = list(_solved_chain(mdps, 1e-9)), reference_chain(mdps, 1e-9)
+            seq = mdps = user_list_with_a_mu_change()[:1 if case == "one_step" else None]
+        stack, path = _plan(seq)
+        got, want = list(_solved_chain(stack, path, 1e-9)), reference_chain(mdps, 1e-9)
         assert len(got) == len(want) == len(mdps)
         for t, (step, ref) in enumerate(zip(got, want)):
-            assert step[0] is mdps[t]
-            for ours, theirs in zip(step[1:], ref[1:]):
+            # step t's entry of the plan is M_t
+            for name in ("rewards", "transitions", "gamma", "mu"):
+                assert np.array_equal(getattr(stack, name)[path[t]], getattr(mdps[t], name))
+            for ours, theirs in zip(step, ref[1:]):
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
             # a reused solve yields the same arrays again
             reused = t > 0 and ref[1] is want[t - 1][1]
-            assert all((a is b) == reused for a, b in zip(step[1:], got[t - 1][1:] if t else ()))
+            assert all((a is b) == reused for a, b in zip(step, got[t - 1] if t else ()))
         if case == "spec":
             assert sum(ref[1] is not want[t - 1][1] for t, ref in enumerate(want) if t) > 5
 
@@ -429,10 +442,14 @@ class TestSolvedChain:
         solves = []
         real = softmdp._solve
         monkeypatch.setattr(softmdp, "_solve", lambda *a: solves.append(a[0]) or real(*a))
-        got = list(softmdp._solved_chain(mdps, 1e-9))
+        got = list(softmdp._solved_chain(*softmdp._plan(mdps), 1e-9))
+
+        def key(m):  # a solved entry or an MDP, by the numbers Q* depends on
+            return m.rewards.tobytes(), m.transitions.tobytes(), float(m.gamma), float(m.mu)
+
         # the copies at steps 3 and 7 are equal to the step before, not the same object
-        assert solves == [m for i, m in enumerate(mdps) if i not in (2, 6)]
-        assert got[2][1] is got[1][1] and got[6][3] is got[5][3]
+        assert list(map(key, solves)) == [key(m) for i, m in enumerate(mdps) if i not in (2, 6)]
+        assert got[2][0] is got[1][0] and got[6][2] is got[5][2]
 
 
 def value_iteration(m, tol, q):
@@ -596,7 +613,7 @@ def reference_soft_return(rewards, transitions, rho, gamma, mu, pi):
 @example(1, 4, (2, 2), 1, None)
 @example(7, 1, (4,), 2, None)
 def test_stacked_soft_returns_match_per_policy_bits(n_states, n_actions, stack, seed, data):
-    from driftsched.softmdp import _soft_returns
+    from driftsched.softmdp import _MdpStack, _soft_returns
 
     n = math.prod(stack)
     if data is None:  # the explicit examples spread gamma and mu themselves
@@ -614,7 +631,7 @@ def test_stacked_soft_returns_match_per_policy_bits(n_states, n_actions, stack, 
     pi /= pi.sum(axis=-1, keepdims=True)
     gamma, mu = gammas.reshape(stack), mus.reshape(stack)
 
-    got = _soft_returns(rewards, transitions, rho, gamma, mu, pi)
+    got = _soft_returns(_MdpStack(rewards, transitions, gamma, mu, rho=rho), pi)
     assert got.shape == stack
     for i in np.ndindex(stack):
         d, want = reference_soft_return(rewards[i], transitions[i], rho[i],
@@ -727,6 +744,127 @@ class TestGenerateSequence:
             assert np.allclose(m.transitions.sum(axis=2), 1.0, atol=1e-10)
 
 
+def reference_sequence(spec):
+    """M_1..M_T as generate_sequence built them before plans: (1 - w) base + w alt,
+    one dataclasses.replace per distinct weight, repeated at each step with that weight."""
+    from driftsched.softmdp import _alternate_endpoints, _weight_path
+
+    base, w = spec.base, _weight_path(spec)
+    r_alt, p_alt = _alternate_endpoints(spec)
+    by_weight = {}
+    for wt in w:
+        if wt not in by_weight:
+            r_t, p_t = base.rewards, base.transitions
+            if spec.drift.reward_drift:
+                r_t = (1.0 - wt) * base.rewards + wt * r_alt
+            if spec.drift.transition_drift:
+                p_t = (1.0 - wt) * base.transitions + wt * p_alt
+            by_weight[wt] = replace(base, rewards=r_t, transitions=p_t)
+    return [by_weight[wt] for wt in w]
+
+
+MDP_FIELDS = ("rewards", "transitions", "rho", "gamma", "mu", "r_max")
+
+
+def assert_entry_is(stack, i, mdp):
+    """Entry i of a plan's stack holds mdp's numbers, bit for bit."""
+    for name in MDP_FIELDS:
+        ours, theirs = np.asarray(getattr(stack, name)[i]), np.asarray(getattr(mdp, name))
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
+class TestPlan:
+    """softmdp._plan: the one (stack, path) layout of a spec or an MDP list."""
+
+    DRIFTS = {"reward": (True, False), "transition": (False, True),
+              "both": (True, True), "neither": (False, False)}
+
+    @pytest.mark.parametrize("pattern", ["steady", "abrupt", "linear", "periodic", "mixed"])
+    @pytest.mark.parametrize("drift", list(DRIFTS))
+    @pytest.mark.parametrize("given_alt", [False, True])
+    def test_spec_entries_are_the_per_weight_mdps(self, pattern, drift, given_alt):
+        from driftsched.softmdp import _plan
+
+        rng = np.random.default_rng([3, 4])
+        base = random_mdp(5, 3, gamma=0.85, mu=0.3, r_max=2.0, rng=rng)
+        reward_drift, transition_drift = self.DRIFTS[drift]
+        alt = {"reward_alt": rng.uniform(-2.0, 2.0, (5, 3)), "jitter": 0.3} if given_alt else {}
+        spec = SoftMdpSequence(base=base, pattern=pattern, horizon=30, seed=9, drift=DriftSpec(
+            change_times=(8, 19), magnitude=0.6, period=7, amplitude=0.4,
+            reward_drift=reward_drift, transition_drift=transition_drift, **alt))
+        stack, path = _plan(spec)
+        want, seq = reference_sequence(spec), generate_sequence(spec)
+        assert len(path) == len(want) == len(seq) == 30
+        assert len(stack.rewards) == len({id(m) for m in want})  # an entry per distinct weight
+        for t, m in enumerate(want):
+            assert_entry_is(stack, path[t], m)
+            assert_entry_is(stack, path[t], seq[t])
+            # generate_sequence shares one object among the steps of one entry
+            assert ([seq[u] is seq[t] for u in range(30)] == [path[u] == path[t] for u in range(30)]
+                    == [want[u] is want[t] for u in range(30)])
+        for part, drifts in (("rewards", reward_drift), ("transitions", transition_drift)):
+            # a part that does not drift is the base's array, not a copy per entry
+            assert np.shares_memory(getattr(stack, part), getattr(base, part)) == (not drifts)
+
+    def test_list_entries_follow_object_identity(self):
+        from driftsched import LengthMismatch
+        from driftsched.softmdp import _plan
+
+        a = random_mdp(4, 2, rng=np.random.default_rng(1))
+        b = random_mdp(4, 2, gamma=0.8, mu=0.5, rng=np.random.default_rng(2))
+        copy = replace(a)  # equal to a, another object
+        mdps = [a, a, copy, b, b, a, copy]  # shared objects, an equal copy, a back after a gap
+        stack, path = _plan(mdps)
+        assert path == [0, 0, 1, 2, 2, 0, 1]
+        for t, m in enumerate(mdps):
+            assert_entry_is(stack, path[t], m)
+        assert _plan(iter(mdps))[1] == path
+        with pytest.raises(LengthMismatch):
+            _plan([])
+        with pytest.raises(ShapeMismatch):
+            _plan([a, random_mdp(4, 3)])
+
+    def test_carriers_build_no_tabular_mdp(self, monkeypatch):
+        from driftsched import ScheduleConfig, planner_run_many, td_train_many
+
+        spec = SoftMdpSequence(base=random_mdp(5, 3, rng=np.random.default_rng(5)),
+                               pattern="periodic", horizon=40, seed=2,
+                               drift=DriftSpec(period=10, amplitude=0.5, transition_drift=True))
+        built = []
+        real = TabularMdp.__post_init__
+        monkeypatch.setattr(TabularMdp, "__post_init__", lambda m: built.append(m) or real(m))
+        cfg = ScheduleConfig(mode="fixed", fixed_value=0.1)
+        planner_run_many(spec, [cfg, cfg])
+        td_train_many([spec, spec], [cfg, cfg], [0, 1], 5, 10, 8)
+        assert built == []
+        assert len(generate_sequence(spec)) == 40 and len(built) > 1  # the count sees builds
+
+    def test_meta_mu_as_the_mdp_holds_it(self):
+        # an int mu (as a config may give) is written as an int
+        from driftsched import ScheduleConfig, planner_run, td_train
+
+        spec = SoftMdpSequence(base=goal_chain_mdp(mu=1), pattern="abrupt", horizon=20,
+                               drift=DriftSpec(change_times=(9,)), seed=1)
+        cfg = ScheduleConfig(mode="fixed", fixed_value=0.1)
+        for trace in (planner_run(spec, cfg), td_train(spec, cfg, 5, 10, 8)):
+            assert type(trace.meta["mu"]) is int and trace.meta["mu"] == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda mu: softmax([1.0, 2.0], mu),
+    lambda mu: log_sum_exp([1.0, 2.0], mu),
+    lambda mu: soft_values(np.zeros((2, 3)), mu),
+    lambda mu: soft_values(np.zeros((2, 2, 3)), np.array([0.2, mu])),
+    lambda mu: soft_policy(np.zeros((2, 3)), mu),
+    lambda mu: surrogate_gap(np.zeros((2, 3)), np.full((2, 3), 1 / 3), mu),
+], ids=["softmax", "log_sum_exp", "soft_values", "soft_values_column", "soft_policy",
+        "surrogate_gap"])
+def test_nan_temperature_refused(call):
+    # each check reads "not mu > 0", so a NaN temperature fails it as 0 does
+    with pytest.raises(NonPositiveTemperature):
+        call(math.nan)
+
+
 class TestVariationBudget:
     def test_steady_zero(self):
         seq = generate_sequence(self.spec("steady"))
@@ -757,6 +895,15 @@ class TestVariationBudget:
             want += np.abs(b.rewards - a.rewards).max()
             want += seq[0].gamma * v_max * np.abs(b.transitions - a.transitions).sum(axis=2).max()
         assert total == pytest.approx(want, abs=1e-10)
+
+    def test_a_spec_reads_as_its_sequence(self):
+        # variation_budget reads the plan, which a spec and its MDP list share
+        spec = self.spec("mixed", change_times=(4,), magnitude=0.5, period=5,
+                         amplitude=0.4, transition_drift=True)
+        for got, want in zip(variation_budget(spec), variation_budget(generate_sequence(spec))):
+            assert np.array_equal(got, want)
+        with pytest.raises(ShapeMismatch):
+            variation_budget([random_mdp(3, 2), random_mdp(4, 2)])
 
 
 class TestSolvedSequenceDrift:
