@@ -11,6 +11,7 @@ the TD learner's depends on its own errors (closed loop).
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from bisect import bisect_right
@@ -147,22 +148,25 @@ def _cached_row(stack, i: int, s: int, a: int) -> tuple:
 
 
 def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> tuple:
-    """One sampled soft-TD transition for every learner b, on Python floats.
+    """One sampled soft-TD transition for every lane b, on Python floats.
 
-    In state s[b] of now[b] = (stack, entry, row cache or None, gamma), learner b draws
+    In state s[b] of now[b] = (stack, entry, row cache or None, gamma), lane b draws
     a ~ softmax(q[b][s] / alpha[b]) with u_act[b] and s' with u_next[b], moves q[b][s][a]
     towards r + gamma alpha[b] LSE(q[b][s'] / alpha[b]) and returns (s', delta) lists,
     with the bits soft_policy, Generator.choice and _row_lse give on (B, A) rows
-    (log_ties[n - 1] is np.log(n), row_sum is _row_sum(A)). A non-finite TD error raises."""
-    width, shifted = len(q[0][0]), []
+    (log_ties[n - 1] is np.log(n), row_sum is _row_sum(A)). A self-loop s' = s with a finite
+    row max reuses its action row's exponentials, the max's ties (shifted to exactly 0.0) set
+    to 0.0; only other lanes take a second np.exp. A non-finite TD error raises."""
+    width, shifted, tops = len(q[0][0]), [], []
     for qb, sb, al in zip(q, s, alpha):
-        top = max(qb[sb]) / al  # max(v / al): dividing by al > 0 keeps the order
-        shifted += [v / al - top for v in qb[sb]]
+        tops.append(max(qb[sb]) / al)  # max(v / al): dividing by al > 0 keeps the order
+        shifted += [v / al - tops[-1] for v in qb[sb]]
     e = np.exp(shifted).tolist()
-    moves, shifted = [], []
+    moves, lse, rest = [], [], []  # lse[j]: lane j's LSE exponentials, or their offset in rest
     for j, (qb, sb, al, (mb, i, rows, g), u, w) in enumerate(zip(q, s, alpha, now, u_act, u_next)):
-        tot = row_sum(e[j * width:j * width + width])
-        p = [v / tot for v in e[j * width:j * width + width]]
+        row_e = e[j * width:j * width + width]
+        tot = row_sum(row_e)
+        p = [v / tot for v in row_e]
         tot = row_sum(p)  # renormalized, as soft_policy does
         a = _choice([v / tot for v in p], u)
         if rows is None:  # no cache: read the reward and transition row
@@ -172,13 +176,19 @@ def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> 
             if row is None:
                 row = rows[sb * width + a] = _cached_row(mb, i, sb, a)
             r, s_next = row[0], bisect_right(row[1], w)
+        if s_next == sb and math.isfinite(tops[j]):  # a self-loop backs up the row it played
+            own = shifted[j * width:j * width + width]
+            lse.append([0.0 if v == 0.0 else x for v, x in zip(own, row_e)])
+            moves.append((a, r, g, s_next, tops[j], own.count(0.0)))
+            continue
         x = [v / al for v in qb[s_next]]
         top = max(x)  # _row_lse: the entries tied at the max enter as log(ties)
-        shifted += [(-math.inf if v == top else v) - top for v in x]
+        lse.append(len(rest))
+        rest += [(-math.inf if v == top else v) - top for v in x]
         moves.append((a, r, g, s_next, top, x.count(top)))
-    z = np.exp(shifted).tolist()
-    log1p = np.log1p([row_sum(z[j * width:j * width + width]) / mv[-1]
-                      for j, mv in enumerate(moves)]).tolist()
+    z = np.exp(rest).tolist() if rest else []
+    log1p = np.log1p([row_sum(z[k:k + width] if isinstance(k, int) else k) / mv[-1]
+                      for k, mv in zip(lse, moves)]).tolist()
     delta = []
     for qb, sb, al, (a, r, g, _, top, ties), l1 in zip(q, s, alpha, moves, log1p):
         # a non-finite LSE would take _row_lse's fallback, as non-finite
@@ -188,6 +198,16 @@ def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> 
         qb[sb][a] += learn_rate * d
         delta.append(d)
     return [mv[3] for mv in moves], delta
+
+
+def _shared_steps(plan_a, plan_b) -> int:
+    """The count of leading steps on which two plans' entries are equal byte for byte in
+    every _MdpStack field (so -0.0 and 0.0 differ); each distinct entry pair is read once."""
+    pairs = [] if plan_a is plan_b else list(zip(plan_a[1], plan_b[1]))
+    for i, j in dict.fromkeys(pairs):  # in order of first step
+        if any(x.tobytes() != y.tobytes() for x, y in zip(plan_a[0].at(i), plan_b[0].at(j))):
+            return pairs.index((i, j))
+    return len(plan_a[1])
 
 
 def _score_snapshots(stack, path, snaps, eval_col) -> None:
@@ -216,19 +236,17 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
                   episode_len: int = 20, learn_rate: float = 0.1) -> list:
     """Train B independent soft-TD learners in lockstep; one RunTrace each.
 
-    Learner b's trace is td_train(seqs[b], cfgs[b], ..., seed=seeds[b]) bit
-    for bit, whatever shares the run: its generator draws at once every
-    uniform of td_train's reset, action and next-state choices, and each step
-    is one _td_step for all learners on Python floats, tables as lists, with
-    numpy only for one exp over all action rows, one over all LSE rows, one
-    log1p and sums of 8 or more entries. The learners on a sequence share its
-    _plan and a row cache: once an entry is current two steps in a row, the
-    first visit of each (s, a) caches its reward and Generator.choice's cdf,
-    which later visits bisect. A new entry drops the cache, and one current
-    for a step is read a row at a time, so no table is copied or made lists.
-    Eval steps' policies are scored EVAL_CHUNK of one plan at a time in
-    stacked solves. All learners share the horizon, the (S, A) shape and the
-    knobs.
+    Learner b's trace is td_train(seqs[b], cfgs[b], ..., seed=seeds[b]) bit for bit,
+    whatever shares the run: its generator draws every uniform of td_train's resets,
+    actions and next states at once. Learners step in lanes: b shares an earlier
+    learner's lane while their cfgs, uniforms and plans' entries (byte for byte) are
+    equal, and forks with copies of the lane's state at the first step they differ.
+    A step is one _td_step for all lanes on Python floats, tables as lists. The
+    learners on a sequence share its _plan and a row cache: once an entry is current
+    two steps in a row, the first visit of each (s, a) caches its reward and
+    Generator.choice's cdf for later visits to bisect. Eval steps score each learner's
+    lane policy on its own plan, EVAL_CHUNK of a plan at a time in stacked solves.
+    All learners share the horizon, the (S, A) shape and the knobs.
     """
     if not len(seqs) == len(cfgs) == len(seeds) >= 1:
         raise LengthMismatch("seqs, cfgs and seeds must be nonempty and equally long")
@@ -245,41 +263,63 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
         raise ShapeMismatch("every MDP needs the same (S, A)")
     (n_states, width), horizon, n_learners = runs[0][0].rewards[0].shape, len(runs[0][1]), len(seqs)
     log_ties, row_sum = np.log(np.arange(1.0, width + 1)).tolist(), _row_sum(width)
-    held = dict.fromkeys(plans, (None,) * 4)  # each plan's (stack, entry, row cache or None, gamma)
     draws = np.empty((2 * horizon + math.ceil(horizon / episode_len), n_learners))
     for b, sd in enumerate(seeds):
         draws[:, b] = np.random.default_rng(sd).random(len(draws))
-    alpha = [next_lambda(c, ProxyState(), 0.0)[0] for c in cfgs]
+    # learner b joins the lane of the first earlier leader with an equal cfg and equal
+    # uniforms whose plan's entries equal its own for k >= 1 steps; at k < T it forks
+    shared = functools.cache(lambda key_a, key_b: _shared_steps(plans[key_a], plans[key_b]))
+    leaders, lane_of, forks = [], [], []
+    for b, cfg in enumerate(cfgs):
+        joins = [(shared(id(seqs[a]), id(seqs[b])), l) for l, a in enumerate(leaders)
+                 if cfgs[a] == cfg and np.array_equal(draws[:, a], draws[:, b])]
+        k, l = next(((k, l) for k, l in joins if k), (0, len(leaders)))
+        lane_of.append(l)
+        leaders += [] if k else [b]
+        forks += [(k, b)] if 0 < k < horizon else []
+    forks.sort(reverse=True)  # popped in order of step, then learner
+    lead = leaders + [b for _, b in reversed(forks)]  # lane l reads learner lead[l]'s plan
+    draws = draws[:, lead]  # a column per lane, in the order the lanes start
+    held = dict.fromkeys(plans, (None,) * 4)  # each plan's (stack, entry, row cache or None, gamma)
+    alpha = [next_lambda(cfgs[b], ProxyState(), 0.0)[0] for b in leaders]
     q_rank = [math.ceil(c.quantile_q * batch_size) - 1 for c in cfgs]
-    q = [np.zeros((n_states, width)).tolist() for _ in runs]
-    proxies = [ProxyState()] * n_learners
-    lam_hist, ema_hist, batch = [alpha.copy()], [[0.0] * n_learners], []
+    q = [np.zeros((n_states, width)).tolist() for _ in leaders]
+    proxies, now = [ProxyState()] * len(leaders), None
+    lam_hist, ema_hist, batch = [[alpha[l] for l in lane_of]], [[0.0] * n_learners], []
     eval_col = np.full((horizon, n_learners), np.nan)
     snaps = {key: [] for key in plans}  # each plan's (step, learner, policy) awaiting evaluation
     # an overflowed table holds an inf until a TD error that is not finite raises
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
+            while forks and forks[-1][0] == t:  # learner b forks with copies of its lane's state
+                b = forks.pop()[1]
+                l, lane_of[b], now = lane_of[b], len(q), None
+                q.append([row.copy() for row in q[l]])
+                for col in (s, alpha, proxies, *batch):
+                    col.append(col[l])
             for key, (stack, path) in plans.items():  # an entry current 2 steps in a row: a cache
                 if held[key][1] != path[t] or held[key][2] is None:
                     cache = [None] * (n_states * width) if t and path[t - 1] == path[t] else None
-                    held[key] = (stack, path[t], cache, float(stack.gamma[path[t]]))
-                    now = [held[id(seq)] for seq in seqs]
+                    held[key], now = (stack, path[t], cache, float(stack.gamma[path[t]])), None
+            if now is None:
+                now = [held[id(seqs[b])] for b in lead[:len(q)]]
             i = 2 * t + t // episode_len
+            reset, u_act, u_next = draws[i:i + 3, :len(q)].tolist()
             if t % episode_len == 0:  # draws[i] resets
-                s = [_choice(m.rho[e].tolist(), u) for (m, e, *_), u in zip(now, draws[i].tolist())]
-            u_act, u_next = draws[i + 1:i + 3].tolist()
+                s = [_choice(m.rho[e].tolist(), u) for (m, e, *_), u in zip(now, reset)]
             s, delta = _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum)
             batch.append(delta)
             if (t + 1) % batch_size == 0:
-                for b, (cfg, errors) in enumerate(zip(cfgs, zip(*batch))):
+                for l, (b, errors) in enumerate(zip(lead, zip(*batch))):
                     raw = sorted(map(abs, errors))[q_rank[b]]
-                    alpha[b], proxies[b] = next_lambda(cfg, proxies[b], raw)
+                    alpha[l], proxies[l] = next_lambda(cfgs[b], proxies[l], raw)
                 batch.clear()
-                lam_hist.append(alpha.copy())
-                ema_hist.append([p.ema_value for p in proxies])
+                lam_hist.append([alpha[l] for l in lane_of])
+                ema_hist.append([proxies[l].ema_value for l in lane_of])
             if (t + 1) % eval_every == 0:
-                for b, q_b in enumerate(np.array(q)):
-                    snaps[id(seqs[b])].append((t, b, soft_policy(q_b, alpha[b])))
+                pis = [soft_policy(q_l, al) for q_l, al in zip(np.array(q), alpha)]
+                for b, l in enumerate(lane_of):
+                    snaps[id(seqs[b])].append((t, b, pis[l]))
                 for key, waiting in snaps.items():
                     while len(waiting) >= EVAL_CHUNK:
                         _score_snapshots(*plans[key], waiting[:EVAL_CHUNK], eval_col)

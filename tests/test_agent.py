@@ -215,6 +215,20 @@ class TestTdStep:
         assert q[0][0] == pytest.approx(2.0, abs=1e-3)
         assert abs(delta[0]) <= 1e-3
 
+    def test_self_loop_takes_one_exp(self, monkeypatch):
+        # every step of a one-state MDP is a self-loop: its LSE row is the played
+        # row's, so the second np.exp call is skipped; a row max that is not
+        # finite takes both calls and the divergence check
+        calls, real = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(len(x)) or real(x))
+        q = [[0.0]]
+        _, delta = one_learner_step(q, one_state_mdp(), 0.3, 0.5, np.random.default_rng(0))
+        assert calls == [1] and delta == [1.0] and q == [[0.5]]
+        calls.clear()
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
+            one_learner_step([[math.inf]], one_state_mdp(), 0.3, 0.5, np.random.default_rng(0))
+        assert calls == [1, 1]
+
     def test_requires_positive_temperature(self):
         # the learner's temperature is its schedule's, and a schedule refuses 0
         with pytest.raises(ValueError, match="fixed_value must be positive"):
@@ -297,6 +311,29 @@ class TestStepNumpyFacts:
                 want = np.exp([v - max(by_entry) for v in by_entry])
                 got = np.exp([v / al - max(row) / al for v in row])
                 assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(step_rows(1, 16), st.one_of(st.floats(1e-300, 1e300), st.sampled_from((0.05, 1.0))))
+    @example(np.array([[-1e-320, 1e-320, 0.0, -0.0]]), 3.0)
+    @example(np.array([[0.0, 0.0, 0.0], [2.0, -np.inf, 2.0]]), 0.05)
+    @example(np.array([[1.0, np.nan, 1.0]]), 0.5)
+    def test_self_loop_reuses_the_policy_exponentials(self, x, al):
+        # a self-loop's LSE row is its policy row: where the max is finite, the
+        # policy's exp(v / al - max(v) / al) with the entries shifted to exactly
+        # 0.0 set to 0.0 has the bits, the tie count and the max of _row_lse's path
+        with np.errstate(all="ignore"):
+            for row in x.tolist():
+                top = max(row) / al
+                if not math.isfinite(top):
+                    continue
+                shifted = [v / al - top for v in row]
+                got = [0.0 if v == 0.0 else e for v, e in zip(shifted, np.exp(shifted).tolist())]
+                by_entry = [v / al for v in row]
+                lse_top = max(by_entry)
+                want = np.exp([(-math.inf if v == lse_top else v) - lse_top for v in by_entry])
+                assert np.array(got).tobytes() == want.tobytes()
+                assert shifted.count(0.0) == by_entry.count(lse_top) >= 1
+                assert top == lse_top
 
     @pytest.mark.parametrize("n_learners", [1, 2, 4, 12])
     def test_log_table_has_the_stacked_bits(self, n_learners):
@@ -840,6 +877,15 @@ def assert_matches_reference(traces, runs, knobs):
         assert tr.meta == meta
 
 
+def lane_widths(monkeypatch):
+    """The number of lanes td_train_many steps at each step, read from _td_step's q."""
+    from driftsched import agent
+
+    widths, real = [], agent._td_step
+    monkeypatch.setattr(agent, "_td_step", lambda q, *a: widths.append(len(q)) or real(q, *a))
+    return widths
+
+
 def random_td_spec(pattern, horizon=230, seed=4):
     base = random_mdp(12, 4, gamma=0.9, mu=0.2, rng=np.random.default_rng([seed, 7]))
     drift = DriftSpec(change_times=(60, 150), magnitude=0.4, period=50,
@@ -1010,6 +1056,81 @@ class TestTdLockstep:
                 for i, (pattern, cfg) in enumerate([("steady", ONLINE_TD), ("abrupt", FIXED_TD),
                                                     ("periodic", ONLINE_TD)])]
         knobs = (10, 40, 17, 0.3)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    @pytest.mark.parametrize("change", [2, 137, 100, 150])
+    def test_twins_split_at_the_change(self, change):
+        # each steady cell shares its abrupt twin's lane until step change - 1 (from 0):
+        # 2 splits at step 1, 137 mid-batch and mid-episode (batch 10, episodes of
+        # 25), 100 on an eval step and 150 on an eval step that ends a batch
+        runs = [(spec, cfg, seed) for seed in (3, 4) for cfg in (ONLINE_TD, FIXED_TD)
+                for spec in (steady_goal_spec(300), abrupt_goal_spec(300, (change,), seed=0))]
+        knobs = (10, 50, 25, 0.25)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+
+    def test_twins_stepped_once_until_the_split(self, monkeypatch):
+        lanes = lane_widths(monkeypatch)
+        runs = [(steady_goal_spec(300), ONLINE_TD, 3),
+                (abrupt_goal_spec(300, (137,), seed=0), ONLINE_TD, 3),
+                (steady_goal_spec(300), ONLINE_TD, 4)]  # another seed: a lane of its own
+        td_train_many(*map(list, zip(*runs)), 10, 50, 25, 0.25)
+        assert lanes == [2] * 136 + [3] * 164
+
+    def test_one_spec_twice_never_splits(self, monkeypatch):
+        lanes = lane_widths(monkeypatch)
+        spec = abrupt_goal_spec(200, (90,), seed=1)
+        runs = [(spec, ONLINE_TD, 5), (spec, FIXED_TD, 5), (spec, ONLINE_TD, 5)]
+        knobs = (10, 40, 25, 0.25)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+        assert lanes == [2] * 200
+
+    def test_three_learners_in_one_lane(self, monkeypatch):
+        # the abrupt cells fork from the steady leader's lane at their own changes
+        lanes = lane_widths(monkeypatch)
+        runs = [(spec, FIXED_TD, 6) for spec in (
+            steady_goal_spec(250), abrupt_goal_spec(250, (137,), seed=0),
+            abrupt_goal_spec(250, (200,), seed=0))]
+        knobs = (10, 50, 25, 0.25)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+        assert lanes == [1] * 136 + [2] * 63 + [3] * 51
+
+    def test_spec_beside_equal_replace_copies(self, monkeypatch):
+        # a list of distinct copies, each equal byte for byte to the spec's MDP at
+        # its step, shares the spec's lane to the end; the list has no row cache
+        from driftsched.softmdp import generate_sequence
+
+        lanes = lane_widths(monkeypatch)
+        spec = abrupt_goal_spec(200, (90,), seed=1)
+        copies = [replace(m) for m in generate_sequence(spec)]
+        runs = [(spec, ONLINE_TD, 2), (copies, ONLINE_TD, 2), (copies, FIXED_TD, 2),
+                (spec, FIXED_TD, 2)]
+        knobs = (10, 40, 25, 0.25)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+        assert lanes == [2] * 200
+
+    def test_signed_zeros_are_not_shared(self, monkeypatch):
+        # equal as values, different as bytes: -0.0 transitions get a lane of their own
+        lanes = lane_widths(monkeypatch)
+        a = goal_chain_mdp(goal_reward=0.6)
+        b = replace(a, transitions=np.where(a.transitions == 0.0, -0.0, a.transitions))
+        assert np.signbit(b.transitions).any()
+        runs = [([a] * 60, ONLINE_TD, 1), ([b] * 60, ONLINE_TD, 1)]
+        knobs = (10, 20, 25, 0.25)
+        assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
+                                 runs, knobs)
+        assert lanes == [2] * 60
+
+    def test_zero_learn_rate_self_loops(self):
+        # Q stays 0: every row is fully tied, and every collect at the goal is
+        # a self-loop whose LSE row reuses its policy row
+        runs = [(spec, cfg, seed) for seed in (0, 1) for cfg in (ONLINE_TD, FIXED_TD)
+                for spec in (steady_goal_spec(300), abrupt_goal_spec(300, (120,), seed=0))]
+        knobs = (10, 50, 25, 0.0)
         assert_matches_reference(td_train_many(*map(list, zip(*runs)), *knobs),
                                  runs, knobs)
 

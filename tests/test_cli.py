@@ -305,11 +305,13 @@ def test_parse_config_mutated_readme_config(data):
 
 def golden_run_config(name, out_dir):
     """Configs whose run output is pinned: TD traces longer than two
-    CSV_CHUNKs, a random-task planner run with one job per pattern, and
-    the benchmark's planner_drift cells on a short horizon."""
-    if name == "td_goal_chain":
-        doc = base_config(out_dir, horizon=2100)
-        doc["task"]["patterns"] = ["abrupt"]
+    CSV_CHUNKs, alone and beside steady twins that share their cfg, seed
+    and MDPs until the change, a random-task planner run with one job per
+    pattern, and the benchmark's planner_drift cells on a short horizon."""
+    if name in ("td_goal_chain", "td_twins"):
+        doc = base_config(out_dir, horizon=2100, seeds=(0, 1) if name == "td_twins" else (0,))
+        if name == "td_goal_chain":
+            doc["task"]["patterns"] = ["abrupt"]
         doc["task"]["drift"]["change_times"] = [1000]
         return doc
     if name == "drifting_planners":
@@ -357,6 +359,26 @@ GOLDEN_RUN_DIGESTS = {
             "315c1a23ba9eb0918abc42b8a8c82d90e7ca08562fc2ae89e88b0e0b111e155d",
         "trace_fixed_td_abrupt_seed0.csv":
             "77ce5a5e667ef2555b2b928b5312bcf0960a820fe48b448dec5fd31334ec9e43",
+    },
+    # taken before twins shared lanes in td_train_many
+    "td_twins": {
+        "summary.csv": "80c348de88a96e66dec85f850c76af681ea1ae67222f5403727a9b2ccad14359",
+        "trace_adaptive_td_abrupt_seed0.csv":
+            "315c1a23ba9eb0918abc42b8a8c82d90e7ca08562fc2ae89e88b0e0b111e155d",
+        "trace_adaptive_td_abrupt_seed1.csv":
+            "d6f55a3720dadcff15a1c5f60492868fdc621c45cc7adfdc30396caa72016cf9",
+        "trace_adaptive_td_steady_seed0.csv":
+            "081fb1574b878fe16b5ed618bca5a5608c05d1c11c75735879e04385a69e1555",
+        "trace_adaptive_td_steady_seed1.csv":
+            "e8067c881207df79f7e4a84a3aa4208ae705ec8db0fe8cd7e36a9da7c7c24b0d",
+        "trace_fixed_td_abrupt_seed0.csv":
+            "77ce5a5e667ef2555b2b928b5312bcf0960a820fe48b448dec5fd31334ec9e43",
+        "trace_fixed_td_abrupt_seed1.csv":
+            "4f1016b3d62a2d8777aed905dbaab454bd59af573819996d7ac14894ba3d4ffe",
+        "trace_fixed_td_steady_seed0.csv":
+            "479e3d9a28db365dcc0347b432bf0171173e0fc5db6808236170e1d070b9fd80",
+        "trace_fixed_td_steady_seed1.csv":
+            "c57d51d63393cfbe30f7011064c5bc8f326680f21f7c871bc8b2458c8f69195f",
     },
     "random_planner": {
         "summary.csv": "dcec9cabbe43a142d2f954ace2d263181210c96577bf53b1d16eacbcde50f99c",
