@@ -397,9 +397,7 @@ def _alternate_endpoints(spec: SoftMdpSequence):
     rng = np.random.default_rng(spec.seed)
     # draw both endpoints unconditionally so seed alignment is flag-independent
     r_alt = rng.uniform(-base.r_max, base.r_max, size=base.rewards.shape)
-    p_alt = rng.dirichlet(
-        np.ones(base.n_states), size=(base.n_states, base.n_actions)
-    )
+    p_alt = _unit_dirichlet(rng, base.n_states, (base.n_states, base.n_actions))
     if d.reward_alt is not None:
         r_alt = np.asarray(d.reward_alt, dtype=float)
         if r_alt.shape != base.rewards.shape:
@@ -483,13 +481,21 @@ def variation_budget(seq) -> tuple:
 # stock tasks
 
 
+def _unit_dirichlet(rng: np.random.Generator, k: int, size=()) -> np.ndarray:
+    """rng.dirichlet(np.ones(k), size) bit for bit and in stream position, without its input
+    checks: numpy draws an exponential per entry and scales a row by 1 / its running sum."""
+    e = rng.standard_exponential((*size, k) if isinstance(size, tuple) else (size, k))
+    e *= 1.0 / e.cumsum(axis=-1)[..., -1:]
+    return e
+
+
 def random_mdp(n_states: int, n_actions: int, gamma: float = 0.9,
                mu: float = 0.2, r_max: float = 1.0,
                rng: np.random.Generator | None = None) -> TabularMdp:
     """Dense random instance: Dirichlet(1) rows, uniform rewards and start."""
     rng = rng or np.random.default_rng(0)
     rewards = rng.uniform(-r_max, r_max, size=(n_states, n_actions))
-    transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+    transitions = _unit_dirichlet(rng, n_states, (n_states, n_actions))
     rho = np.full(n_states, 1.0 / n_states)
     return TabularMdp(rewards, transitions, gamma, rho, mu, r_max)
 

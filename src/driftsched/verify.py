@@ -12,6 +12,7 @@ call per kernel (one group per vector length or (S, A) shape where it varies,
 one solver chain per sequence), with each sample's own bits. Their MDP samplers
 draw arrays, which TabularMdp's rules check once per stack; a TabularMdp or
 SimplexVec is built only to describe the worst case. _worst scans every report.
+Samplers make one generator call per run of like draws, with numpy's bits (_draw).
 The two regret checks run their mirror-descent streams in one lockstep pass
 per width class of K, with rows redrawn a chunk of rounds at a time.
 """
@@ -44,6 +45,7 @@ from .softmdp import (
     _occupancies,
     _plan,
     _surrogate_gap,
+    _unit_dirichlet,
     DriftSpec,
     SoftMdpSequence,
     TabularMdp,
@@ -93,8 +95,16 @@ def _describe(sample) -> str:
     return text if len(text) <= 200 else text[:197] + "..."
 
 
+def _uniform(rng, lo, hi) -> float:
+    """float(rng.uniform(lo, hi)) bit for bit: numpy's low + (high - low) * next_double."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _draw(name, sampler, n, seed) -> list:
-    """n samples of sampler(rng) in order, from the check's seeded rng."""
+    """n samples of sampler(rng) in order, from the check's seeded rng. A sampler makes
+    one generator call per run of like draws, by the generator's own arithmetic
+    (_unit_dirichlet, _uniform), with the bits and stream position of a call per draw; an
+    integers draw, which buffers half a 64-bit word, ends a run."""
     rng = _rng(seed, name)
     try:
         return [sampler(rng) for _ in range(n)]
@@ -176,7 +186,7 @@ def _check_entropy_range(seed, n=2000):
         h = _row_neg_entropy(x)
         return np.maximum(h - 0.0, -math.log(x.shape[-1]) - h), np.zeros(len(x))
 
-    samples = _draw("entropy_range", lambda rng: rng.dirichlet(np.ones(int(rng.integers(2, 33)))),
+    samples = _draw("entropy_range", lambda rng: _unit_dirichlet(rng, int(rng.integers(2, 33))),
                     n, seed)
     return _worst("entropy_range", samples, *_per_shape([(x,) for x in samples], columns),
                   1e-12, _excess)
@@ -185,8 +195,8 @@ def _check_entropy_range(seed, n=2000):
 def _check_entropy_grad_bound(seed, n=2000):
     def sampler(rng):  # a point and the floor to truncate it at
         k = int(rng.integers(2, 33))
-        eps = float(rng.uniform(1e-6, 1.0 / k))
-        return rng.dirichlet(np.ones(k)), eps
+        eps = _uniform(rng, 1e-6, 1.0 / k)
+        return _unit_dirichlet(rng, k), eps
 
     def columns(x, eps):
         x = _truncate_rows(x, eps)
@@ -200,8 +210,7 @@ def _check_entropy_grad_bound(seed, n=2000):
 
 def _check_bregman_equals_kl(seed, n=1000):
     def sampler(rng):
-        k = int(rng.integers(2, 9))
-        return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        return tuple(_unit_dirichlet(rng, int(rng.integers(2, 9)), (2,)))
 
     def columns(x, y):
         return _row_divergence(x, y, bregman=True), _row_divergence(x, y)
@@ -212,8 +221,7 @@ def _check_bregman_equals_kl(seed, n=1000):
 
 def _check_pinsker(seed, n=2000):
     def sampler(rng):
-        k = int(rng.integers(2, 17))
-        return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        return tuple(_unit_dirichlet(rng, int(rng.integers(2, 17)), (2,)))
 
     def columns(x, y):
         return 0.5 * np.abs(x - y).sum(axis=-1) ** 2, _row_divergence(x, y)
@@ -225,8 +233,8 @@ def _check_pinsker(seed, n=2000):
 
 def _vector_pair(rng):
     k = int(rng.integers(2, 17))
-    mu = float(rng.uniform(0.05, 5.0))
-    return rng.uniform(-10, 10, k), rng.uniform(-10, 10, k), mu
+    mu = _uniform(rng, 0.05, 5.0)
+    return *rng.uniform(-10, 10, (2, k)), mu
 
 
 def _check_lse_lipschitz(seed, n=2000):
@@ -251,7 +259,7 @@ def _check_softmax_jacobian_tight(seed):
     # finite-difference probe of the inf->1 operator norm at the binary
     # uniform point, where it attains 1/mu
     def sampler(rng):
-        return float(rng.uniform(0.05, 5.0))
+        return _uniform(rng, 0.05, 5.0)
 
     def measured(mu):
         t = 1e-5 * mu
@@ -313,10 +321,10 @@ def _check_clip_compensation(seed):
         a = rng.exponential(1.0, n)
         a[rng.random(n) < 0.3] = 0.0
         raw = rng.uniform(0.01, 10.0, n)
-        lo = float(rng.uniform(0.01, 1.0))
-        hi = float(rng.uniform(lo, 10.0))
-        c1 = float(rng.uniform(0.1, 10.0))
-        c2 = float(rng.uniform(0.1, 10.0))
+        lo = _uniform(rng, 0.01, 1.0)
+        hi = _uniform(rng, lo, 10.0)
+        c1 = _uniform(rng, 0.1, 10.0)
+        c2 = _uniform(rng, 0.1, 10.0)
         return a, raw, lo, hi, c1, c2
 
     def lhs(s):
@@ -336,10 +344,10 @@ def _check_clip_compensation(seed):
 
 def _check_offline_lambda_minimizer(seed):
     def sampler(rng):
-        a_total = float(rng.uniform(0.01, 50.0))
+        a_total = _uniform(rng, 0.01, 50.0)
         horizon = int(rng.integers(1, 5000))
-        c1 = float(rng.uniform(0.1, 10.0))
-        c2 = float(rng.uniform(0.1, 10.0))
+        c1 = _uniform(rng, 0.1, 10.0)
+        c2 = _uniform(rng, 0.1, 10.0)
         return a_total, horizon, c1, c2
 
     def grid_argmin(s):
@@ -368,13 +376,12 @@ def _check_offline_lambda_minimizer(seed):
 
 def _random_mdp_batch(rng, n, s, a, r_max=1.0):
     rewards = rng.uniform(-r_max, r_max, size=(n, s, a))
-    transitions = rng.dirichlet(np.ones(s), size=(n, s, a))
-    return rewards, transitions
+    return rewards, _unit_dirichlet(rng, s, (n, s, a))
 
 
 def _mdp_draw(rng, s, a):
     """The rewards and transitions random_mdp(s, a, rng=rng) draws, in its order."""
-    return rng.uniform(-1.0, 1.0, size=(s, a)), rng.dirichlet(np.ones(s), size=(s, a))
+    return rng.uniform(-1.0, 1.0, size=(s, a)), _unit_dirichlet(rng, s, (s, a))
 
 
 def _as_mdp(rewards, transitions, gamma, mu) -> TabularMdp:
@@ -394,11 +401,10 @@ def _mdp_stack(rewards, transitions, gamma, mu) -> _MdpStack:
 def _check_soft_backup_contraction(seed, n=1000):
     def sampler(rng):
         s, a = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-        gamma, mu = float(rng.uniform(0.5, 0.99)), float(rng.uniform(0.05, 1.0))
+        gamma, mu = _uniform(rng, 0.5, 0.99), _uniform(rng, 0.05, 1.0)
         rewards, transitions = _mdp_draw(rng, s, a)
         scale = _MdpStack(rewards, transitions, gamma, mu).q_bound()
-        return (rewards, transitions, gamma, mu, rng.uniform(-scale, scale, size=(s, a)),
-                rng.uniform(-scale, scale, size=(s, a)))
+        return rewards, transitions, gamma, mu, *rng.uniform(-scale, scale, size=(2, s, a))
 
     def columns(rewards, transitions, gamma, mu, q1, q2):
         mdp = _mdp_stack(rewards, transitions, gamma, mu)
@@ -412,12 +418,21 @@ def _check_soft_backup_contraction(seed, n=1000):
 
 
 def _perturbed_pair(rng, s=5, a=3):
-    """Rewards and transitions of two MDPs a random convex mix apart, as
-    consecutive drift steps: (r1, p1, r2, p2)."""
-    r1, p1 = _mdp_draw(rng, s, a)
-    r_alt, p_alt = _mdp_draw(rng, s, a)
-    w = float(rng.uniform(0.0, 1.0))
-    return r1, p1, (1 - w) * r1 + w * r_alt, (1 - w) * p1 + w * p_alt
+    """Rewards and transitions of an MDP and of an alternate one, and a random
+    weight w: (r1, p1, r_alt, p_alt, w). The next drift step mixes them (_pair_stack)."""
+    return *_mdp_draw(rng, s, a), *_mdp_draw(rng, s, a), _uniform(rng, 0.0, 1.0)
+
+
+def _pair_stack(pairs):
+    """(2n, S, A) rewards and transitions of n _perturbed_pair draws: each first MDP, then
+    each mix w M_alt + (1 - w) M1, formed in place with the bits of each pair's own mix."""
+    r1, p1, r_alt, p_alt, w = zip(*pairs)
+    n, w = len(w), np.array(w)[:, None, None]
+    rewards, transitions = np.stack(r1 + r_alt), np.stack(p1 + p_alt)
+    for x, wx in ((rewards, w), (transitions, w[..., None])):
+        x[n:] *= wx
+        x[n:] += (1 - wx) * x[:n]
+    return rewards, transitions
 
 
 def _sup(x):
@@ -434,27 +449,27 @@ def _check_operator_drift(seed, n=1000):
     gamma, mu = 0.9, 0.2
 
     def sampler(rng):
-        r1, p1, r2, p2 = _perturbed_pair(rng)
-        scale = _MdpStack(r1, p1, gamma, mu).q_bound()
-        return r1, p1, r2, p2, rng.uniform(-scale, scale, size=r1.shape)
+        pair = _perturbed_pair(rng)
+        scale = _MdpStack(*pair[:2], gamma, mu).q_bound()
+        return *pair, rng.uniform(-scale, scale, size=pair[0].shape)
 
     samples = _draw("operator_drift_bound", sampler, n, seed)
-    r1, p1, r2, p2, q = map(np.stack, zip(*samples))
-    m1, m2 = _mdp_stack(r1, p1, gamma, mu), _mdp_stack(r2, p2, gamma, mu)
+    rewards, transitions = _pair_stack(s[:5] for s in samples)
+    m1 = _mdp_stack(rewards[:n], transitions[:n], gamma, mu)
+    m2 = _mdp_stack(rewards[n:], transitions[n:], gamma, mu)
+    q = np.stack([s[5] for s in samples])
     lhs = _sup(soft_bellman_apply(m2, q) - soft_bellman_apply(m1, q))
     delta_r, delta_p = _model_drift(m1, m2)
     rhs = delta_r + gamma * _sup(soft_values(q, mu)) * delta_p
     return _worst("operator_drift_bound", samples, lhs, rhs, 1e-10, _excess, lambda x: (
-        _as_mdp(*x[:2], gamma, mu), _as_mdp(*x[2:4], gamma, mu), x[4]))
+        *(_as_mdp(r, p, gamma, mu) for r, p in zip(*_pair_stack([x[:5]]))), x[5]))
 
 
 def _check_fixed_point_sensitivity(seed, n=1000, solver_tol=1e-10):
     rng = _rng(seed, "fixed_point_sensitivity")
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
-    pairs = [_perturbed_pair(rng, s_dim, a_dim) for _ in range(n)]
     # every first MDP, then every second one; the two halves are views
-    rewards, transitions = (np.stack([x[j] for x in pairs] + [x[j + 2] for x in pairs])
-                            for j in (0, 1))
+    rewards, transitions = _pair_stack([_perturbed_pair(rng, s_dim, a_dim) for _ in range(n)])
     m1 = _mdp_stack(rewards[:n], transitions[:n], gamma, mu)
     m2 = _mdp_stack(rewards[n:], transitions[n:], gamma, mu)
     q1, q2 = np.split(solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol), 2)
@@ -507,7 +522,7 @@ def _check_surrogate_gap_range(seed, n=1000, solver_tol=1e-9):
     s_dim, a_dim, gamma, mu = 5, 3, 0.9, 0.2
     rewards, transitions = _random_mdp_batch(rng, n, s_dim, a_dim)
     q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
-    policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))
+    policies = _unit_dirichlet(rng, a_dim, (n, s_dim))
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
     gaps = _surrogate_gap(q_all, policies, soft_policy(q_all, mu), mu)
@@ -524,7 +539,7 @@ def _check_occupancy_mismatch_bound(seed, n=1000, solver_tol=1e-9):
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)
     gap_cap = 2.0 * q_max + mu * math.log(a_dim)
 
-    policies = rng.dirichlet(np.ones(a_dim), size=(n, s_dim))  # the numbers of n draws of (S, A)
+    policies = _unit_dirichlet(rng, a_dim, (n, s_dim))  # the numbers of n draws of (S, A)
     pi_star = soft_policy(q_all, mu)
     gaps = _surrogate_gap(q_all, policies, pi_star, mu)
     d_star, d_tilde = _occupancies(mdp, np.stack([pi_star, policies]))
@@ -539,10 +554,8 @@ def _check_occupancy_policy_sensitivity(seed, n=1000):
     s, a, mu = 5, 3, 0.2
 
     def sampler(rng):
-        gamma = float(rng.uniform(0.5, 0.95))
-        rewards, transitions = _mdp_draw(rng, s, a)
-        return (rewards, transitions, gamma, rng.dirichlet(np.ones(a), size=s),
-                rng.dirichlet(np.ones(a), size=s))
+        gamma = _uniform(rng, 0.5, 0.95)
+        return *_mdp_draw(rng, s, a), gamma, *_unit_dirichlet(rng, a, (2, s))
 
     name = "occupancy_policy_sensitivity"
     samples = _draw(name, sampler, n, seed)
@@ -557,10 +570,8 @@ def _check_occupancy_policy_sensitivity(seed, n=1000):
 def _check_fenchel_young_gap(seed, n=1000):
     def sampler(rng):
         a = int(rng.integers(2, 9))
-        mu = float(rng.uniform(0.05, 2.0))
-        q_row = rng.uniform(-5, 5, a)
-        pi_row = rng.dirichlet(np.ones(a))
-        return q_row, pi_row, mu
+        mu = _uniform(rng, 0.05, 2.0)
+        return rng.uniform(-5, 5, a), _unit_dirichlet(rng, a), mu
 
     def columns(q, pi, mu):
         f = lambda p: -_row_dots(q, p) + mu * _row_neg_entropy(p)
@@ -575,9 +586,7 @@ def _check_performance_difference(seed, n=200):
     s, a, gamma, mu = 4, 3, 0.9, 0.2
 
     def sampler(rng):
-        rewards, transitions = _mdp_draw(rng, s, a)
-        return (rewards, transitions, rng.dirichlet(np.ones(a), size=s),
-                rng.dirichlet(np.ones(a), size=s))
+        return *_mdp_draw(rng, s, a), *_unit_dirichlet(rng, a, (2, s))
 
     name = "performance_difference"
     samples = _draw(name, sampler, n, seed)
@@ -617,7 +626,7 @@ def _piecewise_stream(rng, k, horizon, g_bound=1.0, min_switches=1,
     n_switch = int(rng.integers(min_switches, max_switches + 1))
     times = np.sort(rng.choice(np.arange(2, horizon + 1), size=n_switch,
                                replace=False))
-    points = np.array([rng.dirichlet(np.ones(k)) for _ in range(n_switch + 1)])
+    points = _unit_dirichlet(rng, k, n_switch + 1)
     return grads, times, points
 
 

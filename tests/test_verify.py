@@ -1,7 +1,10 @@
+import collections
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import verify_reference
 from driftsched import CheckReport, SamplerFailure, check_identity, check_inequality, run_suite
@@ -322,6 +325,112 @@ class TestStreamDrawOrder:
         [alpha] = _per_stream(np.random.default_rng(seed), 1, horizon, 1e-6, alphas)
         assert alpha.tobytes() == want.tobytes()
         assert np.count_nonzero(alpha) == len(times)
+
+
+class TestDrawIdentities:
+    """The samplers' draws have the bits of numpy's per-call draws and leave the
+    generator in the same state. These fail first if numpy changes
+    Generator.dirichlet or Generator.uniform."""
+
+    @staticmethod
+    def twins(seed):
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), k=st.integers(1, 40),
+           dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+           form=st.sampled_from(["()", "n", "(2,)", "(n, m)", "(n, s, a)"]),
+           around=st.booleans())
+    def test_unit_dirichlet(self, seed, k, dims, form, around):
+        # around: an integers draw before and after, which uses half a 64-bit word
+        # and buffers the other half
+        from driftsched.softmdp import _unit_dirichlet
+
+        n, m, a = dims
+        size = {"()": (), "n": n, "(2,)": (2,), "(n, m)": (n, m), "(n, s, a)": (n, m, a)}[form]
+        ours, ref = self.twins(seed)
+        if around:
+            assert ours.integers(2, 9) == ref.integers(2, 9)
+        got = _unit_dirichlet(ours, k, size)
+        want = ref.dirichlet(np.ones(k), size=size if size != () else None)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if around:
+            assert ours.integers(2, 33) == ref.integers(2, 33)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), lo=st.floats(-1e3, 1e3),
+           width=st.floats(0.0, 1e3), k=st.integers(2, 32))
+    def test_scalar_uniform(self, seed, lo, width, k):
+        from driftsched.verify import _uniform
+
+        ours, ref = self.twins(seed)
+        for low, high in ((lo, lo + width), (1e-6, 1.0 / k), (0.05, 5.0), (0.0, 1.0)):
+            got, want = _uniform(ours, low, high), float(ref.uniform(low, high))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        low = _uniform(ours, 0.01, 1.0)  # a dependent bound, as clip_compensation draws it
+        assert _uniform(ours, low, 10.0) == float(ref.uniform(float(ref.uniform(0.01, 1.0)), 10.0))
+        assert ours.integers(2, 9) == ref.integers(2, 9)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), k=st.integers(1, 16), s=st.integers(1, 6),
+           scale=st.floats(0.1, 100.0))
+    def test_merged_pairs(self, seed, k, s, scale):
+        # one (2, ...) call in place of two like draws in a row
+        from driftsched.softmdp import _unit_dirichlet
+
+        ours, ref = self.twins(seed)
+        merged = [_unit_dirichlet(ours, k, (2,)), _unit_dirichlet(ours, k, (2, s)),
+                  ours.uniform(-10, 10, (2, k)), ours.uniform(-scale, scale, size=(2, s, k))]
+        pairs = [[ref.dirichlet(np.ones(k)) for _ in range(2)],
+                 [ref.dirichlet(np.ones(k), size=s) for _ in range(2)],
+                 [ref.uniform(-10, 10, k) for _ in range(2)],
+                 [ref.uniform(-scale, scale, size=(s, k)) for _ in range(2)]]
+        for got, want in zip(merged, pairs):
+            assert got.tobytes() == np.stack(want).tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_mix_keeps_each_pairs_bits(self, seed):
+        from driftsched.verify import _pair_stack, _perturbed_pair
+
+        rng = np.random.default_rng(seed)
+        pairs = [_perturbed_pair(rng) for _ in range(20)]
+        rewards, transitions = _pair_stack(pairs)
+        want = [np.stack(x) for x in zip(*(
+            (r1, p1, (1 - w) * r1 + w * r_alt, (1 - w) * p1 + w * p_alt)
+            for r1, p1, r_alt, p_alt, w in pairs))]
+        assert rewards.tobytes() == np.concatenate(want[0::2]).tobytes()
+        assert transitions.tobytes() == np.concatenate(want[1::2]).tobytes()
+
+
+def test_suite_generator_calls(monkeypatch):
+    # run_suite(7) made 79,531 generator calls, 20,278 of them dirichlet, when
+    # every draw was its own call
+    from driftsched import verify
+
+    counts = collections.Counter()
+
+    class Counting:
+        def __init__(self, rng):
+            self.bit_generator = rng.bit_generator  # _per_stream copies its state
+            self.rng = rng
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+
+            return counted
+
+    seeded = verify._rng
+    monkeypatch.setattr(verify, "_rng", lambda seed, tag: Counting(seeded(seed, tag)))
+    assert all(r.passed for r in verify.run_suite(7))
+    assert counts["dirichlet"] == 0
+    assert sum(counts.values()) <= 69_908
 
 
 def reference_tradeoff_reports(seed, n_streams, horizon, c2_factor=1.0):
