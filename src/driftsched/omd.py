@@ -24,46 +24,40 @@ from .errors import (
     SupportMismatch,
 )
 from .scheduler import ScheduleConfig, _schedule_columns
-from .simplex import SUM_TOL, _truncate_rows, as_probs, kl_div
+from .simplex import SUM_TOL, _truncated, as_probs, kl_div
 from .trace import RunTrace
 
 CHUNK = 64  # rounds of gradient and comparator rows a lockstep block reads at a time
 
 
-def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps: float, out: np.ndarray,
-                 pads=None) -> np.ndarray:
+def _mirror_step(logp: np.ndarray, g: np.ndarray, eta, eps, out: np.ndarray,
+                 ks=None) -> np.ndarray:
     """Row-wise multiplicative-weights step on (..., K) arrays, written into out.
 
     logits = logp - eta * g, minus the row max, exp, divided by the row sum
     (traces and reports depend on this order bit for bit); g holds the
-    regularized gradient and is overwritten. With eps > 0 the rows below the
-    floor go through truncate's row kernel in one call, indexed through out
-    itself, so a strided out keeps them (callers check the iterates).
-
-    pads = (pad, real, ks) steps a (B, W) block whose row b is a stream of
-    K = ks[b] <= W, zero past K (pad masks those entries, real the others).
-    Their logits are set to -inf, so they stay 0 and only append +0.0 to
-    the row sum, which keeps the unpadded row's bits at W = 8 floor(K/8) + 7
-    (numpy adds fewer than 8 entries left to right, more with 8 accumulators
-    and then a left-to-right tail). The floor reads real entries only and
-    truncates one K at a time.
+    regularized gradient and is overwritten. Rows below the floor eps go
+    through truncate's row kernel, written back through out (callers check the
+    iterates). With ks, out is a (B, W) block whose row b is a stream of
+    K = ks[b] <= W, zero past K, and eps a (B, W) array holding each row's
+    floor on its real entries and -inf on its pads. The caller makes g +inf on
+    the pads (logp is -inf there), so their logits are -inf: they stay 0 and
+    only append +0.0 to the row sum, which keeps the unpadded row's bits at
+    W = 8 floor(K/8) + 7 (numpy adds fewer than 8 entries left to right, more
+    with 8 accumulators and then a left-to-right tail).
     """
     np.multiply(eta, g, g)
     np.subtract(logp, g, g)
-    pad, real, ks = pads or (None, True, None)
-    if pad is not None:
-        np.copyto(g, -np.inf, where=pad)
     np.subtract(g, np.maximum.reduce(g, -1, keepdims=True), g)
     np.exp(g, g)
     np.divide(g, np.add.reduce(g, -1, keepdims=True), out)
-    if eps > 0.0 and np.minimum.reduce(out, None, initial=np.inf, where=real) < eps:
-        low = np.minimum.reduce(out, -1, initial=np.inf, where=real) < eps
-        if ks is None:
-            out[low] = _truncate_rows(out[low], np.full(np.count_nonzero(low), float(eps)))
-        else:
-            for k in set(ks[low].tolist()):
-                rows = np.flatnonzero(low & (ks == k))
-                out[rows, :k] = _truncate_rows(out[rows, :k], np.full(len(rows), float(eps)))
+    if ks is None:  # one floor for every row
+        if eps > 0.0 and np.minimum.reduce(out, None) < eps:
+            for i in map(tuple, np.argwhere(np.minimum.reduce(out, -1) < eps)):
+                out[i] = _truncated(out[i].tolist(), float(eps))
+    elif (low := out < eps).any():
+        for b in np.flatnonzero(low.any(axis=-1)).tolist():
+            out[b, :ks[b]] = _truncated(out[b, :ks[b]].tolist(), float(eps[b, 0]))
     return out
 
 
@@ -82,13 +76,18 @@ def _check_floor(eps: float, k: int) -> None:
         raise InvalidEpsilon(f"floor {eps} outside [0, 1/{k}]")
 
 
-def _check_iterates(x: np.ndarray, eps: float, real=True) -> None:
-    """Every row of x sums to 1 within SUM_TOL and sits at or above the floor
-    on its real entries (zero pads add nothing to the sum)."""
-    if (np.abs(x.sum(axis=-1) - 1.0) > SUM_TOL).any():
-        raise ValueError("an iterate's probabilities do not sum to 1")
-    if ((x < eps - SUM_TOL) & real).any():
-        raise ValueError(f"an iterate has a coordinate below floor {eps}")
+def _check_iterates(x: np.ndarray, eps, what="an iterate", nan=NonFiniteGradient) -> None:
+    """Every row of x sums to 1 within SUM_TOL and sits at or above the floor eps, a
+    number or an array that is -inf on zero pads. A NaN row raises nan: in an iterate
+    it means that eta * g overflowed."""
+    sums = x.sum(axis=-1)
+    if np.isnan(sums).any():
+        raise nan(f"{what} has a NaN coordinate")
+    if not (np.abs(sums - 1.0) <= SUM_TOL).all():
+        raise ValueError(f"{what}'s probabilities do not sum to 1")
+    if (below := x < eps - SUM_TOL).any():
+        raise ValueError(f"{what} has a coordinate below floor "
+                         f"{np.broadcast_to(eps, x.shape)[below][0]}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +174,7 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float) -> list[RunTrace]:
         raise NonFiniteGradient("gradient contains NaN or infinity")
     k = grads.shape[2]
     _check_floor(eps, k)
+    _check_iterates(us, 0.0, "a comparator", ValueError)
 
     # the schedule sees only the comparator drift, known before round 1
     alpha = np.zeros((n, horizon))
@@ -185,41 +185,46 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float) -> list[RunTrace]:
                          [np.abs(g).max() for g in grads], np.empty((n, horizon + 1, k)))
 
 
-def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, xs=None) -> list[RunTrace]:
+def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, xs=None,
+                  horizons=None) -> list[RunTrace]:
     """run_dynamic_many's traces, for a (B, W) block of streams of K = ks[b] <= W.
 
     Stream b is zero-padded to the width W of its start row start[b]
-    (_mirror_step describes the padded step). rows(t, c) returns the (B, c, W)
-    gradients and comparators of rounds t + 1 .. t + c; _lockstep_rounds
-    reads them CHUNK rounds at a time. alpha is the (B, T) drift column, which
-    the schedule reads before round 1, and g_bounds the streams' max |g|.
-    With xs, a (B, T + 1, W) array, each trace carries its iterates.
+    (_mirror_step describes the padded step), has floor eps[b] (or eps) and
+    runs horizons[b] rounds (default: all T of alpha, the (B, T) drift column,
+    which the schedule reads before round 1). Rows come in order of falling
+    horizon: rows(t, c) returns the (B', c, W) gradients and comparators of
+    rounds t + 1 .. t + c of the B' streams live there, CHUNK rounds at a time
+    and no chunk across a horizon. g_bounds are the streams' max |g|. With xs,
+    a (B, T + 1, W) array, each trace carries its iterates.
     """
     n, horizon = alpha.shape
+    horizons = np.full(n, horizon) if horizons is None else np.asarray(horizons)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
     lam, eta, proxy = np.empty((3, n, horizon))
-    for b, cfg in enumerate(cfgs):
-        lam[b], eta[b], proxy[b] = _schedule_columns(cfg, alpha[b])
-    inc, firsts = _lockstep_rounds(rows, lam, eta, eps, start, ks, xs)
+    for b, (cfg, h) in enumerate(zip(cfgs, horizons)):
+        lam[b, :h], eta[b, :h], proxy[b, :h] = _schedule_columns(cfg, alpha[b, :h])
+    inc, firsts = _lockstep_rounds(rows, lam, eta, eps, start, ks, horizons, xs)
 
     traces = []
-    for b, cfg in enumerate(cfgs):
+    for b, (cfg, h) in enumerate(zip(cfgs, horizons)):
         k = int(ks[b])
         try:
             d_psi_start = kl_div(firsts[b, :k], start[b, :k])
         except SupportMismatch:
             d_psi_start = math.inf
         columns = {
-            "t": np.arange(1, horizon + 1),
-            "lambda": lam[b],
-            "eta": eta[b],
-            "alpha": alpha[b],
-            "proxy": proxy[b],
-            "regret_inc": inc[b],
-            "regret_cum": np.cumsum(inc[b]),
+            "t": np.arange(1, h + 1),
+            "lambda": lam[b, :h],
+            "eta": eta[b, :h],
+            "alpha": alpha[b, :h],
+            "proxy": proxy[b, :h],
+            "regret_inc": inc[b, :h],
+            "regret_cum": np.cumsum(inc[b, :h]),
         }
         meta = {
             "k": k,
-            "eps": eps,
+            "eps": float(eps[b]),
             "g_bound": float(g_bounds[b]),
             "c": cfg.c,
             "lambda_min": cfg.lambda_min,
@@ -229,50 +234,54 @@ def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, xs=None) -> list[
             "cfg_c2": cfg.c2,
             "d_psi_start": d_psi_start,  # divergence from x_1 to the first comparator
         }
-        iterates = None if xs is None else xs[b, :horizon, :k]
+        iterates = None if xs is None else xs[b, :h, :k]
         traces.append(RunTrace(columns=columns, meta=meta, iterates=iterates))
     return traces
 
 
-def _lockstep_rounds(rows, lam, eta, eps, start, ks, xs):
+def _lockstep_rounds(rows, lam, eta, eps, start, ks, horizons, xs):
     """The (B, T) regret increments of _run_lockstep's rounds, and each
-    stream's first comparator.
-
-    Rows are read CHUNK rounds at a time, and only one chunk of iterates is
-    held unless xs keeps them all, so a block needs no (B, T, W) array.
+    stream's first comparator. A chunk holds its iterates round-major, so that
+    a round's (B', W) rows are contiguous, and spreads its rounds' lambda and
+    eta over them once, with lambda -1 and eta 1 on the pads: log 0 there
+    makes the entropy gradient +inf and so the pads' logits -inf. Only one
+    chunk of iterates is held unless xs keeps them all.
     """
-    n, horizon = lam.shape
-    width = start.shape[1]
+    (n, horizon), width = lam.shape, start.shape[1]
     real = np.arange(width) < ks[:, None]
-    pads = None if real.all() else (~real, real, ks)
-    where = real if pads else True  # the real entries of a round's (B, W) rows
-    block = np.empty((n, min(CHUNK, horizon) + 1, width)) if xs is None else xs
-    block[:, 0] = start
+    floor = np.where(real, eps[:, None], -np.inf)  # each row's eps; pads never fall below
+    bare = not eps.all()  # a stream without a floor needs every iterate interior
+    block = np.empty((min(CHUNK, horizon) + 1, n, width))
+    block[0] = start
+    spread = np.empty((2, min(CHUNK, horizon), n, width))  # a chunk's lambda and eta
+    spread[0][:, ~real], spread[1][:, ~real] = -1.0, 1.0
     inc = np.empty((n, horizon))
-    # a round steps views of round t's (B, W) rows on two buffers, x_{t+1} straight into
-    # the block; pads make -inf logs and NaN logits, which _mirror_step sets back to -inf
     logp, g = np.empty((2, n, width))
-    lam_rows, eta_rows = lam.T[..., None], eta.T[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(0, horizon, CHUNK):
-            grads, us = rows(t, min(CHUNK, horizon - t))
-            c = grads.shape[1]
-            xc = xs[:, t:t + c + 1] if xs is not None else block[:, :c + 1]
+    t = 0
+    with np.errstate(all="ignore"):  # NaN from an overflowed eta * g raises below
+        while t < horizon:
+            live = np.count_nonzero(horizons > t)
+            c = min(CHUNK, int(horizons[live - 1]) - t)
+            grads, us = rows(t, c)
             if not t:
                 firsts = us[:, 0].copy()
-            steps = xc.swapaxes(0, 1)
-            for x, x_next, grad, lam_t, eta_t in zip(steps, steps[1:], grads.swapaxes(0, 1),
-                                                     lam_rows[t:t + c], eta_rows[t:t + c]):
-                if eps == 0.0 and not np.minimum.reduce(x, None, initial=np.inf,
-                                                        where=where) > 0.0:
+            xc, (lam_c, eta_c) = block[:c + 1, :live], spread[:, :c, :live]
+            lp, gl, fl, kl, rl = logp[:live], g[:live], floor[:live], ks[:live], real[:live]
+            np.copyto(lam_c, lam[:live, t:t + c].T[..., None], where=rl)
+            np.copyto(eta_c, eta[:live, t:t + c].T[..., None], where=rl)
+            for x, x_next, grad, lam_t, eta_t in zip(xc, xc[1:], grads.swapaxes(0, 1),
+                                                     lam_c, eta_c):
+                if bare and not np.minimum.reduce(x, None, initial=np.inf, where=rl) > 0.0:
                     raise BoundaryIterate("entropy gradient needs all coordinates > 0")
-                np.log(x, logp)
-                np.multiply(lam_t, np.add(logp, 1.0, g), g)
-                _mirror_step(logp, np.add(grad, g, g), eta_t, eps, x_next, pads)
-            _check_iterates(xc, eps, real[:, None])
-            inc[:, t:t + c] = _row_dots(grads, xc[:, :c]) - _row_dots(grads, us)
-            if xs is None:
-                block[:, 0] = block[:, c]
+                np.log(x, lp)
+                np.multiply(lam_t, np.add(lp, 1.0, gl), gl)
+                _mirror_step(lp, np.add(grad, gl, gl), eta_t, fl, x_next, kl)
+            _check_iterates(xc, fl)
+            inc[:live, t:t + c] = _row_dots(grads, xc[:c].swapaxes(0, 1)) - _row_dots(grads, us)
+            if xs is not None:
+                xs[:live, t:t + c + 1] = xc.swapaxes(0, 1)
+            block[0, :live] = block[c, :live]
+            t += c
     return inc, firsts
 
 

@@ -10,6 +10,8 @@ into its input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -190,40 +192,53 @@ def softmax(q, mu: float) -> SimplexVec:
     return SimplexVec(p / p.sum(), 0.0)
 
 
+def _list_sum(v: list) -> float:
+    """The sum of a list of floats with the bits of a 1-D np.add.reduce: numpy adds fewer
+    than 8 entries left to right, up to 128 in eight accumulators and then a left-to-right
+    tail, and more pairwise, which is left to numpy itself."""
+    n = len(v)
+    if n < 8:
+        return reduce(add, v, -0.0)
+    if n > 128:
+        return float(np.add.reduce(v))
+    m = n - n % 8
+    r = v[:8]
+    for i in range(8, m, 8):
+        r = [a + b for a, b in zip(r, v[i:i + 8])]
+    return reduce(add, v[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _truncated(x: list, e: float) -> list:
+    """truncate of one row on Python floats, at floor e, with the bits of the numpy pass:
+    a pass raises the newly low coordinates to e and rescales the free ones, in order,
+    to the remaining mass; the row ends renormalized, or uniform where no mass is left."""
+    k = len(x)
+    free = [i for i, v in enumerate(x) if not v < e]  # NaN stays free, as in numpy
+    vals, n_free = [x[i] for i in free], k
+    while len(free) < n_free:
+        n_free = len(free)
+        remaining = 1.0 - e * (k - n_free)
+        if not n_free or remaining <= 0.0:  # only reachable at eps ~ 1/K
+            return [1.0 / k] * k
+        scale = remaining / _list_sum(vals)
+        vals = [v * scale for v in vals]
+        free, vals = [i for i, v in zip(free, vals) if not v < e], [v for v in vals if not v < e]
+    row = [e] * k
+    for i, v in zip(free, vals):
+        row[i] = v
+    total = _list_sum(row)
+    return [v / total for v in row]
+
+
 def _truncate_rows(p: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """truncate of each row of an (m, K) array, row i at floor eps[i], written
-    into p. A pass sums the free mass of the rows of one free count at a time,
-    compacted to (rows, free), so each sum has the 1-D sum's bits."""
+    """truncate of each row of an (m, K) array, row i at floor eps[i], written into p."""
     k = p.shape[-1]
-    bad = (eps <= 0.0) | (eps > 1.0 / k + SUM_TOL)
-    if bad.any():
-        raise InvalidEpsilon(f"floor {eps[bad][0]} outside (0, 1/{k}]")
+    good = (eps > 0.0) & (eps <= 1.0 / k + SUM_TOL)  # NaN fails
+    if not good.all():
+        raise InvalidEpsilon(f"floor {eps[~good][0]} outside (0, 1/{k}]")
     touched = np.flatnonzero(~(p >= eps[:, None]).all(axis=-1))
-    if not touched.size:
-        return p
-    x, e = p[touched], eps[touched, None]  # the rows truncate changes, and their floors
-    fixed = x < e
-    live = fixed.any(axis=-1)  # rows with coordinates newly below the floor
-    last = np.ones(len(x), dtype=bool)  # rows that end with the renormalization
-    while live.any():
-        n_fixed = fixed.sum(axis=-1)
-        remaining = 1.0 - e[:, 0] * n_fixed
-        # all fixed, or no mass left: only reachable at eps ~ 1/K, where the answer is
-        # uniform, so the row's every coordinate stays fixed at 1/K
-        flat = (n_fixed == k) | (remaining <= 0.0)
-        if flat.any():
-            fixed[flat], e[flat], last[flat] = True, 1.0 / k, False
-        x = np.where(fixed, e, x)
-        scale, rescaled = np.ones(len(x)), live & ~flat
-        for n in set(n_fixed[rescaled].tolist()):
-            rows = rescaled & (n_fixed == n)
-            scale[rows] = remaining[rows] / x[rows][~fixed[rows]].reshape(-1, k - n).sum(axis=-1)
-        x = np.where(fixed, x, x * scale[:, None])
-        low = (x < e) & ~fixed
-        fixed |= low
-        live = low.any(axis=-1)
-    x[last] /= x[last].sum(axis=-1, keepdims=True)
-    p[touched] = x
+    if touched.size:
+        p[touched] = [_truncated(*r) for r in zip(p[touched].tolist(), eps[touched].tolist())]
     return p
 
 

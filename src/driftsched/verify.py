@@ -13,15 +13,18 @@ one solver chain per sequence), with each sample's own bits. Their MDP samplers
 draw arrays, which TabularMdp's rules check once per stack; a TabularMdp or
 SimplexVec is built only to describe the worst case. _worst scans every report.
 Samplers make one generator call per run of like draws, with numpy's bits (_draw).
-The two regret checks run their mirror-descent streams in one lockstep pass
-per width class of K, with rows redrawn a chunk of rounds at a time.
+The three regret reports run all their mirror-descent streams, whatever their
+floor, schedule or horizon, in one lockstep pass per width class of K
+(_per_stream), with rows redrawn a chunk of rounds at a time.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -651,108 +654,128 @@ def _tight_tradeoff_instance(horizon=1000):
     return grads, comparators, cfg, 0.25
 
 
-def _per_stream(rng, n_streams, horizon, eps, results_of):
-    """One result for each of n_streams piecewise streams, in stream order.
+# A regret-check stream: rows(t, c) gives the (c, K) gradients of rounds t + 1 .. t + c,
+# in turn; the comparator of round t is _comparators(times, points, t); result maps the
+# stream's trace to what its check reads.
+_Stream = namedtuple("_Stream", "k rows g_bound times points horizon eps cfg result")
 
-    Each stream draws its K, then its gradients, switch times and points,
-    from rng. A first pass makes these draws in order and keeps each
-    stream's K, a copy of rng taken before its gradients, its max |g|, its
-    switch times and its points. The streams of one width class W(K) =
-    8 floor(K/8) + 7 then run as one omd._run_lockstep block, zero-padded
-    to W, which keeps each stream's bits. Its gradient rows are redrawn from
-    the copies and its comparator rows gathered in one call from its switch
-    counts, CHUNK rounds at a time, so no (B, T, K) array is held. The drift is
-    nonzero only at a switch, where it is |points[j+1] - points[j]|.sum(), the
-    per-round drift's bits. results_of(ks, g_bounds, run) takes a class's
-    Ks and max |g| and run(cfgs), which runs the class once under the given
-    schedules and returns its traces, and returns a result per stream.
-    """
-    classes = {}
-    for i in range(n_streams):
+
+def _draw_streams(rng, n_streams, horizon):
+    """(K, max |g|, rows, switch times, points) of n_streams piecewise streams from rng.
+    Each draws its K, then its gradients, switch times and points, in order; its rows
+    are redrawn from a copy of rng taken before its gradients."""
+    for _ in range(n_streams):
         k = int(rng.integers(2, 17))
         snapshot = np.random.Generator(type(rng.bit_generator)())
         snapshot.bit_generator.state = rng.bit_generator.state
         grads, times, points = _piecewise_stream(rng, k, horizon)
-        classes.setdefault(8 * (k // 8) + 7, []).append(
-            (i, k, snapshot, float(np.abs(grads).max()), times, points))
-    results = [None] * n_streams
+        yield (k, float(np.abs(grads).max()),
+               lambda t, c, gen=snapshot, k=k: _gradient_rows(gen, c, k), times, points)
+
+
+def _per_stream(streams):
+    """Each stream's result, in stream order, from one omd._run_lockstep pass per width
+    class W(K) = 8 floor(K/8) + 7, whatever check, floor, schedule or horizon a stream
+    has. A class runs zero-padded to W, which keeps each stream's bits, in order of
+    falling horizon, so a stream leaves the live prefix at its horizon. Its gradient
+    rows come from each stream's rows and its comparator rows are gathered in one call
+    from the switch counts, CHUNK rounds at a time, so no (B, T, K) array is held. The
+    drift is nonzero only at a switch, where it is |points[j+1] - points[j]|.sum(), the
+    per-round drift's bits. A class's traces are dropped once their results are taken.
+    """
+    classes = {}
+    for i in sorted(range(len(streams)), key=lambda i: -streams[i].horizon):
+        classes.setdefault(8 * (streams[i].k // 8) + 7, []).append(i)
+    results = [None] * len(streams)
     for width, members in classes.items():
-        indices, ks, snapshots, g_bounds, times, points = zip(*members)
-        n, most = len(members), max(map(len, times))
+        block = [streams[i] for i in members]
+        n, horizon, most = len(block), block[0].horizon, max(len(s.times) for s in block)
         alpha, start = np.zeros((n, horizon)), np.zeros((n, width))
         switched, stops = np.zeros((n, horizon), np.int8), np.zeros((n, most + 1, width))
-        for j, k in enumerate(ks):
-            alpha[j, times[j] - 1] = np.abs(np.diff(points[j], axis=0)).sum(axis=1)
-            start[j, :k] = 1.0 / k  # the uniform point, on every floor eps <= 1/K
-            switched[j, times[j] - 1], stops[j, :len(points[j]), :k] = 1, points[j]
+        for j, s in enumerate(block):
+            alpha[j, s.times - 1] = np.abs(np.diff(s.points, axis=0)).sum(axis=1)
+            start[j, :s.k] = 1.0 / s.k  # the uniform point, on every floor eps <= 1/K
+            switched[j, s.times - 1], stops[j, :len(s.points), :s.k] = 1, s.points
         switched = switched.cumsum(axis=1, dtype=np.int8)  # [j, t - 1]: switches by t, <= 5
+        horizons = np.array([s.horizon for s in block])
         grads = np.zeros((n, min(CHUNK, horizon), width))  # pads stay 0
 
         def rows(t, c):
-            for j, k in enumerate(ks):
-                grads[j, :c, :k] = _gradient_rows(snapshots[j], c, k)
-            return grads[:, :c], stops[np.arange(n)[:, None], switched[:, t:t + c]]
+            live = np.count_nonzero(horizons > t)
+            for j, s in enumerate(block[:live]):
+                grads[j, :c, :s.k] = s.rows(t, c)
+            return grads[:live, :c], stops[np.arange(live)[:, None], switched[:live, t:t + c]]
 
-        def run(cfgs):
-            return _run_lockstep(rows, alpha, cfgs, eps, start, np.array(ks), g_bounds)
-
-        for i, result in zip(indices, results_of(ks, g_bounds, run)):
-            results[i] = result
+        traces = _run_lockstep(rows, alpha, [s.cfg for s in block], [s.eps for s in block],
+                               start, np.array([s.k for s in block]),
+                               [s.g_bound for s in block], None, horizons)
+        for i, s in zip(members, block):
+            results[i] = s.result(traces.pop(0))
     return results
 
 
-def _check_tradeoff_bounds(seed, n_streams=100, horizon=1000, c2_factor=1.0):
-    """Run online-schedule streams; check the per-round trade-off bound and
-    the online-proxy bound on every one, plus the designed tight stream."""
+def _tradeoff_streams(seed, n_streams, horizon, c2_factor):
+    """The trade-off check's online-schedule streams and, last, its tight stream. A
+    result is the (trade-off, online-proxy) sample pair; the tight one has no second."""
     online_cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
                                 lambda_max=1.0, ema_beta=0.0, mode="online")
 
-    def samples(trace, cfg, k):  # (trade-off sample, online-proxy sample)
+    def samples(trace):
+        k, m = trace.meta["k"], trace.meta
         consts = ExplicitConstants.derive_from_trace(trace)
         scaled = ExplicitConstants(
-            c0=math.log(k) / (cfg.c * cfg.lambda_min)
-            + c2_factor * consts.c2 * trace.meta["lambda1"],
+            c0=math.log(k) / (m["c"] * m["lambda_min"]) + c2_factor * consts.c2 * m["lambda1"],
             c1=consts.c1, c2=c2_factor * consts.c2,
         )
         measured = float(trace.column("regret_cum")[-1])
         return ((measured, bound_rhs(trace, scaled), k),
                 (measured, proxy_bound_rhs(trace, consts, k), k))
 
-    def class_samples(ks, g_bounds, run):
-        return [samples(trace, online_cfg, k)
-                for k, trace in zip(ks, run([online_cfg] * len(ks)))]
-
-    pairs = _per_stream(_rng(seed, "tradeoff_streams"), n_streams, horizon, 1e-6,
-                        class_samples)
     grads, comparators, cfg, eps = _tight_tradeoff_instance(horizon)
-    tight, _ = samples(run_dynamic(grads, comparators, cfg, eps), cfg, 2)
-
-    tradeoff = _check_samples("coupled_tradeoff_regret_bound",
-                              [p[0] for p in pairs] + [tight], tol=1e-8)
-    online = _check_samples("online_schedule_regret_bound", [p[1] for p in pairs],
-                            tol=1e-8)
-    return tradeoff, online
+    return [_Stream(k, rows, g, times, points, horizon, 1e-6, online_cfg, samples)
+            for k, g, rows, times, points in _draw_streams(
+                _rng(seed, "tradeoff_streams"), n_streams, horizon)] + [
+        _Stream(2, lambda t, c: grads[t:t + c], float(np.abs(grads).max()), np.zeros(0, int),
+                comparators[:1], horizon, eps, cfg, lambda trace: samples(trace)[:1])]
 
 
-def _check_oracle_schedule_bound(seed, n_streams=50, horizon=500):
+def _tradeoff_reports(pairs):
+    return (_check_samples("coupled_tradeoff_regret_bound", [p[0] for p in pairs], 1e-8),
+            _check_samples("online_schedule_regret_bound", [p[1] for p in pairs[:-1]], 1e-8))
+
+
+def _check_tradeoff_bounds(seed, n_streams=100, horizon=1000, c2_factor=1.0):
+    """Run online-schedule streams; check the per-round trade-off bound and
+    the online-proxy bound on every one, plus the designed tight stream. Alone,
+    the check runs that stream through run_dynamic; the suite's pass runs it
+    in its W = 7 block."""
+    *streams, tight = _tradeoff_streams(seed, n_streams, horizon, c2_factor)
+    alone = run_dynamic(*_tight_tradeoff_instance(horizon))
+    return _tradeoff_reports(_per_stream(streams) + [tight.result(alone)])
+
+
+def _oracle_streams(seed, n_streams, horizon):
+    """The oracle-schedule check's streams; a result is its (regret, bound, K) sample."""
     eps = 1e-6
     cfg = ScheduleConfig(c1=1.0, c2=1.0, c=1.0, lambda_min=0.05,
                          lambda_max=1.0, mode="oracle")
 
-    def class_samples(ks, g_bounds, run):
-        consts = [ExplicitConstants.derive(cfg, g, k, eps, lambda1=0.0)
-                  for k, g in zip(ks, g_bounds)]
-        traces = run([replace(cfg, c1=c.c1, c2=c.c2) for c in consts])
-        samples = []
-        for c, k, trace in zip(consts, ks, traces):
-            alphas = trace.column("alpha")
-            rhs = c.c0 + 2.0 * math.sqrt(c.c1 * c.c2) * float(np.sqrt(alphas[1:]).sum())
-            samples.append((float(trace.column("regret_cum")[-1]), rhs, k))
-        return samples
+    def sample(k, c, trace):
+        rhs = c.c0 + 2.0 * math.sqrt(c.c1 * c.c2) * float(np.sqrt(trace.column("alpha")[1:]).sum())
+        return float(trace.column("regret_cum")[-1]), rhs, k
 
-    samples = _per_stream(_rng(seed, "oracle_streams"), n_streams, horizon, eps,
-                          class_samples)
-    return _check_samples("oracle_schedule_bound", samples, tol=1e-8)
+    streams = []
+    for k, g, rows, times, points in _draw_streams(_rng(seed, "oracle_streams"), n_streams,
+                                                   horizon):
+        c = ExplicitConstants.derive(cfg, g, k, eps, lambda1=0.0)
+        streams.append(_Stream(k, rows, g, times, points, horizon, eps,
+                               replace(cfg, c1=c.c1, c2=c.c2), partial(sample, k, c)))
+    return streams
+
+
+def _check_oracle_schedule_bound(seed, n_streams=50, horizon=500):
+    return _check_samples("oracle_schedule_bound",
+                          _per_stream(_oracle_streams(seed, n_streams, horizon)), tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +812,8 @@ def run_suite(seed: int = 0, tradeoff_c2_factor: float = 1.0) -> list:
         _check_fenchel_young_gap(seed),
         _check_performance_difference(seed),
     ]
-    tradeoff, online = _check_tradeoff_bounds(seed, c2_factor=tradeoff_c2_factor)
-    reports.append(tradeoff)
-    reports.append(online)
-    reports.append(_check_oracle_schedule_bound(seed))
-    return reports
+    # the regret reports run all their streams in one _per_stream pass
+    tradeoff = _tradeoff_streams(seed, 100, 1000, tradeoff_c2_factor)
+    results = _per_stream(tradeoff + _oracle_streams(seed, 50, 500))
+    return reports + [*_tradeoff_reports(results[:len(tradeoff)]), _check_samples(
+        "oracle_schedule_bound", results[len(tradeoff):], tol=1e-8)]

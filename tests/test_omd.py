@@ -195,6 +195,22 @@ class TestRunDynamic:
         # uniform start keeps the initial divergence at most log K
         assert 0.0 <= tr.meta["d_psi_start"] <= math.log(5) + 1e-12
 
+    def test_overflowing_step_raises(self):
+        # eta * g overflows to +-inf in round 1, so the step's logits are NaN
+        grads = np.array([[1e308, -1e308], [1e308, -1e308], [0.5, 0.1]])
+        with pytest.raises(NonFiniteGradient, match="NaN"):
+            run_dynamic(grads, [np.array([0.5, 0.5])] * 3, constant_schedule(1.0, c=4.0), 0.1)
+
+    @pytest.mark.parametrize("row,error", [
+        ([2.0, -1.0], "comparator has a coordinate below floor 0.0"),
+        ([np.nan, 0.5], "comparator has a NaN coordinate"),
+        ([0.3, 0.3], "comparator's probabilities do not sum to 1"),
+    ])
+    def test_comparators_are_simplex_points(self, row, error):
+        us = [np.array([0.5, 0.5]), np.array(row), np.array([0.5, 0.5])]
+        with pytest.raises(ValueError, match=error):
+            run_dynamic(np.zeros((3, 2)), us, constant_schedule(0.1), 1e-6)
+
 
 class TestBounds:
     def make_trace(self, lam, alpha):

@@ -312,17 +312,20 @@ class TestStreamDrawOrder:
         # a class block schedules on the drift column run_dynamic_many takes
         # from the comparators' diff rows
         from driftsched import ScheduleConfig
-        from driftsched.verify import _comparators, _per_stream, _piecewise_stream
+        from driftsched.verify import (_comparators, _draw_streams, _per_stream,
+                                       _piecewise_stream, _Stream)
 
-        def alphas(ks, g_bounds, run):
-            return [tr.column("alpha") for tr in run([ScheduleConfig(mode="fixed")] * len(ks))]
+        def alphas(k, g_bound, rows, times, points):
+            return _Stream(k, rows, g_bound, times, points, horizon, 1e-6,
+                           ScheduleConfig(mode="fixed"), lambda tr: tr.column("alpha"))
 
         horizon, rng = 300, np.random.default_rng(seed)
-        k = int(rng.integers(2, 17))  # _per_stream draws K, then the stream
+        k = int(rng.integers(2, 17))  # _draw_streams draws K, then the stream
         _, times, points = _piecewise_stream(rng, k, horizon)
         comparators = _comparators(times, points, np.arange(1, horizon + 1))
         want = np.concatenate(([0.0], np.abs(np.diff(comparators, axis=0)).sum(axis=1)))
-        [alpha] = _per_stream(np.random.default_rng(seed), 1, horizon, 1e-6, alphas)
+        [alpha] = _per_stream([alphas(*drawn) for drawn in _draw_streams(
+            np.random.default_rng(seed), 1, horizon)])
         assert alpha.tobytes() == want.tobytes()
         assert np.count_nonzero(alpha) == len(times)
 
@@ -579,3 +582,18 @@ class TestLockstepRegretChecks:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20
+
+    def test_suite_runs_every_stream_in_one_pass(self, monkeypatch):
+        # the 100 trade-off streams, the tight stream and the 50 oracle streams run
+        # as one block per width class of 1000 rounds; one check at a time, they took
+        # 3 * 1000 + 1000 + 3 * 500 = 5,500 mirror rounds
+        from driftsched import omd, verify
+
+        calls, real = [], omd._mirror_step
+        monkeypatch.setattr(omd, "_mirror_step", lambda *a: calls.append(1) or real(*a))
+        reports = verify.run_suite(7)
+        assert len(calls) == 3000
+        monkeypatch.undo()
+        alone = (*verify._check_tradeoff_bounds(7), verify._check_oracle_schedule_bound(7))
+        for ours, ref in zip(reports[-3:], alone, strict=True):
+            assert_same_report(ours, ref)
