@@ -27,7 +27,7 @@ from .scheduler import ProxyState, ScheduleConfig, _ema, _schedule_columns, next
 from .softmdp import _plan, _soft_returns, _solved_chain, _surrogate_gap, soft_policy
 from .trace import RunTrace
 
-EVAL_CHUNK = 32  # (policy, MDP) entries per stacked evaluation; keeps peak memory flat
+EVAL_CHUNK = 32  # entries per stacked evaluation, and planner rounds per block; keeps memory flat
 
 
 def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
@@ -46,20 +46,18 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
     The planner is open-loop: its proxy reading ||Q*_t - Q*_{t-1}||_inf / mu
     and its true drift alpha_t = max_s ||pi*_t(s) - pi*_{t-1}(s)||_1 (both
     0 at t = 1) depend on the solved chain alone, never on the policies
-    played. So it runs in three passes, with each schedule's lambda and eta
-    columns computed by one _schedule_columns pass after the first:
+    played. So it walks the chain once, computes each schedule's lambda and
+    eta columns in one _schedule_columns pass, then steps and scores:
     - the chain: _solved_chain's Q*_t, soft-optimal policy pi*_t and soft values
       V*_t along the _plan (one soft pass per solve, the next solve's first step;
-      a reused solve reuses them, reads 0 and drifts 0) and J*_t = rho_t . V*_t;
-    - the mirror steps: one step a round on the (B, S, A) stack of
-      policies, every row on the gradient -Q*_t(s,.) + mu (1 + log pi_s) +
-      lambda_t (1 + log pi_s);
-    - the evaluation: J_t and the surrogate gaps of the played policies,
-      EVAL_CHUNK (schedule, round) entries per stacked solve on the plan's stack.
-    Trace b is planner_run(seq, cfgs[b], ...) bit for bit. Besides its
-    policies it carries its (T, S) surrogate gaps as oco_gaps and the
-    (T, S) per-state drifts ||pi*_t(s) - pi*_{t-1}(s)||_1, which every
-    trace shares, as state_alphas.
+      a reused solve reuses them, reads 0 and drifts 0), each round's reading and
+      drift as numbers, and J*_t = rho_t . V*_t;
+    - the rounds, EVAL_CHUNK at a time: one mirror step a round on the (B, S, A)
+      stack of policies, every row on the gradient -Q*_t(s,.) + mu (1 + log pi_s)
+      + lambda_t (1 + log pi_s); then the block's surrogate gaps and J_t of its
+      played policies, EVAL_CHUNK (round, schedule) entries per stacked solve on
+      the plan's stack. Only one block of played policies is held.
+    Trace b is planner_run(seq, cfgs[b], ...) bit for bit.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -70,56 +68,53 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
 
     chain = list(_solved_chain(stack, path, tol))  # (Q*_t, pi*_t, V*_t)
     mu = stack.mu[path].tolist()  # each step's mu as its MDP holds it
-    reading, drift_rows = [0.0], [np.zeros(n_states)]  # 0 at t = 1
+    reading, alpha = [0.0], [0.0]  # 0 at t = 1
     for (q_prev, pi_prev, _), (q_star, pi_star, _), mu_t in zip(chain, chain[1:], mu[1:]):
         reused = q_star is q_prev  # |x - x| = 0: no reading, no drift
         reading.append(0.0 if reused else float(np.abs(q_star - q_prev).max()) / mu_t)
-        drift_rows.append(np.zeros(n_states) if reused else np.abs(pi_star - pi_prev).sum(axis=1))
-    state_alphas = np.vstack(drift_rows)
-    alpha = state_alphas.max(axis=1)
-    horizon, n = len(chain), len(cfgs)
+        alpha.append(0.0 if reused else float(np.abs(pi_star - pi_prev).sum(axis=1).max()))
+    j_star = np.array([float(stack.rho[i] @ v_star) for i, (_, _, v_star) in zip(path, chain)])
+    alpha, horizon, n = np.array(alpha), len(chain), len(cfgs)
     lam, eta, ema = np.empty((3, n, horizon))
     for b, cfg in enumerate(cfgs):
         lam[b], eta[b], proxy = _schedule_columns(cfg, reading, alpha)
         ema[b] = proxy if cfg.mode == "online" else _ema(reading, cfg.ema_beta)
 
-    played = np.empty((n, horizon, n_states, n_actions))
-    x = np.full((n, n_states, n_actions), 1.0 / n_actions)
-    for t, ((q_star, _, _), mu_t) in enumerate(zip(chain, mu)):
-        if eps == 0.0 and not (x > 0.0).all():
-            raise BoundaryIterate("entropy gradient needs all coordinates > 0")
-        played[:, t] = x
-        logp = np.log(x)
-        g = -q_star + mu_t * (1.0 + logp) + lam[:, t, None, None] * (1.0 + logp)
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient("gradient contains NaN or infinity")
-        _mirror_step(logp, g, eta[:, t, None, None], eps, x)
-    _check_iterates(played, eps)
-
-    flat = played.reshape(n * horizon, n_states, n_actions)  # entry b * horizon + t
-    j_played, gaps = np.empty(n * horizon), np.empty((n * horizon, n_states))
-    for lo in range(0, n * horizon, EVAL_CHUNK):
-        steps = [k % horizon for k in range(lo, min(lo + EVAL_CHUNK, n * horizon))]
-        entries = [path[t] for t in steps]  # the chunk's stack copy is freed after the call
-        j_played[lo:lo + EVAL_CHUNK] = _soft_returns(stack.at(entries), flat[lo:lo + EVAL_CHUNK])
-        gaps[lo:lo + EVAL_CHUNK] = _surrogate_gap(
-            np.stack([chain[t][0] for t in steps]), flat[lo:lo + EVAL_CHUNK],
-            np.stack([chain[t][1] for t in steps]), stack.mu[entries, None])
-    j_played, gaps = j_played.reshape(n, horizon), gaps.reshape(n, horizon, n_states)
-    inc = gaps.sum(axis=-1)
-    j_star = np.array([float(stack.rho[i] @ v_star) for i, (_, _, v_star) in zip(path, chain)])
+    j_played, inc = np.empty((2, horizon, n))  # round-major, as a block's entries
+    block = np.empty((min(EVAL_CHUNK, horizon) + 1, n, n_states, n_actions))
+    block[0] = 1.0 / n_actions
+    for lo in range(0, horizon, EVAL_CHUNK):
+        hi = min(lo + EVAL_CHUNK, horizon)
+        for x, x_next, t in zip(block, block[1:], range(lo, hi)):
+            if eps == 0.0 and not (x > 0.0).all():
+                raise BoundaryIterate("entropy gradient needs all coordinates > 0")
+            logp = np.log(x)
+            g = -chain[t][0] + mu[t] * (1.0 + logp) + lam[:, t, None, None] * (1.0 + logp)
+            if not np.isfinite(g).all():
+                raise NonFiniteGradient("gradient contains NaN or infinity")
+            _mirror_step(logp, g, eta[:, t, None, None], eps, x_next)
+        played = block[:hi - lo]  # (round, schedule, S, A)
+        _check_iterates(played, eps)
+        q_star = np.stack([q for q, _, _ in chain[lo:hi]])[:, None]  # (round, 1, S, A)
+        pi_star = np.stack([pi for _, pi, _ in chain[lo:hi]])[:, None]
+        inc[lo:hi] = _surrogate_gap(q_star, played, pi_star,
+                                    stack.mu[path[lo:hi], None, None]).sum(axis=-1)
+        flat, j_flat = played.reshape(-1, n_states, n_actions), j_played[lo:hi].reshape(-1)
+        for k in range(0, len(flat), EVAL_CHUNK):  # entry k: round lo + k // n, schedule k % n
+            entries = [path[lo + e // n] for e in range(k, min(k + EVAL_CHUNK, len(flat)))]
+            j_flat[k:k + EVAL_CHUNK] = _soft_returns(stack.at(entries), flat[k:k + EVAL_CHUNK])
+        block[0] = block[hi - lo]
 
     return [RunTrace(columns={
         "t": np.arange(1, horizon + 1), "lambda": lam[b], "eta": eta[b],
-        "alpha": alpha, "proxy": ema[b], "regret_inc": inc[b],
-        "regret_cum": np.cumsum(inc[b]), "regret_rl_inc": j_star - j_played[b],
-        "eval_return": j_played[b],
+        "alpha": alpha, "proxy": ema[b], "regret_inc": inc[:, b],
+        "regret_cum": np.cumsum(inc[:, b]), "regret_rl_inc": j_star - j_played[:, b],
+        "eval_return": j_played[:, b],
     }, meta={
         "agent": "planner", "pattern": getattr(seq, "pattern", "custom"),
         "seed": getattr(seq, "seed", 0), "eps": eps, "tol": tol, "mu": mu[0],
         "c": cfg.c, "lambda_min": cfg.lambda_min, "lambda_max": cfg.lambda_max,
-    }, policies=list(played[b]), oco_gaps=gaps[b], state_alphas=state_alphas)
-        for b, cfg in enumerate(cfgs)]
+    }) for b, cfg in enumerate(cfgs)]
 
 
 def _choice(p, u: float) -> int:

@@ -182,11 +182,10 @@ def run_dynamic_many(grads, comparators, cfgs, eps: float) -> list[RunTrace]:
         alpha[b, 1:] = np.abs(np.diff(us[b], axis=0)).sum(axis=1)
     return _run_lockstep(lambda t, c: (grads[:, t:t + c], us[:, t:t + c]), alpha, cfgs, eps,
                          np.full((n, k), 1.0 / k), np.full(n, k),
-                         [np.abs(g).max() for g in grads], np.empty((n, horizon + 1, k)))
+                         [np.abs(g).max() for g in grads])
 
 
-def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, xs=None,
-                  horizons=None) -> list[RunTrace]:
+def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, horizons=None) -> list[RunTrace]:
     """run_dynamic_many's traces, for a (B, W) block of streams of K = ks[b] <= W.
 
     Stream b is zero-padded to the width W of its start row start[b]
@@ -195,8 +194,7 @@ def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, xs=None,
     which the schedule reads before round 1). Rows come in order of falling
     horizon: rows(t, c) returns the (B', c, W) gradients and comparators of
     rounds t + 1 .. t + c of the B' streams live there, CHUNK rounds at a time
-    and no chunk across a horizon. g_bounds are the streams' max |g|. With xs,
-    a (B, T + 1, W) array, each trace carries its iterates.
+    and no chunk across a horizon. g_bounds are the streams' max |g|.
     """
     n, horizon = alpha.shape
     horizons = np.full(n, horizon) if horizons is None else np.asarray(horizons)
@@ -204,7 +202,7 @@ def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, xs=None,
     lam, eta, proxy = np.empty((3, n, horizon))
     for b, (cfg, h) in enumerate(zip(cfgs, horizons)):
         lam[b, :h], eta[b, :h], proxy[b, :h] = _schedule_columns(cfg, alpha[b, :h])
-    inc, firsts = _lockstep_rounds(rows, lam, eta, eps, start, ks, horizons, xs)
+    inc, firsts = _lockstep_rounds(rows, lam, eta, eps, start, ks, horizons)
 
     traces = []
     for b, (cfg, h) in enumerate(zip(cfgs, horizons)):
@@ -234,18 +232,17 @@ def _run_lockstep(rows, alpha, cfgs, eps, start, ks, g_bounds, xs=None,
             "cfg_c2": cfg.c2,
             "d_psi_start": d_psi_start,  # divergence from x_1 to the first comparator
         }
-        iterates = None if xs is None else xs[b, :h, :k]
-        traces.append(RunTrace(columns=columns, meta=meta, iterates=iterates))
+        traces.append(RunTrace(columns=columns, meta=meta))
     return traces
 
 
-def _lockstep_rounds(rows, lam, eta, eps, start, ks, horizons, xs):
+def _lockstep_rounds(rows, lam, eta, eps, start, ks, horizons):
     """The (B, T) regret increments of _run_lockstep's rounds, and each
     stream's first comparator. A chunk holds its iterates round-major, so that
     a round's (B', W) rows are contiguous, and spreads its rounds' lambda and
     eta over them once, with lambda -1 and eta 1 on the pads: log 0 there
     makes the entropy gradient +inf and so the pads' logits -inf. Only one
-    chunk of iterates is held unless xs keeps them all.
+    chunk of iterates is held.
     """
     (n, horizon), width = lam.shape, start.shape[1]
     real = np.arange(width) < ks[:, None]
@@ -278,8 +275,6 @@ def _lockstep_rounds(rows, lam, eta, eps, start, ks, horizons, xs):
                 _mirror_step(lp, np.add(grad, gl, gl), eta_t, fl, x_next, kl)
             _check_iterates(xc, fl)
             inc[:live, t:t + c] = _row_dots(grads, xc[:c].swapaxes(0, 1)) - _row_dots(grads, us)
-            if xs is not None:
-                xs[:live, t:t + c + 1] = xc.swapaxes(0, 1)
             block[0, :live] = block[c, :live]
             t += c
     return inc, firsts

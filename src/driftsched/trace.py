@@ -29,6 +29,8 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _format_cell(v) -> str:
+    """A string as is, NaN empty, an int below 10^15 in magnitude by str, any other number
+    by repr of its float."""
     if isinstance(v, str):
         return v
     f = float(v)
@@ -89,13 +91,6 @@ class RunTrace:
 
     columns: dict
     meta: dict = field(default_factory=dict)
-    # side arrays, never serialized: planner policy snapshots, run_dynamic's
-    # (T, K) iterates, and the planner's (T, S) surrogate gaps and per-state
-    # comparator drifts
-    policies: list | None = None
-    iterates: np.ndarray | None = None
-    oco_gaps: np.ndarray | None = None
-    state_alphas: np.ndarray | None = None
 
     def __post_init__(self):
         lengths = {name: len(col) for name, col in self.columns.items()}

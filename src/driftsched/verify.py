@@ -708,7 +708,7 @@ def _per_stream(streams):
 
         traces = _run_lockstep(rows, alpha, [s.cfg for s in block], [s.eps for s in block],
                                start, np.array([s.k for s in block]),
-                               [s.g_bound for s in block], None, horizons)
+                               [s.g_bound for s in block], horizons)
         for i, s in zip(members, block):
             results[i] = s.result(traces.pop(0))
     return results

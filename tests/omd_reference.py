@@ -4,7 +4,8 @@ The library steps whole stacks of rows with omd._mirror_step. These are
 the one-row, one-round forms it replaced: a linear loss, an iterate
 state, one mirror step and the regularized gradient. reference_run_dynamic
 (test_omd.py) and reference_planner_step (test_agent.py) build their
-per-round loops from them.
+per-round loops from them. record_steps reads the carriers' iterates,
+which their traces do not keep.
 """
 
 from __future__ import annotations
@@ -70,3 +71,19 @@ def regularized_grad(g_f, x, lam: float) -> np.ndarray:
     if (p <= 0.0).any():
         raise BoundaryIterate("entropy gradient needs all coordinates > 0")
     return np.asarray(g_f, dtype=float) + lam * (1.0 + np.log(p))
+
+
+def record_steps(monkeypatch, module) -> list:
+    """Wrap module._mirror_step (the binding that module's carrier calls) so that
+    every call appends a copy of its out: one round's next iterates, a (B, ...)
+    stack of rows. A carrier starting at x_1 plays x_1 in round 1 and the
+    recorded step t - 1 in round t."""
+    steps, real = [], module._mirror_step
+
+    def step(*args, **kwargs):
+        out = real(*args, **kwargs)
+        steps.append(out.copy())
+        return out
+
+    monkeypatch.setattr(module, "_mirror_step", step)
+    return steps

@@ -27,9 +27,11 @@ from driftsched import (
     td_train,
     td_train_many,
 )
+from driftsched import agent
 from driftsched.agent import _cached_row, _choice, _row_sum, _td_step
 from driftsched.softmdp import _plan
 from driftsched.simplex import kl_div
+from omd_reference import record_steps
 
 
 def abrupt_goal_spec(horizon, changes, seed, jitter=0.0):
@@ -43,6 +45,12 @@ def abrupt_goal_spec(horizon, changes, seed, jitter=0.0):
 def steady_goal_spec(horizon, seed=0):
     return SoftMdpSequence(base=goal_chain_mdp(goal_reward=0.6), pattern="steady",
                            horizon=horizon, drift=DriftSpec(), seed=seed)
+
+
+def plays(steps):
+    """Rounds 1 .. T's (B, S, A) planner policies from a run's record_steps on
+    agent._mirror_step: the uniform start, then each step's output but the last."""
+    return [np.full_like(steps[0], 1.0 / steps[0].shape[-1])] + steps[:-1]
 
 
 def count_solves(monkeypatch):
@@ -76,7 +84,7 @@ class TestPlanner:
         tr = planner_run(steady_goal_spec(3), cfg)
         assert tr.column("lambda")[0] == cfg.lambda_min
 
-    def test_steady_converges_to_soft_policy(self):
+    def test_steady_converges_to_soft_policy(self, monkeypatch):
         # negligible regularizer floor so the iterate limit matches the
         # softmax of the solved table at the base temperature
         base = random_mdp(4, 3, gamma=0.9, mu=0.2, rng=np.random.default_rng(5))
@@ -84,9 +92,10 @@ class TestPlanner:
                                drift=DriftSpec(), seed=0)
         cfg = ScheduleConfig(mode="fixed", fixed_value=5e-4, c=100.0,
                              lambda_min=1e-4, lambda_max=1.0)
-        tr = planner_run(spec, cfg, eps=1e-8, tol=1e-10)
+        steps = record_steps(monkeypatch, agent)
+        planner_run(spec, cfg, eps=1e-8, tol=1e-10)
         target = soft_policy(solve_soft_q(base, 1e-10), base.mu)
-        final = tr.policies[-1]
+        final = plays(steps)[-1][0]
         for s in range(4):
             assert kl_div(final[s], target[s]) <= 1e-3
 
@@ -138,25 +147,33 @@ class TestPlanner:
         assert abs(j_star[1] - j_star[0]) > 0.1
         assert tr.column("eval_return") + tr.column("regret_rl_inc") == pytest.approx(
             j_star, abs=1e-12)
-        assert tr.column("alpha")[1] == 0.0 and not tr.state_alphas[1].any()
+        assert tr.column("alpha")[1] == 0.0
 
-    def test_oracle_schedule_statewise_bound(self):
+    def test_oracle_schedule_statewise_bound(self, monkeypatch):
         # per-state optimization-layer regret against the drifting softmax
         # comparator stays below the per-round trade-off bound, and the
         # occupancy-weighted total below its sqrt form
+        from driftsched.softmdp import _plan, _solved_chain, generate_sequence, surrogate_gap
+
         eps = 1e-6
+        steps = record_steps(monkeypatch, agent)
         for seed in range(3):
             spec = abrupt_goal_spec(120, (40, 80), seed=seed, jitter=0.05)
             cfg = ScheduleConfig(mode="oracle", c1=1.0, c2=1.0, c=1.0,
                                  lambda_min=0.02, lambda_max=1.0)
+            steps.clear()
             tr = planner_run(spec, cfg, eps=eps)
-            gaps = tr.oco_gaps          # (T, S) nonnegative loss gaps
-            alphas = tr.state_alphas    # (T, S) per-state comparator drift
             lam = tr.column("lambda")
-            from driftsched.softmdp import generate_sequence
-
             mdps = generate_sequence(spec)
             mu = mdps[0].mu
+            chain = list(_solved_chain(*_plan(spec), 1e-9))
+            # (T, S) nonnegative loss gaps of the played policies
+            gaps = np.array([surrogate_gap(q_star, pi[0], mu)
+                             for (q_star, _, _), pi in zip(chain, plays(steps))])
+            # (T, S) per-state comparator drift, 0 at t = 1
+            pi_stars = [pi_star for _, pi_star, _ in chain]
+            alphas = np.array([np.zeros(len(pi_stars[0]))] + [
+                np.abs(b - a).sum(axis=1) for a, b in zip(pi_stars, pi_stars[1:])])
             q_cap = mdps[0].q_bound()
             g_bound = q_cap + mu * (1.0 + abs(math.log(eps)))
             consts = ExplicitConstants.derive(cfg, g_bound, k=3, eps=eps,
@@ -514,11 +531,12 @@ class TestPlannerMatchesPerStateLoop:
     @pytest.mark.parametrize("pattern", ["periodic", "abrupt"])
     @pytest.mark.parametrize("mode,eps", [("online", 1e-6), ("oracle", 1e-6),
                                           ("fixed", 0.0), ("online", 0.05)])
-    def test_columns_and_policies(self, pattern, mode, eps):
+    def test_columns_and_policies(self, monkeypatch, pattern, mode, eps):
         from driftsched.softmdp import _plan, _solved_chain, generate_sequence
 
         spec = drifting_random_spec(pattern)
         cfg = ScheduleConfig(mode=mode, fixed_value=0.3)
+        steps = record_steps(monkeypatch, agent)
         tr = planner_run(spec, cfg, eps=eps)
 
         state = RefPlannerState(policy=np.full((30, 4), 0.25))
@@ -527,7 +545,7 @@ class TestPlannerMatchesPerStateLoop:
             policies.append(state.policy)
             state, rec = reference_planner_step(state, mdp, q, cfg, eps)
             records.append(rec)
-        assert len(tr) == len(records) == len(tr.policies)
+        assert len(tr) == len(records) == len(steps)
         assert np.array_equal(tr.column("t"), np.arange(1, len(records) + 1))
         for name in ("lambda", "eta", "alpha", "proxy", "regret_inc",
                      "regret_rl_inc", "eval_return"):
@@ -536,8 +554,8 @@ class TestPlannerMatchesPerStateLoop:
             assert np.array_equal(tr.column(name), want), name
         assert np.array_equal(tr.column("regret_cum"),
                               np.cumsum(tr.column("regret_inc")))
-        for got, want in zip(tr.policies, policies):
-            assert np.array_equal(got, want)
+        for got, want in zip(plays(steps), policies):
+            assert np.array_equal(got[0], want)
         if eps == 0.05:
             # the floor is active on some row, so truncation was exercised
             assert any((np.abs(p - eps) < 1e-15).any() for p in policies)
@@ -590,7 +608,7 @@ def reference_planner_run(seq, cfg, eps, tol=1e-9):
         mdps, pattern, seed = list(seq), "custom", 0
     n_states, n_actions = mdps[0].rewards.shape
     state = RefPlannerState(policy=np.full((n_states, n_actions), 1.0 / n_actions))
-    policies, records, alpha_rows = [], [], []
+    policies, records = [], []
     prev, q_star = None, None
     for mdp_t in mdps:
         if q_star is None:
@@ -601,11 +619,8 @@ def reference_planner_run(seq, cfg, eps, tol=1e-9):
             q_star = reference_solve(mdp_t, tol, q_star)
         prev = mdp_t
         policies.append(state.policy)
-        prev_pi = state.prev_pi
         state, rec = reference_planner_step(state, mdp_t, q_star, cfg, eps)
         records.append(rec)
-        alpha_rows.append(np.zeros(n_states) if prev_pi is None
-                          else np.abs(state.prev_pi - prev_pi).sum(axis=1))
     inc = np.asarray([float(rec["oco_gaps"].sum()) for rec in records])
     columns = {"t": np.arange(1, len(records) + 1)}
     for name in ("lambda", "eta", "alpha", "proxy"):
@@ -616,8 +631,7 @@ def reference_planner_run(seq, cfg, eps, tol=1e-9):
     meta = {"agent": "planner", "pattern": pattern, "seed": seed, "eps": eps,
             "tol": tol, "mu": mdps[0].mu, "c": cfg.c, "lambda_min": cfg.lambda_min,
             "lambda_max": cfg.lambda_max}
-    return columns, meta, policies, np.vstack([rec["oco_gaps"] for rec in records]), \
-        np.vstack(alpha_rows)
+    return columns, meta, policies
 
 
 def custom_planner_list():
@@ -665,27 +679,26 @@ class TestPlannerRunMany:
     @pytest.mark.parametrize("modes,one_shot", [
         (("online",), True), (("fixed", "oracle"), True),
         (("online", "oracle", "fixed"), False), (("oracle", "fixed", "online"), True)])
-    def test_matches_per_cell_loop(self, seq, modes, one_shot):
+    def test_matches_per_cell_loop(self, monkeypatch, seq, modes, one_shot):
         from driftsched import planner_run_many
 
         cfgs = [PLANNER_SCHEDULES[m] for m in modes]
+        steps = record_steps(monkeypatch, agent)
         # the schedules as a list or as a one-shot iterator
         traces = planner_run_many(planner_case(seq), iter(cfgs) if one_shot else cfgs,
                                   eps=1e-6)
         assert len(traces) == len(cfgs)
-        for tr, mode in zip(traces, modes):
-            columns, meta, policies, gaps, alphas = reference_planner_cell(seq, mode)
+        for b, (tr, mode) in enumerate(zip(traces, modes)):
+            columns, meta, policies = reference_planner_cell(seq, mode)
             assert list(tr.columns) == list(columns)
             for name, want in columns.items():
                 assert tr.column(name).dtype == want.dtype, name
                 assert np.array_equal(tr.column(name), want, equal_nan=True), name
             assert tr.meta == meta
             assert [type(v) for v in tr.meta.values()] == [type(v) for v in meta.values()]
-            assert len(tr.policies) == len(policies)
-            for got, want in zip(tr.policies, policies):
-                assert np.array_equal(got, want)
-            assert np.array_equal(tr.oco_gaps, gaps)
-            assert np.array_equal(tr.state_alphas, alphas)
+            assert len(steps) == len(policies)
+            for got, want in zip(plays(steps), policies):
+                assert np.array_equal(got[b], want)
 
     def test_one_solve_chain_for_every_schedule(self, monkeypatch):
         from driftsched import planner_run_many, softmdp
@@ -761,17 +774,20 @@ class TestPlannerRunMany:
         assert len(traces) == 3
         assert steps == [(3, 30, 4)] * 12
 
-    def test_planner_run_is_one_schedule(self):
+    def test_planner_run_is_one_schedule(self, monkeypatch):
         from driftsched import planner_run_many
 
         spec = drifting_random_spec("abrupt", horizon=15)
         cfg = PLANNER_SCHEDULES["oracle"]
+        steps = record_steps(monkeypatch, agent)
         alone = planner_run(spec, cfg, eps=0.05)
+        alone_played = np.stack(plays(steps))[:, 0]
+        steps.clear()
         shared = planner_run_many(spec, [PLANNER_SCHEDULES["online"], cfg], eps=0.05)[1]
         for name in alone.columns:
             assert np.array_equal(alone.column(name), shared.column(name)), name
         assert alone.meta == shared.meta
-        assert np.array_equal(alone.oco_gaps, shared.oco_gaps)
+        assert np.array_equal(alone_played, np.stack(plays(steps))[:, 1])
 
     def test_boundary_checked_before_round_one(self, monkeypatch):
         from driftsched import InvalidEpsilon, LengthMismatch, agent, planner_run_many
@@ -788,6 +804,25 @@ class TestPlannerRunMany:
             planner_run_many(spec, iter(()))
         with pytest.raises(InvalidEpsilon):
             planner_run_many(spec, list(PLANNER_SCHEDULES.values()), eps=0.3)
+
+
+    def test_peak_does_not_grow_with_the_horizon(self):
+        # a run holds one EVAL_CHUNK block of played policies, whatever T, and its
+        # columns take about 0.2 KB a round; a history of the two schedules'
+        # played 30 x 4 policies alone would add 1.9 KB a round
+        base = random_mdp(30, 4, gamma=0.9, mu=0.2, rng=np.random.default_rng(0))
+        peaks = []
+        for horizon in (640, 5120):
+            spec = SoftMdpSequence(base=base, pattern="steady", horizon=horizon,
+                                   drift=DriftSpec(), seed=0)
+            tracemalloc.start()
+            try:
+                agent.planner_run_many(spec, [PLANNER_SCHEDULES["online"],
+                                              PLANNER_SCHEDULES["fixed"]])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1024 * (5120 - 640)
 
 
 @dataclass

@@ -125,6 +125,20 @@ class TestRegularizedGrad:
             regularized_grad(np.zeros(2), np.array([1.0, 0.0]), 0.5)
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """The next iterates of every omd._mirror_step call (omd_reference.record_steps)."""
+    from driftsched import omd
+
+    return omd_reference.record_steps(monkeypatch, omd)
+
+
+def stream_iterates(steps, b, k, horizon):
+    """Stream b's iterates x_1 .. x_T in a run from the uniform start: x_1, then
+    its unpadded row of each of the first T - 1 recorded steps."""
+    return np.array([np.full(k, 1.0 / k)] + [x[b, :k] for x in steps[:horizon - 1]])
+
+
 def constant_schedule(value, c=1.0):
     return ScheduleConfig(
         mode="fixed", fixed_value=value, c=c,
@@ -182,14 +196,14 @@ class TestRunDynamic:
         assert (lam >= cfg.lambda_min - 1e-15).all()
         assert (lam <= cfg.lambda_max + 1e-15).all()
 
-    def test_iterates_recorded_and_floored(self):
+    def test_iterates_recorded_and_floored(self, steps):
         rng = np.random.default_rng(6)
         losses = np.array([rng.uniform(-3, 3, 5) for _ in range(150)])
         us = [rng.dirichlet(np.ones(5)) for _ in range(150)]
         eps = 1e-4
         tr = run_dynamic(losses, us, constant_schedule(0.2), eps=eps)
-        assert len(tr.iterates) == 150
-        for x in tr.iterates:
+        assert len(steps) == 150
+        for x in stream_iterates(steps, 0, 5, 150):
             assert x.min() >= eps - 1e-12
             assert abs(x.sum() - 1.0) <= 1e-12
         # uniform start keeps the initial divergence at most log K
@@ -341,9 +355,9 @@ def schedule_for(mode):
                           fixed_value=0.2, lambda_min=0.05, lambda_max=1.0)
 
 
-def assert_matches_reference(tr, reference):
-    """Every column (values and dtype), meta value and iterate of tr equals
-    the reference loop's."""
+def assert_matches_reference(tr, reference, played):
+    """Every column (values and dtype) and meta value of tr, and each iterate
+    played in its run, equals the reference loop's."""
     cols, meta, iterates = reference
     assert list(tr.columns) == ["t", "lambda", "eta", "alpha", "proxy",
                                 "regret_inc", "regret_cum"]
@@ -351,40 +365,41 @@ def assert_matches_reference(tr, reference):
         assert tr.column(name).dtype == col.dtype, name
         assert np.array_equal(tr.column(name), col), name
     assert tr.meta == meta
-    assert len(tr.iterates) == len(iterates)
-    for x, ref in zip(tr.iterates, iterates):
+    assert len(played) == len(iterates)
+    for x, ref in zip(played, iterates):
         assert np.array_equal(x, ref)
 
 
 class TestRunDynamicMatchesPerRoundLoop:
     """run_dynamic repeats the per-round md_step loop bit for bit."""
 
-    def assert_same(self, losses, stream, us, mode, eps):
+    def assert_same(self, steps, losses, stream, us, mode, eps):
         tr = run_dynamic(stream, us, schedule_for(mode), eps)
+        played = stream_iterates(steps, 0, stream.shape[1], len(stream))
         assert_matches_reference(
-            tr, reference_run_dynamic(losses, us, schedule_for(mode), eps))
-        return tr
+            tr, reference_run_dynamic(losses, us, schedule_for(mode), eps), played)
+        return played
 
     @pytest.mark.parametrize("mode", ["fixed", "oracle", "online"])
     @pytest.mark.parametrize("k", [2, 5, 9, 16])
-    def test_schedules(self, mode, k):
+    def test_schedules(self, steps, mode, k):
         grads, us = drifting_stream(k, k, 300)
         losses = [LinearLoss(g) for g in grads]
-        self.assert_same(losses, grads, us, mode, 1e-6)
+        self.assert_same(steps, losses, grads, us, mode, 1e-6)
 
     @pytest.mark.parametrize("mode", ["fixed", "online"])
-    def test_eps_zero(self, mode):
+    def test_eps_zero(self, steps, mode):
         grads, us = drifting_stream(3, 6, 250, g_scale=3.0)
         losses = [LinearLoss(g) for g in grads]
-        self.assert_same(losses, grads, us, mode, 0.0)
+        self.assert_same(steps, losses, grads, us, mode, 0.0)
 
     @pytest.mark.parametrize("mode", ["fixed", "oracle", "online"])
-    def test_floor_active(self, mode):
+    def test_floor_active(self, steps, mode):
         eps = 1e-3
         grads, us = drifting_stream(5, 7, 250, g_scale=60.0)
         losses = [LinearLoss(g) for g in grads]
-        tr = self.assert_same(losses, grads, us, mode, eps)
-        assert (np.abs(tr.iterates - eps) < 1e-15).any()
+        played = self.assert_same(steps, losses, grads, us, mode, eps)
+        assert (np.abs(played - eps) < 1e-15).any()
 
     def test_bad_inputs_rejected_up_front(self):
         sched = constant_schedule(0.1)
@@ -428,9 +443,9 @@ class TestMdStepOperationOrder:
 
     @pytest.mark.parametrize("shape", [(6, 5), (4, 3, 4)])
     def test_writes_rows_through_a_strided_view(self, shape):
-        # out is one round's slice of a (B, T, ...) history, as xs[:, t + 1] is in
-        # run_dynamic_many; at the planner's (B, S, A) shape no reshape can view it.
-        # Rows that the floor truncates land in it beside rows it leaves alone
+        # out is a strided view, one round's slice of a (B, T, ...) history, which
+        # at the planner's (B, S, A) shape no reshape can view. Rows that the floor
+        # truncates land in it beside rows it leaves alone
         from driftsched.omd import _mirror_step
 
         rng = np.random.default_rng(11)
@@ -473,7 +488,7 @@ class TestRunDynamicMany:
     @pytest.mark.parametrize("floor", ["zero", "small", "active", "mixed"])
     @pytest.mark.parametrize("k", [2, 5, 16])
     @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_matches_per_stream_loop(self, n, k, floor):
+    def test_matches_per_stream_loop(self, steps, n, k, floor):
         eps, g_scale = {"zero": (0.0, 3.0), "small": (1e-6, 1.0),
                         "active": (0.9 / k, 60.0), "mixed": (0.5 / k, 60.0)}[floor]
         grads, us, losses = batch_of_streams(n, k, 90, g_scale)
@@ -483,14 +498,16 @@ class TestRunDynamicMany:
         cfgs = [MIXED_SCHEDULES[b % 4] for b in range(n)]
         traces = run_dynamic_many(grads, us, cfgs, eps)
         assert len(traces) == n
+        played = [stream_iterates(steps, b, k, 90) for b in range(n)]
         for b, tr in enumerate(traces):
             want = reference_run_dynamic(losses[b], us[b], cfgs[b], eps)
-            assert_matches_reference(tr, want)
+            assert_matches_reference(tr, want, played[b])
             # the stream alone gives the same trace as inside the batch
+            steps.clear()
             alone = run_dynamic_many(grads[b:b + 1], us[b:b + 1], cfgs[b:b + 1], eps)[0]
-            assert_matches_reference(alone, want)
+            assert_matches_reference(alone, want, stream_iterates(steps, 0, k, 90))
         # (B, T): stream b's iterate of round t has a coordinate at the floor
-        at_floor = np.array([(np.abs(tr.iterates - eps) < 1e-15).any(axis=-1) for tr in traces])
+        at_floor = np.array([(np.abs(x - eps) < 1e-15).any(axis=-1) for x in played])
         if floor == "active":
             assert at_floor.any()
         if floor == "mixed" and n > 1:  # a round with rows on and off the floor
@@ -525,7 +542,7 @@ class TestRunDynamicMany:
         with pytest.raises(error):
             run_dynamic_many(**change(args))
 
-    def test_no_per_round_schedule_call(self, monkeypatch):
+    def test_no_per_round_schedule_call(self, monkeypatch, steps):
         from driftsched import omd, scheduler
 
         def per_round(*args):
@@ -536,7 +553,8 @@ class TestRunDynamicMany:
         grads, us, losses = batch_of_streams(3, 4, 50, 1.0)
         cfgs = MIXED_SCHEDULES[1:]
         for b, tr in enumerate(run_dynamic_many(grads, us, cfgs, 1e-6)):
-            assert_matches_reference(tr, reference_run_dynamic(losses[b], us[b], cfgs[b], 1e-6))
+            assert_matches_reference(tr, reference_run_dynamic(losses[b], us[b], cfgs[b], 1e-6),
+                                     stream_iterates(steps, b, 4, 50))
 
     def test_boundary_iterate_without_floor(self):
         grads, us, _ = batch_of_streams(2, 2, 5, 1.0)
@@ -568,6 +586,22 @@ class TestRunDynamicMany:
         assert per_stream == [10, 7, 9]  # the spike's round, plus one
         assert steps_until_boundary(omd, lambda: run_dynamic_many(grads, us, cfgs, 0.0)) == 7
 
+    def test_peak_keeps_no_iterate_history(self):
+        # the rounds hold one CHUNK of iterates; a (B, T, K) history would add
+        # K * 8 bytes a stream and round
+        import tracemalloc
+
+        n, k, peaks = 8, 64, []
+        for horizon in (250, 1250):
+            grads, us, _ = batch_of_streams(n, k, horizon, 1.0)
+            tracemalloc.start()
+            try:
+                run_dynamic_many(grads, us, [schedule_for("online")] * n, 1e-6)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < k * 8 * n * (1250 - 250)
+
 
 class TestLockstepWidthClasses:
     """omd._run_lockstep on blocks of streams of different K, zero-padded to
@@ -575,9 +609,8 @@ class TestLockstepWidthClasses:
 
     KS = [2, 3, 7, 5, 8, 12, 15, 9, 16, 16]  # all three classes: W = 7, 15 and 23
 
-    @pytest.mark.parametrize("keep_iterates", [False, True])
     @pytest.mark.parametrize("floor", ["small", "active"])
-    def test_matches_per_stream_runs(self, floor, keep_iterates):
+    def test_matches_per_stream_runs(self, steps, floor):
         from driftsched import truncate
         from driftsched.omd import CHUNK, _run_lockstep
 
@@ -597,23 +630,23 @@ class TestLockstepWidthClasses:
                 grads[j, :, :k], us[j, :, :k] = streams[b][0], np.array(streams[b][1])
                 start[j, :k] = truncate(SimplexVec.uniform(k), eps).probs
                 alpha[j, 1:] = np.abs(np.diff(us[j, :, :k], axis=0)).sum(axis=1)
-            xs = np.empty((n, horizon + 1, width)) if keep_iterates else None
+            steps.clear()
             traces = _run_lockstep(lambda t, c: (grads[:, t:t + c], us[:, t:t + c]), alpha,
                                    [cfgs[b] for b in members], eps, start, ks,
-                                   np.abs(grads).max(axis=(1, 2)), xs)
+                                   np.abs(grads).max(axis=(1, 2)))
+            rounds = np.stack(steps)  # (T, n, W): each round's next iterates
             for j, (b, tr) in enumerate(zip(members, traces)):
+                steps.clear()
                 alone = run_dynamic(*streams[b], cfgs[b], eps)
                 for name in alone.columns:
                     assert tr.column(name).tobytes() == alone.column(name).tobytes(), name
                 assert tr.meta == alone.meta
-                if not keep_iterates:
-                    assert tr.iterates is None
-                    continue
-                assert tr.iterates.tobytes() == alone.iterates.tobytes()
-                assert not xs[j, :, ks[j]:].any()  # the pads stay 0
-                for t in np.flatnonzero((np.abs(tr.iterates - eps) < 1e-15).any(axis=1)):
-                    rounds_at_floor.setdefault((width, t), set()).add(int(ks[j]))
-        if floor == "active" and keep_iterates:  # one step truncated rows of different K
+                k = ks[j]
+                assert rounds[:, j, :k].tobytes() == np.stack(steps)[:, 0].tobytes()
+                assert not rounds[:, j, k:].any()  # the pads stay 0
+                for t in np.flatnonzero((np.abs(rounds[:, j, :k] - eps) < 1e-15).any(axis=1)):
+                    rounds_at_floor.setdefault((width, t), set()).add(int(k))
+        if floor == "active":  # one step truncated rows of different K
             assert any(len(floored) > 1 for floored in rounds_at_floor.values())
 
 

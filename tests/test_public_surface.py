@@ -1,5 +1,6 @@
 """The names driftsched exports, pinned: adding or removing API shows up here."""
 
+import dataclasses
 import types
 
 import driftsched
@@ -27,3 +28,8 @@ def test_public_names_are_pinned():
     names = sorted(name for name in dir(driftsched) if not name.startswith("_")
                    and not isinstance(getattr(driftsched, name), types.ModuleType))
     assert names == PUBLIC
+
+
+def test_run_trace_holds_columns_and_meta():
+    # a carrier keeps no per-round history beside its columns
+    assert [f.name for f in dataclasses.fields(driftsched.RunTrace)] == ["columns", "meta"]
