@@ -28,6 +28,15 @@ from .softmdp import _plan, _soft_returns, _solved_chain, _surrogate_gap, soft_p
 from .trace import RunTrace
 
 EVAL_CHUNK = 32  # entries per stacked evaluation, and planner rounds per block; keeps memory flat
+DRAW_MARGIN = 1e-12
+"""_soft_draw's margin per row entry: its filter decides where u * c_k lies more than
+k * DRAW_MARGIN * c_k from each running sum c_i of math.exp over a k-entry shifted row x.
+Each x_i <= 0 and the max's is 0, so T = sum exp(x_i) >= 1 absorbs a subnormal exp's
+absolute error. With r_i the exact cdf, eps = 2**-53 and each exp within 4 eps, the sums
+put c_i / c_k within (2k + 7) eps of r_i and u * c_k rounds within eps; the exact chain's
+two divisions, k-term sums and cdf_i / cdf_last put its ratio within (2k + 12) eps of
+r_i. Where the filter decides, u lies over k * DRAW_MARGIN - (4k + 20) eps > 0 from both
+ratios, on one side of each, so both count the same cdf values at most u."""
 
 
 def planner_run(seq, cfg: ScheduleConfig, eps: float = 1e-6,
@@ -142,6 +151,24 @@ def _cached_row(stack, i: int, s: int, a: int) -> tuple:
     return stack.rewards.item(i, s, a), array("d", accumulate([v / cdf[-1] for v in cdf], max))
 
 
+def _soft_draw(shifted: list, top: float, u: float, row_sum) -> int:
+    """_choice(p, u) for soft_policy's row p of a shifted row v / al - top, top = max(v) / al:
+    the count of running sums c_i of math.exp(shifted) at most u * c_k. The exact chain
+    (np.exp, two normalizations by row_sum = _row_sum(k), _choice) decides where the filter
+    cannot: u * c_k within DRAW_MARGIN * k * c_k of a c_i, or a row max or sum not finite."""
+    if math.isfinite(top):  # every shifted entry is <= 0 or NaN: math.exp cannot overflow
+        cdf = list(accumulate(map(math.exp, shifted)))
+        x, slack = u * cdf[-1], DRAW_MARGIN * len(cdf) * cdf[-1]
+        a = bisect_right(cdf, x)  # a NaN sum gives a = k
+        if a < len(cdf) and cdf[a] - x > slack and (not a or x - cdf[a - 1] > slack):
+            return a
+    e = np.exp(shifted).tolist()
+    tot = row_sum(e)
+    p = [v / tot for v in e]
+    tot = row_sum(p)  # renormalized, as soft_policy does
+    return _choice([v / tot for v in p], u)
+
+
 def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> tuple:
     """One sampled soft-TD transition for every lane b, on Python floats.
 
@@ -149,21 +176,14 @@ def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> 
     a ~ softmax(q[b][s] / alpha[b]) with u_act[b] and s' with u_next[b], moves q[b][s][a]
     towards r + gamma alpha[b] LSE(q[b][s'] / alpha[b]) and returns (s', delta) lists,
     with the bits soft_policy, Generator.choice and _row_lse give on (B, A) rows
-    (log_ties[n - 1] is np.log(n), row_sum is _row_sum(A)). A self-loop s' = s with a finite
-    row max reuses its action row's exponentials, the max's ties (shifted to exactly 0.0) set
-    to 0.0; only other lanes take a second np.exp. A non-finite TD error raises."""
-    width, shifted, tops = len(q[0][0]), [], []
-    for qb, sb, al in zip(q, s, alpha):
-        tops.append(max(qb[sb]) / al)  # max(v / al): dividing by al > 0 keeps the order
-        shifted += [v / al - tops[-1] for v in qb[sb]]
-    e = np.exp(shifted).tolist()
-    moves, lse, rest = [], [], []  # lse[j]: lane j's LSE exponentials, or their offset in rest
-    for j, (qb, sb, al, (mb, i, rows, g), u, w) in enumerate(zip(q, s, alpha, now, u_act, u_next)):
-        row_e = e[j * width:j * width + width]
-        tot = row_sum(row_e)
-        p = [v / tot for v in row_e]
-        tot = row_sum(p)  # renormalized, as soft_policy does
-        a = _choice([v / tot for v in p], u)
+    (log_ties[n - 1] is np.log(n), row_sum is _row_sum(A)). _soft_draw draws the action, so
+    the one np.exp call takes every lane's LSE row (a self-loop s' = s with a finite row max
+    passes its shifted action row, ties at the max set to -inf). A non-finite TD error raises."""
+    width, moves, rest = len(q[0][0]), [], []
+    for qb, sb, al, (mb, i, rows, g), u, w in zip(q, s, alpha, now, u_act, u_next):
+        top = max(qb[sb]) / al  # max(v / al): dividing by al > 0 keeps the order
+        shifted = [v / al - top for v in qb[sb]]
+        a = _soft_draw(shifted, top, u, row_sum)
         if rows is None:  # no cache: read the reward and transition row
             r, s_next = mb.rewards.item(i, sb, a), _choice(mb.transitions[i, sb, a].tolist(), w)
         else:  # a row's first visit caches it
@@ -171,19 +191,17 @@ def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> 
             if row is None:
                 row = rows[sb * width + a] = _cached_row(mb, i, sb, a)
             r, s_next = row[0], bisect_right(row[1], w)
-        if s_next == sb and math.isfinite(tops[j]):  # a self-loop backs up the row it played
-            own = shifted[j * width:j * width + width]
-            lse.append([0.0 if v == 0.0 else x for v, x in zip(own, row_e)])
-            moves.append((a, r, g, s_next, tops[j], own.count(0.0)))
+        if s_next == sb and math.isfinite(top):  # a self-loop backs up the row it played
+            rest += [-math.inf if v == 0.0 else v for v in shifted]
+            moves.append((a, r, g, s_next, top, shifted.count(0.0)))
             continue
         x = [v / al for v in qb[s_next]]
         top = max(x)  # _row_lse: the entries tied at the max enter as log(ties)
-        lse.append(len(rest))
         rest += [(-math.inf if v == top else v) - top for v in x]
         moves.append((a, r, g, s_next, top, x.count(top)))
-    z = np.exp(rest).tolist() if rest else []
-    log1p = np.log1p([row_sum(z[k:k + width] if isinstance(k, int) else k) / mv[-1]
-                      for k, mv in zip(lse, moves)]).tolist()
+    z = np.exp(rest).tolist()
+    log1p = np.log1p([row_sum(z[k:k + width]) / mv[-1]
+                      for k, mv in zip(range(0, len(z), width), moves)]).tolist()
     delta = []
     for qb, sb, al, (a, r, g, _, top, ties), l1 in zip(q, s, alpha, moves, log1p):
         # a non-finite LSE would take _row_lse's fallback, as non-finite
@@ -236,12 +254,13 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     actions and next states at once. Learners step in lanes: b shares an earlier
     learner's lane while their cfgs, uniforms and plans' entries (byte for byte) are
     equal, and forks with copies of the lane's state at the first step they differ.
-    A step is one _td_step for all lanes on Python floats, tables as lists. The
-    learners on a sequence share its _plan and a row cache: once an entry is current
-    two steps in a row, the first visit of each (s, a) caches its reward and
-    Generator.choice's cdf for later visits to bisect. Eval steps score each learner's
-    lane policy on its own plan, EVAL_CHUNK of a plan at a time in stacked solves.
-    All learners share the horizon, the (S, A) shape and the knobs.
+    A step is one _td_step for all lanes on Python floats, tables as lists: each lane
+    draws its action through _soft_draw's float filter, and the step makes one np.exp
+    call, on the LSE rows. The learners on a sequence share its _plan and a row cache:
+    once an entry is current two steps in a row, the first visit of each (s, a) caches
+    its reward and Generator.choice's cdf for later visits to bisect. Eval steps score
+    each learner's lane policy on its own plan, EVAL_CHUNK of a plan at a time in
+    stacked solves. All learners share the horizon, the (S, A) shape and the knobs.
     """
     if not len(seqs) == len(cfgs) == len(seeds) >= 1:
         raise LengthMismatch("seqs, cfgs and seeds must be nonempty and equally long")

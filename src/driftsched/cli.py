@@ -200,11 +200,14 @@ def parse_config(doc) -> ExperimentConfig:
     if "td" in agents and horizon // every < 2:
         raise ConfigError(f"eval_every={every} gives TD runs fewer than "
                           f"two evaluation points in horizon={horizon}")
-    # recovery_time needs an evaluation point before each change
-    if ("td" in agents and any(p in ("abrupt", "mixed") for p in patterns) and changes
-            and every >= min(changes)):
-        raise ConfigError(f"eval_every={every} gives TD runs no evaluation point "
-                          f"before change time {min(changes)}")
+    # recovery_time needs an evaluation point before each change and one at or after it
+    if "td" in agents and any(p in ("abrupt", "mixed") for p in patterns) and changes:
+        if every >= min(changes):
+            raise ConfigError(f"eval_every={every} gives TD runs no evaluation point "
+                              f"before change time {min(changes)}")
+        if max(changes) > every * (horizon // every):
+            raise ConfigError(f"eval_every={every} gives TD runs no evaluation point "
+                              f"at or after change time {max(changes)}")
     # the keys left in task and top are the names of ExperimentConfig fields
     return ExperimentConfig(
         task_kind=task.pop("kind"), **task, patterns=list(patterns),

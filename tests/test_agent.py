@@ -1,5 +1,6 @@
 import bisect
 import functools
+import itertools
 import math
 import operator
 import tracemalloc
@@ -28,7 +29,7 @@ from driftsched import (
     td_train_many,
 )
 from driftsched import agent
-from driftsched.agent import _cached_row, _choice, _row_sum, _td_step
+from driftsched.agent import DRAW_MARGIN, _cached_row, _choice, _row_sum, _soft_draw, _td_step
 from driftsched.softmdp import _plan
 from driftsched.simplex import kl_div
 from omd_reference import record_steps
@@ -233,9 +234,9 @@ class TestTdStep:
         assert abs(delta[0]) <= 1e-3
 
     def test_self_loop_takes_one_exp(self, monkeypatch):
-        # every step of a one-state MDP is a self-loop: its LSE row is the played
-        # row's, so the second np.exp call is skipped; a row max that is not
-        # finite takes both calls and the divergence check
+        # every step of a one-state MDP is a self-loop: the one np.exp call is its
+        # LSE row, the played row with its max's ties out; a row max that is not
+        # finite takes the exact chain's call too, then the divergence check
         calls, real = [], np.exp
         monkeypatch.setattr(np, "exp", lambda x: calls.append(len(x)) or real(x))
         q = [[0.0]]
@@ -245,6 +246,33 @@ class TestTdStep:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
             one_learner_step([[math.inf]], one_state_mdp(), 0.3, 0.5, np.random.default_rng(0))
         assert calls == [1, 1]
+
+    def test_lanes_share_one_exp_call(self, monkeypatch):
+        # state 0's actions 0 and 1 loop, action 2 moves to state 1. Four lanes on
+        # the uniform row: u = 0.1 and 0.9 are far from every cdf value, u on the
+        # exact chain's first two cdf values takes the exact chain. So the step makes
+        # one np.exp call a fallback lane, then one for all four LSE rows
+        from driftsched.softmdp import soft_values
+
+        trans = np.zeros((2, 3, 2))
+        trans[0, :2, 0] = trans[0, 2, 1] = trans[1, :, 1] = 1.0
+        m = TabularMdp(np.arange(6.0).reshape(2, 3) / 6, trans, 0.9, np.array([1.0, 0.0]),
+                       0.2, r_max=1.0)
+        p = soft_policy(np.zeros((1, 3)), 1.0)[0].tolist()
+        cdf = list(itertools.accumulate(p))
+        u_act = [0.1, cdf[0] / cdf[-1], cdf[1] / cdf[-1], 0.9]
+        calls, real = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(len(x)) or real(x))
+        q = [[[0.0] * 3, [0.0] * 3] for _ in u_act]
+        s_next, delta = _td_step(q, [0] * 4, u_act, [0.5] * 4, [1.0] * 4, 0.5,
+                                 [(_plan([m])[0], 0, None, 0.9)] * 4,
+                                 np.log([1.0, 2.0, 3.0]).tolist(), _row_sum(3))
+        assert calls == [3, 3, 12]
+        assert s_next == [0, 0, 1, 1]
+        monkeypatch.undo()
+        for qb, a, sn, d in zip(q, [0, 1, 2, 2], s_next, delta):
+            assert d == m.rewards[0, a] + 0.9 * soft_values(np.zeros(3), 1.0)
+            assert qb[0] == [0.5 * d if b == a else 0.0 for b in range(3)]
 
     def test_requires_positive_temperature(self):
         # the learner's temperature is its schedule's, and a schedule refuses 0
@@ -335,20 +363,20 @@ class TestStepNumpyFacts:
     @example(np.array([[0.0, 0.0, 0.0], [2.0, -np.inf, 2.0]]), 0.05)
     @example(np.array([[1.0, np.nan, 1.0]]), 0.5)
     def test_self_loop_reuses_the_policy_exponentials(self, x, al):
-        # a self-loop's LSE row is its policy row: where the max is finite, the
-        # policy's exp(v / al - max(v) / al) with the entries shifted to exactly
-        # 0.0 set to 0.0 has the bits, the tie count and the max of _row_lse's path
+        # a self-loop's LSE row is its shifted policy row: where the max is finite,
+        # v / al - max(v) / al with the entries shifted to exactly 0.0 set to -inf
+        # has the exponentials, the tie count and the max of _row_lse's path
         with np.errstate(all="ignore"):
             for row in x.tolist():
                 top = max(row) / al
                 if not math.isfinite(top):
                     continue
                 shifted = [v / al - top for v in row]
-                got = [0.0 if v == 0.0 else e for v, e in zip(shifted, np.exp(shifted).tolist())]
+                got = np.exp([-math.inf if v == 0.0 else v for v in shifted])
                 by_entry = [v / al for v in row]
                 lse_top = max(by_entry)
                 want = np.exp([(-math.inf if v == lse_top else v) - lse_top for v in by_entry])
-                assert np.array(got).tobytes() == want.tobytes()
+                assert got.tobytes() == want.tobytes()
                 assert shifted.count(0.0) == by_entry.count(lse_top) >= 1
                 assert top == lse_top
 
@@ -359,6 +387,90 @@ class TestStepNumpyFacts:
         counts = np.random.default_rng(n_learners).integers(1, 17, (50, n_learners, 1))
         for col in counts.astype(float):
             assert np.log(col)[:, 0].tobytes() == table[col[:, 0].astype(int) - 1].tobytes()
+
+
+def exact_draw(row, al, u):
+    """The action the step draws with u from a table row at temperature al: _choice
+    on soft_policy's row, whose cdf Generator.choice normalizes again."""
+    return _choice(soft_policy(np.array([row]), al)[0].tolist(), u)
+
+
+def draw_near_cdf(row, al):
+    """(u, count of np.exp calls, drawn action) of _soft_draw on the row's shifted
+    form, for u on each exact-chain cdf value, on its float neighbours and just past
+    the filter's margin on either side, kept in [0, 1)."""
+    top = max(row) / al
+    shifted = [v / al - top for v in row]
+    p = soft_policy(np.array([row]), al)[0].tolist()
+    cdf = list(itertools.accumulate(p))
+    gap = 2 * DRAW_MARGIN * len(row)
+    near = {math.nextafter(c / cdf[-1], d) for c in cdf for d in (0.0, 1.0)} | {0.0}
+    near |= {c / cdf[-1] + d for c in cdf for d in (0.0, -gap, gap)}
+    out = []
+    for u in sorted(v for v in near if 0.0 <= v < 1.0):
+        calls, real = [], np.exp
+        np.exp = lambda x: calls.append(1) or real(x)
+        try:
+            a = _soft_draw(shifted, top, u, _row_sum(len(row)))
+        finally:
+            np.exp = real
+        out.append((u, len(calls), a))
+    return out
+
+
+# ties, zeros of both signs, entries whose exponential is subnormal or 0
+DRAW_VALUES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 0.5, 2.5, -3.0, -700.0, -740.0, -745.0, -1e-300)),
+    st.floats(-60.0, 60.0),
+)
+
+
+class TestSoftDraw:
+    """_soft_draw, the step's action draw: a float filter, and the exact chain near
+    a cdf value or on a row that is not finite."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(DRAW_VALUES, min_size=1, max_size=16),
+           st.one_of(st.sampled_from((1.0, 0.05, 0.3)), st.floats(1e-3, 10.0)))
+    @example([0.0, 0.0, 0.0], 1.0)
+    @example([0.0, -745.0, -740.0, 0.0], 1.0)
+    @example([1.0] * 16, 0.05)
+    def test_filter_draws_the_exact_chains_action(self, row, al):
+        draws = draw_near_cdf(row, al)
+        for u, exps, a in draws:
+            assert a == exact_draw(row, al, u), u
+        # on a cdf value, whose ratio is in [0, 1), and on its neighbours the chain decides
+        p = soft_policy(np.array([row]), al)[0].tolist()
+        cdf = list(itertools.accumulate(p))
+        on = {math.nextafter(c / cdf[-1], d) for c in cdf for d in (0.0, 1.0)} | {
+            c / cdf[-1] for c in cdf}
+        assert all(exps == 1 for u, exps, _ in draws if u in on)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(DRAW_VALUES, min_size=1, max_size=16),
+           st.one_of(st.sampled_from((1.0, 0.05)), st.floats(1e-3, 10.0)),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=20, max_size=20))
+    def test_random_uniforms_take_the_filter(self, row, al, us):
+        top = max(row) / al
+        shifted = [v / al - top for v in row]
+        for u in us:
+            assert _soft_draw(shifted, top, u, _row_sum(len(row))) == exact_draw(row, al, u)
+
+    @pytest.mark.parametrize("row", [[math.inf, 0.0], [0.0, math.inf], [math.nan, 1.0],
+                                     [1.0, math.nan, 2.0], [-math.inf, -math.inf],
+                                     [1e308, -1e308, 1.0]])
+    @pytest.mark.parametrize("al", [1.0, 1e-10])
+    def test_row_that_is_not_finite_takes_the_exact_chain(self, monkeypatch, row, al):
+        calls, real = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(1) or real(x))
+        with np.errstate(all="ignore"):
+            top = max(row) / al
+            shifted = [v / al - top for v in row]
+            got = [_soft_draw(shifted, top, u, _row_sum(len(row))) for u in (0.0, 0.3, 0.99)]
+            monkeypatch.undo()
+            want = [exact_draw(row, al, u) for u in (0.0, 0.3, 0.99)]
+        assert got == want
+        assert len(calls) == (0 if math.isfinite(top) and not any(map(math.isnan, row)) else 3)
 
 
 def cached_draw(row, u):
@@ -1070,14 +1182,18 @@ class TestTdLockstep:
             td_train_many(**args)
 
     @pytest.mark.parametrize("batch_size", [10, 4000])
-    def test_diverging_learner_raises(self, batch_size):
-        # learn_rate 10 overshoots each update ninefold and Q overflows; with
-        # batch_size > T only the check after the last step sees the errors
+    def test_diverging_learner_raises(self, monkeypatch, batch_size):
+        # learn_rate 10 overshoots each update ninefold and Q overflows; the step
+        # whose TD error is not finite raises, at the step it raised before the
+        # action draw took the float filter
+        steps, real = [], agent._td_step
+        monkeypatch.setattr(agent, "_td_step", lambda *a: steps.append(1) or real(*a))
         spec = SoftMdpSequence(base=random_mdp(6, 3, rng=np.random.default_rng(1)),
                                pattern="steady", horizon=3000, drift=DriftSpec(), seed=0)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
             td_train_many([spec] * 2, [ONLINE_TD, FIXED_TD], [1, 2], batch_size, 50, 25,
                           learn_rate=10.0)
+        assert len(steps) == {10: 2355, 4000: 2151}[batch_size]
 
     @pytest.mark.parametrize("n_actions", [8, 9, 16])
     def test_wide_action_rows(self, n_actions):

@@ -47,6 +47,13 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def late_change(change_time):
+    """A horizon-210 run on the goal chain whose one change comes late."""
+    return {"horizon": 210, "task": {"kind": "goal_chain", "n_states": 5, "n_actions": 3,
+                                     "patterns": ["steady", "abrupt"],
+                                     "drift": {"change_times": [change_time]}}}
+
+
 class TestParseConfig:
     def test_happy_path(self, tmp_path):
         cfg = parse_config(base_config(tmp_path))
@@ -199,6 +206,9 @@ class TestParseConfig:
                                          "schedule": {"mode": "fixed"}}],
               "task": {"kind": "random", "n_states": 4, "n_actions": 3}},
          "horizon=1 gives planner runs fewer than two evaluation points"),
+        # the last evaluation step, 200, comes before the change: no recovery to measure
+        ((), late_change(205),
+         "eval_every=50 gives TD runs no evaluation point at or after change time 205"),
     ])
     def test_bad_input_rejected_before_any_file(self, tmp_path, capsys, where, value,
                                                 match):
@@ -231,6 +241,12 @@ class TestParseConfig:
         assert main(["run", write_config(tmp_path, doc)]) == 2
         assert match in capsys.readouterr().err
         assert not out.exists()
+
+    def test_change_time_at_the_last_evaluation_step(self, tmp_path):
+        # evaluations at 50, ..., 200 of horizon 210: a change at 200 has one at it
+        doc = base_config(tmp_path)
+        doc.update(late_change(200))
+        assert parse_config(doc).drift.change_times == (200,)
 
     def test_change_time_must_fit_horizon(self, tmp_path):
         doc = base_config(tmp_path)
@@ -306,8 +322,19 @@ def test_parse_config_mutated_readme_config(data):
 def golden_run_config(name, out_dir):
     """Configs whose run output is pinned: TD traces longer than two
     CSV_CHUNKs, alone and beside steady twins that share their cfg, seed
-    and MDPs until the change, a random-task planner run with one job per
-    pattern, and the benchmark's planner_drift cells on a short horizon."""
+    and MDPs until the change, TD on a wide random task whose rewards and
+    transitions drift (pairwise row sums; no row cache on periodic), a
+    random-task planner run with one job per pattern, and the benchmark's
+    planner_drift cells on a short horizon."""
+    if name == "td_wide_random":
+        doc = readme_config()
+        doc["task"] = {"kind": "random", "n_states": 6, "n_actions": 9,
+                       "gamma": 0.9, "mu": 0.2, "patterns": ["periodic", "abrupt"],
+                       "drift": {"change_times": [1000], "magnitude": 1.0, "period": 150,
+                                 "amplitude": 0.5, "reward_drift": True,
+                                 "transition_drift": True}}
+        doc.update(seeds=[3], horizon=2100, output_dir=str(out_dir))
+        return doc
     if name in ("td_goal_chain", "td_twins"):
         doc = base_config(out_dir, horizon=2100, seeds=(0, 1) if name == "td_twins" else (0,))
         if name == "td_goal_chain":
@@ -380,6 +407,18 @@ GOLDEN_RUN_DIGESTS = {
         "trace_fixed_td_steady_seed1.csv":
             "c57d51d63393cfbe30f7011064c5bc8f326680f21f7c871bc8b2458c8f69195f",
     },
+    # taken before _td_step drew its actions through the float filter
+    "td_wide_random": {
+        "summary.csv": "14b3af773250da7b1da935d94ca37d5025005b0a6a2ce56d82c3d19b8f6d13de",
+        "trace_adaptive_td_abrupt_seed3.csv":
+            "0227785049d445952934506de41fe183b32f701f6ebb9d93aea7c724ce6478b3",
+        "trace_adaptive_td_periodic_seed3.csv":
+            "cdd6ef18e02700239cdd273d8f8e1601e3fda70180f9cb2a0bf30c5350097666",
+        "trace_fixed_td_abrupt_seed3.csv":
+            "5893b9f1a03313b5f6c587415b9559353dba12b14608fbbbaea063dffa75e92d",
+        "trace_fixed_td_periodic_seed3.csv":
+            "605ec363966faf1073d9abeae5fc1faf6d9828ef5eda3047450dda8ce1846cf4",
+    },
     "random_planner": {
         "summary.csv": "dcec9cabbe43a142d2f954ace2d263181210c96577bf53b1d16eacbcde50f99c",
         "trace_adaptive_planner_abrupt_seed0.csv":
@@ -387,6 +426,49 @@ GOLDEN_RUN_DIGESTS = {
         "trace_adaptive_planner_periodic_seed0.csv":
             "1d5601c242f189141dd296692d1c6bdac527d918899535e4492f49fd8beffd8f",
     },
+}
+
+
+# every file of a two-value quantile_q sweep on the td_twins config, taken before
+# _td_step drew its actions through the float filter
+GOLDEN_SWEEP_DIGESTS = {
+    "sweep_quantile_q=0.5/summary.csv":
+        "758ab3c4f0a948f16d0d1a518025f446071445d4bec0a2e5ce161552103cb206",
+    "sweep_quantile_q=0.5/trace_adaptive_td_abrupt_seed0.csv":
+        "8602dd03648083c20ba4c8530723bc50109ce2fcf4ef88b73faea953d021ccdd",
+    "sweep_quantile_q=0.5/trace_adaptive_td_abrupt_seed1.csv":
+        "d3d54c1d9c4ec6d70fcc2736e162c3f0d11cd6045b51363c2c3bd1d1c431f2de",
+    "sweep_quantile_q=0.5/trace_adaptive_td_steady_seed0.csv":
+        "f982e7cff1b35881cbd02b9865513b184c8ef4088baf204c4908f829df9e3ec1",
+    "sweep_quantile_q=0.5/trace_adaptive_td_steady_seed1.csv":
+        "89f710651b70e1aed53e4de28cb156d319babed7581880a3b58f940eec081504",
+    "sweep_quantile_q=0.5/trace_fixed_td_abrupt_seed0.csv":
+        "37c2ea9acc85ee03231c99fb468bbf8e4c8bca033edc6ded2236400a34cc42de",
+    "sweep_quantile_q=0.5/trace_fixed_td_abrupt_seed1.csv":
+        "925f5d17e9eabaeaecd9b610e05b9b1751c1e62d8ec3838825bac01a065a8713",
+    "sweep_quantile_q=0.5/trace_fixed_td_steady_seed0.csv":
+        "50692cb655171e3c3d97b9add02d5a0c5ecb53bc58c3193294ffb9de869beca4",
+    "sweep_quantile_q=0.5/trace_fixed_td_steady_seed1.csv":
+        "d438af3976f87d784699cb9abe1986f1cb7866bbaf60b1bea57c1885f79fb7c0",
+    "sweep_quantile_q=0.8/summary.csv":
+        "5703b174433a14d1407c90c4f522900f2b59148f34ce04a8ca2bd2904a388976",
+    "sweep_quantile_q=0.8/trace_adaptive_td_abrupt_seed0.csv":
+        "2b616397a308555f6c3c58a55b019e22bc5c90b938882ec220f73ca6213a9b47",
+    "sweep_quantile_q=0.8/trace_adaptive_td_abrupt_seed1.csv":
+        "89014c4a742457c0a4e939cd42e454fb7aa0cb9386cb284b281ecbdfcf343bf4",
+    "sweep_quantile_q=0.8/trace_adaptive_td_steady_seed0.csv":
+        "10329aaf1ca6da95051a332cbf4307ea30fe2795ade76f46075a51c972e10761",
+    "sweep_quantile_q=0.8/trace_adaptive_td_steady_seed1.csv":
+        "fe61f72f1923accbea369cb876f9df195f5b192cef3838394cd5f664727e18b0",
+    "sweep_quantile_q=0.8/trace_fixed_td_abrupt_seed0.csv":
+        "e2284eb14bd76251b9efdebcca4cc1164c0a21853a8a542bd2b9a662a0dda2fd",
+    "sweep_quantile_q=0.8/trace_fixed_td_abrupt_seed1.csv":
+        "26ac91fb35696787b9844c8d695d1f3aaa88973be08948546f5b576cee9d23f7",
+    "sweep_quantile_q=0.8/trace_fixed_td_steady_seed0.csv":
+        "5722e919d1bc8cff8ecb7dd3daeb2934814cddc73cfc281a1f5a1ec4a04dda54",
+    "sweep_quantile_q=0.8/trace_fixed_td_steady_seed1.csv":
+        "ec1fa1980fd1412e04f8a1aa863443d93052967b5c1e58c030c0187c5755e17d",
+    "sweep_summary.csv": "aec6223cbcc8456657b5b6381a027943771ee88d89473440eb85e7fe33cfa090",
 }
 
 
@@ -679,6 +761,18 @@ class TestSweepCommand:
         assert {line.split(",")[-1] for line in body} == {"0.5", "0.7", "0.9"}
         for v in ("0.5", "0.7", "0.9"):
             assert (out / f"sweep_quantile_q={v}" / "summary.csv").exists()
+
+    def test_sweep_keeps_its_bytes(self, tmp_path):
+        # every file a sweep writes, pinned by SHA-256 under its path in --out
+        import hashlib
+
+        doc = golden_run_config("td_twins", tmp_path / "unused")
+        out = tmp_path / "sweep"
+        assert main(["sweep", write_config(tmp_path, doc), "--param", "quantile_q",
+                     "--values", "0.5,0.8", "--out", str(out)]) == 0
+        digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.rglob("*") if p.is_file()}
+        assert digests == GOLDEN_SWEEP_DIGESTS
 
     def test_empty_values_noop(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))

@@ -602,6 +602,23 @@ class TestRunDynamicMany:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < k * 8 * n * (1250 - 250)
 
+    def test_drift_pass_holds_no_stream_of_rows(self):
+        # the drift column and max |g| are read a CHUNK of rounds at a time: a
+        # (T, K) temporary of one stream would add K * 8 bytes a round, and
+        # np.abs(np.diff(us[b])) held two of them
+        import tracemalloc
+
+        n, k, peaks = 2, 64, []
+        for horizon in (250, 1250):
+            grads, us, _ = batch_of_streams(n, k, horizon, 1.0)
+            tracemalloc.start()
+            try:
+                run_dynamic_many(grads, us, [schedule_for("online")] * n, 1e-6)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < k * 8 * (1250 - 250)
+
 
 class TestLockstepWidthClasses:
     """omd._run_lockstep on blocks of streams of different K, zero-padded to
