@@ -64,25 +64,25 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
     - the rounds, EVAL_CHUNK at a time: one mirror step a round on the (B, S, A)
       stack of policies, every row on the gradient -Q*_t(s,.) + mu (1 + log pi_s)
       + lambda_t (1 + log pi_s); then the block's surrogate gaps and J_t of its
-      played policies, EVAL_CHUNK (round, schedule) entries per stacked solve on
-      the plan's stack. Only one block of played policies is held.
+      played policies, EVAL_CHUNK (round, schedule) entries per stacked solve, each
+      distinct entry of the plan built once. Only one block of played policies is held.
     Trace b is planner_run(seq, cfgs[b], ...) bit for bit.
     """
     cfgs = list(cfgs)
     if not cfgs:
         raise LengthMismatch("cfgs must be nonempty")
-    stack, path = _plan(seq)
-    n_states, n_actions = stack.rewards.shape[1:]
+    plan, path = _plan(seq)
+    n_states, n_actions = plan.mdps[0].rewards.shape
     _check_floor(eps, n_actions)
 
-    chain = list(_solved_chain(stack, path, tol))  # (Q*_t, pi*_t, V*_t)
-    mu = stack.mu[path].tolist()  # each step's mu as its MDP holds it
+    chain = list(_solved_chain(plan, path, tol))  # (Q*_t, pi*_t, V*_t)
+    mu = [plan.mdps[i].mu for i in path]  # each step's mu as its MDP holds it
     reading, alpha = [0.0], [0.0]  # 0 at t = 1
     for (q_prev, pi_prev, _), (q_star, pi_star, _), mu_t in zip(chain, chain[1:], mu[1:]):
         reused = q_star is q_prev  # |x - x| = 0: no reading, no drift
         reading.append(0.0 if reused else float(np.abs(q_star - q_prev).max()) / mu_t)
         alpha.append(0.0 if reused else float(np.abs(pi_star - pi_prev).sum(axis=1).max()))
-    j_star = np.array([float(stack.rho[i] @ v_star) for i, (_, _, v_star) in zip(path, chain)])
+    j_star = np.array([float(plan.mdps[i].rho @ v_star) for i, (_, _, v_star) in zip(path, chain)])
     alpha, horizon, n = np.array(alpha), len(chain), len(cfgs)
     lam, eta, ema = np.empty((3, n, horizon))
     for b, cfg in enumerate(cfgs):
@@ -107,11 +107,11 @@ def planner_run_many(seq, cfgs, eps: float = 1e-6, tol: float = 1e-9) -> list:
         q_star = np.stack([q for q, _, _ in chain[lo:hi]])[:, None]  # (round, 1, S, A)
         pi_star = np.stack([pi for _, pi, _ in chain[lo:hi]])[:, None]
         inc[lo:hi] = _surrogate_gap(q_star, played, pi_star,
-                                    stack.mu[path[lo:hi], None, None]).sum(axis=-1)
+                                    np.array(mu[lo:hi])[:, None, None]).sum(axis=-1)
         flat, j_flat = played.reshape(-1, n_states, n_actions), j_played[lo:hi].reshape(-1)
         for k in range(0, len(flat), EVAL_CHUNK):  # entry k: round lo + k // n, schedule k % n
             entries = [path[lo + e // n] for e in range(k, min(k + EVAL_CHUNK, len(flat)))]
-            j_flat[k:k + EVAL_CHUNK] = _soft_returns(stack.at(entries), flat[k:k + EVAL_CHUNK])
+            j_flat[k:k + EVAL_CHUNK] = _soft_returns(plan.stack(entries), flat[k:k + EVAL_CHUNK])
         block[0] = block[hi - lo]
 
     return [RunTrace(columns={
@@ -143,12 +143,13 @@ def _row_sum(width: int):
             else (lambda row: float(np.add.reduce(row))))
 
 
-def _cached_row(stack, i: int, s: int, a: int) -> tuple:
-    """(reward, cdf) of row (s, a) of the stack's entry i, the cdf normalized as
+def _cached_row(plan, i: int, s: int, a: int) -> tuple:
+    """(reward, cdf) of row (s, a) of the plan's entry i, the cdf normalized as
     Generator.choice builds it and made nondecreasing, so that bisect_right(cdf, u) is
     _choice's count for any finite row."""
-    cdf = list(accumulate(stack.transitions[i, s, a].tolist()))
-    return stack.rewards.item(i, s, a), array("d", accumulate([v / cdf[-1] for v in cdf], max))
+    reward, row = plan.row(i, s, a)
+    cdf = list(accumulate(row))
+    return reward, array("d", accumulate([v / cdf[-1] for v in cdf], max))
 
 
 def _soft_draw(shifted: list, top: float, u: float, row_sum) -> int:
@@ -172,7 +173,7 @@ def _soft_draw(shifted: list, top: float, u: float, row_sum) -> int:
 def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> tuple:
     """One sampled soft-TD transition for every lane b, on Python floats.
 
-    In state s[b] of now[b] = (stack, entry, row cache or None, gamma), lane b draws
+    In state s[b] of now[b] = (plan, entry, row cache or None, gamma), lane b draws
     a ~ softmax(q[b][s] / alpha[b]) with u_act[b] and s' with u_next[b], moves q[b][s][a]
     towards r + gamma alpha[b] LSE(q[b][s'] / alpha[b]) and returns (s', delta) lists,
     with the bits soft_policy, Generator.choice and _row_lse give on (B, A) rows
@@ -185,7 +186,8 @@ def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> 
         shifted = [v / al - top for v in qb[sb]]
         a = _soft_draw(shifted, top, u, row_sum)
         if rows is None:  # no cache: read the reward and transition row
-            r, s_next = mb.rewards.item(i, sb, a), _choice(mb.transitions[i, sb, a].tolist(), w)
+            r, row = mb.row(i, sb, a)
+            s_next = _choice(row, w)
         else:  # a row's first visit caches it
             row = rows[sb * width + a]
             if row is None:
@@ -215,19 +217,20 @@ def _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum) -> 
 
 def _shared_steps(plan_a, plan_b) -> int:
     """The count of leading steps on which two plans' entries are equal byte for byte in
-    every _MdpStack field (so -0.0 and 0.0 differ); each distinct entry pair is read once."""
+    every _MdpStack field (so -0.0 and 0.0 differ); each distinct entry pair is built once."""
     pairs = [] if plan_a is plan_b else list(zip(plan_a[1], plan_b[1]))
     for i, j in dict.fromkeys(pairs):  # in order of first step
-        if any(x.tobytes() != y.tobytes() for x, y in zip(plan_a[0].at(i), plan_b[0].at(j))):
+        if any(np.asarray(x).tobytes() != np.asarray(y).tobytes()
+               for x, y in zip(plan_a[0].at(i), plan_b[0].at(j))):
             return pairs.index((i, j))
     return len(plan_a[1])
 
 
-def _score_snapshots(stack, path, snaps, eval_col) -> None:
-    """eval_col[t, b] = J of each (t, b, policy) snapshot of a learner on the plan (stack,
-    path), on its entry at step t: one stacked evaluation, which indexes the stack once."""
+def _score_snapshots(plan, path, snaps, eval_col) -> None:
+    """eval_col[t, b] = J of each (t, b, policy) snapshot of a learner on the plan (plan,
+    path), on its entry at step t: one stacked evaluation, each distinct entry built once."""
     steps, learners, pis = zip(*snaps)
-    eval_col[steps, learners] = _soft_returns(stack.at([path[t] for t in steps]), np.array(pis))
+    eval_col[steps, learners] = _soft_returns(plan.stack([path[t] for t in steps]), np.array(pis))
 
 
 def td_train(seq, cfg: ScheduleConfig, batch_size: int = 20,
@@ -273,9 +276,10 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     runs = [plans[id(seq)] for seq in seqs]  # a spec that learners share is planned once
     if len({len(path) for _, path in runs}) > 1:
         raise LengthMismatch("every learner needs the same horizon")
-    if len({stack.rewards.shape[1:] for stack, _ in runs}) > 1:
+    if len({plan.mdps[0].rewards.shape for plan, _ in runs}) > 1:
         raise ShapeMismatch("every MDP needs the same (S, A)")
-    (n_states, width), horizon, n_learners = runs[0][0].rewards[0].shape, len(runs[0][1]), len(seqs)
+    (n_states, width), horizon = runs[0][0].mdps[0].rewards.shape, len(runs[0][1])
+    n_learners = len(seqs)
     log_ties, row_sum = np.log(np.arange(1.0, width + 1)).tolist(), _row_sum(width)
     draws = np.empty((2 * horizon + math.ceil(horizon / episode_len), n_learners))
     for b, sd in enumerate(seeds):
@@ -294,7 +298,7 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     forks.sort(reverse=True)  # popped in order of step, then learner
     lead = leaders + [b for _, b in reversed(forks)]  # lane l reads learner lead[l]'s plan
     draws = draws[:, lead]  # a column per lane, in the order the lanes start
-    held = dict.fromkeys(plans, (None,) * 4)  # each plan's (stack, entry, row cache or None, gamma)
+    held = dict.fromkeys(plans, (None,) * 4)  # each plan's (plan, entry, row cache or None, gamma)
     alpha = [next_lambda(cfgs[b], ProxyState(), 0.0)[0] for b in leaders]
     q_rank = [math.ceil(c.quantile_q * batch_size) - 1 for c in cfgs]
     q = [np.zeros((n_states, width)).tolist() for _ in leaders]
@@ -311,16 +315,16 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
                 q.append([row.copy() for row in q[l]])
                 for col in (s, alpha, proxies, *batch):
                     col.append(col[l])
-            for key, (stack, path) in plans.items():  # an entry current 2 steps in a row: a cache
+            for key, (plan, path) in plans.items():  # an entry current 2 steps in a row: a cache
                 if held[key][1] != path[t] or held[key][2] is None:
                     cache = [None] * (n_states * width) if t and path[t - 1] == path[t] else None
-                    held[key], now = (stack, path[t], cache, float(stack.gamma[path[t]])), None
+                    held[key], now = (plan, path[t], cache, float(plan.mdps[path[t]].gamma)), None
             if now is None:
                 now = [held[id(seqs[b])] for b in lead[:len(q)]]
             i = 2 * t + t // episode_len
             reset, u_act, u_next = draws[i:i + 3, :len(q)].tolist()
             if t % episode_len == 0:  # draws[i] resets
-                s = [_choice(m.rho[e].tolist(), u) for (m, e, *_), u in zip(now, reset)]
+                s = [_choice(m.mdps[e].rho.tolist(), u) for (m, e, *_), u in zip(now, reset)]
             s, delta = _td_step(q, s, u_act, u_next, alpha, learn_rate, now, log_ties, row_sum)
             batch.append(delta)
             if (t + 1) % batch_size == 0:
@@ -355,5 +359,5 @@ def td_train_many(seqs, cfgs, seeds, batch_size: int = 20, eval_every: int = 50,
     }, meta={
         "agent": "td", "pattern": getattr(seq, "pattern", "custom"), "seed": seed,
         "seq_seed": getattr(seq, "seed", 0), "batch_size": batch_size, "eval_every": eval_every,
-        "episode_len": episode_len, "learn_rate": learn_rate, "mu": stack.mu[path[0]].item(),
-    }) for b, (seq, (stack, path), seed) in enumerate(zip(seqs, runs, seeds))]
+        "episode_len": episode_len, "learn_rate": learn_rate, "mu": plan.mdps[path[0]].mu,
+    }) for b, (seq, (plan, path), seed) in enumerate(zip(seqs, runs, seeds))]

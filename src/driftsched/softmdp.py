@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import iadd
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +47,8 @@ class TabularMdp:
     r_max: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
-        object.__setattr__(self, "transitions", np.asarray(self.transitions, dtype=float))
-        object.__setattr__(self, "rho", as_probs(self.rho))
+        for name in ("rewards", "transitions", "rho"):  # C-contiguous: a plan reads them in place
+            object.__setattr__(self, name, np.ascontiguousarray(as_probs(getattr(self, name))))
         _validate_mdp(self.rewards, self.transitions, self.gamma, self.rho, self.mu, self.r_max)
 
     @property
@@ -143,8 +143,8 @@ def _soft_pass(q: np.ndarray, mu) -> tuple:
 
 class _MdpStack(NamedTuple):
     """Same-shaped MDPs: rewards (n, S, A), P (n, S, A, S); gamma, mu and r_max one
-    number or (n,) columns, one per entry, and rho (S,) or (n, S). A plan's stack
-    (see _plan) holds every field per entry."""
+    number or (n,) columns, one per entry, and rho (S,) or (n, S). A plan (see _Plan)
+    holds no stack: it builds one MDP's, or an index list's with every field per entry."""
 
     rewards: np.ndarray
     transitions: np.ndarray
@@ -153,10 +153,6 @@ class _MdpStack(NamedTuple):
     r_max: float = 1.0
     rho: np.ndarray | None = None
     q_bound, v_bound = TabularMdp.q_bound, TabularMdp.v_bound
-
-    def at(self, i):
-        """A plan stack's entry i (views and numbers), or the stack of an index list's entries."""
-        return _MdpStack(*(x[i] for x in self))
 
 
 def solve_soft_q(mdp: TabularMdp | _MdpStack, tol: float = 1e-9,
@@ -208,20 +204,21 @@ def _solve(mdp, tol, q_init, first=None) -> np.ndarray:
     raise NoConvergence(f"soft policy iteration did not reach {target} in {max_steps} steps")
 
 
-def _solved_chain(stack: _MdpStack, path, tol: float):
+def _solved_chain(plan, path, tol: float):
     """Yield (Q*_t, pi*_t, V*_t) along a plan, solving once per flat segment, warm-started.
-    A step on the previous step's entry, or on one equal in rewards, transitions, gamma
-    and mu (Q* depends on nothing else), yields its arrays again. pi*_t and V*_t are one
-    _soft_pass of Q*_t, the next solve's first step if mu is unchanged."""
-    q_star = first = None
-    r, p, gamma, mu = stack.rewards, stack.transitions, stack.gamma, stack.mu
+    A step on another entry than the step before mixes it once; on one equal to that
+    entry in rewards, transitions, gamma and mu (Q* depends on nothing else) it yields
+    its arrays again. pi*_t and V*_t are one _soft_pass of Q*_t, the next solve's first
+    step if mu is unchanged."""
+    q_star = first = m = None
     for prev, i in zip([None, *path], path):
-        if prev is None or not (i == prev or (
-                gamma[i] == gamma[prev] and mu[i] == mu[prev]
-                and np.array_equal(r[i], r[prev]) and np.array_equal(p[i], p[prev]))):
-            warm = first if first and mu[i] == mu[prev] else None
-            q_star = _solve(stack.at(i), tol, q_star, warm)
-            first = _soft_pass(q_star, mu[i])  # Q* is finite: no np.errstate needed
+        if i != prev:
+            m, last = plan.at(i), m
+            if last is None or not (m.gamma == last.gamma and m.mu == last.mu and np.array_equal(
+                    m.rewards, last.rewards) and np.array_equal(m.transitions, last.transitions)):
+                warm = first if first and m.mu == last.mu else None
+                q_star = _solve(m, tol, q_star, warm)
+                first = _soft_pass(q_star, m.mu)  # Q* is finite: no np.errstate needed
         yield q_star, first[1], first[0]
 
 
@@ -402,31 +399,65 @@ def _alternate_endpoints(spec: SoftMdpSequence):
         r_alt = np.asarray(d.reward_alt, dtype=float)
         if r_alt.shape != base.rewards.shape:
             raise InvalidSpec("reward_alt has the wrong shape")
-        if (np.abs(r_alt) > base.r_max + ROW_TOL).any():
-            raise InvalidSpec("reward_alt exceeds r_max")
+        if not (np.abs(r_alt) <= base.r_max + ROW_TOL).all():
+            raise InvalidSpec("reward_alt is NaN or exceeds r_max")
     if d.jitter > 0.0:
         noise = rng.uniform(-d.jitter, d.jitter, size=r_alt.shape)
         r_alt = np.clip(r_alt + noise, -base.r_max, base.r_max)
-    return r_alt, p_alt
+    return r_alt if d.reward_drift else None, p_alt if d.transition_drift else None
 
 
-def _mix(base: np.ndarray, alt: np.ndarray, weights, drifts: bool) -> np.ndarray:
-    """(1 - w) base + w alt per weight, an entry at a time (no temporary of the stack's
-    size), or a read-only broadcast of base for a part that does not drift."""
-    out = np.broadcast_to(base, (len(weights),) + base.shape)
-    if drifts:
-        out = np.empty(out.shape)
-        for entry, wt in zip(out, weights):
-            np.add((1.0 - wt) * base, wt * alt, out=entry)
-    return out
+class _Plan(NamedTuple):
+    """A sequence's entries, its distinct MDPs in order of first step (see _plan): a
+    list's are its MDPs, held as the caller's arrays; a spec's are its base with each
+    part that drifts mixed as (1 - w_i) base + w_i alt, for its weight path's i-th
+    distinct weight w_i, only when an entry, a stack of entries or a row is read."""
+
+    mdps: list  # entry i's MDP: a list's, or a spec's base, which holds gamma, mu, r_max, rho
+    weights: list | None = None  # a spec's distinct weights
+    alts: tuple = (None, None)  # a spec's alternate rewards and transitions; None: no drift
+
+    def at(self, i) -> _MdpStack:
+        """Entry i as an _MdpStack of one MDP. A mixed number is two products and a sum,
+        so a table, a stack or Python floats (row) give the same bits."""
+        m, w = self.mdps[i], self.weights and self.weights[i]
+        r, p = (x if alt is None else iadd((1.0 - w) * x, w * alt)
+                for x, alt in zip((m.rewards, m.transitions), self.alts))
+        return _MdpStack(r, p, m.gamma, m.mu, m.r_max, m.rho)
+
+    def stack(self, idx) -> _MdpStack:
+        """The _MdpStack of an index list's entries, every field per entry: the distinct
+        entries of a part that drifts are mixed at once, and repeats gathered."""
+        pos = {i: n for n, i in enumerate(dict.fromkeys(idx))}
+        w, take = self.weights and np.array([self.weights[i] for i in pos]), [pos[i] for i in idx]
+        parts = []
+        for f, alt in zip(_MdpStack._fields, self.alts + (None,) * 4):
+            if alt is None:
+                parts.append(np.array([getattr(self.mdps[i], f) for i in idx]))
+            else:
+                w_col = w.reshape((-1,) + (1,) * alt.ndim)
+                x = np.multiply(1.0 - w_col, getattr(self.mdps[0], f))
+                x += w_col * alt
+                parts.append(x if take == list(range(len(idx))) else x[take])
+        return _MdpStack(*parts)
+
+    def row(self, i, s, a) -> tuple:
+        """(reward, transition row) of entry i at (s, a) on Python floats."""
+        m, (r_alt, p_alt), w = self.mdps[i], self.alts, self.weights and self.weights[i]
+        r, p = m.rewards.item(s, a), m.transitions[s, a].tolist()
+        return (r if r_alt is None else (1.0 - w) * r + w * r_alt.item(s, a),
+                p if p_alt is None else [(1.0 - w) * x + w * y
+                                         for x, y in zip(p, p_alt[s, a].tolist())])
 
 
 def _plan(seq) -> tuple:
-    """(stack, path) of a SoftMdpSequence or an MDP list: the _MdpStack of its distinct
-    MDPs, every field per entry, in order of first step, and path[t], step t's entry.
+    """(plan, path) of a SoftMdpSequence or an MDP list: the _Plan of its distinct MDPs,
+    in order of first step, and path[t], step t's entry.
 
     A list has an entry per distinct object. M_t of a spec depends on t only through
-    the weight w_t: an entry per distinct weight, mixed by _mix and checked once as a stack.
+    the weight w_t: an entry per distinct weight. Each entry mixes the same two valid
+    endpoints (the alternate's rewards are checked as they are drawn), so no entry is
+    built or checked here.
     """
     spec = isinstance(seq, SoftMdpSequence)
     steps = _weight_path(seq).tolist() if spec else list(seq)
@@ -437,30 +468,22 @@ def _plan(seq) -> tuple:
             raise LengthMismatch("a sequence needs at least one MDP")
         if len({m.rewards.shape for m in steps}) > 1:
             raise ShapeMismatch("every MDP of a sequence needs the same (S, A)")
-        mdps = {id(m): m for m in steps}.values()
-        return _MdpStack(*(np.array([getattr(m, f) for m in mdps])
-                           for f in _MdpStack._fields)), path
-    base, drift, n = seq.base, seq.drift, len(index)
-    r_alt, p_alt = _alternate_endpoints(seq)
-    r = _mix(base.rewards, r_alt, list(index), drift.reward_drift)
-    p = _mix(base.transitions, p_alt, list(index), drift.transition_drift)
-    _validate_mdp(r, p, base.gamma, base.rho, base.mu, base.r_max, stacked=True)
-    return _MdpStack(r, p, *(np.full(n, x) for x in (base.gamma, base.mu, base.r_max)),
-                     np.broadcast_to(base.rho, (n,) + base.rho.shape)), path
+        return _Plan(list({id(m): m for m in steps}.values())), path
+    return _Plan([seq.base] * len(index), list(index), _alternate_endpoints(seq)), path
 
 
 def generate_sequence(spec: SoftMdpSequence) -> list:
     """Materialize the per-step MDPs M_1..M_T described by the spec: one MDP per
     entry of its _plan, the same object at every step on that entry."""
-    stack, path = _plan(spec)
-    mdps = [replace(spec.base, rewards=r, transitions=p)
-            for r, p in zip(stack.rewards, stack.transitions)]
+    plan, path = _plan(spec)
+    mdps = [replace(spec.base, rewards=m.rewards, transitions=m.transitions)
+            for m in map(plan.at, range(len(plan.weights)))]
     return [mdps[i] for i in path]
 
 
 def variation_budget(seq) -> tuple:
     """Per-step reward/transition variation and the weighted total budget
-    of an MDP list or a spec, read from its _plan.
+    of an MDP list or a spec, read from its _plan a consecutive pair at a time.
 
     Returns (delta_r, delta_p, b_total) where delta_r[t] is the sup-norm
     reward change and delta_p[t] the worst-row l1 transition change from
@@ -468,12 +491,14 @@ def variation_budget(seq) -> tuple:
     b_total = sum_t (delta_r + gamma * V_max * delta_p) with
     V_max = (r_max + mu log A) / (1 - gamma).
     """
-    stack, path = _plan(seq)
+    plan, path = _plan(seq)
     delta_r, delta_p = np.zeros(len(path)), np.zeros(len(path))
+    first = m = plan.at(path[0])
     for t, (i, j) in enumerate(zip(path, path[1:]), start=1):
-        delta_r[t] = np.abs(stack.rewards[j] - stack.rewards[i]).max()
-        delta_p[t] = np.abs(stack.transitions[j] - stack.transitions[i]).sum(axis=-1).max()
-    first = stack.at(path[0])
+        if j != i:  # an entry against itself changes by 0.0, as the zeros read
+            m, last = plan.at(j), m
+            delta_r[t] = np.abs(m.rewards - last.rewards).max()
+            delta_p[t] = np.abs(m.transitions - last.transitions).sum(axis=-1).max()
     return delta_r, delta_p, float((delta_r + first.gamma * first.v_bound() * delta_p).sum())
 
 

@@ -507,10 +507,11 @@ def _check_squared_drift_conversion(seed, n_sequences=100, steps=12,
         drift = DriftSpec(change_times=(max(2, steps // 3), max(3, 2 * steps // 3)),
                           magnitude=0.5, period=max(2, steps // 2), amplitude=0.4,
                           transition_drift=bool(i % 2))
-        stack, path = _plan(SoftMdpSequence(
+        plan, path = _plan(SoftMdpSequence(
             base=base, pattern=patterns[i % len(patterns)], horizon=steps, drift=drift,
             seed=int(rng.integers(1 << 31))))
-        rewards[i], transitions[i] = stack.rewards[path], stack.transitions[path]
+        entries = plan.stack(path)  # each distinct entry mixed once
+        rewards[i], transitions[i] = entries.rewards, entries.transitions
     q_all = solve_soft_q(_MdpStack(rewards, transitions, gamma, mu), solver_tol)
     drifts = np.abs(np.diff(q_all, axis=1)).max(axis=(2, 3))
     q_max = (1.0 + gamma * mu * math.log(a_dim)) / (1.0 - gamma)

@@ -5,7 +5,6 @@ import math
 import operator
 import tracemalloc
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from driftsched import (
 )
 from driftsched import agent
 from driftsched.agent import DRAW_MARGIN, _cached_row, _choice, _row_sum, _soft_draw, _td_step
-from driftsched.softmdp import _plan
+from driftsched.softmdp import _MdpStack, _Plan, _plan
 from driftsched.simplex import kl_div
 from omd_reference import record_steps
 
@@ -475,8 +474,8 @@ class TestSoftDraw:
 
 def cached_draw(row, u):
     """The step's draw of s' from a cached row: bisect_right on its stored cdf."""
-    stack = SimpleNamespace(transitions=np.array([[[row]]]), rewards=np.zeros((1, 1, 1)))
-    return bisect.bisect_right(_cached_row(stack, 0, 0, 0)[1], u)
+    plan = _Plan([_MdpStack(np.zeros((1, 1)), np.array([[row]]), 0.9, 0.2)])
+    return bisect.bisect_right(_cached_row(plan, 0, 0, 0)[1], u)
 
 
 def cdf_boundaries(row):
@@ -626,6 +625,14 @@ def reference_planner_step(state, mdp_t, q_star_t, cfg, eps):
               "oco_gaps": oco_gaps}
     return RefPlannerState(policy=new_policy, proxy=proxy, prev_q=np.array(q_star_t),
                            eta_prev=eta, prev_pi=pi_star), record
+
+
+def transition_drift_spec(horizon):
+    """Random 30 x 4 rewards and transitions on a periodic path with period T: a
+    distinct MDP at every step."""
+    base = random_mdp(30, 4, gamma=0.9, mu=0.2, rng=np.random.default_rng(0))
+    return SoftMdpSequence(base=base, pattern="periodic", horizon=horizon, seed=1,
+                           drift=DriftSpec(period=horizon, amplitude=1.0, transition_drift=True))
 
 
 def drifting_random_spec(pattern, horizon=60, seed=2):
@@ -918,6 +925,20 @@ class TestPlannerRunMany:
             planner_run_many(spec, list(PLANNER_SCHEDULES.values()), eps=0.3)
 
 
+    def test_peak_under_transition_drift(self):
+        # the plan holds two endpoints, not the 28.8 KB transition table of each of
+        # the T distinct steps; the solve chain keeps Q*, pi* and V* a round, about
+        # 2.8 KB with the columns at 30 x 4
+        peaks = []
+        for horizon in (1000, 4000):
+            tracemalloc.start()
+            try:
+                agent.planner_run_many(transition_drift_spec(horizon), [PLANNER_SCHEDULES["fixed"]])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4096 * (4000 - 1000)
+
     def test_peak_does_not_grow_with_the_horizon(self):
         # a run holds one EVAL_CHUNK block of played policies, whatever T, and its
         # columns take about 0.2 KB a round; a history of the two schedules'
@@ -1135,7 +1156,7 @@ class TestTdLockstep:
         assert len(filled) == len(set(filled)) <= 5 * 3
         assert len({(m, i) for m, i, _, _ in filled}) == 1
         # the one cached entry is the steady spec's: its plan has one entry, the lists 2 and 400
-        assert [len(m.rewards) for m in stacks.values()] == [1]
+        assert [len(m.weights) for m in stacks.values()] == [1]
 
     @pytest.mark.parametrize("horizon", [1, 31, 33])
     def test_horizons_off_the_eval_chunk(self, horizon):
@@ -1307,8 +1328,12 @@ class TestTdMemory:
 
     # peaks measured with numpy 2.4.6 and Python 3.11.7: 25,864,790 B when
     # the step ran on one (B, S, A) array with stacked reward and cdf tables,
-    # 9,572,841 B with the step on lists reading its MDP's rows
-    PEAK_B = 9_572_841
+    # 9,572,841 B with the step on lists reading its MDP's rows from a stack of
+    # the mixed tables, 815,759 B mixing each row from the plan's two endpoints
+    PEAK_B = 815_759
+    # 200 distinct 30 x 4 MDPs in a list: 6,284,600 B when the plan copied the
+    # tables into a stack, 280,784 B holding the caller's tables
+    PEAK_LIST_B = 280_784
     # the steady task: 1,225,420 B reading each row from the table, 1,529,114 B
     # with a row cache per sequence (its two 60 x 4 x 60 tables hold 230,400 B)
     PEAK_CACHED_B = 1_529_114
@@ -1325,6 +1350,31 @@ class TestTdMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * self.PEAK_B
+
+    def test_peak_on_a_list_of_distinct_mdps(self):
+        rng = np.random.default_rng(0)
+        mdps = [random_mdp(30, 4, rng=rng) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            td_train_many([mdps], [FIXED_TD], [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.PEAK_LIST_B
+
+    def test_peak_does_not_grow_with_transition_drift(self):
+        # a periodic path with period T has a distinct transition table at every
+        # step, 28.8 KB each at 30 x 4, which a run holding them would add a round;
+        # the run's own columns and path take about 0.3 KB a round
+        peaks = []
+        for horizon in (1000, 4000):
+            tracemalloc.start()
+            try:
+                td_train_many([transition_drift_spec(horizon)], [ONLINE_TD], [0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1024 * (4000 - 1000)
 
     def test_peak_with_row_caches(self):
         # four learners on two specs: a cache per learner would break the bound

@@ -471,6 +471,32 @@ GOLDEN_SWEEP_DIGESTS = {
     "sweep_summary.csv": "aec6223cbcc8456657b5b6381a027943771ee88d89473440eb85e7fe33cfa090",
 }
 
+# every file of a two-value C1 sweep on the drifting_planners config, taken before a
+# spec's plan mixed its entries only when they are read
+GOLDEN_PLANNER_SWEEP_DIGESTS = {
+    "sweep_C1=0.5/summary.csv":
+        "06ed8d7a67203e3cdf042c071c762a2cb790cc2f12c2e893249675edcd8e6cd9",
+    "sweep_C1=0.5/trace_adaptive_planner_abrupt_seed7.csv":
+        "a8d72330c0c0dc10a72409bc04a49aa088bc50b5ee4bf4d1cc61376f8b32ec79",
+    "sweep_C1=0.5/trace_adaptive_planner_periodic_seed7.csv":
+        "5197a6d48189b0eea074fa95eda11a46d6103007c7c6bd9ea7260d55071e47ea",
+    "sweep_C1=0.5/trace_fixed_planner_abrupt_seed7.csv":
+        "7057a3b9e88f5a886533121a8855ba18d3829540f1edbd0241600749441b53ef",
+    "sweep_C1=0.5/trace_fixed_planner_periodic_seed7.csv":
+        "59ecfb405c20f7de9ef0cf24c3e0c87882895c7e8955a5b2983611c7edac69a5",
+    "sweep_C1=2/summary.csv":
+        "d80bab81915ef428a0152ae46be295cfbe18a41a75f1b65d72f3bf9cc5386251",
+    "sweep_C1=2/trace_adaptive_planner_abrupt_seed7.csv":
+        "44342275006824a4e79853a0f62757cbe6cb0df386554a79596c6666187d7992",
+    "sweep_C1=2/trace_adaptive_planner_periodic_seed7.csv":
+        "86ffcabcbd8f2c5e0672e6d822df0dbbfd08ed4e57178b42d5203b527e8d1ca8",
+    "sweep_C1=2/trace_fixed_planner_abrupt_seed7.csv":
+        "7057a3b9e88f5a886533121a8855ba18d3829540f1edbd0241600749441b53ef",
+    "sweep_C1=2/trace_fixed_planner_periodic_seed7.csv":
+        "59ecfb405c20f7de9ef0cf24c3e0c87882895c7e8955a5b2983611c7edac69a5",
+    "sweep_summary.csv": "a475719ab0474a9f9ee2bff770504b4185cb0ff19234ab4b6c5fdbdfea4461f4",
+}
+
 
 class TestRunCommand:
     def test_minimal_run(self, tmp_path):
@@ -762,17 +788,25 @@ class TestSweepCommand:
         for v in ("0.5", "0.7", "0.9"):
             assert (out / f"sweep_quantile_q={v}" / "summary.csv").exists()
 
-    def test_sweep_keeps_its_bytes(self, tmp_path):
-        # every file a sweep writes, pinned by SHA-256 under its path in --out
+    @staticmethod
+    def sweep_digests(tmp_path, config, param, values):
+        """SHA-256 of every file a sweep of a golden config writes, under its path in --out."""
         import hashlib
 
-        doc = golden_run_config("td_twins", tmp_path / "unused")
+        doc = golden_run_config(config, tmp_path / "unused")
         out = tmp_path / "sweep"
-        assert main(["sweep", write_config(tmp_path, doc), "--param", "quantile_q",
-                     "--values", "0.5,0.8", "--out", str(out)]) == 0
-        digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in out.rglob("*") if p.is_file()}
-        assert digests == GOLDEN_SWEEP_DIGESTS
+        assert main(["sweep", write_config(tmp_path, doc), "--param", param,
+                     "--values", values, "--out", str(out)]) == 0
+        return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.rglob("*") if p.is_file()}
+
+    def test_sweep_keeps_its_bytes(self, tmp_path):
+        assert self.sweep_digests(tmp_path, "td_twins", "quantile_q", "0.5,0.8") == \
+            GOLDEN_SWEEP_DIGESTS
+
+    def test_planner_sweep_keeps_its_bytes(self, tmp_path):
+        assert self.sweep_digests(tmp_path, "drifting_planners", "C1", "0.5,2") == \
+            GOLDEN_PLANNER_SWEEP_DIGESTS
 
     def test_empty_values_noop(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))

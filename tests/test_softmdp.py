@@ -92,6 +92,19 @@ class TestTabularMdp:
             _validate_mdp(np.stack([m.rewards] * 2), np.stack([m.transitions] * 2),
                           m.gamma, stack, m.mu, 1.0, stacked=True)
 
+    def test_arrays_held_c_contiguous(self):
+        # a plan reads an MDP's own arrays: C-contiguous float ones are kept as given,
+        # others are copied once, here, with their values
+        m = random_mdp(4, 3)
+        same = TabularMdp(m.rewards, m.transitions, m.gamma, m.rho, m.mu)
+        assert same.rewards is m.rewards and same.transitions is m.transitions
+        assert same.rho is m.rho
+        strided = TabularMdp(np.asfortranarray(m.rewards), np.asfortranarray(m.transitions),
+                             m.gamma, np.r_[m.rho, m.rho][::2], m.mu)
+        for name in ("rewards", "transitions", "rho"):
+            ours = getattr(strided, name)
+            assert ours.flags.c_contiguous and np.array_equal(ours, getattr(m, name)), name
+
     def test_rho_within_rounding_accepted(self):
         m = random_mdp(3, 2)
         rho = np.array([0.5 + 1e-12, 0.5, -1e-12])
@@ -420,13 +433,14 @@ class TestSolvedChain:
             mdps = generate_sequence(seq)
         else:
             seq = mdps = user_list_with_a_mu_change()[:1 if case == "one_step" else None]
-        stack, path = _plan(seq)
-        got, want = list(_solved_chain(stack, path, 1e-9)), reference_chain(mdps, 1e-9)
+        plan, path = _plan(seq)
+        got, want = list(_solved_chain(plan, path, 1e-9)), reference_chain(mdps, 1e-9)
         assert len(got) == len(want) == len(mdps)
         for t, (step, ref) in enumerate(zip(got, want)):
             # step t's entry of the plan is M_t
+            entry = plan.at(path[t])
             for name in ("rewards", "transitions", "gamma", "mu"):
-                assert np.array_equal(getattr(stack, name)[path[t]], getattr(mdps[t], name))
+                assert np.array_equal(getattr(entry, name), getattr(mdps[t], name))
             for ours, theirs in zip(step, ref[1:]):
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
             # a reused solve yields the same arrays again
@@ -766,15 +780,19 @@ def reference_sequence(spec):
 MDP_FIELDS = ("rewards", "transitions", "rho", "gamma", "mu", "r_max")
 
 
-def assert_entry_is(stack, i, mdp):
-    """Entry i of a plan's stack holds mdp's numbers, bit for bit."""
+def assert_entry_is(plan, i, mdp):
+    """Entry i of a plan, built alone and in a stack after another entry, holds mdp's
+    numbers, bit for bit."""
+    alone, stacked = plan.at(i), plan.stack([0, i, i])
     for name in MDP_FIELDS:
-        ours, theirs = np.asarray(getattr(stack, name)[i]), np.asarray(getattr(mdp, name))
-        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+        theirs = np.asarray(getattr(mdp, name))
+        for ours in (np.asarray(getattr(alone, name)), getattr(stacked, name)[1],
+                     getattr(stacked, name)[2]):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
 
 
 class TestPlan:
-    """softmdp._plan: the one (stack, path) layout of a spec or an MDP list."""
+    """softmdp._plan: the one (plan, path) layout of a spec or an MDP list."""
 
     DRIFTS = {"reward": (True, False), "transition": (False, True),
               "both": (True, True), "neither": (False, False)}
@@ -792,19 +810,20 @@ class TestPlan:
         spec = SoftMdpSequence(base=base, pattern=pattern, horizon=30, seed=9, drift=DriftSpec(
             change_times=(8, 19), magnitude=0.6, period=7, amplitude=0.4,
             reward_drift=reward_drift, transition_drift=transition_drift, **alt))
-        stack, path = _plan(spec)
+        plan, path = _plan(spec)
         want, seq = reference_sequence(spec), generate_sequence(spec)
         assert len(path) == len(want) == len(seq) == 30
-        assert len(stack.rewards) == len({id(m) for m in want})  # an entry per distinct weight
+        assert len(plan.weights) == len({id(m) for m in want})  # an entry per distinct weight
         for t, m in enumerate(want):
-            assert_entry_is(stack, path[t], m)
-            assert_entry_is(stack, path[t], seq[t])
+            assert_entry_is(plan, path[t], m)
+            assert_entry_is(plan, path[t], seq[t])
             # generate_sequence shares one object among the steps of one entry
             assert ([seq[u] is seq[t] for u in range(30)] == [path[u] == path[t] for u in range(30)]
                     == [want[u] is want[t] for u in range(30)])
-        for part, drifts in (("rewards", reward_drift), ("transitions", transition_drift)):
-            # a part that does not drift is the base's array, not a copy per entry
-            assert np.shares_memory(getattr(stack, part), getattr(base, part)) == (not drifts)
+        # the plan holds the base and an alternate part only where it drifts, not a table
+        # per entry
+        assert all(m is base for m in plan.mdps)
+        assert [alt is not None for alt in plan.alts] == [reward_drift, transition_drift]
 
     def test_list_entries_follow_object_identity(self):
         from driftsched import LengthMismatch
@@ -814,10 +833,11 @@ class TestPlan:
         b = random_mdp(4, 2, gamma=0.8, mu=0.5, rng=np.random.default_rng(2))
         copy = replace(a)  # equal to a, another object
         mdps = [a, a, copy, b, b, a, copy]  # shared objects, an equal copy, a back after a gap
-        stack, path = _plan(mdps)
+        plan, path = _plan(mdps)
         assert path == [0, 0, 1, 2, 2, 0, 1]
         for t, m in enumerate(mdps):
-            assert_entry_is(stack, path[t], m)
+            assert_entry_is(plan, path[t], m)
+            assert plan.mdps[path[t]] is m  # the caller's MDP, not a copy of its tables
         assert _plan(iter(mdps))[1] == path
         with pytest.raises(LengthMismatch):
             _plan([])
@@ -848,6 +868,80 @@ class TestPlan:
         cfg = ScheduleConfig(mode="fixed", fixed_value=0.1)
         for trace in (planner_run(spec, cfg), td_train(spec, cfg, 5, 10, 8)):
             assert type(trace.meta["mu"]) is int and trace.meta["mu"] == 1
+
+
+class TestLazyMix:
+    """A spec's plan mixes (1 - w) base + w alt only when an entry, a stack of entries or
+    a row is read; each gives the bits of an eager mix of the whole table."""
+
+    ALTS = {"drawn": {}, "jitter": {"jitter": 0.3}, "reward_alt": {"reward_alt": True},
+            "reward_alt_jitter": {"reward_alt": True, "jitter": 0.3}}
+
+    @staticmethod
+    def eager(base, alt, w):
+        return (1 - w) * base + w * alt
+
+    @pytest.mark.parametrize("pattern", ["steady", "abrupt", "linear", "periodic", "mixed"])
+    @pytest.mark.parametrize("alt", list(ALTS))
+    def test_each_entry_is_the_eager_mix(self, pattern, alt):
+        from driftsched.softmdp import _alternate_endpoints, _plan, _weight_path
+
+        rng = np.random.default_rng([5, 6])
+        base = random_mdp(6, 3, gamma=0.85, mu=0.3, r_max=1.5, rng=rng)
+        kw = dict(self.ALTS[alt])
+        if kw.get("reward_alt"):
+            kw["reward_alt"] = rng.uniform(-1.5, 1.5, (6, 3))
+        spec = SoftMdpSequence(base=base, pattern=pattern, horizon=40, seed=3, drift=DriftSpec(
+            change_times=(9, 25), magnitude=0.6, period=11, amplitude=0.4,
+            transition_drift=True, **kw))
+        plan, path = _plan(spec)
+        r_alt, p_alt = _alternate_endpoints(spec)
+        weights = _weight_path(spec).tolist()
+        assert plan.weights == list(dict.fromkeys(weights))
+        # every step's entry, as one stack with repeats, then alone and row by row
+        stacked = plan.stack(path)
+        for t, w in enumerate(weights):
+            want_r = self.eager(base.rewards, r_alt, w)
+            want_p = self.eager(base.transitions, p_alt, w)
+            alone = plan.at(path[t])
+            for got_r, got_p in ((alone.rewards, alone.transitions),
+                                 (stacked.rewards[t], stacked.transitions[t])):
+                assert got_r.tobytes() == want_r.tobytes()
+                assert got_p.tobytes() == want_p.tobytes()
+            for s_, a in np.ndindex(base.rewards.shape):
+                assert plan.row(path[t], s_, a) == (want_r[s_, a], want_p[s_, a].tolist())
+
+    @pytest.mark.parametrize("n_states", [5, 30])
+    def test_rows_on_python_floats_are_the_eager_mix(self, n_states):
+        # 1000 random weights; every row of every entry, as the TD step reads it
+        from driftsched.softmdp import _Plan
+
+        rng = np.random.default_rng([7, n_states])
+        base, alt = (random_mdp(n_states, 2, rng=rng) for _ in range(2))
+        weights = rng.uniform(0.0, 1.0, 1000).tolist()
+        plan = _Plan([base] * len(weights), weights, (alt.rewards, alt.transitions))
+        for i, w in enumerate(weights):
+            want_r = self.eager(base.rewards, alt.rewards, w).tolist()
+            want_p = self.eager(base.transitions, alt.transitions, w).tolist()
+            for s_, a in np.ndindex(base.rewards.shape):
+                r, p = plan.row(i, s_, a)
+                assert r == want_r[s_][a] and p == want_p[s_][a]
+
+    @pytest.mark.parametrize("pattern", ["steady", "abrupt"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])
+    def test_bad_alternate_rewards_refused_at_the_plan(self, pattern, bad):
+        # the endpoints are checked once, as they are drawn, whether or not the rewards
+        # drift; a NaN no longer needs a mixed entry to fail
+        from driftsched.softmdp import _plan
+
+        alt = np.zeros((4, 3))
+        alt[1, 2] = bad
+        for drifts in (True, False):
+            spec = SoftMdpSequence(base=random_mdp(4, 3), pattern=pattern, horizon=10, seed=1,
+                                   drift=DriftSpec(change_times=(4,), reward_alt=alt,
+                                                   reward_drift=drifts))
+            with pytest.raises(InvalidSpec, match="reward_alt is NaN or exceeds r_max"):
+                _plan(spec)
 
 
 @pytest.mark.parametrize("call", [
